@@ -59,7 +59,6 @@ from .fast import (
     MergeReport,
     aggregate_series,
     aggregate_state_series,
-    aggregate_step,
     merge_clusters,
     merge_recommendation,
     merged_mode,

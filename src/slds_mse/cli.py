@@ -25,7 +25,6 @@ from . import __version__
 from .model import MseSeries, Scenario, validate_scenario
 from .kalman import InnovationSolveError, average_filter_modes
 from .enumeration import (
-    DEFAULT_CAP,
     EnumerationCapError,
     pruned_moments,
     single_mode_slds_moments,
@@ -87,12 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--svg", help="also write an SVG line chart here")
         p.add_argument("--method", default="auto",
                        choices=("auto", "exact", "pruned", "aggregate"),
-                       help="analytic method (auto: aggregate when the chain "
-                            "is uniform, else exact, else pruned)")
+                       help="analytic method (auto, the default: the aggregate "
+                            "recursion, exact on any Markov chain; exact: "
+                            "trajectory enumeration; pruned: beam-pruned "
+                            "enumeration)")
         p.add_argument("--keep", type=int,
-                       help="pruning: trajectories kept per step")
+                       help="--method pruned: trajectories kept per step")
         p.add_argument("--mass", type=float,
-                       help="pruning: probability mass kept per step")
+                       help="--method pruned: probability mass kept per step")
 
     p = sub.add_parser("analyze", help="analytic MSE per filter")
     common(p)
@@ -145,19 +146,9 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _resolve_method(scenario: Scenario, args, pairs: bool) -> str:
-    leaves = (scenario.model.r ** (2 if pairs else 1)) ** scenario.horizon
+def _resolve_method(args) -> str:
     if args.method == "auto":
-        if scenario.model.chain.is_uniform():
-            return "aggregate"
-        if leaves <= DEFAULT_CAP:
-            return "exact"
-        if args.keep is not None or args.mass is not None:
-            return "pruned"
-        raise CommandError(
-            EXIT_CAPACITY,
-            f"exact enumeration needs {leaves} trajectories (cap {DEFAULT_CAP}) "
-            f"and the chain is not uniform; pass --keep/--mass for pruning")
+        return "aggregate"
     if args.method == "pruned" and args.keep is None and args.mass is None:
         raise CommandError(EXIT_CAPACITY,
                            "--method pruned requires --keep or --mass")
@@ -169,9 +160,9 @@ def _analytic_series(scenario: Scenario, args) -> list:
     model = scenario.model
     det = scenario.detection
     n = scenario.horizon
+    method = _resolve_method(args)
     out = []
     for spec in scenario.filters:
-        method = _resolve_method(scenario, args, pairs=(spec.kind == "skf"))
         if spec.kind == "average":
             filt = average_filter_modes(model, n)
         elif spec.kind == "single-mode":

@@ -251,8 +251,8 @@ def _run_enumeration(model: SldsModel, n_steps: int, *,
         kind = "trajectory pairs" if pairs else "trajectories"
         raise EnumerationCapError(
             f"exact enumeration needs {branch_factor}^{n_steps} {kind}, "
-            f"over the cap of {cap}; use the aggregate recursion (uniform "
-            f"chains) or beam pruning instead")
+            f"over the cap of {cap}; use the aggregate recursion or beam "
+            f"pruning instead")
 
     H, R = model.meas.H, model.meas.R
     chain = model.chain

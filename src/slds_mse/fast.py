@@ -1,11 +1,16 @@
-"""Scalable SLDS error analysis: aggregate moments and mode merging.
+"""Scalable SLDS error analysis: mode-conditioned moments and mode merging.
 
-Trajectory enumeration is exact but exponential in the horizon.  When
-every transition row of the mode chain is uniform, the active mode at a
-step is independent of the accumulated state/error statistics, so the
-mixture moments close on themselves: knowing the mean and second moments
-of (x, e) at step n-1 plus the noise statistics is enough to advance one
-step.  The cost drops to O(N r^2 z^3) with no trajectory explosion.
+Trajectory enumeration is exact but exponential in the horizon.  Under
+schedule gains the joint state/error vector w = [x; e] is a Markov jump
+linear system: its map at step n depends only on the current true mode
+and the detected mode, and the detected mode depends only on the current
+true mode.  Its first and second moments therefore close once they are
+conditioned on the current mode (Costa, Fragoso & Marques, Discrete-Time
+Markov Jump Linear Systems, 2005, ch. 3): carrying E[w 1{s_n = j}] and
+E[w w.T 1{s_n = j}] for every mode j is enough to advance one step, for
+any transition matrix.  The cost is O(N r^2 z^3) with no trajectory
+explosion.  Enumeration stays the test oracle, and the only route for
+detected-path gains, which depend on the whole detected trajectory.
 
 The same machinery powers a pre-experiment mode-merge recommender: every
 unordered mode pair is analyzed as a bimodal sub-system with a uniform
@@ -23,13 +28,11 @@ import numpy as np
 
 from .model import (
     DetectionModel,
-    GaussianBelief,
     MarkovChain,
     ModeModel,
     MseSeries,
     SldsModel,
     mode_marginal_series,
-    mode_marginals,
 )
 from .kalman import (
     ModeLike,
@@ -89,27 +92,6 @@ class MergeReport:
     pairs: tuple
 
 
-def aggregate_init(init: GaussianBelief) -> AggregateState:
-    """Step-0 moments: e_0 = x_0 - mean, so all second moments equal P_0
-    up to the mean's outer product."""
-    mean = init.mean
-    return AggregateState(
-        x_mean=mean.copy(),
-        e_mean=np.zeros(init.z),
-        xx=init.cov + np.outer(mean, mean),
-        ee=init.cov.copy(),
-        xe=init.cov.copy(),
-        step=0,
-    )
-
-
-def _require_uniform(chain: MarkovChain) -> None:
-    if not chain.is_uniform():
-        raise ValueError(
-            "aggregate recursion requires uniform transition rows; use "
-            "trajectory enumeration or beam pruning for general chains")
-
-
 def _joint_factors(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
                    K: np.ndarray, H: np.ndarray, R: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -142,123 +124,104 @@ def _joint_factors(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
     return G, C
 
 
-def _joint_step(mu: np.ndarray, phi: np.ndarray, w: np.ndarray,
-                G: np.ndarray, Gw: np.ndarray, Cw: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the joint mean and second moment by one mixture step.
-
-    ``G`` stacks the branch maps (b, 2z, 2z); ``Gw`` and ``Cw`` are their
-    weight-summed versions, precomputable because the weights never
-    depend on the state.
-    """
-    gphi = G @ phi
-    phi = np.einsum("b,bij,bkj->ik", w, gphi, G) + Cw
-    return Gw @ mu, (phi + phi.T) / 2.0
-
-
-def _to_state(mu: np.ndarray, phi: np.ndarray, step: int) -> AggregateState:
-    z = mu.size // 2
-    return AggregateState(x_mean=mu[:z], e_mean=mu[z:], xx=phi[:z, :z],
-                          ee=phi[z:, z:], xe=phi[:z, z:], step=step)
-
-
-def _from_state(state: AggregateState) -> tuple[np.ndarray, np.ndarray]:
-    mu = np.concatenate((state.x_mean, state.e_mean))
-    phi = np.block([[state.xx, state.xe], [state.xe.T, state.ee]])
-    return mu, phi
-
-
-def _detection_weights(r: int, det: DetectionModel,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened (true mode i, detected mode j) branch layout with the
-    detection factor of each branch; a lone mode is always detected,
-    whatever p_d says."""
-    i_idx, j_idx = np.divmod(np.arange(r * r), r)
+def _detection_weights(r: int, det: DetectionModel) -> np.ndarray:
+    """D[i, j] = P(detected mode j | true mode i); a lone mode is always
+    detected, whatever p_d says."""
     hit = det.p_d if r > 1 else 1.0
-    d = np.where(i_idx == j_idx, hit, (1.0 - det.p_d) / max(r - 1, 1))
-    return i_idx, j_idx, d
+    miss = (1.0 - det.p_d) / max(r - 1, 1)
+    return np.where(np.eye(r, dtype=bool), hit, miss)
 
 
-def aggregate_step(prev: AggregateState, model: SldsModel,
-                   det: DetectionModel, gains: Sequence[np.ndarray],
-                   ) -> AggregateState:
-    """One switching-filter step: branch over (true mode i, detected mode
-    j) with weight marginal(i) * [p_d if i = j else (1 - p_d)/(r - 1)].
+def _lifted_moments(model: SldsModel, det: Optional[DetectionModel],
+                    n_steps: int, filt: Optional[ModeLike]) -> np.ndarray:
+    """E[w w.T] of the lifted vector w = [x; e; 1] for steps 0..n_steps.
 
-    ``gains`` holds each mode's standalone schedule gain for this step.
-    The step-1 marginal is the prior; afterwards a uniform chain pins
-    every marginal to 1/r, which is what makes the mixture closable.
+    Per true mode j the recursion carries Phi_j = E[w w.T 1{s_n = j}];
+    the lift makes its last column the mean E[[x; e] 1{s_n = j}] and its
+    corner the marginal P(s_n = j), so one congruence advances all three.
+    A step first mixes the predecessors, Psi_j = sum_i Z[i, j] Phi_i
+    (prior[j] Phi_0 at step 1), then branches over the detected mode d:
+    Phi_j' = sum_d D[j, d] (G_jd Psi_j G_jd.T + p_j C_jd), with p_j the
+    mode marginal.  A fixed filter has one branch per true mode.
     """
-    _require_uniform(model.chain)
-    marg = mode_marginals(model.chain, prev.step + 1)
-    i_idx, j_idx, d = _detection_weights(model.r, det)
-    A = np.stack([model.modes[i].A for i in i_idx])
-    Q = np.stack([model.modes[i].Q for i in i_idx])
-    A_f = np.stack([model.modes[j].A for j in j_idx])
-    K = np.stack([np.asarray(gains[j]) for j in j_idx])
-    G, C = _joint_factors(A, Q, A_f, K, model.meas.H, model.meas.R)
-    w = marg[i_idx] * d
-    Gw = np.einsum("b,bij->ij", w, G)
-    Cw = np.einsum("b,bij->ij", w, C)
-    mu, phi = _joint_step(*_from_state(prev), w, G, Gw,
-                          (Cw + Cw.T) / 2.0)
-    return _to_state(mu, phi, prev.step + 1)
+    r, z2 = model.r, 2 * model.z
+    k = z2 + 1
+    H, R = model.meas.H, model.meas.R
+    # e_0 = x_0 - mean, so x_0 and e_0 share the covariance P_0
+    w0 = np.concatenate((model.init.mean, np.zeros(model.z), [1.0]))
+    phi0 = np.outer(w0, w0)
+    phi0[:z2, :z2] += np.kron(np.ones((2, 2)), model.init.cov)
+    if n_steps <= 0:
+        return phi0[None]
+    A = np.stack([mode.A for mode in model.modes])[:, None]      # (r,1,z,z)
+    Q = np.stack([mode.Q for mode in model.modes])[:, None]
+    if filt is None:
+        if det is None:
+            raise ValueError("switching-filter analysis needs a detection model")
+        D = _detection_weights(r, det)
+        gains = np.stack([np.stack(s.gains)
+                          for s in mode_schedules(model, n_steps)])
+        K = gains.swapaxes(0, 1)[:, None]                       # (N,1,r,z,m)
+        A_f = A.swapaxes(0, 1)                                  # (1,r,z,z)
+    else:
+        D = np.ones((r, 1))
+        schedule = gain_schedule(filt, model.meas, model.init, n_steps)
+        K = np.stack(schedule.gains)[:, None, None]             # (N,1,1,z,m)
+        A_f = np.stack([mode.A for mode in
+                        as_mode_sequence(filt, n_steps)])[:, None, None]
+    # G, C: (N, true mode, detected mode, 2z, 2z).  The detection weights
+    # and marginals never depend on the state, so the noise term folds
+    # into a per-step constant before the recursion runs.
+    G, C = _joint_factors(A, Q, A_f, K, H, R)
+    margs = mode_marginal_series(model.chain, n_steps)
+    noise = np.zeros((n_steps, r, k, k))
+    noise[..., :z2, :z2] = (margs[:, :, None, None]
+                            * np.einsum("jd,njdab->njab", D, C))
+    del C                                  # keeps the peak at G plus lift
+    # sqrt(D) on both sides of the congruence applies each weight once.
+    # With L_j = [G_j1 | G_j2 | ...] the branch sum is one stacked product,
+    # L_j (I (x) Psi_j) L_j.T, built from the maps' transposes.
+    lift_t = np.zeros(G.shape[:-2] + (k, k))
+    lift_t[..., :z2, :z2] = G.swapaxes(-1, -2)
+    lift_t[..., z2, z2] = 1.0
+    del G
+    lift_t *= np.sqrt(D)[..., None, None]
+    lift_h = lift_t.reshape(n_steps, r, -1, k).swapaxes(-1, -2)
+    phis = np.empty((n_steps, r, k, k))
+    phi, mix = phi0[None], model.chain.prior[None]
+    for n in range(n_steps):
+        psi = (mix.T @ phi.reshape(len(phi), -1)).reshape(r, 1, k, k)
+        branches = (psi @ lift_t[n]).reshape(r, -1, k)
+        phi = np.add(lift_h[n] @ branches, noise[n], out=phis[n])
+        mix = model.chain.Z
+    total = np.concatenate((phi0[None], phis.sum(axis=1)))
+    return (total + total.swapaxes(-1, -2)) / 2.0
 
 
 def aggregate_state_series(model: SldsModel, det: Optional[DetectionModel],
                            n_steps: int, filt: Optional[ModeLike] = None,
                            ) -> list[AggregateState]:
-    """Aggregate moments for steps 0..n_steps.
+    """Mixture moments for steps 0..n_steps, exact for any Markov chain.
 
     Default is the switching filter under ``det``; passing ``filt`` (a
     fixed mode or per-step sequence) analyzes that single filter on the
     switching system instead, with no detection involved.
     """
-    _require_uniform(model.chain)
-    r = model.r
-    H, R = model.meas.H, model.meas.R
-    init = aggregate_init(model.init)
-    if n_steps <= 0:
-        return [init]
-    margs = mode_marginal_series(model.chain, n_steps)
-    A = np.stack([mode.A for mode in model.modes])
-    Q = np.stack([mode.Q for mode in model.modes])
-    if filt is None:
-        if det is None:
-            raise ValueError("switching-filter analysis needs a detection model")
-        schedules = mode_schedules(model, n_steps)
-        i_idx, j_idx, d = _detection_weights(r, det)
-        gains = np.stack([np.stack(s.gains) for s in schedules])  # (r,N,z,m)
-        K_all = gains[j_idx].swapaxes(0, 1)                       # (N,b,z,m)
-        G, C = _joint_factors(A[i_idx], Q[i_idx], A[j_idx], K_all, H, R)
-        w_all = margs[:, i_idx] * d
-    else:
-        filt_modes = as_mode_sequence(filt, n_steps)
-        schedule = gain_schedule(filt, model.meas, model.init, n_steps)
-        K_all = np.stack(schedule.gains)[:, None]                 # (N,1,z,m)
-        A_f = np.stack([mode.A for mode in filt_modes])[:, None]
-        G, C = _joint_factors(A[None], Q[None], A_f, K_all, H, R)
-        w_all = margs
-    # the branch weights never depend on the state, so their sums against
-    # G and C collapse into per-step constants before the recursion runs
-    Gw = np.einsum("nb,nbij->nij", w_all, G)
-    Cw = np.einsum("nb,nbij->nij", w_all, C)
-    Cw = (Cw + Cw.swapaxes(-1, -2)) / 2.0
-    mu, phi = _from_state(init)
-    states = [init]
-    for n in range(n_steps):
-        mu, phi = _joint_step(mu, phi, w_all[n], G[n], Gw[n], Cw[n])
-        states.append(_to_state(mu, phi, n + 1))
-    return states
+    z, z2 = model.z, 2 * model.z
+    return [AggregateState(x_mean=m[:z, z2], e_mean=m[z:z2, z2],
+                           xx=m[:z, :z], ee=m[z:z2, z:z2], xe=m[:z, z:z2],
+                           step=n)
+            for n, m in enumerate(_lifted_moments(model, det, n_steps, filt))]
 
 
 def aggregate_series(model: SldsModel, det: Optional[DetectionModel],
                      n_steps: int, filt: Optional[ModeLike] = None,
                      ) -> MseSeries:
-    """MSE series via the aggregate recursion (uniform chains only)."""
-    states = aggregate_state_series(model, det, n_steps, filt=filt)
-    return MseSeries(mse=np.array([s.mse for s in states]),
-                     method="aggregate")
+    """MSE series via the mode-conditioned moment recursion (exact for
+    any Markov chain under schedule gains)."""
+    z = model.z
+    ee = _lifted_moments(model, det, n_steps, filt)[:, z:2 * z, z:2 * z]
+    return MseSeries(mse=np.trace(ee, axis1=1, axis2=2), method="aggregate")
 
 
 def _metric_value(rel: np.ndarray, metric: str) -> float:

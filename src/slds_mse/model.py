@@ -340,9 +340,20 @@ def mode_marginal_series(chain: MarkovChain, n_max: int) -> np.ndarray:
     return out
 
 
+def _finite(value, where: str) -> list[Violation]:
+    """A ``finite`` violation when any entry is NaN or infinite; every
+    other numeric check assumes finite entries."""
+    if np.isfinite(value).all():
+        return []
+    return [Violation("finite", where, "entries must be finite, found NaN "
+                                       "or infinity")]
+
+
 def _check_cov_matrix(mat: np.ndarray, where: str, what: str, tol: Tolerances,
                       positive_definite: bool = False) -> list[Violation]:
-    out = []
+    out = _finite(mat, where)
+    if out:
+        return out
     if not is_symmetric(mat, tol.sym_tol):
         out.append(Violation(f"{what}-symmetric", where,
                              f"symmetry gap {symmetry_gap(mat):.3e} exceeds "
@@ -366,11 +377,13 @@ def validate_model(model: SldsModel,
     z = model.z
     for i, mode in enumerate(model.modes, start=1):
         where = f"modes[{i}]"
+        v += _finite(mode.A, f"{where}.A")
         if mode.z != z:
             v.append(Violation("state-dim-mismatch", where,
                                f"state dimension {mode.z} != {z}"))
             continue
         v += _check_cov_matrix(mode.Q, f"{where}.Q", "Q", tol)
+    v += _finite(model.meas.H, "meas.H")
     if model.meas.z != z:
         v.append(Violation("state-dim-mismatch", "meas.H",
                            f"H has {model.meas.z} columns, state dimension is {z}"))
@@ -380,6 +393,7 @@ def validate_model(model: SldsModel,
     if chain.r != model.r:
         v.append(Violation("mode-count-mismatch", "chain",
                            f"chain has {chain.r} modes, model has {model.r}"))
+    v += _finite(chain.Z, "chain.Z") + _finite(chain.prior, "chain.prior")
     if np.any(chain.Z < 0) or np.any(chain.Z > 1):
         v.append(Violation("probability-range", "chain.Z",
                            "entries must lie in [0, 1]"))
@@ -394,6 +408,7 @@ def validate_model(model: SldsModel,
     if abs(chain.prior.sum() - 1.0) > 1e-12:
         v.append(Violation("prior-normalized", "chain.prior",
                            f"prior sums to {chain.prior.sum()!r}, expected 1"))
+    v += _finite(model.init.mean, "init.mean")
     if model.init.z != z:
         v.append(Violation("state-dim-mismatch", "init",
                            f"initial belief dimension {model.init.z} != {z}"))
@@ -416,7 +431,8 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         v.append(Violation("seed-range", "seed",
                            "seed must be an unsigned 64-bit integer"))
     det = scenario.detection
-    if not (0.0 <= det.p_d <= 1.0):
+    v += _finite(det.p_d, "detection.p_d")
+    if np.isfinite(det.p_d) and not (0.0 <= det.p_d <= 1.0):
         v.append(Violation("detection-rate-range", "detection.p_d",
                            f"p_d must lie in [0, 1], got {det.p_d}"))
     r = scenario.model.r

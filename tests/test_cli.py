@@ -106,11 +106,26 @@ class TestAnalyze:
         _, rows = read_csv(capsys.readouterr().out)
         assert len(rows) == 4 * 4
 
-    def test_nonuniform_chain_auto_selects_exact(self, scenario_file, capsys):
+    def test_nonuniform_chain_auto_selects_aggregate(self, scenario_file,
+                                                     capsys):
         path = scenario_file(chain=NONUNIFORM)
         assert main(["analyze", "--scenario", path]) == 0
         _, rows = read_csv(capsys.readouterr().out)
-        assert {row[3] for row in rows} == {"exact"}
+        assert {row[3] for row in rows} == {"aggregate"}
+        assert main(["analyze", "--scenario", path, "--method", "exact"]) == 0
+        _, exact_rows = read_csv(capsys.readouterr().out)
+        assert {row[3] for row in exact_rows} == {"exact"}
+        assert [row[:2] for row in rows] == [row[:2] for row in exact_rows]
+        assert_allclose([float(row[2]) for row in rows],
+                        [float(row[2]) for row in exact_rows],
+                        rtol=1e-12, atol=0)
+
+    def test_auto_past_enumeration_cap_uses_aggregate(self, scenario_file,
+                                                      capsys):
+        path = scenario_file(chain=NONUNIFORM, horizon=12)
+        assert main(["analyze", "--scenario", path]) == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        assert {row[3] for row in rows} == {"aggregate"}
 
     def test_pruned_method_tags_kept_mass(self, scenario_file, capsys):
         path = scenario_file(chain=NONUNIFORM, horizon=12)
@@ -284,6 +299,18 @@ class TestFailureModes:
         assert "validation failed" in err
         assert "modes[1].Q" in err
 
+    @pytest.mark.parametrize("field, override", [
+        ("modes[1].Q", {"modes": [{"A": [[0.9]], "Q": [[float("nan")]]},
+                                  {"A": [[0.46]], "Q": [[0.01]]}]}),
+        ("meas.H", {"meas": {"H": [[float("inf")]], "R": [[0.01]]}}),
+    ])
+    def test_non_finite_input_is_named(self, scenario_file, capsys, field,
+                                       override):
+        assert main(["analyze", "--scenario", scenario_file(**override)]) == 2
+        err = capsys.readouterr().err
+        assert f"[finite] {field}" in err
+        assert "symmetry" not in err
+
     def test_horizon_override_is_validated(self, scenario_file, capsys):
         assert main(["analyze", "--scenario", scenario_file(),
                      "--horizon", "0"]) == 2
@@ -296,11 +323,6 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "skf" in err
         assert "--method aggregate" in err
-
-    def test_auto_without_pruning_over_capacity(self, scenario_file, capsys):
-        path = scenario_file(chain=NONUNIFORM, horizon=12)
-        assert main(["analyze", "--scenario", path]) == 3
-        assert "--keep/--mass" in capsys.readouterr().err
 
     def test_pruned_requires_a_budget(self, scenario_file, capsys):
         assert main(["analyze", "--scenario", scenario_file(),

@@ -1,15 +1,18 @@
-"""Aggregate (uniform-chain) recursion and the mode-merge recommender."""
+"""Mode-conditioned aggregate recursion and the mode-merge recommender."""
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import bimodal_model, random_model, single_mode_model
 from slds_mse import (
     DetectionModel,
+    MarkovChain,
     ModeModel,
+    SldsModel,
     aggregate_series,
     aggregate_state_series,
     average_filter_modes,
@@ -23,6 +26,29 @@ from slds_mse import (
 )
 
 DET = DetectionModel(0.9)
+
+
+def assert_all_kinds_match_enumeration(model, det, n_steps):
+    """Single-mode, average and switching filters all equal enumeration
+    within 1e-12 relative at every step: the MSE, and the state and error
+    means relative to their root-mean-square sizes."""
+    runs = [(None, skf_slds_moments(model, det, n_steps))]
+    runs += [(filt, single_mode_slds_moments(model, filt, n_steps))
+             for filt in (*model.modes, average_filter_modes(model, n_steps))]
+    for filt, (exact, moments) in runs:
+        fast = aggregate_series(model, det, n_steps, filt=filt)
+        assert_allclose(fast.mse, exact.mse, rtol=1e-12, atol=0)
+        states = aggregate_state_series(model, det, n_steps, filt=filt)
+        for state, m in zip(states, moments):
+            assert_allclose(state.e_mean, m.e_mean, rtol=0,
+                            atol=1e-12 * np.sqrt(np.trace(state.ee)))
+            assert_allclose(state.x_mean, m.x_mean, rtol=0,
+                            atol=1e-12 * np.sqrt(np.trace(state.xx)))
+
+
+def with_chain(model, Z, prior):
+    return SldsModel(model.modes, model.meas, MarkovChain(Z, prior),
+                     model.init)
 
 
 class TestAggregateEquivalence:
@@ -73,10 +99,40 @@ class TestAggregateEquivalence:
         for s in states:
             assert np.linalg.norm(s.e_mean) <= 1e-12
 
-    def test_nonuniform_rows_rejected(self):
-        model = bimodal_model(rows=np.array([[0.9, 0.1], [0.1, 0.9]]))
-        with pytest.raises(ValueError, match="uniform"):
-            aggregate_series(model, DET, 5)
+    def test_nonuniform_chains_match_enumeration(self, rng):
+        for r, n_steps in ((2, 6), (2, 6), (3, 4), (3, 4)):
+            model = random_model(rng, r, 2, uniform_rows=False,
+                                 uniform_prior=False)
+            assert not model.chain.is_uniform()
+            assert_all_kinds_match_enumeration(model, DET, n_steps)
+
+    def test_zero_transitions_match_enumeration(self, rng):
+        Z = np.array([[0.7, 0.3, 0.0], [0.0, 0.4, 0.6], [0.25, 0.0, 0.75]])
+        model = with_chain(random_model(rng, 3, 2), Z, [0.2, 0.5, 0.3])
+        assert_all_kinds_match_enumeration(model, DetectionModel(0.8), 4)
+
+    def test_sticky_chain_of_criterion_6(self):
+        model = bimodal_model(z=1, rows=[[0.99, 0.01], [0.01, 0.99]],
+                              prior=(1.0, 0.0))
+        assert_all_kinds_match_enumeration(model, DET, 6)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 3), n_steps=st.integers(1, 5),
+           p_d=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_recursion_equals_enumeration(self, r, n_steps, p_d, seed, data):
+        weights = st.floats(0.0, 1.0)
+        rows = np.array(data.draw(st.lists(
+            st.lists(weights, min_size=r, max_size=r).filter(
+                lambda row: sum(row) > 0.01),
+            min_size=r, max_size=r)))
+        prior = np.array(data.draw(st.lists(weights, min_size=r, max_size=r)
+                                   .filter(lambda p: sum(p) > 0.01)))
+        model = with_chain(random_model(np.random.default_rng(seed), r, 2),
+                           rows / rows.sum(axis=1, keepdims=True),
+                           prior / prior.sum())
+        assert_all_kinds_match_enumeration(model, DetectionModel(p_d),
+                                           n_steps)
 
     def test_state_series_matches_mse_series(self, bench):
         states = aggregate_state_series(bench, DET, 6)

@@ -8,9 +8,13 @@ from helpers import bimodal_model, detection, random_chain
 from slds_mse import (
     DetectionModel,
     FilterSpec,
+    GaussianBelief,
     MarkovChain,
+    MeasurementModel,
+    ModeModel,
     MseSeries,
     Scenario,
+    SldsModel,
     mode_marginal_series,
     mode_marginals,
     validate_model,
@@ -66,6 +70,50 @@ class TestValidation:
         chain = random_chain(np.random.default_rng(0), 3)
         bad = type(bench)(bench.modes, bench.meas, chain, bench.init)
         assert "mode-count-mismatch" in codes(validate_model(bad))
+
+    def test_non_finite_entries_named_before_other_checks(self, bench):
+        nan_q = bench.modes[0].Q.copy()
+        nan_q[0, 1] = np.nan
+        inf_h = bench.meas.H.copy()
+        inf_h[1, 1] = np.inf
+        model = SldsModel((ModeModel(bench.modes[0].A, nan_q),
+                           bench.modes[1]),
+                          MeasurementModel(inf_h, bench.meas.R),
+                          bench.chain, bench.init)
+        violations = validate_model(model)
+        assert [(v.code, v.where) for v in violations] == [
+            ("finite", "modes[1].Q"), ("finite", "meas.H")]
+
+    @pytest.mark.parametrize("field", ["modes[2].A", "init.mean", "init.cov",
+                                       "meas.R", "chain.Z", "chain.prior"])
+    def test_every_field_is_checked_for_finiteness(self, bench, field):
+        eye = np.eye(bench.z)
+        modes = list(bench.modes)
+        meas, chain, init = bench.meas, bench.chain, bench.init
+        bad = np.nan
+        if field == "modes[2].A":
+            modes[1] = ModeModel(np.where(eye > 0, bad, modes[1].A),
+                                 modes[1].Q)
+        elif field == "init.mean":
+            init = GaussianBelief(np.full(bench.z, bad), init.cov)
+        elif field == "init.cov":
+            init = GaussianBelief(init.mean, np.full_like(eye, np.inf))
+        elif field == "meas.R":
+            meas = MeasurementModel(meas.H, np.full_like(meas.R, bad))
+        elif field == "chain.Z":
+            chain = MarkovChain(np.full((2, 2), bad), chain.prior)
+        else:
+            chain = MarkovChain(chain.Z, np.array([bad, 0.5]))
+        model = SldsModel(modes, meas, chain, init)
+        assert ("finite", field) in {(v.code, v.where)
+                                     for v in validate_model(model)}
+
+    def test_non_finite_detection_rate(self, bench):
+        scenario = Scenario(bench, 5, DetectionModel(np.nan),
+                            [FilterSpec("skf")])
+        violations = validate_scenario(scenario)
+        assert [(v.code, v.where) for v in violations] == [
+            ("finite", "detection.p_d")]
 
     def test_scenario_violations(self, bench):
         sc = Scenario(model=bench, horizon=0, detection=DetectionModel(1.5),
