@@ -47,46 +47,45 @@ def _noise_transform(cov: np.ndarray) -> np.ndarray:
         return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
+def _pick(bank: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    """Row ``i`` of ``bank[choice[i]]`` for each run ``i``: every run keeps
+    its own mode's update out of a per-mode bank ``(r, count, z)``."""
+    _, count, z = bank.shape
+    flat = choice * count + np.arange(count)
+    return bank.reshape(-1, z).take(flat, axis=0)
+
+
 def _simulate_batch(model: SldsModel, n_steps: int, rng: np.random.Generator,
                     count: int):
     """Vectorized simulation of ``count`` independent runs.
 
     Draw order (fixed, part of the determinism contract): initial-state
     noise, then per step the mode uniform, the process noise and the
-    measurement noise.
+    measurement noise.  Storage is step-major, ``(N+1, count, z)``; the
+    returned modes, states and measurements are sample-major views of it.
     """
     z, m = model.z, model.m
-    H = model.meas.H
+    H_t = model.meas.H.T
     L0 = _noise_transform(model.init.cov)
     Lr = _noise_transform(model.meas.R)
-    Lq = [_noise_transform(mode.Q) for mode in model.modes]
+    A_t = np.array([mode.A.T for mode in model.modes])
+    Lq_t = np.array([_noise_transform(mode.Q).T for mode in model.modes])
 
-    states = np.empty((count, n_steps + 1, z))
-    meas = np.empty((count, n_steps, m))
-    states[:, 0] = model.init.mean + rng.standard_normal((count, z)) @ L0.T
+    states = np.empty((n_steps + 1, count, z))
+    meas = np.empty((n_steps, count, m))
+    modes = np.empty((n_steps, count), dtype=np.intp)
+    states[0] = model.init.mean + rng.standard_normal((count, z)) @ L0.T
 
-    chain = model.chain
-    cum_prior = np.cumsum(chain.prior)
-    cum_rows = np.cumsum(chain.Z, axis=1)
-    modes = np.empty((count, n_steps), dtype=np.intp)
+    cum_prior = np.cumsum(model.chain.prior)[:, None]
+    cum_cols = np.cumsum(model.chain.Z, axis=1).T
     for n in range(1, n_steps + 1):
         u = rng.random(count)
-        if n == 1:
-            idx = np.sum(cum_prior[None, :] <= u[:, None], axis=1)
-        else:
-            idx = np.sum(cum_rows[modes[:, n - 2]] <= u[:, None], axis=1)
-        modes[:, n - 1] = np.minimum(idx, model.r - 1)
-
+        cum = cum_prior if n == 1 else cum_cols.take(modes[n - 2], axis=1)
+        modes[n - 1] = np.minimum((cum <= u).sum(axis=0), model.r - 1)
         noise = rng.standard_normal((count, z))
-        x = np.empty((count, z))
-        for i, mode in enumerate(model.modes):
-            mask = modes[:, n - 1] == i
-            if np.any(mask):
-                x[mask] = (states[mask, n - 1] @ mode.A.T
-                           + noise[mask] @ Lq[i].T)
-        states[:, n] = x
-        meas[:, n - 1] = x @ H.T + rng.standard_normal((count, m)) @ Lr.T
-    return modes, states, meas
+        states[n] = _pick(states[n - 1] @ A_t + noise @ Lq_t, modes[n - 1])
+        meas[n - 1] = states[n] @ H_t + rng.standard_normal((count, m)) @ Lr.T
+    return modes.T, states.swapaxes(0, 1), meas.swapaxes(0, 1)
 
 
 def simulate_slds(model: SldsModel, n_steps: int, rng: np.random.Generator):
@@ -115,35 +114,56 @@ def draw_detections(true_modes: np.ndarray, det: DetectionModel, r: int,
     return detected
 
 
-def _single_filter_errors(states, meas, filt_modes, gains, H, init_mean):
-    count, n_plus_1, z = states.shape
-    errors = np.empty_like(states)
-    xhat = np.tile(init_mean, (count, 1))
-    errors[:, 0] = states[:, 0] - xhat
-    for n in range(1, n_plus_1):
-        pred = xhat @ filt_modes[n - 1].A.T
-        xhat = pred + (meas[:, n - 1] - pred @ H.T) @ gains[n - 1].T
-        errors[:, n] = states[:, n] - xhat
-    return errors
+def _replay_inputs(model: SldsModel, spec: FilterSpec, n_steps: int):
+    """Transposed per-step transitions ``(B, N, z, z)`` and gains
+    ``(B, N, m, z)`` that replay ``spec``: one row (B = 1) for a fixed-gain
+    filter, one row per mode (B = r) for the switching filter."""
+    if spec.kind == "skf":
+        schedules = mode_schedules(model, n_steps)
+        A_t = [[mode.A.T] * n_steps for mode in model.modes]
+        K_t = [[K.T for K in schedule.gains] for schedule in schedules]
+    else:
+        if spec.kind == "average":
+            filt = average_filter_modes(model, n_steps)
+        else:
+            filt = [model.modes[spec.mode - 1]] * n_steps
+        schedule = gain_schedule(filt, model.meas, model.init, n_steps)
+        A_t = [[mode.A.T for mode in filt]]
+        K_t = [[K.T for K in schedule.gains]]
+    return np.array(A_t), np.array(K_t)
 
 
-def _skf_errors(states, meas, detected, model, schedules, H):
-    count, n_plus_1, z = states.shape
-    errors = np.empty_like(states)
-    xhat = np.tile(model.init.mean, (count, 1))
-    errors[:, 0] = states[:, 0] - xhat
+def _single_filter_errors(states, meas, A_t, K_t, H, init_mean):
+    """Errors of F fixed-gain filters replayed as one stack: filter f
+    applies ``A_t[f, n-1]`` and ``K_t[f, n-1]`` at step n.  Returns
+    ``(F, count, N+1, z)``, sample-major views of step-major storage."""
+    states, meas = states.swapaxes(0, 1), meas.swapaxes(0, 1)
+    n_plus_1, count, z = states.shape
+    errors = np.empty((A_t.shape[0], n_plus_1, count, z))
+    xhat = np.broadcast_to(init_mean, (A_t.shape[0], count, z))
+    errors[:, 0] = states[0] - xhat
     for n in range(1, n_plus_1):
-        new = np.empty((count, z))
-        for j, mode in enumerate(model.modes):
-            mask = detected[:, n - 1] == j
-            if not np.any(mask):
-                continue
-            pred = xhat[mask] @ mode.A.T
-            K = schedules[j].gains[n - 1]
-            new[mask] = pred + (meas[mask, n - 1] - pred @ H.T) @ K.T
-        xhat = new
-        errors[:, n] = states[:, n] - xhat
-    return errors
+        pred = xhat @ A_t[:, n - 1]
+        xhat = pred + (meas[n - 1] - pred @ H.T) @ K_t[:, n - 1]
+        errors[:, n] = states[n] - xhat
+    return errors.swapaxes(1, 2)
+
+
+def _skf_errors(states, meas, detected, A_t, K_t, H, init_mean):
+    """Errors of the switching filter: every mode's update of every run,
+    of which each run keeps its detected mode's.  ``A_t``/``K_t`` hold one
+    row per mode; returns a ``(count, N+1, z)`` view like the states."""
+    states, meas = states.swapaxes(0, 1), meas.swapaxes(0, 1)
+    n_plus_1, count, z = states.shape
+    errors = np.empty_like(states)
+    xhat = np.broadcast_to(init_mean, (count, z))
+    errors[0] = states[0] - xhat
+    for n in range(1, n_plus_1):
+        pred = xhat @ A_t[:, n - 1]
+        bank = pred + (meas[n - 1] - pred @ H.T) @ K_t[:, n - 1]
+        xhat = _pick(bank, detected[:, n - 1])
+        errors[n] = states[n] - xhat
+    return errors.swapaxes(0, 1)
 
 
 def run_filter_on_sim(sim, model: SldsModel, spec: FilterSpec,
@@ -156,22 +176,16 @@ def run_filter_on_sim(sim, model: SldsModel, spec: FilterSpec,
     detection model and a generator for the detection draws.
     """
     modes, states, meas = sim
-    n_steps = meas.shape[0]
-    H = model.meas.H
+    if spec.kind == "skf" and (det is None or rng is None):
+        raise ValueError("switching filter needs a detection model and rng")
+    A_t, K_t = _replay_inputs(model, spec, meas.shape[0])
+    H, mean = model.meas.H, model.init.mean
     if spec.kind == "skf":
-        if det is None or rng is None:
-            raise ValueError("switching filter needs a detection model and rng")
         detected = draw_detections(modes[None, :], det, model.r, rng)
-        schedules = mode_schedules(model, n_steps)
-        return _skf_errors(states[None], meas[None], detected,
-                           model, schedules, H)[0]
-    if spec.kind == "average":
-        filt = average_filter_modes(model, n_steps)
-    else:
-        filt = [model.modes[spec.mode - 1]] * n_steps
-    schedule = gain_schedule(filt, model.meas, model.init, n_steps)
-    return _single_filter_errors(states[None], meas[None], filt,
-                                 schedule.gains, H, model.init.mean)[0]
+        return _skf_errors(states[None], meas[None], detected, A_t, K_t,
+                           H, mean)[0]
+    return _single_filter_errors(states[None], meas[None], A_t, K_t,
+                                 H, mean)[0, 0]
 
 
 @dataclass(frozen=True)
@@ -193,14 +207,19 @@ class SimRun:
 
     @classmethod
     def from_errors(cls, errors: np.ndarray) -> "SimRun":
-        sq = np.einsum("sni,sni->sn", errors, errors)
+        """Accumulate errors of shape ``(samples, N+1, z)``.  Each step's
+        sums are matrix products over that step's samples, contiguous when
+        ``errors`` is a sample-major view of step-major storage."""
+        by_step = errors.swapaxes(0, 1)
+        sq = np.einsum("nsi,nsi->ns", by_step, by_step)
+        weighted = np.stack([np.ones_like(sq), sq], axis=1) @ by_step
         return cls(
             samples=errors.shape[0],
-            sum_e=errors.sum(axis=0),
-            sum_ee=np.einsum("sni,snj->nij", errors, errors),
-            sum_sq=sq.sum(axis=0),
-            sum_quad=(sq * sq).sum(axis=0),
-            sum_cube=np.einsum("sn,sni->ni", sq, errors),
+            sum_e=weighted[:, 0],
+            sum_ee=by_step.swapaxes(1, 2) @ by_step,
+            sum_sq=sq.sum(axis=1),
+            sum_quad=(sq * sq).sum(axis=1),
+            sum_cube=weighted[:, 1],
         )
 
     def __add__(self, other: "SimRun") -> "SimRun":
@@ -294,38 +313,28 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
     if det is None and any(f.kind == "skf" for f in filters):
         raise ValueError("switching filter requires a detection model")
 
-    H = model.meas.H
-    prepared = []
-    skf_schedules = None
-    for spec in filters:
-        if spec.kind == "skf":
-            if skf_schedules is None:
-                skf_schedules = mode_schedules(model, n_steps)
-            prepared.append(None)
-        else:
-            if spec.kind == "average":
-                filt = average_filter_modes(model, n_steps)
-            else:
-                filt = [model.modes[spec.mode - 1]] * n_steps
-            schedule = gain_schedule(filt, model.meas, model.init, n_steps)
-            prepared.append((filt, schedule.gains))
+    fixed = [f for f, spec in enumerate(filters) if spec.kind != "skf"]
+    skf = [f for f, spec in enumerate(filters) if spec.kind == "skf"]
+    if fixed:
+        A_t, K_t = (np.concatenate(parts) for parts in zip(
+            *(_replay_inputs(model, filters[f], n_steps) for f in fixed)))
+    if skf:
+        bank_A, bank_K = _replay_inputs(model, filters[skf[0]], n_steps)
+    H, mean = model.meas.H, model.init.mean
 
     def work(chunk: int, count: int) -> list[SimRun]:
         sim_rng = _rng(seed, chunk, _PURPOSE_SIM)
         modes, states, meas = _simulate_batch(model, n_steps, sim_rng, count)
-        out = []
-        for f_idx, spec in enumerate(filters):
-            if spec.kind == "skf":
-                det_rng = _rng(seed, chunk, 1 + f_idx)
-                detected = draw_detections(modes, det, model.r, det_rng)
-                errors = _skf_errors(states, meas, detected, model,
-                                     skf_schedules, H)
-            else:
-                filt, gains = prepared[f_idx]
-                errors = _single_filter_errors(states, meas, filt, gains,
-                                               H, model.init.mean)
-            out.append(SimRun.from_errors(errors))
-        return out
+        errors = {}
+        if fixed:
+            errors.update(zip(fixed, _single_filter_errors(
+                states, meas, A_t, K_t, H, mean)))
+        for f_idx in skf:
+            det_rng = _rng(seed, chunk, 1 + f_idx)
+            detected = draw_detections(modes, det, model.r, det_rng)
+            errors[f_idx] = _skf_errors(states, meas, detected, bank_A,
+                                        bank_K, H, mean)
+        return [SimRun.from_errors(errors[f]) for f in range(len(filters))]
 
     sizes = _chunk_sizes(samples)
     if threads > 1:
