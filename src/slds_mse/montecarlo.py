@@ -7,11 +7,13 @@ analytic series in this package is cross-checked against this module.
 Reproducibility contract: samples are processed in fixed chunks of
 ``CHUNK``; chunk ``c`` draws from a Philox counter-based generator keyed
 by ``(seed, c)``, with the counter's last word distinguishing purposes
-(0 for the system simulation, 1 + filter index for a switching filter's
-detection draws).  Partial results are reduced in chunk order, so the
-output is bitwise identical for a given seed regardless of how many
-threads computed the chunks, and the switching filter's detection noise
-never perturbs the simulated trajectories.
+(0 for the system simulation, 1 for the switching filter's detection
+draws).  Partial results are reduced in chunk order, so the output is
+bitwise identical for a given seed regardless of how many threads
+computed the chunks, and the switching filter's detection noise never
+perturbs the simulated trajectories.  Every switching-filter spec is the
+same filter on the same detection stream, so adding or removing any
+filter leaves each other filter's result bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .kalman import average_filter_modes, gain_schedule, mode_schedules
 CHUNK = 1024
 
 _PURPOSE_SIM = 0
+_PURPOSE_DETECT = 1
 
 
 def _rng(seed: int, chunk: int, purpose: int = _PURPOSE_SIM) -> np.random.Generator:
@@ -329,11 +332,11 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
         if fixed:
             errors.update(zip(fixed, _single_filter_errors(
                 states, meas, A_t, K_t, H, mean)))
-        for f_idx in skf:
-            det_rng = _rng(seed, chunk, 1 + f_idx)
+        if skf:
+            det_rng = _rng(seed, chunk, _PURPOSE_DETECT)
             detected = draw_detections(modes, det, model.r, det_rng)
-            errors[f_idx] = _skf_errors(states, meas, detected, bank_A,
-                                        bank_K, H, mean)
+            errors.update(dict.fromkeys(skf, _skf_errors(
+                states, meas, detected, bank_A, bank_K, H, mean)))
         return [SimRun.from_errors(errors[f]) for f in range(len(filters))]
 
     sizes = _chunk_sizes(samples)

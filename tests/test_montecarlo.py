@@ -8,9 +8,10 @@ statistically, and verify the accumulator algebra on hand-built errors.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import bimodal_model, detection, single_mode_model
+from helpers import bimodal_model, detection, random_model, single_mode_model
 from slds_mse import (
     DetectionModel,
     FilterSpec,
@@ -186,6 +187,38 @@ class TestDriverDeterminism:
                                  detection(), 4, 1500, seed=3)
         self.assert_runs_identical(alone[0], paired[1])
 
+    def test_removing_a_filter_leaves_the_skf_untouched(self, bench):
+        # the detection stream is keyed by its purpose, not by the
+        # switching filter's position in the list
+        det = detection()
+        paired = run_monte_carlo(bench, [FilterSpec("single-mode", 1),
+                                         FilterSpec("skf")],
+                                 det, 4, 1500, seed=3)
+        alone = run_monte_carlo(bench, [FilterSpec("skf")], det, 4, 1500,
+                                seed=3)
+        self.assert_runs_identical(paired[1], alone[0])
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 3), z=st.integers(1, 3),
+           n_steps=st.integers(1, 3), samples=st.integers(1025, 2100),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_each_filter_ignores_threads_and_the_other_filters(
+            self, r, z, n_steps, samples, seed, data):
+        # at least two chunks, so the pool really splits the work
+        model = random_model(np.random.default_rng(seed), r, z,
+                             uniform_rows=False, uniform_prior=False)
+        pool = ([FilterSpec("single-mode", j) for j in range(1, r + 1)]
+                + [FilterSpec("average"), FilterSpec("skf")])
+        order = data.draw(st.permutations(range(len(pool))))
+        picked = order[:data.draw(st.integers(1, len(pool)))]
+        det = detection()
+        full = run_monte_carlo(model, pool, det, n_steps, samples, seed,
+                               threads=1)
+        subset = run_monte_carlo(model, [pool[i] for i in picked], det,
+                                 n_steps, samples, seed, threads=2)
+        for i, run in zip(picked, subset):
+            self.assert_runs_identical(full[i], run)
+
     def test_different_seeds_differ(self, bench_scalar):
         a = run_monte_carlo(bench_scalar, [FilterSpec("single-mode", 1)],
                             None, 3, 256, seed=1)[0]
@@ -229,6 +262,20 @@ class TestAccumulator:
                         atol=1e-12)
         assert_allclose(run.mean_stderr()[0],
                         flat.std(axis=0, ddof=1) / np.sqrt(40), atol=1e-12)
+
+    def test_step_major_view_matches_einsum_sums(self, rng):
+        # the replays hand over (samples, N+1, z) views of (N+1, samples, z)
+        # storage; the sums must equal the per-sample einsum formulas
+        errors = rng.standard_normal((4, 300, 3)).swapaxes(0, 1)
+        run = SimRun.from_errors(errors)
+        sq = np.einsum("sni,sni->sn", errors, errors)
+        assert_allclose(run.sum_e, errors.sum(axis=0), rtol=1e-12)
+        assert_allclose(run.sum_ee, np.einsum("sni,snj->nij", errors, errors),
+                        rtol=1e-12)
+        assert_allclose(run.sum_sq, sq.sum(axis=0), rtol=1e-12)
+        assert_allclose(run.sum_quad, (sq * sq).sum(axis=0), rtol=1e-12)
+        assert_allclose(run.sum_cube, np.einsum("sn,sni->ni", sq, errors),
+                        rtol=1e-12)
 
     def test_merge_equals_monolithic(self, rng):
         errors = rng.standard_normal((64, 3, 2))
