@@ -90,10 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "recursion, exact on any Markov chain; exact: "
                             "trajectory enumeration; pruned: beam-pruned "
                             "enumeration)")
-        p.add_argument("--keep", type=int,
-                       help="--method pruned: trajectories kept per step")
-        p.add_argument("--mass", type=float,
-                       help="--method pruned: probability mass kept per step")
+        p.add_argument("--keep", type=int, help="trajectories kept per step "
+                       "(--method pruned only; an error otherwise)")
+        p.add_argument("--mass", type=float, help="probability mass kept per "
+                       "step (--method pruned only; an error otherwise)")
 
     p = sub.add_parser("analyze", help="analytic MSE per filter")
     common(p)
@@ -147,12 +147,15 @@ def _load(args) -> Scenario:
 
 
 def _resolve_method(args) -> str:
-    if args.method == "auto":
-        return "aggregate"
-    if args.method == "pruned" and args.keep is None and args.mass is None:
+    given = {"--keep": args.keep, "--mass": args.mass}
+    budgets = [flag for flag, value in given.items() if value is not None]
+    if args.method == "pruned" and not budgets:
         raise CommandError(EXIT_CAPACITY,
                            "--method pruned requires --keep or --mass")
-    return args.method
+    if args.method != "pruned" and budgets:
+        raise CommandError(EXIT_CAPACITY, f"{budgets[0]} requires --method "
+                                          f"pruned, not {args.method}")
+    return "aggregate" if args.method == "auto" else args.method
 
 
 def _analytic_series(scenario: Scenario, args) -> list:
@@ -184,7 +187,7 @@ def _analytic_series(scenario: Scenario, args) -> list:
         except EnumerationCapError as exc:
             raise CommandError(EXIT_CAPACITY,
                                f"{spec.display}: {exc} (try --method aggregate "
-                               f"or --keep/--mass)")
+                               f"or --method pruned with --keep/--mass)")
         except (ValueError, InnovationSolveError) as exc:
             raise CommandError(EXIT_CAPACITY, f"{spec.display}: {exc}")
         log.info("%s: %s method, %.1f ms", spec.display, series.method,

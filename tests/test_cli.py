@@ -329,6 +329,20 @@ class TestFailureModes:
                      "--method", "pruned"]) == 3
         assert "--keep or --mass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("extra", [
+        ["--keep", "3"],
+        ["--method", "exact", "--mass", "0.5"],
+        ["--method", "aggregate", "--keep", "3"],
+    ])
+    def test_budget_requires_pruned(self, scenario_file, capsys, command,
+                                    extra):
+        assert main([command, "--scenario", scenario_file(), *extra]) == 3
+        captured = capsys.readouterr()
+        flag = "--keep" if "--keep" in extra else "--mass"
+        assert f"{flag} requires --method pruned" in captured.err
+        assert captured.out == ""
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
