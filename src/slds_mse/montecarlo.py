@@ -210,9 +210,8 @@ class SimRun:
 
     @classmethod
     def from_errors(cls, errors: np.ndarray) -> "SimRun":
-        """Accumulate errors of shape ``(samples, N+1, z)``.  Each step's
-        sums are matrix products over that step's samples, contiguous when
-        ``errors`` is a sample-major view of step-major storage."""
+        """Sums of errors ``(samples, N+1, z)`` as per-step matrix products,
+        on contiguous memory when ``errors`` views step-major storage."""
         by_step = errors.swapaxes(0, 1)
         sq = np.einsum("nsi,nsi->ns", by_step, by_step)
         weighted = np.stack([np.ones_like(sq), sq], axis=1) @ by_step
@@ -328,16 +327,17 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
     def work(chunk: int, count: int) -> list[SimRun]:
         sim_rng = _rng(seed, chunk, _PURPOSE_SIM)
         modes, states, meas = _simulate_batch(model, n_steps, sim_rng, count)
-        errors = {}
+        runs = {}
         if fixed:
-            errors.update(zip(fixed, _single_filter_errors(
-                states, meas, A_t, K_t, H, mean)))
+            stack = _single_filter_errors(states, meas, A_t, K_t, H, mean)
+            runs.update(zip(fixed, map(SimRun.from_errors, stack)))
+            del stack       # free the stack before the switching replay
         if skf:
             det_rng = _rng(seed, chunk, _PURPOSE_DETECT)
             detected = draw_detections(modes, det, model.r, det_rng)
-            errors.update(dict.fromkeys(skf, _skf_errors(
-                states, meas, detected, bank_A, bank_K, H, mean)))
-        return [SimRun.from_errors(errors[f]) for f in range(len(filters))]
+            runs.update(dict.fromkeys(skf, SimRun.from_errors(_skf_errors(
+                states, meas, detected, bank_A, bank_K, H, mean))))
+        return [runs[f] for f in range(len(filters))]
 
     sizes = _chunk_sizes(samples)
     if threads > 1:
