@@ -73,7 +73,7 @@ class TestAggregateEquivalence:
             assert np.abs(fast.mse - exact.mse).max() <= 1e-8
 
     def test_nonuniform_prior_still_exact(self, rng):
-        # Uniform transition rows are required; the prior is not.
+        # The recursion starts from the prior itself, so any prior is exact.
         model = random_model(rng, 2, 2, uniform_prior=False)
         exact, _ = skf_slds_moments(model, DET, 8)
         fast = aggregate_series(model, DET, 8)
