@@ -21,8 +21,9 @@ averaged mode.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .kalman import (
 )
 
 METRICS = ("mean", "max", "final")
+_BLOCK = 25            # steps per block of branch maps in _lifted_moments
 
 
 @dataclass(frozen=True)
@@ -132,70 +134,92 @@ def _detection_weights(r: int, det: DetectionModel) -> np.ndarray:
     return np.where(np.eye(r, dtype=bool), hit, miss)
 
 
-def _lifted_moments(model: SldsModel, det: Optional[DetectionModel],
-                    n_steps: int, filt: Optional[ModeLike]) -> np.ndarray:
-    """E[w w.T] of the lifted vector w = [x; e; 1] for steps 0..n_steps.
+def _lifted_moments(base: SldsModel, A: np.ndarray, Q: np.ndarray,
+                    A_f: np.ndarray, K: np.ndarray, D: np.ndarray,
+                    ) -> Iterator[np.ndarray]:
+    """E[w w.T] of the lifted vector w = [x; e; 1] for steps 0..N, summed
+    over modes but not symmetrized: (1, b, k, k) for step 0, then one
+    (steps, b, k, k) array per block of steps.
 
-    Per true mode j the recursion carries Phi_j = E[w w.T 1{s_n = j}];
-    the lift makes its last column the mean E[[x; e] 1{s_n = j}] and its
-    corner the marginal P(s_n = j), so one congruence advances all three.
-    A step first mixes the predecessors, Psi_j = sum_i Z[i, j] Phi_i
-    (prior[j] Phi_0 at step 1), then branches over the detected mode d:
-    Phi_j' = sum_d D[j, d] (G_jd Psi_j G_jd.T + p_j C_jd), with p_j the
-    mode marginal.  A fixed filter has one branch per true mode.
+    The b systems share ``base``'s measurement, initial belief and chain.
+    System s has true modes ``A[s]``, ``Q[s]`` (b, r, z, z); under true
+    mode j it detects mode d with probability ``D[j, d]`` and runs the
+    filter ``A_f[s, n, d]``, ``K[s, n, d]`` ((b, N, d, z, z|m)).  Per true
+    mode j it carries Phi_j = E[w w.T 1{s_n = j}], whose last column is
+    the mean E[[x; e] 1{s_n = j}] and corner P(s_n = j).  A step mixes
+    the predecessors, Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step
+    1), then branches over the detected mode d:
+    Phi_j' = sum_d D[j, d] (G_jd Psi_j G_jd.T + p_j C_jd), p_j = P(s_n = j).
     """
-    r, z2 = model.r, 2 * model.z
-    k = z2 + 1
-    H, R = model.meas.H, model.meas.R
+    b, n_steps = K.shape[:2]
+    r, z = A.shape[1], A.shape[-1]
+    z2, k = 2 * z, 2 * z + 1
     # e_0 = x_0 - mean, so x_0 and e_0 share the covariance P_0
-    w0 = np.concatenate((model.init.mean, np.zeros(model.z), [1.0]))
-    phi0 = np.outer(w0, w0)
-    phi0[:z2, :z2] += np.kron(np.ones((2, 2)), model.init.cov)
-    if n_steps <= 0:
-        return phi0[None]
-    A = np.stack([mode.A for mode in model.modes])[:, None]      # (r,1,z,z)
-    Q = np.stack([mode.Q for mode in model.modes])[:, None]
+    w0 = np.concatenate((base.init.mean, np.zeros(z), [1.0]))
+    phi = np.repeat(np.outer(w0, w0)[None, None], b, axis=0)
+    phi[..., :z2, :z2] += np.kron(np.ones((2, 2)), base.init.cov)
+    yield phi.swapaxes(0, 1)
+    margs = mode_marginal_series(base.chain, max(n_steps, 1))
+    A, Q = A[:, :, None], Q[:, :, None]                         # (b,r,1,z,z)
+    mix = base.chain.prior[None]
+    # Maps are built per block of steps, so memory does not grow with N.
+    for start in range(0, n_steps, _BLOCK):
+        steps = slice(start, start + _BLOCK)
+        # G, C: (step, system, true mode, detected mode, 2z, 2z).  The
+        # detection weights and marginals never depend on the state, so
+        # the noise term folds into a per-step constant.
+        G, C = _joint_factors(A, Q, A_f[:, steps, None].swapaxes(0, 1),
+                              K[:, steps, None].swapaxes(0, 1),
+                              base.meas.H, base.meas.R)
+        noise = np.zeros(G.shape[:3] + (k, k))
+        noise[..., :z2, :z2] = (margs[steps, None, :, None, None]
+                                * np.einsum("jd,nbjdxy->nbjxy", D, C))
+        del C                              # keeps the peak at G plus lift
+        # sqrt(D) on both sides of the congruence applies each weight
+        # once.  With L_j = [G_j1 | G_j2 | ...] the branch sum is one
+        # stacked product, L_j (I (x) Psi_j) L_j.T, built from the maps'
+        # transposes.
+        lift_t = np.zeros(G.shape[:-2] + (k, k))
+        lift_t[..., :z2, :z2] = G.swapaxes(-1, -2)
+        lift_t[..., z2, z2] = 1.0
+        del G
+        lift_t *= np.sqrt(D)[..., None, None]
+        lift_h = lift_t.reshape(lift_t.shape[:3] + (-1, k)).swapaxes(-1, -2)
+        for n in range(len(noise)):
+            psi = (mix.T @ phi.reshape(b, -1, k * k)).reshape(b, r, 1, k, k)
+            branches = (psi @ lift_t[n]).reshape(b, r, -1, k)
+            phi = noise[n]           # each noise term is read once: reuse it
+            phi += lift_h[n] @ branches
+            mix = base.chain.Z
+        yield noise.sum(axis=2)
+
+
+def _filter_moments(model: SldsModel, det: Optional[DetectionModel],
+                    n_steps: int, filt: Optional[ModeLike]) -> np.ndarray:
+    """Lifted moments (N + 1, k, k) of the switching filter under ``det``,
+    or of the fixed filter ``filt`` (one branch per true mode)."""
+    A = np.stack([mode.A for mode in model.modes])
+    Q = np.stack([mode.Q for mode in model.modes])
     if filt is None:
         if det is None:
             raise ValueError("switching-filter analysis needs a detection model")
-        D = _detection_weights(r, det)
-        gains = np.stack([np.stack(s.gains)
-                          for s in mode_schedules(model, n_steps)])
-        K = gains.swapaxes(0, 1)[:, None]                       # (N,1,r,z,m)
-        A_f = A.swapaxes(0, 1)                                  # (1,r,z,z)
+        D = _detection_weights(model.r, det)
+        gains = np.array([s.gains for s in mode_schedules(model, n_steps)])
+        K = gains.swapaxes(0, 1)[None]                          # (1,N,r,z,m)
+        A_f = np.broadcast_to(A, (1, n_steps) + A.shape)
     else:
-        D = np.ones((r, 1))
+        D = np.ones((model.r, 1))
         schedule = gain_schedule(filt, model.meas, model.init, n_steps)
-        K = np.stack(schedule.gains)[:, None, None]             # (N,1,1,z,m)
-        A_f = np.stack([mode.A for mode in
-                        as_mode_sequence(filt, n_steps)])[:, None, None]
-    # G, C: (N, true mode, detected mode, 2z, 2z).  The detection weights
-    # and marginals never depend on the state, so the noise term folds
-    # into a per-step constant before the recursion runs.
-    G, C = _joint_factors(A, Q, A_f, K, H, R)
-    margs = mode_marginal_series(model.chain, n_steps)
-    noise = np.zeros((n_steps, r, k, k))
-    noise[..., :z2, :z2] = (margs[:, :, None, None]
-                            * np.einsum("jd,njdab->njab", D, C))
-    del C                                  # keeps the peak at G plus lift
-    # sqrt(D) on both sides of the congruence applies each weight once.
-    # With L_j = [G_j1 | G_j2 | ...] the branch sum is one stacked product,
-    # L_j (I (x) Psi_j) L_j.T, built from the maps' transposes.
-    lift_t = np.zeros(G.shape[:-2] + (k, k))
-    lift_t[..., :z2, :z2] = G.swapaxes(-1, -2)
-    lift_t[..., z2, z2] = 1.0
-    del G
-    lift_t *= np.sqrt(D)[..., None, None]
-    lift_h = lift_t.reshape(n_steps, r, -1, k).swapaxes(-1, -2)
-    phis = np.empty((n_steps, r, k, k))
-    phi, mix = phi0[None], model.chain.prior[None]
-    for n in range(n_steps):
-        psi = (mix.T @ phi.reshape(len(phi), -1)).reshape(r, 1, k, k)
-        branches = (psi @ lift_t[n]).reshape(r, -1, k)
-        phi = np.add(lift_h[n] @ branches, noise[n], out=phis[n])
-        mix = model.chain.Z
-    total = np.concatenate((phi0[None], phis.sum(axis=1)))
-    return (total + total.swapaxes(-1, -2)) / 2.0
+        K = np.array([schedule.gains])[:, :, None]              # (1,N,1,z,m)
+        A_f = np.array([[mode.A for mode in
+                         as_mode_sequence(filt, n_steps)]])[:, :, None]
+    blocks = _lifted_moments(model, A[None], Q[None], A_f, K, D)
+    return np.concatenate(list(blocks))[:, 0]
+
+
+def _error_trace(moments: np.ndarray, z: int) -> np.ndarray:
+    """tr E[e e.T], read off raw moments: a diagonal needs no symmetrizing."""
+    return np.trace(moments[..., z:2 * z, z:2 * z], axis1=-2, axis2=-1)
 
 
 def aggregate_state_series(model: SldsModel, det: Optional[DetectionModel],
@@ -208,10 +232,11 @@ def aggregate_state_series(model: SldsModel, det: Optional[DetectionModel],
     switching system instead, with no detection involved.
     """
     z, z2 = model.z, 2 * model.z
+    moments = _filter_moments(model, det, n_steps, filt)
     return [AggregateState(x_mean=m[:z, z2], e_mean=m[z:z2, z2],
                            xx=m[:z, :z], ee=m[z:z2, z:z2], xe=m[:z, z:z2],
                            step=n)
-            for n, m in enumerate(_lifted_moments(model, det, n_steps, filt))]
+            for n, m in enumerate((moments + moments.swapaxes(1, 2)) / 2.0)]
 
 
 def aggregate_series(model: SldsModel, det: Optional[DetectionModel],
@@ -219,9 +244,8 @@ def aggregate_series(model: SldsModel, det: Optional[DetectionModel],
                      ) -> MseSeries:
     """MSE series via the mode-conditioned moment recursion (exact for
     any Markov chain under schedule gains)."""
-    z = model.z
-    ee = _lifted_moments(model, det, n_steps, filt)[:, z:2 * z, z:2 * z]
-    return MseSeries(mse=np.trace(ee, axis1=1, axis2=2), method="aggregate")
+    moments = _filter_moments(model, det, n_steps, filt)
+    return MseSeries(mse=_error_trace(moments, model.z), method="aggregate")
 
 
 def _metric_value(rel: np.ndarray, metric: str) -> float:
@@ -266,26 +290,37 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
         raise ValueError("merge analysis needs at least two modes")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    # Pairs share H, R and P0, so mode j's schedule is row j of the full
+    # model's; one stack runs the pairs' SKFs, one their single-mode KFs.
+    members = np.array(list(itertools.combinations(range(model.r), 2)))
+    n_pairs, z = len(members), model.z
+    gains = np.array([s.gains for s in mode_schedules(model, n_steps)])
+    A = np.stack([mode.A for mode in model.modes])[members]
+    Q = np.stack([mode.Q for mode in model.modes])[members]
+    base = pair_model(model, 1, 2)
+    skf = _lifted_moments(
+        base, A, Q, np.broadcast_to(A[:, None], (n_pairs, n_steps, 2, z, z)),
+        gains[members].swapaxes(1, 2), _detection_weights(2, det))
+    skf = np.concatenate([_error_trace(m, z) for m in skf]).T
+    singles = _lifted_moments(
+        base, A.repeat(2, axis=0), Q.repeat(2, axis=0),
+        np.broadcast_to(A.reshape(-1, 1, 1, z, z),
+                        (2 * n_pairs, n_steps, 1, z, z)),
+        gains[members.ravel(), :, None], np.ones((2, 1)))
+    singles = np.concatenate([_error_trace(m, z) for m in singles]).T
     pairs = []
-    for i in range(1, model.r + 1):
-        for j in range(i + 1, model.r + 1):
-            sub = pair_model(model, i, j)
-            skf = aggregate_series(sub, det, n_steps).mse
-            candidates = [
-                (f"kf-mode-{i}", aggregate_series(sub, None, n_steps,
-                                                  filt=sub.modes[0]).mse),
-                (f"kf-mode-{j}", aggregate_series(sub, None, n_steps,
-                                                  filt=sub.modes[1]).mse),
-            ]
-            label, best = min(candidates, key=lambda c: c[1][1:].mean())
-            denom = np.where(best[1:] > 0, best[1:], 1.0)
-            rel = (best[1:] - skf[1:]) / denom
-            improvement = _metric_value(rel, metric)
-            pairs.append(MergePairReport(
-                mode_i=i, mode_j=j, skf_mse=skf, best_single_mse=best,
-                best_single_label=label, improvement=improvement,
-                metric=metric, threshold=threshold,
-                merge=improvement < threshold))
+    for (i, j), skf_mse, own in zip(members + 1, skf,
+                                    singles.reshape(n_pairs, 2, -1)):
+        label, best = min(zip((f"kf-mode-{i}", f"kf-mode-{j}"), own),
+                          key=lambda c: c[1][1:].mean())
+        denom = np.where(best[1:] > 0, best[1:], 1.0)
+        rel = (best[1:] - skf_mse[1:]) / denom
+        improvement = _metric_value(rel, metric)
+        pairs.append(MergePairReport(
+            mode_i=int(i), mode_j=int(j), skf_mse=skf_mse,
+            best_single_mse=best, best_single_label=label,
+            improvement=improvement, metric=metric, threshold=threshold,
+            merge=improvement < threshold))
     return MergeReport(r=model.r, threshold=threshold, metric=metric,
                        p_d=det.p_d, pairs=tuple(pairs))
 

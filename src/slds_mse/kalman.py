@@ -27,6 +27,7 @@ from .model import (
     MeasurementModel,
     ModeModel,
     SldsModel,
+    mode_marginal_series,
     mode_marginals,
     symmetrize,
 )
@@ -115,9 +116,36 @@ def as_mode_sequence(modes: ModeLike, n_steps: int) -> list[ModeModel]:
     return modes
 
 
+def _riccati(A: np.ndarray, Q: np.ndarray, meas: MeasurementModel,
+             P0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (B, N, z, m) and posterior covariances (B, N, z, z) of B
+    filters with per-step dynamics ``A``, ``Q`` (B, N, z, z) sharing
+    ``meas`` and ``P0``: one Cholesky check and one solve per step."""
+    H, R = meas.H, meas.R
+    gains = np.empty(A.shape[:2] + H.T.shape)
+    covs = np.empty(A.shape)
+    eye = np.eye(P0.shape[0])
+    P = P0
+    for n in range(A.shape[1]):
+        P = A[:, n] @ P @ A[:, n].swapaxes(1, 2) + Q[:, n]
+        P = (P + P.swapaxes(1, 2)) / 2.0
+        HP = H @ P
+        B = HP @ H.T + R
+        B = (B + B.swapaxes(1, 2)) / 2.0
+        try:
+            np.linalg.cholesky(B)
+        except np.linalg.LinAlgError as exc:
+            raise InnovationSolveError(
+                "innovation covariance is not positive definite",
+                float(np.max(np.linalg.cond(B)))) from exc
+        K = gains[:, n] = np.linalg.solve(B, HP).swapaxes(1, 2)
+        P = (eye - K @ H) @ P
+        P = covs[:, n] = (P + P.swapaxes(1, 2)) / 2.0
+    return gains, covs
+
+
 def gain_schedule(mode: ModeLike, meas: MeasurementModel,
-                  init: GaussianBelief, n_steps: int,
-                  joseph: bool = False) -> GainSchedule:
+                  init: GaussianBelief, n_steps: int) -> GainSchedule:
     """Run the covariance recursion for ``n_steps`` and collect the gains.
 
     ``mode`` may be a single :class:`ModeModel` or a per-step sequence
@@ -125,30 +153,16 @@ def gain_schedule(mode: ModeLike, meas: MeasurementModel,
     marginals).  Measurement values never enter the recursion.
     """
     steps = as_mode_sequence(mode, n_steps)
-    H, R = meas.H, meas.R
-    eye = np.eye(init.z)
-    P = init.cov
-    gains, covs = [], []
-    # covariance-only replay of kf_predict/kf_update, skipping the belief
-    # plumbing that a measurement-driven filter needs
-    for step_mode in steps:
-        P = symmetrize(step_mode.A @ P @ step_mode.A.T + step_mode.Q)
-        B = symmetrize(H @ P @ H.T + R)
-        try:
-            factor = cho_factor(B, lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise InnovationSolveError(
-                "innovation covariance is not positive definite",
-                float(np.linalg.cond(B))) from exc
-        K = cho_solve(factor, H @ P, check_finite=False).T
-        ikh = eye - K @ H
-        if joseph:
-            P = symmetrize(ikh @ P @ ikh.T + K @ R @ K.T)
-        else:
-            P = symmetrize(ikh @ P)
-        gains.append(K)
-        covs.append(P)
-    return GainSchedule(tuple(gains), tuple(covs))
+    A = np.array([[step.A for step in steps]])
+    Q = np.array([[step.Q for step in steps]])
+    gains, covs = _riccati(A, Q, meas, init.cov)
+    return GainSchedule(tuple(gains[0]), tuple(covs[0]))
+
+
+def _mixture(model: SldsModel, w: np.ndarray) -> ModeModel:
+    A = sum(wi * mode.A for wi, mode in zip(w, model.modes))
+    Q = sum(wi * mode.Q for wi, mode in zip(w, model.modes))
+    return ModeModel(A, Q)
 
 
 def average_mode(model: SldsModel, n: int) -> ModeModel:
@@ -157,45 +171,29 @@ def average_mode(model: SldsModel, n: int) -> ModeModel:
     Both A and Q are averaged with the same weights, so the construction
     stays symmetric when process noise differs across modes.
     """
-    w = mode_marginals(model.chain, n)
-    A = sum(wi * mode.A for wi, mode in zip(w, model.modes))
-    Q = sum(wi * mode.Q for wi, mode in zip(w, model.modes))
-    return ModeModel(A, Q)
+    return _mixture(model, mode_marginals(model.chain, n))
 
 
 def average_filter_modes(model: SldsModel, n_steps: int) -> list[ModeModel]:
-    """Per-step dynamics of the average filter for steps 1..n_steps."""
-    return [average_mode(model, n) for n in range(1, n_steps + 1)]
+    """Per-step dynamics of the average filter for steps 1..n_steps, equal
+    to ``average_mode`` at each step from one pass over the marginals."""
+    if n_steps < 1:
+        return []
+    return [_mixture(model, w)
+            for w in mode_marginal_series(model.chain, n_steps)]
 
 
 def mode_schedules(model: SldsModel, n_steps: int) -> list[GainSchedule]:
     """Standalone gain schedule of each mode's own filter (shared P0).
 
     All modes share the measurement model and the initial covariance, so
-    the r recursions run as one batched Riccati iteration.
+    the r recursions run as one batched Riccati iteration; row j equals
+    ``gain_schedule(model.modes[j], ...)`` bit for bit.
     """
-    H, R = model.meas.H, model.meas.R
-    A = np.stack([mode.A for mode in model.modes])
-    Q = np.stack([mode.Q for mode in model.modes])
-    A_t, H_t = A.swapaxes(1, 2), H.T
-    eye = np.eye(model.z)
-    P = np.repeat(model.init.cov[None], model.r, axis=0)
-    gains, covs = [], []
-    for _ in range(n_steps):
-        P = A @ P @ A_t + Q
-        P = (P + P.swapaxes(1, 2)) / 2.0
-        B = H @ P @ H_t + R
-        B = (B + B.swapaxes(1, 2)) / 2.0
-        try:
-            np.linalg.cholesky(B)
-        except LinAlgError as exc:
-            raise InnovationSolveError(
-                "innovation covariance is not positive definite",
-                float(np.max(np.linalg.cond(B)))) from exc
-        K = np.linalg.solve(B, H @ P).swapaxes(1, 2)
-        P = (eye - K @ H) @ P
-        P = (P + P.swapaxes(1, 2)) / 2.0
-        gains.append(K)
-        covs.append(P)
-    return [GainSchedule(tuple(g[j] for g in gains), tuple(c[j] for c in covs))
-            for j in range(model.r)]
+    shape = (model.r, n_steps, model.z, model.z)
+    A = np.broadcast_to(np.stack([mode.A for mode in model.modes])[:, None],
+                        shape)
+    Q = np.broadcast_to(np.stack([mode.Q for mode in model.modes])[:, None],
+                        shape)
+    gains, covs = _riccati(A, Q, model.meas, model.init.cov)
+    return [GainSchedule(tuple(g), tuple(c)) for g, c in zip(gains, covs)]

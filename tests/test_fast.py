@@ -1,6 +1,7 @@
 """Mode-conditioned aggregate recursion and the mode-merge recommender."""
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import bimodal_model, random_model, single_mode_model
+from slds_mse import fast
+from slds_mse.fast import _BLOCK
 from slds_mse import (
     DetectionModel,
     MarkovChain,
@@ -171,6 +174,56 @@ class TestAggregateProperties:
         t0 = time.perf_counter()
         aggregate_series(model, DET, 100)
         return time.perf_counter() - t0
+
+
+# Horizons on both sides of the recursion's block boundaries.
+HORIZONS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+class TestStackedRecursion:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(r=st.integers(2, 4), n_steps=st.sampled_from(HORIZONS),
+           p_d=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_merge_equals_per_pair_analysis(self, r, n_steps, p_d, seed):
+        model = random_model(np.random.default_rng(seed), r, 2)
+        det = DetectionModel(p_d)
+        rep = merge_recommendation(model, det, n_steps, threshold=0.1)
+        assert [(p.mode_i, p.mode_j) for p in rep.pairs] == \
+            [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+        for pair in rep.pairs:
+            sub = pair_model(model, pair.mode_i, pair.mode_j)
+            skf = aggregate_series(sub, det, n_steps).mse
+            label, best = min(
+                ((f"kf-mode-{mode}", aggregate_series(sub, None, n_steps,
+                                                      filt=filt).mse)
+                 for mode, filt in zip((pair.mode_i, pair.mode_j),
+                                       sub.modes)),
+                key=lambda c: c[1][1:].mean())
+            assert_allclose(pair.skf_mse, skf, rtol=1e-12, atol=0)
+            assert_allclose(pair.best_single_mse, best, rtol=1e-12, atol=0)
+            assert pair.best_single_label == label
+            improvement = ((best[1:] - skf[1:]) / best[1:]).mean()
+            assert pair.merge == (improvement < 0.1)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(r=st.integers(2, 4), n_steps=st.sampled_from(HORIZONS),
+           p_d=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_prefix_of_a_longer_horizon(self, r, n_steps, p_d, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, r, 2, uniform_rows=False,
+                             uniform_prior=False)
+        # A sticky chain keeps the marginals moving past the first block.
+        model = with_chain(model, 0.9 * np.eye(r) + 0.1 * model.chain.Z,
+                           model.chain.prior)
+        det = DetectionModel(p_d)
+        for filt in (None, model.modes[0]):
+            full = aggregate_series(model, det, HORIZONS[-1], filt=filt).mse
+            short = aggregate_series(model, det, n_steps, filt=filt).mse
+            assert_allclose(full[:n_steps + 1], short, rtol=1e-12, atol=0)
+            # The blocks only bound memory: one block gives the same series.
+            with mock.patch.object(fast, "_BLOCK", HORIZONS[-1]):
+                whole = aggregate_series(model, det, HORIZONS[-1], filt=filt)
+            assert_allclose(whole.mse, full, rtol=1e-12, atol=0)
 
 
 class TestMergeRecommendation:

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import bimodal_model, random_mode, spd_matrix
+from helpers import bimodal_model, random_mode, random_model, spd_matrix
 from slds_mse import (
     GaussianBelief,
     InnovationSolveError,
+    MarkovChain,
     MeasurementModel,
     ModeModel,
+    SldsModel,
     as_mode_sequence,
     average_filter_modes,
     average_mode,
@@ -155,7 +157,30 @@ class TestSchedules:
         for j in (0, 1):
             single = gain_schedule(bench.modes[j], bench.meas, bench.init, 5)
             for k in range(5):
-                assert_allclose(per_mode[j].gains[k], single.gains[k], atol=0)
+                assert_array_equal(per_mode[j].gains[k], single.gains[k])
+
+    def test_mode_schedule_rows_are_single_schedules_bitwise(self, rng):
+        # One batched Riccati loop serves both; a row of the batch must not
+        # depend on the other rows.
+        model = random_model(rng, 3, 3)
+        for j, row in enumerate(mode_schedules(model, 30)):
+            single = gain_schedule(model.modes[j], model.meas, model.init, 30)
+            assert_array_equal(np.stack(row.gains), np.stack(single.gains))
+            assert_array_equal(np.stack(row.covariances),
+                               np.stack(single.covariances))
+
+    def test_singular_innovation_raises_in_schedules(self):
+        # R = 0, P0 = 0 and Q = 0 leave a zero innovation covariance.
+        mode = scalar_mode(0.9, 0.0)
+        meas = scalar_meas(1.0, 0.0)
+        init = scalar_belief(0.0, 0.0)
+        model = SldsModel((mode, mode), meas,
+                          MarkovChain(np.full((2, 2), 0.5), [0.5, 0.5]), init)
+        for run in (lambda: gain_schedule(mode, meas, init, 3),
+                    lambda: mode_schedules(model, 3)):
+            with pytest.raises(InnovationSolveError) as err:
+                run()
+            assert err.value.condition > 1e12
 
     def test_schedule_accepts_per_step_modes(self, bench):
         seq = [bench.modes[0], bench.modes[1], bench.modes[0]]
@@ -177,6 +202,16 @@ class TestAverageFilter:
     def test_identical_modes_average_to_themselves(self):
         model = bimodal_model(a_values=(0.7, 0.7))
         assert_allclose(average_mode(model, 3).A, 0.7 * np.eye(4), atol=1e-15)
+
+    def test_average_filter_modes_equal_average_mode(self, rng):
+        model = random_model(rng, 3, 2, uniform_rows=False,
+                             uniform_prior=False)
+        seq = average_filter_modes(model, 50)
+        assert len(seq) == 50
+        for n, mode in enumerate(seq, start=1):
+            expected = average_mode(model, n)
+            assert_array_equal(mode.A, expected.A)
+            assert_array_equal(mode.Q, expected.Q)
 
     def test_average_filter_modes_series(self, bench):
         seq = average_filter_modes(bench, 6)
