@@ -109,13 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     analytic_flags(p)
     p.add_argument("--rtol", type=float, default=0.05,
-                   help="relative tolerance for the verdict (steps >= 2)")
+                   help="relative tolerance for the verdict (steps >= 2); "
+                        "finite and >= 0")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("recommend", help="pairwise mode-merge analysis")
     common(p)
     p.add_argument("--threshold", type=float, default=0.1,
-                   help="relative improvement below which a pair merges")
+                   help="relative improvement below which a pair merges; "
+                        "finite")
     p.add_argument("--metric", default="mean", choices=("mean", "max", "final"),
                    help="how per-step improvements are summarized")
     p.set_defaults(func=cmd_recommend)
@@ -255,6 +257,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not (np.isfinite(args.rtol) and args.rtol >= 0):
+        raise CommandError(EXIT_VALIDATION, f"--rtol must be finite and "
+                                            f">= 0, got {args.rtol}")
     scenario = _load(args)
     results = _analytic_series(scenario, args)
     runs = run_monte_carlo(scenario.model, scenario.filters,
@@ -294,6 +299,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    if not np.isfinite(args.threshold):
+        raise CommandError(EXIT_VALIDATION, f"--threshold must be finite, "
+                                            f"got {args.threshold}")
     scenario = _load(args)
     if scenario.model.r < 2:
         raise CommandError(EXIT_VALIDATION,

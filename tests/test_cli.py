@@ -343,6 +343,21 @@ class TestFailureModes:
         assert f"{flag} requires --method pruned" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("compare", "--rtol", "nan"),
+        ("compare", "--rtol", "inf"),
+        ("compare", "--rtol", "-1"),
+        ("recommend", "--threshold", "nan"),
+        ("recommend", "--threshold", "-inf"),
+    ])
+    def test_non_finite_or_negative_tolerance_rejected(
+            self, scenario_file, capsys, command, flag, value):
+        assert main([command, "--scenario", scenario_file(),
+                     f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be finite" in captured.err
+        assert captured.out == ""
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
