@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from helpers import bimodal_model, random_model, single_mode_model
 from slds_mse import fast
-from slds_mse.fast import _BLOCK
 from slds_mse import (
     DetectionModel,
     MarkovChain,
@@ -177,7 +176,8 @@ class TestAggregateProperties:
 
 
 # Horizons on both sides of the recursion's block boundaries.
-HORIZONS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+BLOCK = fast._BLOCK
+HORIZONS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
 
 
 class TestStackedRecursion:
@@ -209,9 +209,8 @@ class TestStackedRecursion:
     @given(r=st.integers(2, 4), n_steps=st.sampled_from(HORIZONS),
            p_d=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_prefix_of_a_longer_horizon(self, r, n_steps, p_d, seed):
-        rng = np.random.default_rng(seed)
-        model = random_model(rng, r, 2, uniform_rows=False,
-                             uniform_prior=False)
+        model = random_model(np.random.default_rng(seed), r, 2,
+                             uniform_rows=False, uniform_prior=False)
         # A sticky chain keeps the marginals moving past the first block.
         model = with_chain(model, 0.9 * np.eye(r) + 0.1 * model.chain.Z,
                            model.chain.prior)
