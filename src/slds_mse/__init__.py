@@ -26,12 +26,14 @@ from .model import (
     validate_scenario,
 )
 from .kalman import (
+    FilterBank,
     GainSchedule,
     InnovationSolveError,
     KalmanStepOutput,
     as_mode_sequence,
     average_filter_modes,
     average_mode,
+    filter_bank,
     gain_schedule,
     kf_predict,
     kf_update,
@@ -59,6 +61,7 @@ from .fast import (
     MergeReport,
     aggregate_series,
     aggregate_state_series,
+    bank_series,
     merge_clusters,
     merge_recommendation,
     merged_mode,

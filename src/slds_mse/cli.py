@@ -3,9 +3,10 @@
 A thin shell over the library: scenario JSON in, CSV/SVG reports out.
 Every number in a report comes from a library call that is unit-tested
 on its own; this layer only selects methods, formats rows and maps
-failures to exit codes (0 success, 2 validation failure, 3 capacity or
-method failure, 4 comparison verdict FAIL).  Set SLDS_MSE_LOG to a level
-name (DEBUG, INFO, ...) for progress logging on stderr.
+failures to exit codes (0 success, 2 validation failure or an unwritable
+output path, 3 capacity or method failure, 4 comparison verdict FAIL).
+Set SLDS_MSE_LOG to a level name (DEBUG, INFO, ...) for progress logging
+on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .enumeration import (
     single_mode_slds_moments,
     skf_slds_moments,
 )
-from .fast import aggregate_series, merge_clusters, merge_recommendation
+from .fast import bank_series, merge_clusters, merge_recommendation
 from .montecarlo import empirical_mse, run_monte_carlo
 from .serialize import ScenarioFormatError, load_scenario
 from .svgchart import write_line_chart
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int,
                        help="override the scenario horizon")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for Monte Carlo chunks")
+                       help="worker threads for Monte Carlo chunks; >= 1")
 
     def analytic_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--svg", help="also write an SVG line chart here")
@@ -166,6 +167,15 @@ def _analytic_series(scenario: Scenario, args) -> list:
     det = scenario.detection
     n = scenario.horizon
     method = _resolve_method(args)
+    if method == "aggregate":
+        t0 = time.perf_counter()
+        try:
+            series = bank_series(model, det, scenario.filters, n)
+        except (ValueError, InnovationSolveError) as exc:
+            raise CommandError(EXIT_CAPACITY, f"filter bank: {exc}")
+        log.info("%d filters: aggregate method, one filter bank, %.1f ms",
+                 len(series), 1e3 * (time.perf_counter() - t0))
+        return list(zip(scenario.filters, series))
     out = []
     for spec in scenario.filters:
         if spec.kind == "average":
@@ -176,9 +186,7 @@ def _analytic_series(scenario: Scenario, args) -> list:
             filt = None
         t0 = time.perf_counter()
         try:
-            if method == "aggregate":
-                series = aggregate_series(model, det, n, filt=filt)
-            elif method == "exact":
+            if method == "exact":
                 if spec.kind == "skf":
                     series, _ = skf_slds_moments(model, det, n)
                 else:
@@ -204,6 +212,11 @@ def _method_tag(series: MseSeries, step: int) -> str:
     return series.method
 
 
+def _unwritable(flag: str, path: str, exc: OSError) -> CommandError:
+    return CommandError(EXIT_VALIDATION,
+                        f"cannot write {flag} {path}: {exc.strerror or exc}")
+
+
 def _write_csv(path: Optional[str], header: list, rows: list) -> None:
     def emit(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
@@ -213,8 +226,11 @@ def _write_csv(path: Optional[str], header: list, rows: list) -> None:
     if path is None:
         emit(sys.stdout)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                emit(fh)
+        except OSError as exc:
+            raise _unwritable("--out", path, exc)
 
 
 def _maybe_svg(path: Optional[str], series_list: list, title: str,
@@ -223,7 +239,10 @@ def _maybe_svg(path: Optional[str], series_list: list, title: str,
         return
     chart = [(label, np.arange(len(values)), values)
              for label, values in series_list]
-    write_line_chart(path, chart, title=title, dashed=dashed)
+    try:
+        write_line_chart(path, chart, title=title, dashed=dashed)
+    except OSError as exc:
+        raise _unwritable("--svg", path, exc)
 
 
 def cmd_analyze(args) -> int:
@@ -345,6 +364,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise CommandError(EXIT_VALIDATION, f"--threads must be >= 1, "
+                                                f"got {args.threads}")
         return args.func(args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)

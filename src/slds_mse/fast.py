@@ -29,6 +29,7 @@ import numpy as np
 
 from .model import (
     DetectionModel,
+    FilterSpec,
     MarkovChain,
     ModeModel,
     MseSeries,
@@ -38,6 +39,7 @@ from .model import (
 from .kalman import (
     ModeLike,
     as_mode_sequence,
+    filter_bank,
     gain_schedule,
     mode_schedules,
 )
@@ -194,27 +196,63 @@ def _lifted_moments(base: SldsModel, A: np.ndarray, Q: np.ndarray,
         yield noise.sum(axis=2)
 
 
+def _branch_weights(model: SldsModel, det: Optional[DetectionModel],
+                    switching: bool) -> np.ndarray:
+    """D for ``_moments``: the detection weights of the switching filter,
+    or one branch per true mode for a fixed filter."""
+    if not switching:
+        return np.ones((model.r, 1))
+    if det is None:
+        raise ValueError("switching-filter analysis needs a detection model")
+    return _detection_weights(model.r, det)
+
+
+def _moments(model: SldsModel, A_f: np.ndarray, K: np.ndarray,
+             D: np.ndarray) -> np.ndarray:
+    """Lifted moments (N + 1, k, k) of one filter on ``model``: under true
+    mode j it runs row d of ``A_f`` (d, N, z, z) and ``K`` (d, N, z, m)
+    with probability ``D[j, d]``."""
+    A = np.stack([mode.A for mode in model.modes])
+    Q = np.stack([mode.Q for mode in model.modes])
+    blocks = _lifted_moments(model, A[None], Q[None], A_f.swapaxes(0, 1)[None],
+                             K.swapaxes(0, 1)[None], D)
+    return np.concatenate(list(blocks))[:, 0]
+
+
 def _filter_moments(model: SldsModel, det: Optional[DetectionModel],
                     n_steps: int, filt: Optional[ModeLike]) -> np.ndarray:
     """Lifted moments (N + 1, k, k) of the switching filter under ``det``,
     or of the fixed filter ``filt`` (one branch per true mode)."""
-    A = np.stack([mode.A for mode in model.modes])
-    Q = np.stack([mode.Q for mode in model.modes])
+    D = _branch_weights(model, det, filt is None)
     if filt is None:
-        if det is None:
-            raise ValueError("switching-filter analysis needs a detection model")
-        D = _detection_weights(model.r, det)
-        gains = np.array([s.gains for s in mode_schedules(model, n_steps)])
-        K = gains.swapaxes(0, 1)[None]                          # (1,N,r,z,m)
-        A_f = np.broadcast_to(A, (1, n_steps) + A.shape)
+        K = np.array([s.gains for s in mode_schedules(model, n_steps)])
+        A_f = np.broadcast_to(
+            np.stack([mode.A for mode in model.modes])[:, None],
+            K.shape[:2] + (model.z, model.z))
     else:
-        D = np.ones((model.r, 1))
-        schedule = gain_schedule(filt, model.meas, model.init, n_steps)
-        K = np.array([schedule.gains])[:, :, None]              # (1,N,1,z,m)
-        A_f = np.array([[mode.A for mode in
-                         as_mode_sequence(filt, n_steps)]])[:, :, None]
-    blocks = _lifted_moments(model, A[None], Q[None], A_f, K, D)
-    return np.concatenate(list(blocks))[:, 0]
+        K = np.array([gain_schedule(filt, model.meas, model.init,
+                                    n_steps).gains])
+        A_f = np.array([[mode.A for mode in as_mode_sequence(filt, n_steps)]])
+    return _moments(model, A_f, K, D)
+
+
+def bank_series(model: SldsModel, det: Optional[DetectionModel],
+                filters: Sequence[FilterSpec], n_steps: int,
+                ) -> list[MseSeries]:
+    """MSE series of each spec in ``filters``, read off one
+    :func:`~slds_mse.kalman.filter_bank`: one Riccati pass for the whole
+    list, then one moment recursion per spec.  Each series equals
+    ``aggregate_series`` with the matching ``filt`` bit for bit, whatever
+    else the list holds."""
+    bank = filter_bank(model, n_steps)
+    out = []
+    for spec in filters:
+        rows = bank.rows(spec)
+        moments = _moments(model, bank.A[rows], bank.gains[rows],
+                           _branch_weights(model, det, spec.kind == "skf"))
+        out.append(MseSeries(mse=_error_trace(moments, model.z),
+                             method="aggregate"))
+    return out
 
 
 def _error_trace(moments: np.ndarray, z: int) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .model import (
+    FilterSpec,
     GaussianBelief,
     MeasurementModel,
     ModeModel,
@@ -174,13 +175,31 @@ def average_mode(model: SldsModel, n: int) -> ModeModel:
     return _mixture(model, mode_marginals(model.chain, n))
 
 
+def _average_dynamics(model: SldsModel, n_steps: int,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step ``A`` and ``Q`` (N, z, z) of the average filter for steps
+    1..n_steps from one pass over the marginals, summed over modes in
+    ``_mixture``'s order so that each step equals ``average_mode``."""
+    w = mode_marginal_series(model.chain, max(n_steps, 1))[:n_steps, :, None]
+    A = sum(w[:, j, None] * mode.A for j, mode in enumerate(model.modes))
+    Q = sum(w[:, j, None] * mode.Q for j, mode in enumerate(model.modes))
+    return A, Q
+
+
 def average_filter_modes(model: SldsModel, n_steps: int) -> list[ModeModel]:
     """Per-step dynamics of the average filter for steps 1..n_steps, equal
-    to ``average_mode`` at each step from one pass over the marginals."""
-    if n_steps < 1:
-        return []
-    return [_mixture(model, w)
-            for w in mode_marginal_series(model.chain, n_steps)]
+    to ``average_mode`` at each step."""
+    return [ModeModel(A, Q)
+            for A, Q in zip(*_average_dynamics(model, n_steps))]
+
+
+def _mode_dynamics(model: SldsModel, n_steps: int,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Each mode's ``A`` and ``Q`` at every step, (r, N, z, z) views."""
+    shape = (model.r, n_steps, model.z, model.z)
+    return tuple(np.broadcast_to(np.stack(mats)[:, None], shape) for mats in
+                 ([mode.A for mode in model.modes],
+                  [mode.Q for mode in model.modes]))
 
 
 def mode_schedules(model: SldsModel, n_steps: int) -> list[GainSchedule]:
@@ -190,10 +209,40 @@ def mode_schedules(model: SldsModel, n_steps: int) -> list[GainSchedule]:
     the r recursions run as one batched Riccati iteration; row j equals
     ``gain_schedule(model.modes[j], ...)`` bit for bit.
     """
-    shape = (model.r, n_steps, model.z, model.z)
-    A = np.broadcast_to(np.stack([mode.A for mode in model.modes])[:, None],
-                        shape)
-    Q = np.broadcast_to(np.stack([mode.Q for mode in model.modes])[:, None],
-                        shape)
-    gains, covs = _riccati(A, Q, model.meas, model.init.cov)
+    gains, covs = _riccati(*_mode_dynamics(model, n_steps), model.meas,
+                           model.init.cov)
     return [GainSchedule(tuple(g), tuple(c)) for g, c in zip(gains, covs)]
+
+
+@dataclass(frozen=True)
+class FilterBank:
+    """Per-step dynamics ``A`` (r + 1, N, z, z) and gains ``gains``
+    (r + 1, N, z, m) of every filter a scenario can name: row j is the
+    KF of mode j + 1, row r the average filter."""
+
+    A: np.ndarray
+    gains: np.ndarray
+
+    def rows(self, spec: FilterSpec) -> slice:
+        """The rows ``spec`` runs: its own row for a fixed-gain filter, the
+        r mode rows for the switching filter."""
+        r = len(self.A) - 1
+        if spec.kind == "skf":
+            return slice(0, r)
+        if spec.kind == "average":
+            return slice(r, r + 1)
+        if not 1 <= spec.mode <= r:
+            raise ValueError(f"filter mode {spec.mode} is outside 1..{r}")
+        return slice(spec.mode - 1, spec.mode)
+
+
+def filter_bank(model: SldsModel, n_steps: int) -> FilterBank:
+    """Every mode's KF and the average filter from one batched Riccati
+    pass (B = r + 1).  Row j equals ``gain_schedule(model.modes[j], ...)``
+    and row r ``gain_schedule(average_filter_modes(model, n_steps), ...)``
+    bit for bit."""
+    A, Q = (np.concatenate((modes, average[None])) for modes, average in
+            zip(_mode_dynamics(model, n_steps),
+                _average_dynamics(model, n_steps)))
+    gains, _ = _riccati(A, Q, model.meas, model.init.cov)
+    return FilterBank(A, gains)

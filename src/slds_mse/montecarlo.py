@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import DetectionModel, FilterSpec, SldsModel
-from .kalman import average_filter_modes, gain_schedule, mode_schedules
+from .kalman import FilterBank, filter_bank
 
 CHUNK = 1024
 
@@ -117,23 +117,19 @@ def draw_detections(true_modes: np.ndarray, det: DetectionModel, r: int,
     return detected
 
 
-def _replay_inputs(model: SldsModel, spec: FilterSpec, n_steps: int):
+def _replay_inputs(bank: FilterBank, specs: Sequence[FilterSpec]):
     """Transposed per-step transitions ``(B, N, z, z)`` and gains
-    ``(B, N, m, z)`` that replay ``spec``: one row (B = 1) for a fixed-gain
-    filter, one row per mode (B = r) for the switching filter."""
-    if spec.kind == "skf":
-        schedules = mode_schedules(model, n_steps)
-        A_t = [[mode.A.T] * n_steps for mode in model.modes]
-        K_t = [[K.T for K in schedule.gains] for schedule in schedules]
-    else:
-        if spec.kind == "average":
-            filt = average_filter_modes(model, n_steps)
-        else:
-            filt = [model.modes[spec.mode - 1]] * n_steps
-        schedule = gain_schedule(filt, model.meas, model.init, n_steps)
-        A_t = [[mode.A.T for mode in filt]]
-        K_t = [[K.T for K in schedule.gains]]
-    return np.array(A_t), np.array(K_t)
+    ``(B, N, m, z)`` that replay ``specs`` in order, read off ``bank``:
+    one row per fixed-gain filter, one row per mode for the switching
+    filter."""
+    rows = [bank.rows(spec) for spec in specs]
+
+    def stack(arr: np.ndarray) -> np.ndarray:
+        # C-contiguous like the per-spec schedules, so products round alike
+        return np.ascontiguousarray(
+            np.concatenate([arr[s] for s in rows]).swapaxes(-1, -2))
+
+    return stack(bank.A), stack(bank.gains)
 
 
 def _single_filter_errors(states, meas, A_t, K_t, H, init_mean):
@@ -181,7 +177,7 @@ def run_filter_on_sim(sim, model: SldsModel, spec: FilterSpec,
     modes, states, meas = sim
     if spec.kind == "skf" and (det is None or rng is None):
         raise ValueError("switching filter needs a detection model and rng")
-    A_t, K_t = _replay_inputs(model, spec, meas.shape[0])
+    A_t, K_t = _replay_inputs(filter_bank(model, meas.shape[0]), [spec])
     H, mean = model.meas.H, model.init.mean
     if spec.kind == "skf":
         detected = draw_detections(modes[None, :], det, model.r, rng)
@@ -317,11 +313,11 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
 
     fixed = [f for f, spec in enumerate(filters) if spec.kind != "skf"]
     skf = [f for f, spec in enumerate(filters) if spec.kind == "skf"]
+    bank = filter_bank(model, n_steps)
     if fixed:
-        A_t, K_t = (np.concatenate(parts) for parts in zip(
-            *(_replay_inputs(model, filters[f], n_steps) for f in fixed)))
+        A_t, K_t = _replay_inputs(bank, [filters[f] for f in fixed])
     if skf:
-        bank_A, bank_K = _replay_inputs(model, filters[skf[0]], n_steps)
+        skf_A, skf_K = _replay_inputs(bank, [filters[skf[0]]])
     H, mean = model.meas.H, model.init.mean
 
     def work(chunk: int, count: int) -> list[SimRun]:
@@ -336,7 +332,7 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
             det_rng = _rng(seed, chunk, _PURPOSE_DETECT)
             detected = draw_detections(modes, det, model.r, det_rng)
             runs.update(dict.fromkeys(skf, SimRun.from_errors(_skf_errors(
-                states, meas, detected, bank_A, bank_K, H, mean))))
+                states, meas, detected, skf_A, skf_K, H, mean))))
         return [runs[f] for f in range(len(filters))]
 
     sizes = _chunk_sizes(samples)

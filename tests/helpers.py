@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from slds_mse import (
     DetectionModel,
+    FilterSpec,
     GaussianBelief,
     MarkovChain,
     MeasurementModel,
@@ -94,6 +96,15 @@ def random_model(rng: np.random.Generator, r: int, z: int,
     chain = random_chain(rng, r, uniform_rows, uniform_prior)
     init = GaussianBelief(rng.standard_normal(z), spd_matrix(rng, z, 0.5))
     return SldsModel(modes, meas, chain, init)
+
+
+def filter_specs(r: int, max_size: int = 10):
+    """Hypothesis strategy for a filter list of an r-mode scenario: any
+    subset of the filters it can name, in any order, with repeats."""
+    spec = st.one_of(
+        st.just(FilterSpec("skf")), st.just(FilterSpec("average")),
+        st.integers(1, r).map(lambda j: FilterSpec("single-mode", mode=j)))
+    return st.lists(spec, min_size=1, max_size=max_size)
 
 
 def detection(p_d: float = 0.9) -> DetectionModel:

@@ -6,22 +6,32 @@ without spawning subprocesses.
 """
 
 import csv
+import dataclasses
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import bimodal_model, detection
+from helpers import bimodal_model, detection, filter_specs, random_model
 from slds_mse import (
+    DetectionModel,
+    Scenario,
+    Tolerances,
     __version__,
     aggregate_series,
     dumps_scenario,
+    kalman,
     load_scenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
 from slds_mse.cli import main
+
+DEMO = "demos/scenarios/bimodal4d.json"
 
 
 def scenario_dict(**overrides):
@@ -65,6 +75,28 @@ class TestScenarioFiles:
         text = dumps_scenario(scenario)
         again = scenario_from_dict(json.loads(text))
         assert dumps_scenario(again) == text
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 3), z=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), p_d=st.floats(0.0, 1.0),
+           horizon=st.integers(1, 500), mc_samples=st.integers(1, 10 ** 6),
+           run_seed=st.integers(0, 2 ** 63), tol=st.floats(1e-15, 1e-3),
+           data=st.data())
+    def test_json_round_trip_is_stable(self, r, z, seed, p_d, horizon,
+                                       mc_samples, run_seed, tol, data):
+        labels = st.one_of(st.just(""), st.text(max_size=8))
+        filters = [dataclasses.replace(spec, label=data.draw(labels))
+                   for spec in data.draw(filter_specs(r))]
+        scenario = Scenario(
+            model=random_model(np.random.default_rng(seed), r, z,
+                               uniform_rows=False, uniform_prior=False),
+            horizon=horizon, detection=DetectionModel(p_d), filters=filters,
+            mc_samples=mc_samples, seed=run_seed,
+            tolerances=Tolerances(sym_tol=tol, psd_tol=tol / 2))
+        text = dumps_scenario(scenario)
+        assert dumps_scenario(scenario_from_dict(
+            scenario_to_dict(scenario))) == text
+        assert dumps_scenario(scenario_from_dict(json.loads(text))) == text
 
     def test_demo_scenario_loads(self):
         scenario = load_scenario("demos/scenarios/bimodal4d.json")
@@ -358,8 +390,64 @@ class TestFailureModes:
         assert f"{flag} must be finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare",
+                                         "recommend"])
+    def test_unwritable_out_path(self, scenario_file, tmp_path, capsys,
+                                 command):
+        target = tmp_path / "absent" / "report.csv"
+        assert main([command, "--scenario", scenario_file(), "--threads", "1",
+                     "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write --out {target}: No such file" in captured.err
+        assert captured.out == ""
+
+    def test_out_path_that_is_a_directory(self, scenario_file, tmp_path,
+                                          capsys):
+        assert main(["analyze", "--scenario", scenario_file(),
+                     "--out", str(tmp_path)]) == 2
+        assert f"cannot write --out {tmp_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_unwritable_svg_path(self, scenario_file, tmp_path, capsys,
+                                 command):
+        target = tmp_path / "absent" / "chart.svg"
+        assert main([command, "--scenario", scenario_file(), "--threads", "1",
+                     "--out", str(tmp_path / "report.csv"),
+                     "--svg", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write --svg {target}: No such file" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare",
+                                         "recommend"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one_rejected(self, scenario_file, capsys, command,
+                                        value):
+        assert main([command, "--scenario", scenario_file(),
+                     f"--threads={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"--threads must be >= 1, got {value}" in captured.err
+        assert captured.out == ""
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.strip() == __version__
+
+
+class TestSharedFilterBank:
+    """Every analytic filter of a command reads one filter bank, and Monte
+    Carlo another: counted Riccati passes, not wall-clock time, keep
+    per-filter schedule recomputation from creeping back."""
+
+    @pytest.mark.parametrize("command, passes", [
+        ("analyze", 1), ("simulate", 1), ("compare", 2)])
+    def test_one_riccati_pass_per_consumer(self, tmp_path, command, passes):
+        with mock.patch.object(kalman, "_riccati",
+                               wraps=kalman._riccati) as riccati:
+            assert main([command, "--scenario", DEMO, "--threads", "1",
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        assert riccati.call_count == passes
+        batch = {call.args[0].shape[0] for call in riccati.call_args_list}
+        assert batch == {3}            # r = 2 modes plus the average filter

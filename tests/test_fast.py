@@ -6,18 +6,25 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import bimodal_model, random_model, single_mode_model
+from helpers import (
+    bimodal_model,
+    filter_specs,
+    random_model,
+    single_mode_model,
+)
 from slds_mse import fast
 from slds_mse import (
     DetectionModel,
+    FilterSpec,
     MarkovChain,
     ModeModel,
     SldsModel,
     aggregate_series,
     aggregate_state_series,
     average_filter_modes,
+    bank_series,
     gain_schedule,
     merge_clusters,
     merge_recommendation,
@@ -51,6 +58,15 @@ def assert_all_kinds_match_enumeration(model, det, n_steps):
 def with_chain(model, Z, prior):
     return SldsModel(model.modes, model.meas, MarkovChain(Z, prior),
                      model.init)
+
+
+def spec_filter(model, spec, n_steps):
+    """``aggregate_series``'s ``filt`` for a filter spec."""
+    if spec.kind == "single-mode":
+        return model.modes[spec.mode - 1]
+    if spec.kind == "average":
+        return average_filter_modes(model, n_steps)
+    return None
 
 
 class TestAggregateEquivalence:
@@ -154,6 +170,20 @@ class TestAggregateProperties:
                 assert np.linalg.eigvalsh(s.ee).min() >= -1e-9
                 assert np.linalg.eigvalsh(s.xx).min() >= -1e-9
 
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 3), kind=st.sampled_from(
+               ("single-mode", "average", "skf")),
+           p_d=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_joint_moment_psd_past_four_blocks(self, r, kind, p_d, seed):
+        model = random_model(np.random.default_rng(seed), r, 3,
+                             uniform_rows=False, uniform_prior=False)
+        n_steps = 4 * fast._BLOCK + 7
+        filt = spec_filter(model, FilterSpec(kind, mode=r), n_steps)
+        for s in aggregate_state_series(model, DetectionModel(p_d), n_steps,
+                                        filt=filt):
+            joint = np.block([[s.xx, s.xe], [s.xe.T, s.ee]])
+            assert np.linalg.eigvalsh(joint).min() >= -1e-12 * np.trace(joint)
+
     def test_mse_non_increasing_in_detection_rate(self, bench):
         curves = {p: aggregate_series(bench, DetectionModel(p), 20).mse
                   for p in (0.5, 0.7, 0.9, 1.0)}
@@ -223,6 +253,34 @@ class TestStackedRecursion:
             with mock.patch.object(fast, "_BLOCK", HORIZONS[-1]):
                 whole = aggregate_series(model, det, HORIZONS[-1], filt=filt)
             assert_allclose(whole.mse, full, rtol=1e-12, atol=0)
+
+
+class TestFilterBank:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 4), n_steps=st.sampled_from(HORIZONS),
+           p_d=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_each_series_equals_its_own_analysis(self, r, n_steps, p_d,
+                                                 seed, data):
+        model = random_model(np.random.default_rng(seed), r, 2,
+                             uniform_rows=False, uniform_prior=False)
+        det = DetectionModel(p_d)
+        specs = data.draw(filter_specs(r))
+        series = bank_series(model, det, specs, n_steps)
+        assert len(series) == len(specs)
+        for spec, got in zip(specs, series):
+            alone = aggregate_series(model, det, n_steps,
+                                     filt=spec_filter(model, spec, n_steps))
+            assert_array_equal(got.mse, alone.mse)
+            assert got.method == "aggregate"
+            # the other filters in the list never move this one
+            assert_array_equal(bank_series(model, det, [spec], n_steps)[0].mse,
+                               got.mse)
+
+    def test_switching_filter_needs_detection(self, bench):
+        with pytest.raises(ValueError, match="detection"):
+            bank_series(bench, None, [FilterSpec("average"),
+                                      FilterSpec("skf")], 3)
 
 
 class TestMergeRecommendation:

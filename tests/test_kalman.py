@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import bimodal_model, random_mode, random_model, spd_matrix
 from slds_mse import (
+    FilterSpec,
     GaussianBelief,
     InnovationSolveError,
     MarkovChain,
@@ -15,6 +16,7 @@ from slds_mse import (
     as_mode_sequence,
     average_filter_modes,
     average_mode,
+    filter_bank,
     gain_schedule,
     kf_predict,
     kf_update,
@@ -169,6 +171,23 @@ class TestSchedules:
             assert_array_equal(np.stack(row.covariances),
                                np.stack(single.covariances))
 
+    def test_filter_bank_rows_are_single_schedules_bitwise(self, rng):
+        model = random_model(rng, 3, 3, uniform_rows=False,
+                             uniform_prior=False)
+        bank = filter_bank(model, 30)
+        filters = (*model.modes, average_filter_modes(model, 30))
+        assert bank.A.shape == (4, 30, 3, 3)
+        for j, filt in enumerate(filters):
+            single = gain_schedule(filt, model.meas, model.init, 30)
+            assert_array_equal(bank.gains[j], np.stack(single.gains))
+            assert_array_equal(bank.A[j], np.stack(
+                [mode.A for mode in as_mode_sequence(filt, 30)]))
+
+    @pytest.mark.parametrize("mode", [0, -1, 4])
+    def test_filter_bank_rejects_an_unknown_mode(self, bench, mode):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            filter_bank(bench, 3).rows(FilterSpec("single-mode", mode=mode))
+
     def test_singular_innovation_raises_in_schedules(self):
         # R = 0, P0 = 0 and Q = 0 leave a zero innovation covariance.
         mode = scalar_mode(0.9, 0.0)
@@ -177,7 +196,8 @@ class TestSchedules:
         model = SldsModel((mode, mode), meas,
                           MarkovChain(np.full((2, 2), 0.5), [0.5, 0.5]), init)
         for run in (lambda: gain_schedule(mode, meas, init, 3),
-                    lambda: mode_schedules(model, 3)):
+                    lambda: mode_schedules(model, 3),
+                    lambda: filter_bank(model, 3)):
             with pytest.raises(InnovationSolveError) as err:
                 run()
             assert err.value.condition > 1e12

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import bimodal_model, detection, random_model, single_mode_model
+from helpers import (
+    bimodal_model,
+    detection,
+    filter_specs,
+    random_model,
+    single_mode_model,
+)
 from slds_mse import (
     DetectionModel,
     FilterSpec,
@@ -21,16 +27,24 @@ from slds_mse import (
     ModeModel,
     SimRun,
     SldsModel,
+    as_mode_sequence,
+    average_filter_modes,
     draw_detections,
     empirical_mse,
+    filter_bank,
     gain_schedule,
     kf_predict,
     kf_update,
+    mode_schedules,
     run_filter_on_sim,
     run_monte_carlo,
     simulate_slds,
 )
-from slds_mse.montecarlo import _simulate_batch
+from slds_mse.fast import _BLOCK
+from slds_mse.montecarlo import _replay_inputs, _simulate_batch
+
+# Horizons on both sides of the analytic recursion's block boundaries.
+HORIZONS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 
 
 def noiseless_constant_model(z=2):
@@ -135,6 +149,34 @@ class TestFilterReplay:
         # the two paths solve for the same gains through different
         # factorizations, so agreement is to rounding, not bitwise
         assert_allclose(skf, single, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 4), n_steps=st.sampled_from(HORIZONS),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_replay_stacks_equal_per_spec_schedules(self, r, n_steps, seed,
+                                                    data):
+        model = random_model(np.random.default_rng(seed), r, 2,
+                             uniform_rows=False, uniform_prior=False)
+        specs = data.draw(filter_specs(r))
+        A_t, K_t = _replay_inputs(filter_bank(model, n_steps), specs)
+        want_A, want_K = [], []
+        for spec in specs:
+            if spec.kind == "skf":
+                filters = model.modes
+                schedules = mode_schedules(model, n_steps)
+            else:
+                filters = [average_filter_modes(model, n_steps)
+                           if spec.kind == "average"
+                           else model.modes[spec.mode - 1]]
+                schedules = [gain_schedule(filters[0], model.meas,
+                                           model.init, n_steps)]
+            for filt, schedule in zip(filters, schedules):
+                want_A.append([mode.A.T for mode in
+                               as_mode_sequence(filt, n_steps)])
+                want_K.append([K.T for K in schedule.gains])
+        assert_array_equal(A_t, np.array(want_A))
+        assert_array_equal(K_t, np.array(want_K))
+        assert A_t.flags.c_contiguous and K_t.flags.c_contiguous
 
     def test_skf_requires_detection_and_rng(self, bench, rng):
         sim = simulate_slds(bench, 3, rng)
