@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .model import (
     FilterSpec,
@@ -78,9 +77,10 @@ def kf_update(predicted: GaussianBelief, meas: MeasurementModel,
               y: np.ndarray, joseph: bool = False) -> KalmanStepOutput:
     """Measurement update.
 
-    The gain is obtained from a Cholesky solve of the innovation
-    covariance rather than an explicit inverse.  ``joseph=True`` switches
-    the covariance update to the Joseph form, which is algebraically
+    The gain comes from ``_gain_step``, the Riccati kernel's own Cholesky
+    check and solve, so iterating ``kf_predict``/``kf_update`` reproduces
+    ``gain_schedule`` bit for bit.  ``joseph=True`` switches the
+    covariance update to the Joseph form, which is algebraically
     identical for the optimal gain but more tolerant of rounding.
     """
     H, R = meas.H, meas.R
@@ -89,14 +89,7 @@ def kf_update(predicted: GaussianBelief, meas: MeasurementModel,
                          f"{meas.z}, belief has {predicted.z}")
     y = np.asarray(y, dtype=float).reshape(H.shape[0])
     P = predicted.cov
-    B = symmetrize(H @ P @ H.T + R)
-    try:
-        factor = cho_factor(B, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise InnovationSolveError(
-            "innovation covariance is not positive definite",
-            float(np.linalg.cond(B))) from exc
-    K = cho_solve(factor, H @ P, check_finite=False).T
+    B, K = _gain_step(meas, P)
     mean = predicted.mean + K @ (y - H @ predicted.mean)
     ikh = np.eye(P.shape[0]) - K @ H
     if joseph:
@@ -117,30 +110,36 @@ def as_mode_sequence(modes: ModeLike, n_steps: int) -> list[ModeModel]:
     return modes
 
 
+def _gain_step(meas: MeasurementModel, P: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Innovation covariances B and gains K of predicted covariances
+    ``P`` (..., z, z): one Cholesky check and one solve."""
+    HP = meas.H @ P
+    B = HP @ meas.H.T + meas.R
+    B = (B + B.swapaxes(-1, -2)) / 2.0
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError as exc:
+        raise InnovationSolveError(
+            "innovation covariance is not positive definite",
+            float(np.max(np.linalg.cond(B)))) from exc
+    return B, np.linalg.solve(B, HP).swapaxes(-1, -2)
+
+
 def _riccati(A: np.ndarray, Q: np.ndarray, meas: MeasurementModel,
              P0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains (B, N, z, m) and posterior covariances (B, N, z, z) of B
     filters with per-step dynamics ``A``, ``Q`` (B, N, z, z) sharing
-    ``meas`` and ``P0``: one Cholesky check and one solve per step."""
-    H, R = meas.H, meas.R
-    gains = np.empty(A.shape[:2] + H.T.shape)
+    ``meas`` and ``P0``: one ``_gain_step`` per step."""
+    gains = np.empty(A.shape[:2] + meas.H.T.shape)
     covs = np.empty(A.shape)
     eye = np.eye(P0.shape[0])
     P = P0
     for n in range(A.shape[1]):
         P = A[:, n] @ P @ A[:, n].swapaxes(1, 2) + Q[:, n]
         P = (P + P.swapaxes(1, 2)) / 2.0
-        HP = H @ P
-        B = HP @ H.T + R
-        B = (B + B.swapaxes(1, 2)) / 2.0
-        try:
-            np.linalg.cholesky(B)
-        except np.linalg.LinAlgError as exc:
-            raise InnovationSolveError(
-                "innovation covariance is not positive definite",
-                float(np.max(np.linalg.cond(B)))) from exc
-        K = gains[:, n] = np.linalg.solve(B, HP).swapaxes(1, 2)
-        P = (eye - K @ H) @ P
+        K = gains[:, n] = _gain_step(meas, P)[1]
+        P = (eye - K @ meas.H) @ P
         P = covs[:, n] = (P + P.swapaxes(1, 2)) / 2.0
     return gains, covs
 

@@ -46,26 +46,6 @@ def min_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(mat))[0])
 
 
-def is_symmetric(mat: np.ndarray, tol: float = DEFAULT_SYM_TOL) -> bool:
-    return symmetry_gap(mat) <= tol
-
-
-def is_psd(mat: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True when all eigenvalues are >= -tol (symmetrizing first)."""
-    return min_eigenvalue(mat) >= -tol
-
-
-def check_covariance(mat: np.ndarray, sym_tol: float = DEFAULT_SYM_TOL,
-                     psd_tol: float = DEFAULT_PSD_TOL) -> None:
-    """Raise ValueError unless ``mat`` is symmetric PSD within tolerances."""
-    if not is_symmetric(mat, sym_tol):
-        raise ValueError(f"matrix not symmetric within {sym_tol} "
-                         f"(gap {symmetry_gap(mat):.3e})")
-    if not is_psd(mat, psd_tol):
-        raise ValueError(f"matrix not PSD within {psd_tol} "
-                         f"(min eigenvalue {min_eigenvalue(mat):.3e})")
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
@@ -354,10 +334,10 @@ def _check_cov_matrix(mat: np.ndarray, where: str, what: str, tol: Tolerances,
     out = _finite(mat, where)
     if out:
         return out
-    if not is_symmetric(mat, tol.sym_tol):
+    gap = symmetry_gap(mat)
+    if gap > tol.sym_tol:
         out.append(Violation(f"{what}-symmetric", where,
-                             f"symmetry gap {symmetry_gap(mat):.3e} exceeds "
-                             f"{tol.sym_tol}"))
+                             f"symmetry gap {gap:.3e} exceeds {tol.sym_tol}"))
         return out
     lo = min_eigenvalue(mat)
     if positive_definite:

@@ -8,8 +8,8 @@ record; these charts just make filter comparisons glanceable.
 
 from __future__ import annotations
 
+from html import escape
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -26,6 +26,13 @@ def _fmt(v: float) -> str:
     return format(v, ".2f").rstrip("0").rstrip(".") or "0"
 
 
+def _finite_range(arrays: Sequence[np.ndarray]) -> tuple[float, float]:
+    values = np.concatenate([v[np.isfinite(v)] for v in arrays])
+    if not values.size:
+        return 0.0, 0.0
+    return float(values.min()), float(values.max())
+
+
 def _tick_values(lo: float, hi: float, count: int = 6) -> np.ndarray:
     if hi <= lo:
         hi = lo + 1.0
@@ -40,7 +47,9 @@ def line_chart(series: Sequence[tuple], title: str = "",
 
     Labels listed in ``dashed`` are drawn with a dash pattern, which the
     comparison report uses to overlay Monte Carlo curves on analytic
-    ones without relying on color alone.
+    ones without relying on color alone.  A NaN or infinite point is
+    left out: the polyline breaks there, and the axis ranges come from
+    finite values only.
     """
     if not series:
         raise ValueError("need at least one series")
@@ -52,13 +61,12 @@ def line_chart(series: Sequence[tuple], title: str = "",
             raise ValueError(f"series {label!r}: x and y must be equal-length "
                              f"vectors")
 
-    x_lo = min(float(v.min()) for v in xs)
-    x_hi = max(float(v.max()) for v in xs)
-    y_lo = min(0.0, min(float(v.min()) for v in ys))
-    y_hi = max(float(v.max()) for v in ys)
+    x_lo, x_hi = _finite_range(xs)
+    y_lo, y_hi = _finite_range(ys)
+    y_lo = min(0.0, y_lo)
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
-    y_hi += 0.05 * (y_hi - y_lo)
+    y_hi = min(y_hi + 0.05 * (y_hi - y_lo), np.finfo(float).max)
 
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -79,7 +87,7 @@ def line_chart(series: Sequence[tuple], title: str = "",
     if title:
         out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="14">'
-                   f'{escape(title)}</text>')
+                   f'{escape(title, quote=False)}</text>')
 
     for v in _tick_values(y_lo, y_hi):
         y = sy(v)
@@ -107,20 +115,23 @@ def line_chart(series: Sequence[tuple], title: str = "",
     out.append(f'<text x="{(width + _MARGIN_LEFT) / 2:.1f}" '
                f'y="{height - 10}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12">'
-               f'{escape(x_label)}</text>')
+               f'{escape(x_label, quote=False)}</text>')
     out.append(f'<text x="14" y="{(height - _MARGIN_BOTTOM + _MARGIN_TOP) / 2:.1f}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="12" '
                f'transform="rotate(-90 14 '
                f'{(height - _MARGIN_BOTTOM + _MARGIN_TOP) / 2:.1f})">'
-               f'{escape(y_label)}</text>')
+               f'{escape(y_label, quote=False)}</text>')
 
     for k, (label, x, y) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}"
-                       for a, b in zip(xs[k], ys[k]))
         dash = ' stroke-dasharray="6 4"' if label in dashed else ""
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.8"{dash}/>')
+        ok = np.isfinite(xs[k]) & np.isfinite(ys[k])
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], ok, [0]))))
+        for start, stop in edges.reshape(-1, 2):
+            pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b
+                           in zip(xs[k][start:stop], ys[k][start:stop]))
+            out.append(f'<polyline points="{pts}" fill="none" '
+                       f'stroke="{color}" stroke-width="1.8"{dash}/>')
 
     legend_x = width - _MARGIN_RIGHT - 170
     for k, (label, _, _) in enumerate(series):
@@ -131,7 +142,7 @@ def line_chart(series: Sequence[tuple], title: str = "",
                    f'y2="{ly - 4}" stroke="{color}" stroke-width="1.8"{dash}/>')
         out.append(f'<text x="{legend_x + 30}" y="{ly}" '
                    f'font-family="sans-serif" font-size="11">'
-                   f'{escape(str(label))}</text>')
+                   f'{escape(str(label), quote=False)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -246,6 +246,26 @@ class TestCompare:
         assert "FAIL" in captured.err
         assert "rel gap" in captured.err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_cells_fail(self, scenario_file, tmp_path, capsys):
+        # mode 2's A = 1e200 overflows the MSE of every filter after step 0
+        modes = [{"A": [[0.9]], "Q": [[0.01]]},
+                 {"A": [[1e200]], "Q": [[0.01]]}]
+        out, svg = tmp_path / "compare.csv", tmp_path / "compare.svg"
+        assert main(["compare", "--scenario",
+                     scenario_file(modes=modes, horizon=5), "--threads", "1",
+                     "--out", str(out), "--svg", str(svg)]) == 4
+        assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
+        _, rows = read_csv(out.read_text())
+        cells = {(row[1], int(row[0])) for row in rows
+                 if not np.isfinite([float(row[2]), float(row[3])]).all()}
+        assert len(cells) >= 4 * 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"FAIL: {len(cells)} step(s)")
+        named = {(line.split()[0], int(line.split()[2].rstrip(":")))
+                 for line in err.splitlines() if line.endswith("(non-finite)")}
+        assert named == cells
+
 
 class TestRecommend:
     @staticmethod

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import bimodal_model, random_mode, random_model, spd_matrix
@@ -182,6 +183,26 @@ class TestSchedules:
             assert_array_equal(bank.gains[j], np.stack(single.gains))
             assert_array_equal(bank.A[j], np.stack(
                 [mode.A for mode in as_mode_sequence(filt, 30)]))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 4), z=st.integers(1, 4),
+           n_steps=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+    def test_kf_steps_reproduce_gain_schedule_bitwise(self, r, z, n_steps,
+                                                      seed):
+        # kf_update and the Riccati kernel share one gain step, so the
+        # step-by-step filter and the schedule agree bit for bit.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, r, z, uniform_rows=False,
+                             uniform_prior=False)
+        for filt in (*model.modes, average_filter_modes(model, n_steps)):
+            sched = gain_schedule(filt, model.meas, model.init, n_steps)
+            belief = model.init
+            for n, mode in enumerate(as_mode_sequence(filt, n_steps)):
+                out = kf_update(kf_predict(belief, mode), model.meas,
+                                rng.standard_normal(z))
+                assert_array_equal(out.gain, sched.gains[n])
+                assert_array_equal(out.posterior.cov, sched.covariances[n])
+                belief = out.posterior
 
     @pytest.mark.parametrize("mode", [0, -1, 4])
     def test_filter_bank_rejects_an_unknown_mode(self, bench, mode):

@@ -146,9 +146,9 @@ class TestFilterReplay:
         skf = run_filter_on_sim(sim, model, FilterSpec("skf"),
                                 det=DetectionModel(1.0),
                                 rng=np.random.default_rng(0))
-        # the two paths solve for the same gains through different
-        # factorizations, so agreement is to rounding, not bitwise
-        assert_allclose(skf, single, atol=1e-12)
+        # both paths read mode 1's row of one filter bank, and the switching
+        # filter's per-run gain selection picks that row at every step
+        assert_array_equal(skf, single)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(r=st.integers(1, 4), n_steps=st.sampled_from(HORIZONS),
