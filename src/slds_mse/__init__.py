@@ -47,8 +47,6 @@ from .mismatch import (
 )
 from .enumeration import (
     EnumerationCapError,
-    Trajectory,
-    TrajectoryPair,
     detection_prob,
     pruned_moments,
     single_mode_slds_moments,

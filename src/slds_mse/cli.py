@@ -25,7 +25,12 @@ import numpy as np
 
 from . import __version__
 from .model import MseSeries, Scenario, validate_scenario
-from .kalman import InnovationSolveError, average_filter_modes
+from .kalman import (
+    FilterBank,
+    InnovationSolveError,
+    average_filter_modes,
+    filter_bank,
+)
 from .enumeration import (
     EnumerationCapError,
     pruned_moments,
@@ -166,17 +171,28 @@ def _resolve_method(args) -> str:
     return "aggregate" if args.method == "auto" else args.method
 
 
-def _analytic_series(scenario: Scenario, args) -> list:
-    """(FilterSpec, MseSeries) per scenario filter, honoring --method."""
+def _filter_bank(scenario: Scenario) -> FilterBank:
+    try:
+        return filter_bank(scenario.model, scenario.horizon)
+    except (ValueError, InnovationSolveError) as exc:
+        raise CommandError(EXIT_CAPACITY, f"filter bank: {exc}")
+
+
+def _analytic_series(scenario: Scenario, args,
+                     bank: Optional[FilterBank] = None) -> list:
+    """(FilterSpec, MseSeries) per scenario filter, honoring --method.
+    The aggregate method reads ``bank`` when given."""
     model = scenario.model
     det = scenario.detection
     n = scenario.horizon
     method = _resolve_method(args)
     if method == "aggregate":
         t0 = time.perf_counter()
+        if bank is None:
+            bank = _filter_bank(scenario)
         try:
-            series = bank_series(model, det, scenario.filters, n)
-        except (ValueError, InnovationSolveError) as exc:
+            series = bank_series(model, det, scenario.filters, n, bank)
+        except ValueError as exc:
             raise CommandError(EXIT_CAPACITY, f"filter bank: {exc}")
         log.info("%d filters: aggregate method, one filter bank, %.1f ms",
                  len(series), 1e3 * (time.perf_counter() - t0))
@@ -285,11 +301,12 @@ def cmd_compare(args) -> int:
         raise CommandError(EXIT_VALIDATION, f"--rtol must be finite and "
                                             f">= 0, got {args.rtol}")
     scenario = _load(args)
-    results = _analytic_series(scenario, args)
+    bank = _filter_bank(scenario)        # one Riccati pass for both sides
+    results = _analytic_series(scenario, args, bank)
     runs = run_monte_carlo(scenario.model, scenario.filters,
                            scenario.detection, scenario.horizon,
                            scenario.mc_samples, scenario.seed,
-                           threads=args.threads)
+                           threads=args.threads, bank=bank)
     rows = []
     failures = []
     curves = []

@@ -4,58 +4,63 @@ A single-mode filter applied to a switching system sees a different truth
 along every mode trajectory, so the exact error moments at step n are a
 probability-weighted mixture over all r^n trajectories (and over
 (true, detected) trajectory pairs, r^(2n) of them, for the switching
-filter).  Each trajectory's conditional moments follow the mismatch
-recursion with the trajectory's current mode as the truth; aggregation
-then uses
+filter).
 
-    E[e_n]       = sum_l  pi_l E[e^l]
-    E[e_n e_n.T] = sum_l  pi_l (C(e^l) + E[e^l] E[e^l].T)
+Every live trajectory l carries its lifted moment
+Phi_l = E[w w.T | trajectory] of w = [x; e; 1]: the top-left blocks are
+the raw second moments of x and e, the last column their means.  Under
+the branch (true mode i, filter d) the vector obeys w' = G w + noise,
+with the map G and noise covariance C of
+:func:`slds_mse.fast._joint_factors`, the step the aggregate recursion
+applies too.  So
+
+    Phi_l'       = G Phi_l G.T + C
+    E[w_n w_n.T] = sum_l  pi_l Phi_l
     MSE(n)       = tr E[e_n e_n.T]
 
-The engine keeps the live trajectory set in flat batched arrays, so a
-step is r (or r^2) dense linear-algebra calls regardless of how many
-trajectories are alive.  Beam pruning keeps only the highest-probability
-trajectories and reports the retained mass per step; by default the
-dropped tail is simply ignored (no renormalization).
+and every moment of :class:`~slds_mse.mismatch.ErrorMoments` is read off
+the mixture.  The leaves are stored as S[a, l, c] = Phi_l[a, c], shape
+(k, L, k), so one step for all r (or r^2) branches is two BLAS products
+per block of parents: the branch maps stacked into one (branches * k, k)
+matrix times the block of S viewed as (k, L * k), then each branch's
+part times its G.T, written straight into the next step's storage.
+Beam pruning keeps only the highest-probability trajectories and reports
+the retained mass per step; by default the dropped tail is simply
+ignored (no renormalization).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import DetectionModel, MarkovChain, MseSeries, SldsModel
 from .mismatch import ErrorMoments
-from .kalman import ModeLike, as_mode_sequence, gain_schedule, mode_schedules
+from .kalman import (
+    ModeLike,
+    _gain_step,
+    as_mode_sequence,
+    gain_schedule,
+    mode_schedules,
+)
+from .fast import _branch_weights, _initial_moment, _joint_factors
 
 DEFAULT_CAP = 2 ** 20
 
 GAIN_SCHEDULE = "schedule"
 GAIN_DETECTED_PATH = "detected-path"
 
+# Multiply-adds per GEMM block.  Below about 10^6 OpenBLAS runs a product
+# on one thread.  On a 2-vCPU machine two threads were no faster, and the
+# idle worker kept spinning on the second core after the enumeration,
+# slowing the commands that followed.  A block's scratch also stays
+# cache-sized however many leaves a step creates.
+_BLOCK_MACS = 2 ** 19
+
 
 class EnumerationCapError(RuntimeError):
     """Raised when an exact enumeration would exceed the trajectory cap."""
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A mode sequence (1-based indices) with its probability mass."""
-
-    modes: tuple
-    prob: float
-
-
-@dataclass(frozen=True)
-class TrajectoryPair:
-    """True and detected mode sequences with their joint mass."""
-
-    truth: tuple
-    detected: tuple
-    prob: float
-    moments: Optional[ErrorMoments] = None
 
 
 def trajectory_prob(chain: MarkovChain, modes: Sequence[int]) -> float:
@@ -90,113 +95,67 @@ def detection_prob(truth: Sequence[int], detected: Sequence[int],
     return float(p)
 
 
-def _tp(mat: np.ndarray) -> np.ndarray:
-    return np.swapaxes(mat, -1, -2)
+def _lifted_factors(*args) -> np.ndarray:
+    """``_joint_factors`` for w = [x; e; 1], stacked as (2, ..., k, k):
+    the constant passes through G and takes no noise in C."""
+    G, C = _joint_factors(*args)
+    k = G.shape[-1] + 1
+    lifted = np.zeros((2,) + G.shape[:-2] + (k, k))
+    lifted[:, ..., :-1, :-1] = G, C
+    lifted[0, ..., -1, -1] = 1.0
+    return lifted
 
 
-def _mv(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Apply a (z,z) or batched (B,z,z) matrix to batched (B,z) vectors."""
-    if mat.ndim == 2:
-        return vecs @ mat.T
-    return np.einsum("bij,bj->bi", mat, vecs)
+def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Phi' = G Phi G.T + C of every leaf of ``phi`` (k, L, k) under every
+    branch: (k, b L, k), leaves in (branch, parent) order.
 
-
-class _Beam:
-    """Flat arrays over the live (pair-)trajectory set."""
-
-    def __init__(self, model: SldsModel, track_filter_cov: bool):
-        z = model.z
-        init = model.init
-        self.prob = np.ones(1)
-        self.last = np.zeros(1, dtype=np.intp)     # placeholder before step 1
-        self.e_mean = np.zeros((1, z))
-        self.x_mean = np.tile(init.mean, (1, 1))
-        self.e_cov = init.cov[None, :, :].copy()
-        self.x_cov = init.cov[None, :, :].copy()
-        self.u = np.zeros((1, z, z))
-        self.filter_cov = init.cov[None, :, :].copy() if track_filter_cov else None
-
-    def size(self) -> int:
-        return self.prob.size
-
-    def take(self, idx: np.ndarray) -> None:
-        for name in ("prob", "last", "e_mean", "x_mean", "e_cov", "x_cov", "u"):
-            setattr(self, name, getattr(self, name)[idx])
-        if self.filter_cov is not None:
-            self.filter_cov = self.filter_cov[idx]
-
-
-def _branch_update(beam: _Beam, idx_true: int, prob_factor: np.ndarray,
-                   A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
-                   K: np.ndarray, H: np.ndarray, R: np.ndarray,
-                   filter_cov: Optional[np.ndarray]) -> dict:
-    """Propagate every live trajectory through one (true, filter) branch.
-
-    K may be a fixed (z,m) gain or a per-trajectory (B,z,m) array; all the
-    products below broadcast either way.
+    ``G``, ``C`` are (b, k, k) maps shared by all leaves, or (b, L, k, k)
+    maps of one leaf each (detected-path gains).
     """
-    eye = np.eye(A.shape[0])
-    B = eye - K @ H
-    M = B @ A_f
-    J = B @ (A - A_f)
-
-    x_mean = _mv(A, beam.x_mean)
-    e_mean = _mv(J, beam.x_mean) + _mv(M, beam.e_mean)
-    x_cov = A @ beam.x_cov @ A.T + Q
-
-    cross = beam.x_cov - _tp(beam.u)           # Cov(x_{n-1}, e_{n-1})
-    S = J @ cross @ _tp(M)
-    e_cov = (J @ beam.x_cov @ _tp(J) + M @ beam.e_cov @ _tp(M) + S + _tp(S)
-             + B @ Q @ _tp(B) + K @ R @ _tp(K))
-
-    KH = K @ H
-    u = M @ beam.u @ A.T + KH @ x_cov
-
-    return {
-        "prob": beam.prob * prob_factor,
-        "last": np.full(beam.size(), idx_true, dtype=np.intp),
-        "e_mean": e_mean,
-        "x_mean": x_mean,
-        "e_cov": 0.5 * (e_cov + _tp(e_cov)),
-        "x_cov": 0.5 * (x_cov + _tp(x_cov)),
-        "u": u,
-        "filter_cov": filter_cov,
-    }
+    k, L = phi.shape[:2]
+    if G.ndim == 4:
+        out = G @ phi.swapaxes(0, 1) @ G.swapaxes(-1, -2) + C
+        return np.ascontiguousarray(out.transpose(2, 0, 1, 3)).reshape(k, -1, k)
+    b = len(G)
+    out = np.empty((k, b, L, k))
+    by_branch = out.transpose(1, 0, 2, 3)
+    stacked = G.reshape(b * k, k)
+    maps_t = np.ascontiguousarray(G.swapaxes(-1, -2))[:, None]
+    flat = phi.reshape(k, L * k)
+    width = max(1, _BLOCK_MACS // (b * k ** 3))
+    for lo in range(0, L, width):
+        hi = min(L, lo + width)
+        left = stacked @ flat[:, lo * k:hi * k]                  # G Phi
+        block = by_branch[:, :, lo:hi]
+        np.matmul(left.reshape(b, k, hi - lo, k), maps_t, out=block)
+        block += C[:, :, None]
+    return out.reshape(k, b * L, k)
 
 
-def _concat_blocks(beam: _Beam, blocks: list[dict]) -> None:
-    for name in ("prob", "last", "e_mean", "x_mean", "e_cov", "x_cov", "u"):
-        setattr(beam, name, np.concatenate([b[name] for b in blocks]))
-    if beam.filter_cov is not None:
-        beam.filter_cov = np.concatenate([b["filter_cov"] for b in blocks])
+def _mixture(prob: np.ndarray, phi: np.ndarray,
+             renorm: bool) -> tuple[float, np.ndarray]:
+    """Kept mass and mixture sum_l p_l Phi_l, with weights rescaled to sum
+    to one under ``renorm``."""
+    mass = float(prob.sum())
+    w = prob / mass if renorm and mass > 0 else prob
+    return mass, w @ phi
 
 
-def _aggregate(beam: _Beam, step: int, renorm: bool) -> tuple[ErrorMoments, float]:
-    w = beam.prob
-    mass = float(w.sum())
-    if renorm and mass > 0:
-        w = w / mass
-    ee_outer = beam.e_mean[:, :, None] * beam.e_mean[:, None, :]
-    Ee = np.einsum("b,bi->i", w, beam.e_mean)
-    Eee = np.einsum("b,bij->ij", w, beam.e_cov + ee_outer)
-    mse = float(np.trace(Eee))
-
-    Ex = np.einsum("b,bi->i", w, beam.x_mean)
-    xx_outer = beam.x_mean[:, :, None] * beam.x_mean[:, None, :]
-    Exx = np.einsum("b,bij->ij", w, beam.x_cov + xx_outer)
-    xhat_mean = beam.x_mean - beam.e_mean
-    u_raw = np.einsum("b,bij->ij", w,
-                      beam.u + xhat_mean[:, :, None] * beam.x_mean[:, None, :])
-
-    moments = ErrorMoments(
-        e_mean=Ee,
-        e_cov=Eee - np.outer(Ee, Ee),
-        x_mean=Ex,
-        x_cov=Exx - np.outer(Ex, Ex),
-        u=u_raw - np.outer(Ex - Ee, Ex),
-        step=step,
-    )
-    return moments, mse
+def _read_moments(mixtures: np.ndarray, z: int,
+                  ) -> tuple[np.ndarray, list[ErrorMoments]]:
+    """MSE series and per-step moments read off the mixtures
+    sum_l p_l Phi_l, (N + 1, k, k)."""
+    mix = (mixtures + mixtures.swapaxes(1, 2)) / 2.0
+    z2 = 2 * z
+    Ex, Ee, Eee = mix[:, :z, z2], mix[:, z:z2, z2], mix[:, z:z2, z:z2]
+    x_cov = mix[:, :z, :z] - Ex[:, :, None] * Ex[:, None, :]
+    e_cov = Eee - Ee[:, :, None] * Ee[:, None, :]
+    # Cov(e, x) = C(x) - u
+    u = x_cov - (mix[:, z:z2, :z] - Ee[:, :, None] * Ex[:, None, :])
+    moments = [ErrorMoments(*fields, step=n) for n, fields in
+               enumerate(zip(Ee, e_cov, Ex, x_cov, u))]
+    return np.trace(Eee, axis1=1, axis2=2), moments
 
 
 def _keep_indices(prob: np.ndarray, keep: Optional[int],
@@ -214,16 +173,6 @@ def _keep_indices(prob: np.ndarray, keep: Optional[int],
     return order[:cut]
 
 
-def _detected_path_gains(beam: _Beam, mode_j, H, R):
-    """Per-trajectory gain from the filter's own Riccati step along the
-    detected trajectory (alternative to the per-mode schedule gains)."""
-    P_pred = mode_j.A @ beam.filter_cov @ mode_j.A.T + mode_j.Q
-    B_inn = H @ P_pred @ _tp(H) + R
-    K = _tp(np.linalg.solve(B_inn, H @ P_pred))
-    P_post = (np.eye(mode_j.z) - K @ H) @ P_pred
-    return K, 0.5 * (P_post + _tp(P_post))
-
-
 def _run_enumeration(model: SldsModel, n_steps: int, *,
                      det: Optional[DetectionModel],
                      filt: Optional[ModeLike],
@@ -235,7 +184,8 @@ def _run_enumeration(model: SldsModel, n_steps: int, *,
         raise ValueError("either a detection model or a filter is required")
     if gains not in (GAIN_SCHEDULE, GAIN_DETECTED_PATH):
         raise ValueError(f"unknown gain policy {gains!r}")
-    if gains == GAIN_DETECTED_PATH and not pairs:
+    detected_path = gains == GAIN_DETECTED_PATH
+    if detected_path and not pairs:
         raise ValueError("detected-path gains apply to the switching filter only")
     pruning = keep is not None or mass is not None
     if keep is not None and mass is not None:
@@ -245,8 +195,10 @@ def _run_enumeration(model: SldsModel, n_steps: int, *,
     if mass is not None and not 0.0 < mass <= 1.0:
         raise ValueError(f"mass target must lie in (0, 1], got {mass}")
 
-    r = model.r
-    branch_factor = r * r if pairs else r
+    r, z, m = model.r, model.z, model.m
+    # D[i, d]: weight of filter branch d under true mode i
+    D = _branch_weights(model, det, pairs)
+    branch_factor = D.size
     if not pruning and branch_factor ** n_steps > cap:
         kind = "trajectory pairs" if pairs else "trajectories"
         raise EnumerationCapError(
@@ -256,62 +208,66 @@ def _run_enumeration(model: SldsModel, n_steps: int, *,
 
     H, R = model.meas.H, model.meas.R
     chain = model.chain
-    if pairs:
-        schedules = mode_schedules(model, n_steps) if gains == GAIN_SCHEDULE else None
-        filt_modes = None
-        filt_gains = None
-    else:
-        filt_modes = as_mode_sequence(filt, n_steps)
-        filt_gains = gain_schedule(filt, model.meas, model.init, n_steps).gains
+    A = np.stack([mode.A for mode in model.modes])
+    Q = np.stack([mode.Q for mode in model.modes])
+    if not pairs:
+        A_f = np.reshape([mode.A for mode in as_mode_sequence(filt, n_steps)],
+                         (n_steps, 1, z, z))
+        K = np.reshape(gain_schedule(filt, model.meas, model.init,
+                                     n_steps).gains, (n_steps, 1, z, m))
+    elif not detected_path:
+        A_f = np.broadcast_to(A, (n_steps, r, z, z))
+        K = np.reshape([s.gains for s in mode_schedules(model, n_steps)],
+                       (r, n_steps, z, m)).swapaxes(0, 1)
+    if not detected_path:
+        # maps per (step, branch), branch (true i, filter d) at i * d_count + d
+        G_all, C_all = (f.reshape((n_steps, branch_factor) + f.shape[-2:])
+                        for f in _lifted_factors(A[:, None], Q[:, None],
+                                                 A_f[:, None], K[:, None],
+                                                 H, R))
 
-    beam = _Beam(model, track_filter_cov=(gains == GAIN_DETECTED_PATH))
-    agg0, mse0 = _aggregate(beam, 0, renormalize)
-    moments = [agg0]
-    mses = [mse0]
-    kept_mass = [float(beam.prob.sum())]
-
+    phi = _initial_moment(model.init)[:, None]               # (k, 1, k)
+    prob = np.ones(1)
+    last = np.zeros(1, dtype=np.intp)     # placeholder before step 1
+    filter_cov = model.init.cov[None] if detected_path else None
+    steps = [_mixture(prob, phi, renormalize)]
     for n in range(1, n_steps + 1):
-        if beam.size() * branch_factor > cap:
+        if prob.size * branch_factor > cap:
             raise EnumerationCapError(
-                f"step {n} would create {beam.size() * branch_factor} "
+                f"step {n} would create {prob.size * branch_factor} "
                 f"trajectories, over the cap of {cap}")
-        if gains == GAIN_DETECTED_PATH:
-            branch_gains = [_detected_path_gains(beam, model.modes[j], H, R)
-                            for j in range(r)]
-        blocks = []
-        for i in range(r):
-            mode_i = model.modes[i]
-            step_prob = (chain.prior[i] * np.ones(beam.size()) if n == 1
-                         else chain.Z[beam.last, i])
-            if pairs:
-                for j in range(r):
-                    if i == j:
-                        d = det.p_d if r > 1 else 1.0
-                    else:
-                        d = (1.0 - det.p_d) / (r - 1)
-                    if gains == GAIN_SCHEDULE:
-                        K = schedules[j].gains[n - 1]
-                        fcov = None
-                    else:
-                        K, fcov = branch_gains[j]
-                    blocks.append(_branch_update(
-                        beam, i, step_prob * d, mode_i.A, mode_i.Q,
-                        model.modes[j].A, K, H, R, fcov))
-            else:
-                blocks.append(_branch_update(
-                    beam, i, step_prob, mode_i.A, mode_i.Q,
-                    filt_modes[n - 1].A, filt_gains[n - 1], H, R, None))
-        _concat_blocks(beam, blocks)
+        trans = chain.prior[None] if n == 1 else chain.Z[last]
+        if detected_path:
+            # each leaf's gain from the filter's own Riccati step along its
+            # detected trajectory, as in kalman._riccati, per detected
+            # mode d: (d, L, z, m)
+            P = (A[:, None] @ filter_cov @ A[:, None].swapaxes(-1, -2)
+                 + Q[:, None])
+            P = (P + P.swapaxes(-1, -2)) / 2.0
+            K_leaf = _gain_step(model.meas, P)[1]
+            P = (np.eye(z) - K_leaf @ H) @ P
+            filter_cov = np.broadcast_to((P + P.swapaxes(-1, -2)) / 2.0,
+                                         (r,) + P.shape).reshape(-1, z, z)
+            G, C = (f.reshape((-1,) + f.shape[2:]) for f in
+                    _lifted_factors(A[:, None, None], Q[:, None, None],
+                                    A[None, :, None], K_leaf[None], H, R))
+        else:
+            G, C = G_all[n - 1], C_all[n - 1]
+        phi = _advance(phi, G, C)
+        prob = (prob * (trans.T[:, None] * D[:, :, None])).ravel()
+        last = np.repeat(np.arange(r), prob.size // r)
         if pruning:
-            beam.take(_keep_indices(beam.prob, keep, mass))
-        agg, mse = _aggregate(beam, n, renormalize)
-        moments.append(agg)
-        mses.append(mse)
-        kept_mass.append(float(beam.prob.sum()))
+            idx = _keep_indices(prob, keep, mass)
+            prob, last, phi = prob[idx], last[idx], phi[:, idx]
+            if filter_cov is not None:
+                filter_cov = filter_cov[idx]
+        steps.append(_mixture(prob, phi, renormalize))
 
+    kept_mass, mixtures = zip(*steps)
+    mse, moments = _read_moments(np.array(mixtures), z)
     # exact runs carry the mass too: it should sum to one at every step,
     # which makes the bookkeeping auditable from the outside
-    series = MseSeries(mse=np.array(mses),
+    series = MseSeries(mse=mse,
                        method="pruned" if pruning else "exact",
                        kept_mass=np.array(kept_mass))
     return series, moments

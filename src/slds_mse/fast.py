@@ -30,6 +30,7 @@ import numpy as np
 from .model import (
     DetectionModel,
     FilterSpec,
+    GaussianBelief,
     MarkovChain,
     ModeModel,
     MseSeries,
@@ -37,6 +38,7 @@ from .model import (
     mode_marginal_series,
 )
 from .kalman import (
+    FilterBank,
     ModeLike,
     as_mode_sequence,
     filter_bank,
@@ -136,6 +138,16 @@ def _detection_weights(r: int, det: DetectionModel) -> np.ndarray:
     return np.where(np.eye(r, dtype=bool), hit, miss)
 
 
+def _initial_moment(init: GaussianBelief) -> np.ndarray:
+    """E[w w.T] of w = [x; e; 1] at step 0: e_0 = x_0 - mean, so x_0 and
+    e_0 share the covariance P_0."""
+    z = init.z
+    w0 = np.concatenate((init.mean, np.zeros(z), [1.0]))
+    phi = np.outer(w0, w0)
+    phi[:2 * z, :2 * z] += np.kron(np.ones((2, 2)), init.cov)
+    return phi
+
+
 def _lifted_moments(base: SldsModel, A: np.ndarray, Q: np.ndarray,
                     A_f: np.ndarray, K: np.ndarray, D: np.ndarray,
                     ) -> Iterator[np.ndarray]:
@@ -156,10 +168,7 @@ def _lifted_moments(base: SldsModel, A: np.ndarray, Q: np.ndarray,
     b, n_steps = K.shape[:2]
     r, z = A.shape[1], A.shape[-1]
     z2, k = 2 * z, 2 * z + 1
-    # e_0 = x_0 - mean, so x_0 and e_0 share the covariance P_0
-    w0 = np.concatenate((base.init.mean, np.zeros(z), [1.0]))
-    phi = np.repeat(np.outer(w0, w0)[None, None], b, axis=0)
-    phi[..., :z2, :z2] += np.kron(np.ones((2, 2)), base.init.cov)
+    phi = np.repeat(_initial_moment(base.init)[None, None], b, axis=0)
     yield phi.swapaxes(0, 1)
     margs = mode_marginal_series(base.chain, max(n_steps, 1))
     A, Q = A[:, :, None], Q[:, :, None]                         # (b,r,1,z,z)
@@ -238,13 +247,15 @@ def _filter_moments(model: SldsModel, det: Optional[DetectionModel],
 
 def bank_series(model: SldsModel, det: Optional[DetectionModel],
                 filters: Sequence[FilterSpec], n_steps: int,
-                ) -> list[MseSeries]:
+                bank: Optional[FilterBank] = None) -> list[MseSeries]:
     """MSE series of each spec in ``filters``, read off one
     :func:`~slds_mse.kalman.filter_bank`: one Riccati pass for the whole
     list, then one moment recursion per spec.  Each series equals
     ``aggregate_series`` with the matching ``filt`` bit for bit, whatever
-    else the list holds."""
-    bank = filter_bank(model, n_steps)
+    else the list holds.  ``bank`` reuses a caller's
+    ``filter_bank(model, n_steps)`` instead of computing it."""
+    if bank is None:
+        bank = filter_bank(model, n_steps)
     out = []
     for spec in filters:
         rows = bank.rows(spec)

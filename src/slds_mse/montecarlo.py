@@ -299,11 +299,12 @@ def _chunk_sizes(samples: int) -> list[int]:
 def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
                     det: Optional[DetectionModel], n_steps: int,
                     samples: int, seed: int, threads: int = 1,
-                    ) -> list[SimRun]:
+                    bank: Optional[FilterBank] = None) -> list[SimRun]:
     """Empirical error accumulators for each filter, one SimRun per spec.
 
     ``threads`` only distributes chunks; the result is bitwise identical
-    for any thread count (see the module docstring).
+    for any thread count (see the module docstring).  ``bank`` reuses a
+    caller's ``filter_bank(model, n_steps)`` instead of computing it.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -313,7 +314,8 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
 
     fixed = [f for f, spec in enumerate(filters) if spec.kind != "skf"]
     skf = [f for f, spec in enumerate(filters) if spec.kind == "skf"]
-    bank = filter_bank(model, n_steps)
+    if bank is None:
+        bank = filter_bank(model, n_steps)
     if fixed:
         A_t, K_t = _replay_inputs(bank, [filters[f] for f in fixed])
     if skf:

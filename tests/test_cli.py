@@ -233,11 +233,11 @@ class TestCompare:
         import slds_mse.cli as cli_module
         real = cli_module._analytic_series
 
-        def inflated(scenario, args):
+        def inflated(scenario, args, *bank):
             return [(spec, type(series)(mse=series.mse * 2.0,
                                         method=series.method,
                                         kept_mass=series.kept_mass))
-                    for spec, series in real(scenario, args)]
+                    for spec, series in real(scenario, args, *bank)]
 
         monkeypatch.setattr(cli_module, "_analytic_series", inflated)
         assert main(["compare", "--scenario", scenario_file(),
@@ -457,12 +457,13 @@ class TestFailureModes:
 
 
 class TestSharedFilterBank:
-    """Every analytic filter of a command reads one filter bank, and Monte
-    Carlo another: counted Riccati passes, not wall-clock time, keep
-    per-filter schedule recomputation from creeping back."""
+    """Every analytic filter of a command reads one filter bank, and
+    ``compare`` hands the same bank to Monte Carlo: counted Riccati
+    passes, not wall-clock time, keep per-filter schedule recomputation
+    from creeping back."""
 
     @pytest.mark.parametrize("command, passes", [
-        ("analyze", 1), ("simulate", 1), ("compare", 2)])
+        ("analyze", 1), ("simulate", 1), ("compare", 1)])
     def test_one_riccati_pass_per_consumer(self, tmp_path, command, passes):
         with mock.patch.object(kalman, "_riccati",
                                wraps=kalman._riccati) as riccati:

@@ -1,18 +1,19 @@
 """Trajectory enumeration: probabilities, exact moments, pruning, caps."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helpers import bimodal_model, random_model, single_mode_model
+from slds_mse import enumeration
 from slds_mse import (
     DetectionModel,
     EnumerationCapError,
+    ErrorMoments,
     MarkovChain,
-    Trajectory,
-    TrajectoryPair,
     average_filter_modes,
     detection_prob,
     gain_schedule,
@@ -29,61 +30,90 @@ from slds_mse import (
 DET = DetectionModel(0.9)
 
 
+def mixture(runs):
+    """Per-step mixture moments of weighted per-trajectory runs
+    ``(w, [ErrorMoments, ...])``, from raw moments: E[e e.T] from C(e) and
+    E[e], and u from E[xhat x.T] with xhat = x - e."""
+    totals = {}
+    for w, states in runs:
+        for s in states:
+            xhat = s.x_mean - s.e_mean
+            parts = (s.e_mean, s.e_cov + np.outer(s.e_mean, s.e_mean),
+                     s.x_mean, s.x_cov + np.outer(s.x_mean, s.x_mean),
+                     s.u + np.outer(xhat, s.x_mean))
+            acc = totals.get(s.step, (0.0,) * 5)
+            totals[s.step] = tuple(a + w * p for a, p in zip(acc, parts))
+    return [ErrorMoments(e_mean=e, e_cov=ee - np.outer(e, e), x_mean=x,
+                         x_cov=xx - np.outer(x, x),
+                         u=xhat_x - np.outer(x - e, x), step=n)
+            for n, (e, ee, x, xx, xhat_x) in sorted(totals.items())]
+
+
 def brute_single(model, filt, n_steps, rng=None):
     """Mixture of per-trajectory moments over all mode sequences, computed
     with mismatch_step directly.  Optionally visits trajectories in a
     shuffled order so agreement with the engine also proves order
     invariance of the aggregation."""
-    z = model.z
     sched = gain_schedule(filt, model.meas, model.init, n_steps)
     seqs = list(itertools.product(range(1, model.r + 1), repeat=n_steps))
     if rng is not None:
         rng.shuffle(seqs)
-    e_tot = np.zeros((n_steps + 1, z))
-    ee_tot = np.zeros((n_steps + 1, z, z))
+    runs = []
     for seq in seqs:
-        w = trajectory_prob(model.chain, seq)
         state = mismatch_init(model.init)
         states = [state]
         for k, mode_idx in enumerate(seq):
             state = mismatch_step(state, model.modes[mode_idx - 1], filt,
                                   model.meas, sched.gains[k])
             states.append(state)
-        for n, s in enumerate(states):
-            e_tot[n] += w * s.e_mean
-            ee_tot[n] += w * (s.e_cov + np.outer(s.e_mean, s.e_mean))
-    return e_tot, ee_tot
+        runs.append((trajectory_prob(model.chain, seq), states))
+    return mixture(runs)
 
 
-def brute_skf(model, det, n_steps, rng=None, diagonal_only=False):
+def brute_skf(model, det, n_steps, rng=None, diagonal_only=False,
+              detected_path=False):
     """Same oracle for the switching filter: mixture over (true, detected)
-    sequence pairs weighted by trajectory_prob times detection_prob."""
-    z = model.z
+    sequence pairs weighted by trajectory_prob times detection_prob.
+    ``detected_path`` takes the gains from the filter's own Riccati run
+    along each detected sequence instead of the per-mode schedules."""
     scheds = mode_schedules(model, n_steps)
     seqs = list(itertools.product(range(1, model.r + 1), repeat=n_steps))
     pairs = [(l, q) for l in seqs for q in seqs
              if not diagonal_only or l == q]
     if rng is not None:
         rng.shuffle(pairs)
-    e_tot = np.zeros((n_steps + 1, z))
-    ee_tot = np.zeros((n_steps + 1, z, z))
+    runs = []
     for truth_seq, det_seq in pairs:
         w = trajectory_prob(model.chain, truth_seq)
         if not diagonal_only:
             w *= detection_prob(truth_seq, det_seq, det, model.r)
         if w == 0.0:
             continue
+        if detected_path:
+            path = gain_schedule([model.modes[j - 1] for j in det_seq],
+                                 model.meas, model.init, n_steps)
         state = mismatch_init(model.init)
         states = [state]
         for k in range(n_steps):
             i, j = truth_seq[k] - 1, det_seq[k] - 1
+            gain = path.gains[k] if detected_path else scheds[j].gains[k]
             state = mismatch_step(state, model.modes[i], model.modes[j],
-                                  model.meas, scheds[j].gains[k])
+                                  model.meas, gain)
             states.append(state)
-        for n, s in enumerate(states):
-            e_tot[n] += w * s.e_mean
-            ee_tot[n] += w * (s.e_cov + np.outer(s.e_mean, s.e_mean))
-    return e_tot, ee_tot
+        runs.append((w, states))
+    return mixture(runs)
+
+
+def assert_moments_match(series, moments, ref):
+    """Every moment the engine reports, and its MSE, equal the oracle's
+    at every step."""
+    assert [m.step for m in moments] == [m.step for m in ref]
+    for got, want in zip(moments, ref):
+        for field in ("x_mean", "x_cov", "u", "e_mean", "e_cov"):
+            assert_allclose(getattr(got, field), getattr(want, field),
+                            rtol=0, atol=1e-12,
+                            err_msg=f"{field} at step {got.step}")
+        assert_allclose(series.mse[got.step], want.mse, rtol=0, atol=1e-12)
 
 
 class TestTrajectoryProb:
@@ -158,23 +188,42 @@ class TestExactMoments:
     def test_single_filter_matches_brute_force(self, rng):
         model = random_model(rng, 2, 2, uniform_rows=False,
                              uniform_prior=False)
-        series, moments = single_mode_slds_moments(model, model.modes[0], 4)
-        e_ref, ee_ref = brute_single(model, model.modes[0], 4, rng)
-        for n in range(5):
-            assert_allclose(moments[n].e_mean, e_ref[n], atol=1e-12)
-            implied = moments[n].e_cov + np.outer(moments[n].e_mean,
-                                                  moments[n].e_mean)
-            assert_allclose(implied, ee_ref[n], atol=1e-12)
-            assert_allclose(series.mse[n], np.trace(ee_ref[n]), atol=1e-12)
+        got = single_mode_slds_moments(model, model.modes[0], 4)
+        assert_moments_match(*got, brute_single(model, model.modes[0], 4,
+                                                rng))
 
     def test_skf_matches_brute_force(self, rng):
         model = random_model(rng, 2, 2, uniform_rows=False,
                              uniform_prior=False)
-        series, moments = skf_slds_moments(model, DET, 4)
-        e_ref, ee_ref = brute_skf(model, DET, 4, rng)
-        for n in range(5):
-            assert_allclose(moments[n].e_mean, e_ref[n], atol=1e-12)
-            assert_allclose(series.mse[n], np.trace(ee_ref[n]), atol=1e-12)
+        got = skf_slds_moments(model, DET, 4)
+        assert_moments_match(*got, brute_skf(model, DET, 4, rng))
+
+    @pytest.mark.parametrize("switching", [False, True],
+                             ids=["single", "skf"])
+    def test_three_modes_match_brute_force(self, rng, switching):
+        model = random_model(rng, 3, 2, uniform_rows=False,
+                             uniform_prior=False)
+        if switching:
+            got = skf_slds_moments(model, DET, 3)
+            ref = brute_skf(model, DET, 3, rng)
+        else:
+            got = single_mode_slds_moments(model, model.modes[1], 4)
+            ref = brute_single(model, model.modes[1], 4, rng)
+        assert_moments_match(*got, ref)
+
+    def test_gemm_blocks_do_not_change_moments(self, rng):
+        # Blocks three parents wide split every step's products, with a
+        # short last block; the result must not depend on where they fall.
+        model = random_model(rng, 2, 2, uniform_rows=False,
+                             uniform_prior=False)
+        series, moments = skf_slds_moments(model, DET, 5)
+        k = 2 * model.z + 1
+        with mock.patch.object(enumeration, "_BLOCK_MACS", 3 * 4 * k ** 3):
+            narrow, narrow_moments = skf_slds_moments(model, DET, 5)
+        assert_allclose(narrow.mse, series.mse, rtol=1e-12, atol=0)
+        for got, want in zip(narrow_moments, moments):
+            assert_allclose(got.e_cov, want.e_cov, rtol=1e-12, atol=1e-15)
+            assert_allclose(got.u, want.u, rtol=1e-12, atol=1e-15)
 
     def test_degenerate_chain_reduces_to_fixed_mode(self):
         # Chain locked to mode 1 with an identity transition matrix: the
@@ -198,9 +247,9 @@ class TestExactMoments:
     def test_perfect_detection_keeps_only_diagonal_pairs(self, bench):
         det = DetectionModel(1.0)
         series, moments = skf_slds_moments(bench, det, 4)
-        e_ref, ee_ref = brute_skf(bench, det, 4, diagonal_only=True)
+        ref = brute_skf(bench, det, 4, diagonal_only=True)
         for n in range(5):
-            assert_allclose(series.mse[n], np.trace(ee_ref[n]), atol=1e-12)
+            assert_allclose(series.mse[n], ref[n].mse, atol=1e-12)
             # matched per-step dynamics mean the bias term never activates
             assert_allclose(moments[n].e_mean, np.zeros(4), atol=1e-15)
 
@@ -232,6 +281,17 @@ class TestExactMoments:
         series, _ = single_mode_slds_moments(bench, avg, 5)
         assert len(series) == 6
         assert np.abs(series.kept_mass - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("gains", ["schedule", "detected-path"])
+    def test_zero_horizon_is_the_initial_belief(self, bench, gains):
+        # e_0 = x_0 - mean: the MSE is tr P_0, whichever filter runs
+        want = np.trace(bench.init.cov)
+        for series, moments in (
+                single_mode_slds_moments(bench, bench.modes[0], 0),
+                skf_slds_moments(bench, DET, 0, gains=gains),
+                pruned_moments(bench, DET, 0, keep=1, gains=gains)):
+            assert_allclose(series.mse, [want], rtol=1e-15)
+            assert_allclose(moments[0].u, np.zeros((4, 4)), atol=1e-15)
 
     def test_second_moment_psd(self, rng):
         for _ in range(5):
@@ -342,17 +402,15 @@ class TestGainVariants:
         rel = np.abs(path.mse[1:] - sched.mse[1:]) / sched.mse[1:]
         assert 0.0 < rel.max() < 0.01
 
+    @pytest.mark.parametrize("r, n_steps", [(2, 4), (3, 3)])
+    def test_detected_path_matches_brute_force(self, rng, r, n_steps):
+        model = random_model(rng, r, 2, uniform_rows=False,
+                             uniform_prior=False)
+        got = skf_slds_moments(model, DET, n_steps, gains="detected-path")
+        assert_moments_match(*got, brute_skf(model, DET, n_steps, rng,
+                                             detected_path=True))
+
     def test_unknown_variant_rejected(self, bench):
         with pytest.raises(ValueError):
             skf_slds_moments(bench, DET, 3, gains="nonsense")
 
-
-class TestTypes:
-    def test_trajectory_holds_modes_and_prob(self):
-        t = Trajectory(modes=(1, 2, 2), prob=0.08)
-        assert t.modes == (1, 2, 2)
-        assert t.prob == 0.08
-
-    def test_trajectory_pair_defaults(self):
-        pair = TrajectoryPair(truth=(1, 2), detected=(1, 1), prob=0.05)
-        assert pair.moments is None

@@ -13,12 +13,16 @@ from helpers import (
     filter_specs,
     random_model,
     single_mode_model,
+    spd_matrix,
+    stable_matrix,
 )
 from slds_mse import fast
 from slds_mse import (
     DetectionModel,
+    ErrorMoments,
     FilterSpec,
     MarkovChain,
+    MeasurementModel,
     ModeModel,
     SldsModel,
     aggregate_series,
@@ -29,6 +33,7 @@ from slds_mse import (
     merge_clusters,
     merge_recommendation,
     merged_mode,
+    mismatch_step,
     pair_model,
     single_mode_slds_moments,
     skf_slds_moments,
@@ -253,6 +258,50 @@ class TestStackedRecursion:
             with mock.patch.object(fast, "_BLOCK", HORIZONS[-1]):
                 whole = aggregate_series(model, det, HORIZONS[-1], filt=filt)
             assert_allclose(whole.mse, full, rtol=1e-12, atol=0)
+
+
+class TestJointFactors:
+    """The branch map that the aggregate recursion and enumeration share,
+    checked on its own against the u-parametrised mismatch step."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(z=st.integers(1, 4), m=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lifted_map_equals_mismatch_step(self, z, m, seed):
+        rng = np.random.default_rng(seed)
+        truth = ModeModel(stable_matrix(rng, z), spd_matrix(rng, z))
+        filt = ModeModel(stable_matrix(rng, z), spd_matrix(rng, z))
+        meas = MeasurementModel(rng.standard_normal((m, z)),
+                                spd_matrix(rng, m))
+        K = 0.5 * rng.standard_normal((z, m))
+        # any joint law of [x; e]: a random mean and PSD covariance
+        mean = rng.standard_normal(2 * z)
+        root = rng.standard_normal((2 * z, 2 * z))
+        cov = root @ root.T / (2 * z)
+        x_cov = cov[:z, :z]
+        prev = ErrorMoments(e_mean=mean[z:], e_cov=cov[z:, z:],
+                            x_mean=mean[:z], x_cov=x_cov,
+                            u=x_cov - cov[z:, :z], step=0)
+        G, C = fast._joint_factors(truth.A, truth.Q, filt.A, K, meas.H,
+                                   meas.R)
+        lift = np.zeros((2 * z + 1, 2 * z + 1))
+        lift[-1, -1] = 1.0
+        lift[:-1, :-1] = G
+        phi = np.zeros_like(lift)
+        phi[:-1, :-1] = cov + np.outer(mean, mean)
+        phi[:-1, -1] = phi[-1, :-1] = mean
+        phi[-1, -1] = 1.0
+        nxt = lift @ phi @ lift.T
+        nxt[:-1, :-1] += C
+        mu = nxt[:-1, -1]
+        cov_next = nxt[:-1, :-1] - np.outer(mu, mu)
+        want = mismatch_step(prev, truth, filt, meas, K)
+        got = {"x_mean": mu[:z], "e_mean": mu[z:],
+               "x_cov": cov_next[:z, :z], "e_cov": cov_next[z:, z:],
+               "u": cov_next[:z, :z] - cov_next[z:, :z]}
+        for field, value in got.items():
+            assert_allclose(value, getattr(want, field), rtol=1e-12,
+                            atol=1e-12, err_msg=field)
 
 
 class TestFilterBank:
