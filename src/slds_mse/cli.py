@@ -285,7 +285,7 @@ def cmd_simulate(args) -> int:
     runs = run_monte_carlo(scenario.model, scenario.filters,
                            scenario.detection, scenario.horizon,
                            scenario.mc_samples, scenario.seed,
-                           threads=args.threads)
+                           threads=args.threads, bank=_filter_bank(scenario))
     rows = []
     for spec, run in zip(scenario.filters, runs):
         emp = empirical_mse(run)
@@ -350,9 +350,12 @@ def cmd_recommend(args) -> int:
     if scenario.model.r < 2:
         raise CommandError(EXIT_VALIDATION,
                            "merge analysis needs at least two modes")
-    report = merge_recommendation(scenario.model, scenario.detection,
-                                  scenario.horizon, args.threshold,
-                                  metric=args.metric)
+    try:
+        report = merge_recommendation(scenario.model, scenario.detection,
+                                      scenario.horizon, args.threshold,
+                                      metric=args.metric)
+    except InnovationSolveError as exc:
+        raise CommandError(EXIT_CAPACITY, f"merge analysis: {exc}")
     rows = [[pair.mode_i, pair.mode_j, _g17(pair.improvement), pair.metric,
              _g17(pair.threshold), pair.best_single_label,
              "merge" if pair.merge else "keep"]

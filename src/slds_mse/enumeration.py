@@ -39,12 +39,13 @@ from .model import DetectionModel, MarkovChain, MseSeries, SldsModel
 from .mismatch import ErrorMoments
 from .kalman import (
     ModeLike,
+    _check_innovations,
     _gain_step,
     as_mode_sequence,
     gain_schedule,
     mode_schedules,
 )
-from .fast import _branch_weights, _initial_moment, _joint_factors
+from .fast import _branch_weights, _initial_moment, _joint_factors, _noise
 
 DEFAULT_CAP = 2 ** 20
 
@@ -95,20 +96,23 @@ def detection_prob(truth: Sequence[int], detected: Sequence[int],
     return float(p)
 
 
-def _lifted_factors(*args) -> np.ndarray:
-    """``_joint_factors`` for w = [x; e; 1], stacked as (2, ..., k, k):
-    the constant passes through G and takes no noise in C."""
-    G, C = _joint_factors(*args)
-    k = G.shape[-1] + 1
-    lifted = np.zeros((2,) + G.shape[:-2] + (k, k))
-    lifted[:, ..., :-1, :-1] = G, C
-    lifted[0, ..., -1, -1] = 1.0
-    return lifted
+def _branch_maps(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
+                 K: np.ndarray, H: np.ndarray, R: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Map G and noise C of every branch (true mode i, filter row d) of
+    ``_joint_factors``' grid, (..., r * R, k, k) each, branch i * R + d."""
+    Gt, lower = _joint_factors(A, Q, A_f, K, H, R)
+    C = _noise(Q[:, None], lower)
+    branches = Gt.shape[:-4] + (Gt.shape[-4] * Gt.shape[-3],) + Gt.shape[-2:]
+    return Gt.swapaxes(-1, -2).reshape(branches), C.reshape(branches)
 
 
-def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
+             weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Phi' = G Phi G.T + C of every leaf of ``phi`` (k, L, k) under every
-    branch: (k, b L, k), leaves in (branch, parent) order.
+    branch: (k, b L, k), leaves in (branch, parent) order.  With
+    ``weights`` (b L,) the new leaves are never stored: the result is
+    their mixture sum_l w_l Phi_l' (k, k), summed block by block.
 
     ``G``, ``C`` are (b, k, k) maps shared by all leaves, or (b, L, k, k)
     maps of one leaf each (detected-path gains).
@@ -116,10 +120,15 @@ def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray) -> np.ndarray:
     k, L = phi.shape[:2]
     if G.ndim == 4:
         out = G @ phi.swapaxes(0, 1) @ G.swapaxes(-1, -2) + C
-        return np.ascontiguousarray(out.transpose(2, 0, 1, 3)).reshape(k, -1, k)
+        out = np.ascontiguousarray(out.transpose(2, 0, 1, 3)).reshape(k, -1, k)
+        return out if weights is None else _mixture(weights, out)
     b = len(G)
-    out = np.empty((k, b, L, k))
-    by_branch = out.transpose(1, 0, 2, 3)
+    if weights is None:
+        out = np.empty((k, b, L, k))
+        by_branch = out.transpose(1, 0, 2, 3)
+    else:
+        total = np.zeros((k, 1, k))
+        weights = weights.reshape(b, 1, 1, L)
     stacked = G.reshape(b * k, k)
     maps_t = np.ascontiguousarray(G.swapaxes(-1, -2))[:, None]
     flat = phi.reshape(k, L * k)
@@ -127,19 +136,33 @@ def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray) -> np.ndarray:
     for lo in range(0, L, width):
         hi = min(L, lo + width)
         left = stacked @ flat[:, lo * k:hi * k]                  # G Phi
-        block = by_branch[:, :, lo:hi]
-        np.matmul(left.reshape(b, k, hi - lo, k), maps_t, out=block)
-        block += C[:, :, None]
-    return out.reshape(k, b * L, k)
+        if weights is None:
+            block = by_branch[:, :, lo:hi]
+            np.matmul(left.reshape(b, k, hi - lo, k), maps_t, out=block)
+            block += C[:, :, None]
+        else:
+            block = left.reshape(b, k, hi - lo, k) @ maps_t
+            block += C[:, :, None]
+            total += (weights[..., lo:hi] @ block).sum(axis=0)
+    return out.reshape(k, b * L, k) if weights is None else total[:, 0]
 
 
-def _mixture(prob: np.ndarray, phi: np.ndarray,
-             renorm: bool) -> tuple[float, np.ndarray]:
-    """Kept mass and mixture sum_l p_l Phi_l, with weights rescaled to sum
-    to one under ``renorm``."""
+def _weights(prob: np.ndarray, renorm: bool) -> tuple[float, np.ndarray]:
+    """Kept mass and the leaves' mixture weights, rescaled to sum to one
+    under ``renorm``."""
     mass = float(prob.sum())
-    w = prob / mass if renorm and mass > 0 else prob
-    return mass, w @ phi
+    return mass, prob / mass if renorm and mass > 0 else prob
+
+
+def _mixture(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """sum_l w_l Phi_l of the leaves ``phi`` (k, L, k), summed in blocks of
+    leaves that stay under ``_BLOCK_MACS``, as ``_advance``'s products do."""
+    k, L = phi.shape[:2]
+    width = max(1, _BLOCK_MACS // k ** 2)
+    total = np.zeros((k, k))
+    for lo in range(0, L, width):
+        total += w[lo:lo + width] @ phi[:, lo:lo + width]
+    return total
 
 
 def _read_moments(mixtures: np.ndarray, z: int,
@@ -197,7 +220,7 @@ def _run_enumeration(model: SldsModel, n_steps: int, *,
 
     r, z, m = model.r, model.z, model.m
     # D[i, d]: weight of filter branch d under true mode i
-    D = _branch_weights(model, det, pairs)
+    D = _branch_weights(r, det, pairs)
     branch_factor = D.size
     if not pruning and branch_factor ** n_steps > cap:
         kind = "trajectory pairs" if pairs else "trajectories"
@@ -221,16 +244,14 @@ def _run_enumeration(model: SldsModel, n_steps: int, *,
                        (r, n_steps, z, m)).swapaxes(0, 1)
     if not detected_path:
         # maps per (step, branch), branch (true i, filter d) at i * d_count + d
-        G_all, C_all = (f.reshape((n_steps, branch_factor) + f.shape[-2:])
-                        for f in _lifted_factors(A[:, None], Q[:, None],
-                                                 A_f[:, None], K[:, None],
-                                                 H, R))
+        G_all, C_all = _branch_maps(A, Q, A_f, K, H, R)
 
     phi = _initial_moment(model.init)[:, None]               # (k, 1, k)
     prob = np.ones(1)
     last = np.zeros(1, dtype=np.intp)     # placeholder before step 1
     filter_cov = model.init.cov[None] if detected_path else None
-    steps = [_mixture(prob, phi, renormalize)]
+    kept, w = _weights(prob, renormalize)
+    steps = [(kept, _mixture(w, phi))]
     for n in range(1, n_steps + 1):
         if prob.size * branch_factor > cap:
             raise EnumerationCapError(
@@ -244,24 +265,32 @@ def _run_enumeration(model: SldsModel, n_steps: int, *,
             P = (A[:, None] @ filter_cov @ A[:, None].swapaxes(-1, -2)
                  + Q[:, None])
             P = (P + P.swapaxes(-1, -2)) / 2.0
-            K_leaf = _gain_step(model.meas, P)[1]
+            B, K_leaf = _gain_step(model.meas, P)
+            _check_innovations(B)
             P = (np.eye(z) - K_leaf @ H) @ P
             filter_cov = np.broadcast_to((P + P.swapaxes(-1, -2)) / 2.0,
                                          (r,) + P.shape).reshape(-1, z, z)
-            G, C = (f.reshape((-1,) + f.shape[2:]) for f in
-                    _lifted_factors(A[:, None, None], Q[:, None, None],
-                                    A[None, :, None], K_leaf[None], H, R))
+            # rows (detected d, leaf l): maps per (branch, leaf)
+            G, C = (f.reshape((branch_factor, -1) + f.shape[-2:]) for f in
+                    _branch_maps(A, Q, A.repeat(K_leaf.shape[1], axis=0),
+                                 K_leaf.reshape(-1, z, m), H, R))
         else:
             G, C = G_all[n - 1], C_all[n - 1]
-        phi = _advance(phi, G, C)
         prob = (prob * (trans.T[:, None] * D[:, :, None])).ravel()
+        if n == n_steps and not pruning:
+            # the last leaves are only summed: stream them, never store them
+            kept, w = _weights(prob, renormalize)
+            steps.append((kept, _advance(phi, G, C, w)))
+            break
+        phi = _advance(phi, G, C)
         last = np.repeat(np.arange(r), prob.size // r)
         if pruning:
             idx = _keep_indices(prob, keep, mass)
             prob, last, phi = prob[idx], last[idx], phi[:, idx]
             if filter_cov is not None:
                 filter_cov = filter_cov[idx]
-        steps.append(_mixture(prob, phi, renormalize))
+        kept, w = _weights(prob, renormalize)
+        steps.append((kept, _mixture(w, phi)))
 
     kept_mass, mixtures = zip(*steps)
     mse, moments = _read_moments(np.array(mixtures), z)

@@ -1,22 +1,29 @@
 """Scalable SLDS error analysis: mode-conditioned moments and mode merging.
 
-Trajectory enumeration is exact but exponential in the horizon.  Under
-schedule gains the joint state/error vector w = [x; e] is a Markov jump
-linear system: its map at step n depends only on the current true mode
-and the detected mode, and the detected mode depends only on the current
-true mode.  Its first and second moments therefore close once they are
-conditioned on the current mode (Costa, Fragoso & Marques, Discrete-Time
-Markov Jump Linear Systems, 2005, ch. 3): carrying E[w 1{s_n = j}] and
-E[w w.T 1{s_n = j}] for every mode j is enough to advance one step, for
-any transition matrix.  The cost is O(N r^2 z^3) with no trajectory
-explosion.  Enumeration stays the test oracle, and the only route for
-detected-path gains, which depend on the whole detected trajectory.
+Under schedule gains w = [x; e; 1] is a Markov jump linear system whose
+map at step n depends only on the current true mode and the filter the
+detection selects, so its moments close once conditioned on the current
+mode (Costa, Fragoso & Marques, Discrete-Time Markov Jump Linear
+Systems, 2005, ch. 3), for any chain, at O(N r^2 z^3) cost; enumeration
+stays the test oracle and the only route for detected-path gains.
 
-The same machinery powers a pre-experiment mode-merge recommender: every
-unordered mode pair is analyzed as a bimodal sub-system with a uniform
-pairwise chain, and a pair whose switching filter barely improves on the
-best single-filter alternative is recommended for merging into one
-averaged mode.
+One kernel, :func:`_bank_moments`, advances a whole filter bank in one
+pass.  A bank is R filter rows (per-step dynamics and gains), and each
+filter f is a row-weight matrix W_f (r x R): under true mode j it runs
+row rho with probability W_f[j, rho].  The switching filter puts the
+detection weights D over the mode rows; a fixed filter has a column of
+ones on its own row; merging two filters sums their columns.  Each
+filter carries Phi_j = E[w w.T 1{s_n = j}] per true mode j (its last
+column is the mean, its corner P(s_n = j)), mixes the predecessors,
+Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step 1), and branches:
+Phi_j' = sum_rho W[j, rho] (G Psi_j G.T + p_j C), p_j = P(s_n = j), with
+the branch's map G and noise C.  The maps are built once per block of
+steps on the (true mode x row) grid; the noise enters only as
+sum_rho W C.
+
+The mode-merge recommender runs every mode pair as a bimodal sub-system
+with a uniform pairwise chain; a pair whose switching filter barely
+beats the better of its two KFs is recommended for merging.
 """
 
 from __future__ import annotations
@@ -40,14 +47,16 @@ from .model import (
 from .kalman import (
     FilterBank,
     ModeLike,
+    _mode_dynamics,
     as_mode_sequence,
     filter_bank,
     gain_schedule,
     mode_schedules,
 )
 
-METRICS = ("mean", "max", "final")
-_BLOCK = 25            # steps per block of branch maps in _lifted_moments
+_SUMMARIES = {"mean": np.mean, "max": np.max, "final": lambda rel: rel[-1]}
+METRICS = tuple(_SUMMARIES)
+_BLOCK = 25            # steps per block of branch maps in _bank_moments
 
 
 @dataclass(frozen=True)
@@ -101,41 +110,60 @@ class MergeReport:
 def _joint_factors(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
                    K: np.ndarray, H: np.ndarray, R: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-branch transition G and noise covariance C of the joint
-    vector [x; e].
-
-    Within a branch x' = A x + v and e' = J x + M e + B v - K w with
-    B = I - K H, M = B A_f, J = B (A - A_f), so the stacked vector obeys
-    one linear map G = [[A, 0], [J, M]] plus zero-mean noise with
-    covariance C = [[Q, Q B.T], [B Q, B Q B.T + K R K.T]].  The cross
-    moment E[x e.T] must ride along or the error covariance is wrong,
-    which is exactly what the enumeration oracle test pins down.  All
-    inputs broadcast over leading batch axes.
+    """Branch maps of w = [x; e; 1] on the (true mode, filter row) grid
+    of modes ``A``, ``Q`` (..., r, z, z) and rows ``A_f``, ``K``
+    (..., R, z, z|m): x' = A x + v, e' = J x + M e + B v - K w with
+    B = I - K H, M = B A_f, J = B (A - A_f), so w' = G w + noise,
+    G = [[A, 0, 0], [J, M, 0], [0, 0, 1]], C = [[Q, (B Q).T], [B Q, S]],
+    S = B Q B.T + K R K.T; without the cross moment E[x e.T] the error
+    covariance would be wrong.  Returns G.T (..., r, R, k, k) and C's
+    lower block row [B Q, S] (..., r, R, z, 2z); each product runs once
+    per row on the modes stacked into one tall (r z, z) matrix.
     """
-    z = A.shape[-1]
-    B = np.eye(z) - K @ H
-    M = B @ A_f
-    J = B @ (A - A_f)
-    lead = J.shape[:-2]
-    G = np.zeros(lead + (2 * z, 2 * z))
-    G[..., :z, :z] = A
-    G[..., z:, :z] = J
-    G[..., z:, z:] = M
-    QBt = Q @ B.swapaxes(-1, -2)
-    C = np.zeros(lead + (2 * z, 2 * z))
+    z, r, rows = A.shape[-1], A.shape[-3], K.shape[-3]
+    lead = np.broadcast_shapes(A.shape[:-3], A_f.shape[:-3], K.shape[:-3])
+    Bt = np.eye(z) - (K @ H).swapaxes(-1, -2)                  # B.T per row
+    # Per row, tall (r z, z) stacks over the modes: J.T = (A - A_f).T B.T,
+    # (B Q).T = Q.T B.T and B Q B.T, read as (row, mode) blocks.
+    tall, blocks = lead + (rows, r * z, z), lead + (rows, r, z, z)
+    Jt = (A[..., None, :, :, :] - A_f[..., :, None, :, :]).swapaxes(-1, -2)
+    Jt = (Jt.reshape(tall) @ Bt).reshape(blocks)
+    BQ = (Q.swapaxes(-1, -2).reshape(Q.shape[:-3] + (1, r * z, z)) @ Bt
+          ).reshape(blocks).swapaxes(-1, -2)
+    S = (BQ.reshape(tall) @ Bt).reshape(blocks) + (
+        (K @ R) @ K.swapaxes(-1, -2))[..., None, :, :]
+    Gt = np.zeros(lead + (r, rows, 2 * z + 1, 2 * z + 1))
+    Gt[..., :z, :z] = A.swapaxes(-1, -2)[..., None, :, :]
+    Gt[..., :z, z:-1] = Jt.swapaxes(-4, -3)
+    Gt[..., z:-1, z:-1] = (A_f.swapaxes(-1, -2) @ Bt)[..., None, :, :, :]
+    Gt[..., -1, -1] = 1.0
+    return Gt, np.concatenate((BQ, S), axis=-1).swapaxes(-4, -3)
+
+
+def _noise(Q: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Noise covariance [[Q, (B Q).T, 0], [B Q, S, 0], [0, 0, 0]] of
+    w = [x; e; 1] from Q and its lower block row [B Q, S], broadcast over
+    leading axes."""
+    z = Q.shape[-1]
+    C = np.zeros(np.broadcast_shapes(Q.shape[:-2], lower.shape[:-2])
+                 + (2 * z + 1, 2 * z + 1))
+    C[..., z:-1, :-1] = lower
     C[..., :z, :z] = Q
-    C[..., :z, z:] = QBt
-    C[..., z:, :z] = QBt.swapaxes(-1, -2)
-    C[..., z:, z:] = B @ QBt + (K @ R) @ K.swapaxes(-1, -2)
-    return G, C
+    C[..., :z, z:-1] = lower[..., :z].swapaxes(-1, -2)
+    return C
 
 
-def _detection_weights(r: int, det: DetectionModel) -> np.ndarray:
-    """D[i, j] = P(detected mode j | true mode i); a lone mode is always
-    detected, whatever p_d says."""
-    hit = det.p_d if r > 1 else 1.0
+def _branch_weights(r: int, det: Optional[DetectionModel],
+                    switching: bool) -> np.ndarray:
+    """W of one filter over its own rows: one row for a fixed filter, or
+    the switching filter's D[i, j] = P(detected mode j | true mode i); a
+    lone mode is always detected, whatever p_d says."""
+    if not switching:
+        return np.ones((r, 1))
+    if det is None:
+        raise ValueError("switching-filter analysis needs a detection model")
     miss = (1.0 - det.p_d) / max(r - 1, 1)
-    return np.where(np.eye(r, dtype=bool), hit, miss)
+    return np.where(np.eye(r, dtype=bool), det.p_d if r > 1 else 1.0, miss)
 
 
 def _initial_moment(init: GaussianBelief) -> np.ndarray:
@@ -144,126 +172,122 @@ def _initial_moment(init: GaussianBelief) -> np.ndarray:
     z = init.z
     w0 = np.concatenate((init.mean, np.zeros(z), [1.0]))
     phi = np.outer(w0, w0)
-    phi[:2 * z, :2 * z] += np.kron(np.ones((2, 2)), init.cov)
+    phi[:2 * z, :2 * z] += np.tile(init.cov, (2, 2))
     return phi
 
 
-def _lifted_moments(base: SldsModel, A: np.ndarray, Q: np.ndarray,
-                    A_f: np.ndarray, K: np.ndarray, D: np.ndarray,
-                    ) -> Iterator[np.ndarray]:
-    """E[w w.T] of the lifted vector w = [x; e; 1] for steps 0..N, summed
-    over modes but not symmetrized: (1, b, k, k) for step 0, then one
-    (steps, b, k, k) array per block of steps.
-
-    The b systems share ``base``'s measurement, initial belief and chain.
-    System s has true modes ``A[s]``, ``Q[s]`` (b, r, z, z); under true
-    mode j it detects mode d with probability ``D[j, d]`` and runs the
-    filter ``A_f[s, n, d]``, ``K[s, n, d]`` ((b, N, d, z, z|m)).  Per true
-    mode j it carries Phi_j = E[w w.T 1{s_n = j}], whose last column is
-    the mean E[[x; e] 1{s_n = j}] and corner P(s_n = j).  A step mixes
-    the predecessors, Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step
-    1), then branches over the detected mode d:
-    Phi_j' = sum_d D[j, d] (G_jd Psi_j G_jd.T + p_j C_jd), p_j = P(s_n = j).
+def _bank_moments(base: SldsModel, A_f: np.ndarray, K: np.ndarray,
+                  W: Sequence[np.ndarray], true: Optional[tuple] = None,
+                  ) -> Iterator[np.ndarray]:
+    """E[w w.T] for steps 0..N of every filter ``W`` of a bank, summed
+    over modes, not symmetrized: (1, b, F, k, k), then (steps, b, F, k, k)
+    per block.  The b systems share ``base``'s measurement, belief and
+    chain; their true modes are ``true = (A, Q)`` (b, r, z, z), by default
+    ``base``'s own, and their rows ``A_f``, ``K`` (b, R, N, z, z|m).
     """
-    b, n_steps = K.shape[:2]
-    r, z = A.shape[1], A.shape[-1]
-    z2, k = 2 * z, 2 * z + 1
-    phi = np.repeat(_initial_moment(base.init)[None, None], b, axis=0)
-    yield phi.swapaxes(0, 1)
+    A, Q = true or (m[None, :, 0] for m in _mode_dynamics(base, 1))
+    b, n_steps, k = K.shape[0], K.shape[2], 2 * A.shape[-1] + 1
+    by_width: dict = {}
+    for f, w in enumerate(W):
+        rows = np.flatnonzero(w.any(axis=0))
+        by_width.setdefault(len(rows), []).append((f, rows, w[:, rows]))
+    phi0 = _initial_moment(base.init)
+    yield np.broadcast_to(phi0, (1, b, len(W), k, k))
+    stacks = [_Stack(members, b, phi0) for members in by_width.values()]
     margs = mode_marginal_series(base.chain, max(n_steps, 1))
-    A, Q = A[:, :, None], Q[:, :, None]                         # (b,r,1,z,z)
-    mix = base.chain.prior[None]
-    # Maps are built per block of steps, so memory does not grow with N.
     for start in range(0, n_steps, _BLOCK):
         steps = slice(start, start + _BLOCK)
-        # G, C: (step, system, true mode, detected mode, 2z, 2z).  The
-        # detection weights and marginals never depend on the state, so
-        # the noise term folds into a per-step constant.
-        G, C = _joint_factors(A, Q, A_f[:, steps, None].swapaxes(0, 1),
-                              K[:, steps, None].swapaxes(0, 1),
+        # maps on the (step, system, mode, row) grid, built once
+        grid = _joint_factors(A[None], Q[None],
+                              A_f[:, :, steps].transpose(2, 0, 1, 3, 4),
+                              K[:, :, steps].transpose(2, 0, 1, 3, 4),
                               base.meas.H, base.meas.R)
-        noise = np.zeros(G.shape[:3] + (k, k))
-        noise[..., :z2, :z2] = (margs[steps, None, :, None, None]
-                                * np.einsum("jd,nbjdxy->nbjxy", D, C))
-        del C                              # keeps the peak at G plus lift
-        # sqrt(D) on both sides of the congruence applies each weight
-        # once.  With L_j = [G_j1 | G_j2 | ...] the branch sum is one
-        # stacked product, L_j (I (x) Psi_j) L_j.T, built from the maps'
-        # transposes.
-        lift_t = np.zeros(G.shape[:-2] + (k, k))
-        lift_t[..., :z2, :z2] = G.swapaxes(-1, -2)
-        lift_t[..., z2, z2] = 1.0
-        del G
-        lift_t *= np.sqrt(D)[..., None, None]
-        lift_h = lift_t.reshape(lift_t.shape[:3] + (-1, k)).swapaxes(-1, -2)
+        p = margs[steps, None, None, :, None, None]
+        pQ, out = p * Q[None, :, None], np.empty((len(p), b, len(W), k, k))
+        for stack in stacks:
+            out[:, :, stack.filters] = stack.advance(grid, p, pQ, base.chain,
+                                                     start == 0)
+        yield out
+
+
+class _Stack:
+    """Filters of a bank that run as many rows, advanced as one through
+    products and sums of each filter's own shape, so that a filter's
+    moments do not depend, bit for bit, on the rest of the bank: positions
+    ``filters`` (F,), rows (F, s), weights ``w`` (F, r, s) and moments
+    ``phi`` (system, filter, mode, k k).  sqrt(W) on both sides applies
+    each weight once, so with L_j = [G_j1 | G_j2 | ...] the branch sum is
+    one stacked product, L_j (I (x) Psi_j) L_j.T."""
+
+    def __init__(self, members: list, b: int, phi0: np.ndarray):
+        self.filters, self.rows, self.w = map(np.array, zip(*members))
+        flat = self.rows.ravel()   # one ascending run, the usual case: views
+        self.run = slice(flat[0], flat[-1] + 1) \
+            if (np.diff(flat) == 1).all() else flat
+        self.scale = np.sqrt(self.w)[..., None, None]
+        (F, r, s), k = self.w.shape, len(phi0)
+        self.phi = np.broadcast_to(phi0.ravel(), (b, F, 1, k * k))
+        self.psi = np.empty((b, F, r, 1, k, k))       # scratch of each step
+        self.branches = np.empty((b, F, r, s, k, k))
+
+    def advance(self, grid: tuple, p: np.ndarray, pQ: np.ndarray,
+                chain: MarkovChain, first: bool) -> np.ndarray:
+        """Advance through one block of ``grid``; returns the moments
+        summed over modes (steps, b, F, k, k)."""
+        Gt, lower = (X[..., self.run, :, :].reshape(
+            X.shape[:3] + self.rows.shape + X.shape[-2:]).swapaxes(2, 3)
+            for X in grid)       # (step, system, filter, mode, row) blocks
+        k, w = Gt.shape[-1], self.w
+        lift_t = Gt if (w == 1.0).all() else np.multiply(   # fixed: a view
+            Gt, self.scale, order="C")
+        lift_h = lift_t.reshape(lift_t.shape[:4] + (-1, k)).swapaxes(-1, -2)
+        noise = _noise(pQ, p * sum(w[:, :, i, None, None] * lower[..., i, :, :]
+                                   for i in range(w.shape[-1])))  # row order
+        psi_flat = self.psi.reshape(self.psi.shape[:3] + (-1,))
+        stacked = self.branches.reshape(self.psi.shape[:3] + (-1, k))
+        phi = self.phi
         for n in range(len(noise)):
-            psi = (mix.T @ phi.reshape(b, -1, k * k)).reshape(b, r, 1, k, k)
-            branches = (psi @ lift_t[n]).reshape(b, r, -1, k)
+            mix = chain.prior[None] if first and n == 0 else chain.Z
+            np.matmul(mix.T, phi, out=psi_flat)
+            np.matmul(self.psi, lift_t[n], out=self.branches)
             phi = noise[n]           # each noise term is read once: reuse it
-            phi += lift_h[n] @ branches
-            mix = base.chain.Z
-        yield noise.sum(axis=2)
-
-
-def _branch_weights(model: SldsModel, det: Optional[DetectionModel],
-                    switching: bool) -> np.ndarray:
-    """D for ``_moments``: the detection weights of the switching filter,
-    or one branch per true mode for a fixed filter."""
-    if not switching:
-        return np.ones((model.r, 1))
-    if det is None:
-        raise ValueError("switching-filter analysis needs a detection model")
-    return _detection_weights(model.r, det)
-
-
-def _moments(model: SldsModel, A_f: np.ndarray, K: np.ndarray,
-             D: np.ndarray) -> np.ndarray:
-    """Lifted moments (N + 1, k, k) of one filter on ``model``: under true
-    mode j it runs row d of ``A_f`` (d, N, z, z) and ``K`` (d, N, z, m)
-    with probability ``D[j, d]``."""
-    A = np.stack([mode.A for mode in model.modes])
-    Q = np.stack([mode.Q for mode in model.modes])
-    blocks = _lifted_moments(model, A[None], Q[None], A_f.swapaxes(0, 1)[None],
-                             K.swapaxes(0, 1)[None], D)
-    return np.concatenate(list(blocks))[:, 0]
+            phi += lift_h[n] @ stacked
+            phi = phi.reshape(psi_flat.shape)
+        self.phi = phi.copy()                 # the copy lets the noise go
+        return noise.sum(axis=3)
 
 
 def _filter_moments(model: SldsModel, det: Optional[DetectionModel],
                     n_steps: int, filt: Optional[ModeLike]) -> np.ndarray:
     """Lifted moments (N + 1, k, k) of the switching filter under ``det``,
-    or of the fixed filter ``filt`` (one branch per true mode)."""
-    D = _branch_weights(model, det, filt is None)
+    or of the fixed filter ``filt``: a one-filter bank."""
     if filt is None:
         K = np.array([s.gains for s in mode_schedules(model, n_steps)])
-        A_f = np.broadcast_to(
-            np.stack([mode.A for mode in model.modes])[:, None],
-            K.shape[:2] + (model.z, model.z))
+        A_f = _mode_dynamics(model, n_steps)[0]
     else:
         K = np.array([gain_schedule(filt, model.meas, model.init,
                                     n_steps).gains])
         A_f = np.array([[mode.A for mode in as_mode_sequence(filt, n_steps)]])
-    return _moments(model, A_f, K, D)
+    blocks = _bank_moments(model, A_f[None], K[None],
+                           [_branch_weights(model.r, det, filt is None)])
+    return np.concatenate(list(blocks))[:, 0, 0]
 
 
 def bank_series(model: SldsModel, det: Optional[DetectionModel],
                 filters: Sequence[FilterSpec], n_steps: int,
                 bank: Optional[FilterBank] = None) -> list[MseSeries]:
-    """MSE series of each spec in ``filters``, read off one
-    :func:`~slds_mse.kalman.filter_bank`: one Riccati pass for the whole
-    list, then one moment recursion per spec.  Each series equals
-    ``aggregate_series`` with the matching ``filt`` bit for bit, whatever
-    else the list holds.  ``bank`` reuses a caller's
-    ``filter_bank(model, n_steps)`` instead of computing it."""
+    """MSE series of each spec in ``filters`` from one ``filter_bank`` (or
+    the caller's ``bank``) and one moment pass; each equals
+    ``aggregate_series`` bit for bit, whatever else the list holds."""
     if bank is None:
         bank = filter_bank(model, n_steps)
-    out = []
-    for spec in filters:
-        rows = bank.rows(spec)
-        moments = _moments(model, bank.A[rows], bank.gains[rows],
-                           _branch_weights(model, det, spec.kind == "skf"))
-        out.append(MseSeries(mse=_error_trace(moments, model.z),
-                             method="aggregate"))
-    return out
+    W = [np.zeros((model.r, len(bank.A))) for _ in filters]
+    for w, spec in zip(W, filters):
+        w[:, bank.rows(spec)] = _branch_weights(model.r, det,
+                                                spec.kind == "skf")
+    blocks = _bank_moments(model, bank.A[None], bank.gains[None], W)
+    mse = np.concatenate([_error_trace(m[:, 0], model.z) for m in blocks])
+    return [MseSeries(mse=m, method="aggregate") for m in mse.T]
 
 
 def _error_trace(moments: np.ndarray, z: int) -> np.ndarray:
@@ -295,14 +319,6 @@ def aggregate_series(model: SldsModel, det: Optional[DetectionModel],
     any Markov chain under schedule gains)."""
     moments = _filter_moments(model, det, n_steps, filt)
     return MseSeries(mse=_error_trace(moments, model.z), method="aggregate")
-
-
-def _metric_value(rel: np.ndarray, metric: str) -> float:
-    if metric == "mean":
-        return float(rel.mean())
-    if metric == "max":
-        return float(rel.max())
-    return float(rel[-1])
 
 
 def pair_model(model: SldsModel, i: int, j: int) -> SldsModel:
@@ -340,31 +356,24 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     # Pairs share H, R and P0, so mode j's schedule is row j of the full
-    # model's; one stack runs the pairs' SKFs, one their single-mode KFs.
+    # model's.  One bank pass runs every pair's SKF and its two KFs.
     members = np.array(list(itertools.combinations(range(model.r), 2)))
-    n_pairs, z = len(members), model.z
     gains = np.array([s.gains for s in mode_schedules(model, n_steps)])
-    A = np.stack([mode.A for mode in model.modes])[members]
-    Q = np.stack([mode.Q for mode in model.modes])[members]
-    base = pair_model(model, 1, 2)
-    skf = _lifted_moments(
-        base, A, Q, np.broadcast_to(A[:, None], (n_pairs, n_steps, 2, z, z)),
-        gains[members].swapaxes(1, 2), _detection_weights(2, det))
-    skf = np.concatenate([_error_trace(m, z) for m in skf]).T
-    singles = _lifted_moments(
-        base, A.repeat(2, axis=0), Q.repeat(2, axis=0),
-        np.broadcast_to(A.reshape(-1, 1, 1, z, z),
-                        (2 * n_pairs, n_steps, 1, z, z)),
-        gains[members.ravel(), :, None], np.ones((2, 1)))
-    singles = np.concatenate([_error_trace(m, z) for m in singles]).T
+    A, Q = (m[:, 0][members] for m in _mode_dynamics(model, 1))
+    W = (_branch_weights(2, det, True), np.array([[1.0, 0.0]] * 2),
+         np.array([[0.0, 1.0]] * 2))
+    blocks = _bank_moments(
+        pair_model(model, 1, 2),
+        np.broadcast_to(A[:, :, None], A.shape[:2] + (n_steps,) + A.shape[2:]),
+        gains[members], W, true=(A, Q))
+    mse = np.concatenate([_error_trace(m, model.z) for m in blocks]).T
     pairs = []
-    for (i, j), skf_mse, own in zip(members + 1, skf,
-                                    singles.reshape(n_pairs, 2, -1)):
+    for (i, j), (skf_mse, *own) in zip(members + 1, mse.swapaxes(0, 1)):
         label, best = min(zip((f"kf-mode-{i}", f"kf-mode-{j}"), own),
                           key=lambda c: c[1][1:].mean())
         denom = np.where(best[1:] > 0, best[1:], 1.0)
-        rel = (best[1:] - skf_mse[1:]) / denom
-        improvement = _metric_value(rel, metric)
+        improvement = float(_SUMMARIES[metric]((best[1:] - skf_mse[1:])
+                                               / denom))
         pairs.append(MergePairReport(
             mode_i=int(i), mode_j=int(j), skf_mse=skf_mse,
             best_single_mse=best, best_single_label=label,
@@ -375,25 +384,12 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
 
 
 def merge_clusters(report: MergeReport) -> list[list[int]]:
-    """Connected components of the merge graph (1-based mode indices).
-
-    Modes joined by any chain of merge recommendations land in one
-    cluster; a mode with no merges forms its own singleton.
-    """
-    parent = list(range(report.r + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    """Connected components of the merge graph (1-based mode indices),
+    ordered by their smallest mode; an unmerged mode is a singleton."""
+    cluster = {k: {k} for k in range(1, report.r + 1)}
     for pair in report.pairs:
         if pair.merge:
-            ra, rb = find(pair.mode_i), find(pair.mode_j)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for k in range(1, report.r + 1):
-        groups.setdefault(find(k), []).append(k)
-    return [groups[root] for root in sorted(groups)]
+            joined = cluster[pair.mode_i] | cluster[pair.mode_j]
+            for k in joined:
+                cluster[k] = joined
+    return sorted(map(sorted, {min(c): c for c in cluster.values()}.values()))

@@ -17,7 +17,7 @@ error analysis consumes only those schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,11 +77,12 @@ def kf_update(predicted: GaussianBelief, meas: MeasurementModel,
               y: np.ndarray, joseph: bool = False) -> KalmanStepOutput:
     """Measurement update.
 
-    The gain comes from ``_gain_step``, the Riccati kernel's own Cholesky
-    check and solve, so iterating ``kf_predict``/``kf_update`` reproduces
-    ``gain_schedule`` bit for bit.  ``joseph=True`` switches the
-    covariance update to the Joseph form, which is algebraically
-    identical for the optimal gain but more tolerant of rounding.
+    The gain comes from ``_gain_step``, the Riccati kernel's own solve,
+    and ``_check_innovations`` vets its innovation covariance, so
+    iterating ``kf_predict``/``kf_update`` reproduces ``gain_schedule``
+    bit for bit.  ``joseph=True`` switches the covariance update to the
+    Joseph form, which is algebraically identical for the optimal gain
+    but more tolerant of rounding.
     """
     H, R = meas.H, meas.R
     if meas.z != predicted.z:
@@ -90,6 +91,7 @@ def kf_update(predicted: GaussianBelief, meas: MeasurementModel,
     y = np.asarray(y, dtype=float).reshape(H.shape[0])
     P = predicted.cov
     B, K = _gain_step(meas, P)
+    _check_innovations(B)
     mean = predicted.mean + K @ (y - H @ predicted.mean)
     ikh = np.eye(P.shape[0]) - K @ H
     if joseph:
@@ -110,37 +112,71 @@ def as_mode_sequence(modes: ModeLike, n_steps: int) -> list[ModeModel]:
     return modes
 
 
+def _check_innovations(B: np.ndarray, step: Optional[int] = None) -> None:
+    """Raise ``InnovationSolveError`` unless every innovation covariance
+    in ``B`` (..., m, m) is finite and positive definite: one finiteness
+    check and one batched Cholesky.  With ``step``, ``B`` is (steps, rows,
+    m, m) from that 0-based step on and the error names the first bad
+    step and its row.  It carries the bad matrix's condition estimate,
+    infinite when the matrix is not finite."""
+    finite = np.isfinite(B).all(axis=(-2, -1))
+    if finite.all():
+        try:
+            np.linalg.cholesky(B)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    for idx in np.ndindex(finite.shape):
+        at = "" if step is None else \
+            f" at step {step + idx[0] + 1} of row {idx[1]}"
+        if not finite[idx]:
+            raise InnovationSolveError(
+                f"innovation covariance is not finite{at}", np.inf)
+        try:
+            np.linalg.cholesky(B[idx])
+        except np.linalg.LinAlgError:
+            raise InnovationSolveError(
+                f"innovation covariance is not positive definite{at}",
+                float(np.linalg.cond(B[idx]))) from None
+
+
 def _gain_step(meas: MeasurementModel, P: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray]:
+               step: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """Innovation covariances B and gains K of predicted covariances
-    ``P`` (..., z, z): one Cholesky check and one solve."""
+    ``P`` (..., z, z): one solve.  A singular solve raises, with the
+    reason ``_check_innovations`` finds (``P`` is (rows, z, z) at 0-based
+    ``step`` when given); callers vet the B of a successful one."""
     HP = meas.H @ P
     B = HP @ meas.H.T + meas.R
     B = (B + B.swapaxes(-1, -2)) / 2.0
     try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
-        raise InnovationSolveError(
-            "innovation covariance is not positive definite",
-            float(np.max(np.linalg.cond(B)))) from exc
-    return B, np.linalg.solve(B, HP).swapaxes(-1, -2)
+        return B, np.linalg.solve(B, HP).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        _check_innovations(B if step is None else B[None], step)
+        at = "" if step is None else f" at step {step + 1}"
+        raise InnovationSolveError(f"innovation covariance is singular{at}",
+                                   float(np.max(np.linalg.cond(B)))) from None
 
 
 def _riccati(A: np.ndarray, Q: np.ndarray, meas: MeasurementModel,
              P0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains (B, N, z, m) and posterior covariances (B, N, z, z) of B
     filters with per-step dynamics ``A``, ``Q`` (B, N, z, z) sharing
-    ``meas`` and ``P0``: one ``_gain_step`` per step."""
+    ``meas`` and ``P0``: one ``_gain_step`` per step, then one check of
+    all the innovation covariances."""
     gains = np.empty(A.shape[:2] + meas.H.T.shape)
     covs = np.empty(A.shape)
+    innov = np.empty((A.shape[1], len(A)) + meas.R.shape)
     eye = np.eye(P0.shape[0])
     P = P0
     for n in range(A.shape[1]):
         P = A[:, n] @ P @ A[:, n].swapaxes(1, 2) + Q[:, n]
         P = (P + P.swapaxes(1, 2)) / 2.0
-        K = gains[:, n] = _gain_step(meas, P)[1]
+        innov[n], K = _gain_step(meas, P, n)
+        gains[:, n] = K
         P = (eye - K @ meas.H) @ P
         P = covs[:, n] = (P + P.swapaxes(1, 2)) / 2.0
+    _check_innovations(innov, 0)
     return gains, covs
 
 

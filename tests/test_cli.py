@@ -24,6 +24,7 @@ from slds_mse import (
     __version__,
     aggregate_series,
     dumps_scenario,
+    fast,
     kalman,
     load_scenario,
     scenario_from_dict,
@@ -248,9 +249,10 @@ class TestCompare:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_cells_fail(self, scenario_file, tmp_path, capsys):
-        # mode 2's A = 1e200 overflows the MSE of every filter after step 0
+        # mode 2's A = 1e100 keeps every innovation covariance finite but
+        # overflows the MSE of every filter after step 1
         modes = [{"A": [[0.9]], "Q": [[0.01]]},
-                 {"A": [[1e200]], "Q": [[0.01]]}]
+                 {"A": [[1e100]], "Q": [[0.01]]}]
         out, svg = tmp_path / "compare.csv", tmp_path / "compare.svg"
         assert main(["compare", "--scenario",
                      scenario_file(modes=modes, horizon=5), "--threads", "1",
@@ -456,6 +458,23 @@ class TestFailureModes:
         assert capsys.readouterr().out.strip() == __version__
 
 
+class TestDivergentFilterBank:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command",
+                             ["analyze", "compare", "simulate", "recommend"])
+    def test_non_finite_innovation_exits_3(self, scenario_file, capsys,
+                                           command):
+        # mode 2's A = 1e200 overflows its KF's covariance at step 1
+        modes = [{"A": [[0.9]], "Q": [[0.01]]},
+                 {"A": [[1e200]], "Q": [[0.01]]}]
+        assert main([command, "--scenario", scenario_file(modes=modes),
+                     "--threads", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "innovation covariance is not finite at step 1 of row 1" \
+            in captured.err
+        assert captured.out == ""
+
+
 class TestSharedFilterBank:
     """Every analytic filter of a command reads one filter bank, and
     ``compare`` hands the same bank to Monte Carlo: counted Riccati
@@ -472,3 +491,37 @@ class TestSharedFilterBank:
         assert riccati.call_count == passes
         batch = {call.args[0].shape[0] for call in riccati.call_args_list}
         assert batch == {3}            # r = 2 modes plus the average filter
+
+
+class TestOneMomentPass:
+    """Every analytic filter of a command advances in one moment pass
+    that builds the branch maps once per block of steps: counted kernel
+    calls, map builds and batch shapes, not wall-clock time, keep
+    per-filter recursions from creeping back."""
+
+    @pytest.mark.parametrize("command", ["analyze", "compare", "recommend"])
+    def test_one_kernel_call(self, scenario_file, tmp_path, command):
+        horizon = 2 * fast._BLOCK + 3                  # three blocks
+        with mock.patch.object(fast, "_bank_moments",
+                               wraps=fast._bank_moments) as kernel, \
+                mock.patch.object(fast, "_joint_factors",
+                                  wraps=fast._joint_factors) as factors:
+            assert main([command, "--scenario",
+                         scenario_file(horizon=horizon, mc_samples=500),
+                         "--threads", "1",
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        assert kernel.call_count == 1
+        base, A_f, K, W = kernel.call_args.args
+        assert factors.call_count == 3
+        if command == "recommend":
+            # one pair of modes: its two KF rows, its SKF and both KFs
+            A, Q = kernel.call_args.kwargs["true"]
+            assert A.shape == Q.shape == (1, 2, 1, 1)
+            assert A_f.shape == K.shape == (1, 2, horizon, 1, 1)
+            assert [w.shape for w in W] == [(2, 2)] * 3
+        else:
+            # the scenario's own modes: r = 2 mode rows plus the average
+            # filter's, four filters
+            assert base.r == 2 and not kernel.call_args.kwargs
+            assert A_f.shape == K.shape == (1, 3, horizon, 1, 1)
+            assert [w.shape for w in W] == [(2, 3)] * 4

@@ -260,6 +260,37 @@ class TestStackedRecursion:
             assert_allclose(whole.mse, full, rtol=1e-12, atol=0)
 
 
+# Enumeration of the switching filter at r = 3 costs 9^N pairs, so the
+# oracle test shrinks the block: these horizons sit on both sides of
+# its first boundary and reach into the third block.
+SHORT_BLOCK = 2
+SHORT_HORIZONS = (1, SHORT_BLOCK, SHORT_BLOCK + 1, 2 * SHORT_BLOCK + 1)
+
+
+class TestBankOracle:
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(p_d=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_mixed_bank_matches_enumeration(self, p_d, seed):
+        # every single-mode KF, the average filter and the SKF in one pass
+        model = random_model(np.random.default_rng(seed), 3, 2,
+                             uniform_rows=False, uniform_prior=False)
+        det = DetectionModel(p_d)
+        specs = [FilterSpec("single-mode", mode=j) for j in (1, 2, 3)]
+        specs += [FilterSpec("average"), FilterSpec("skf")]
+        for n_steps in SHORT_HORIZONS:
+            with mock.patch.object(fast, "_BLOCK", SHORT_BLOCK):
+                series = bank_series(model, det, specs, n_steps)
+            for spec, got in zip(specs, series):
+                if spec.kind == "skf":
+                    exact, _ = skf_slds_moments(model, det, n_steps,
+                                                cap=9 ** n_steps)
+                else:
+                    exact, _ = single_mode_slds_moments(
+                        model, spec_filter(model, spec, n_steps), n_steps)
+                assert_allclose(got.mse, exact.mse, rtol=1e-12, atol=0,
+                                err_msg=f"{spec.display} N={n_steps}")
+
+
 class TestJointFactors:
     """The branch map that the aggregate recursion and enumeration share,
     checked on its own against the u-parametrised mismatch step."""
@@ -282,17 +313,15 @@ class TestJointFactors:
         prev = ErrorMoments(e_mean=mean[z:], e_cov=cov[z:, z:],
                             x_mean=mean[:z], x_cov=x_cov,
                             u=x_cov - cov[z:, :z], step=0)
-        G, C = fast._joint_factors(truth.A, truth.Q, filt.A, K, meas.H,
-                                   meas.R)
-        lift = np.zeros((2 * z + 1, 2 * z + 1))
-        lift[-1, -1] = 1.0
-        lift[:-1, :-1] = G
+        # one true mode and one filter row: a 1 x 1 grid
+        Gt, lower = fast._joint_factors(truth.A[None], truth.Q[None],
+                                        filt.A[None], K[None], meas.H, meas.R)
+        lift = Gt[0, 0].T
         phi = np.zeros_like(lift)
         phi[:-1, :-1] = cov + np.outer(mean, mean)
         phi[:-1, -1] = phi[-1, :-1] = mean
         phi[-1, -1] = 1.0
-        nxt = lift @ phi @ lift.T
-        nxt[:-1, :-1] += C
+        nxt = lift @ phi @ lift.T + fast._noise(truth.Q, lower[0, 0])
         mu = nxt[:-1, -1]
         cov_next = nxt[:-1, :-1] - np.outer(mu, mu)
         want = mismatch_step(prev, truth, filt, meas, K)

@@ -115,6 +115,13 @@ class TestSteps:
         assert_allclose(joseph.posterior.cov, plain.posterior.cov, atol=1e-12)
         assert_allclose(joseph.posterior.cov, joseph.posterior.cov.T, atol=0)
 
+    @pytest.mark.parametrize("cov", [np.nan, np.inf])
+    def test_non_finite_innovation_raises(self, cov):
+        pred = scalar_belief(0.0, cov)
+        with pytest.raises(InnovationSolveError, match="not finite") as err:
+            kf_update(pred, scalar_meas(1.0, 0.5), np.array([1.0]))
+        assert err.value.condition == np.inf
+
     def test_singular_innovation_raises(self):
         pred = scalar_belief(0.0, 0.0)
         meas = MeasurementModel(np.array([[1.0]]), np.array([[0.0]]))
@@ -222,6 +229,41 @@ class TestSchedules:
             with pytest.raises(InnovationSolveError) as err:
                 run()
             assert err.value.condition > 1e12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_innovation_raises_in_schedules(self):
+        # A = 1e200 overflows P, and so B, at the first step of mode 2
+        huge = scalar_mode(1e200, 0.01)
+        meas, init = scalar_meas(1.0, 0.01), scalar_belief(0.0, 1.0)
+        model = SldsModel((scalar_mode(0.9, 0.01), huge), meas,
+                          MarkovChain(np.full((2, 2), 0.5), [0.5, 0.5]), init)
+        for run, where in ((lambda: gain_schedule(huge, meas, init, 3),
+                            "at step 1 of row 0"),
+                           (lambda: mode_schedules(model, 3),
+                            "at step 1 of row 1"),
+                           (lambda: filter_bank(model, 3),
+                            "at step 1 of row 1")):
+            with pytest.raises(InnovationSolveError,
+                               match=f"not finite {where}") as err:
+                run()
+            assert err.value.condition == np.inf
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_bad_step_is_named(self):
+        # A tiny P0 keeps step 1 finite, and its update leaves P = 0 after
+        # rounding, so step 2 sees only Q; A^2 P overflows at step 3.
+        mode = scalar_mode(1e160, 0.01)
+        meas, init = scalar_meas(1.0, 0.01), scalar_belief(0.0, 1e-100)
+        with pytest.raises(InnovationSolveError,
+                           match="not finite at step 3 of row 0"):
+            gain_schedule(mode, meas, init, 4)
+
+    def test_indefinite_innovation_caught_after_the_loop(self):
+        # R = -1 and P = 0 give B = -1: the solve succeeds, Cholesky not.
+        mode, meas = scalar_mode(0.9, 0.0), scalar_meas(1.0, -1.0)
+        with pytest.raises(InnovationSolveError,
+                           match="not positive definite at step 1 of row 0"):
+            gain_schedule(mode, meas, scalar_belief(0.0, 0.0), 3)
 
     def test_schedule_accepts_per_step_modes(self, bench):
         seq = [bench.modes[0], bench.modes[1], bench.modes[0]]
