@@ -54,8 +54,7 @@ from .kalman import (
     mode_schedules,
 )
 
-_SUMMARIES = {"mean": np.mean, "max": np.max, "final": lambda rel: rel[-1]}
-METRICS = tuple(_SUMMARIES)
+METRICS = ("mean", "max", "final")
 _BLOCK = 25            # steps per block of branch maps in _bank_moments
 
 
@@ -172,7 +171,7 @@ def _initial_moment(init: GaussianBelief) -> np.ndarray:
     z = init.z
     w0 = np.concatenate((init.mean, np.zeros(z), [1.0]))
     phi = np.outer(w0, w0)
-    phi[:2 * z, :2 * z] += np.tile(init.cov, (2, 2))
+    phi[:2 * z, :2 * z] += np.kron(np.ones((2, 2)), init.cov)
     return phi
 
 
@@ -221,10 +220,14 @@ class _Stack:
 
     def __init__(self, members: list, b: int, phi0: np.ndarray):
         self.filters, self.rows, self.w = map(np.array, zip(*members))
-        flat = self.rows.ravel()   # one ascending run, the usual case: views
-        self.run = slice(flat[0], flat[-1] + 1) \
+        # A bank listed in row order gives one ascending run of rows: a
+        # slice keeps the maps a view, where an index array copies them
+        # in a slow layout; weights of one need no scaled copy at all.
+        flat = self.rows.ravel()
+        self.pick = slice(flat[0], flat[-1] + 1) \
             if (np.diff(flat) == 1).all() else flat
-        self.scale = np.sqrt(self.w)[..., None, None]
+        self.scale = None if (self.w == 1.0).all() else \
+            np.sqrt(self.w)[..., None, None]
         (F, r, s), k = self.w.shape, len(phi0)
         self.phi = np.broadcast_to(phi0.ravel(), (b, F, 1, k * k))
         self.psi = np.empty((b, F, r, 1, k, k))       # scratch of each step
@@ -234,11 +237,11 @@ class _Stack:
                 chain: MarkovChain, first: bool) -> np.ndarray:
         """Advance through one block of ``grid``; returns the moments
         summed over modes (steps, b, F, k, k)."""
-        Gt, lower = (X[..., self.run, :, :].reshape(
+        Gt, lower = (X[..., self.pick, :, :].reshape(
             X.shape[:3] + self.rows.shape + X.shape[-2:]).swapaxes(2, 3)
             for X in grid)       # (step, system, filter, mode, row) blocks
         k, w = Gt.shape[-1], self.w
-        lift_t = Gt if (w == 1.0).all() else np.multiply(   # fixed: a view
+        lift_t = Gt if self.scale is None else np.multiply(
             Gt, self.scale, order="C")
         lift_h = lift_t.reshape(lift_t.shape[:4] + (-1, k)).swapaxes(-1, -2)
         noise = _noise(pQ, p * sum(w[:, :, i, None, None] * lower[..., i, :, :]
@@ -321,6 +324,14 @@ def aggregate_series(model: SldsModel, det: Optional[DetectionModel],
     return MseSeries(mse=_error_trace(moments, model.z), method="aggregate")
 
 
+def _metric_value(rel: np.ndarray, metric: str) -> float:
+    if metric == "mean":
+        return float(rel.mean())
+    if metric == "max":
+        return float(rel.max())
+    return float(rel[-1])
+
+
 def pair_model(model: SldsModel, i: int, j: int) -> SldsModel:
     """Bimodal sub-system for modes i, j (1-based) with a uniform pairwise
     chain, the marginal reduction used for merge analysis."""
@@ -372,8 +383,8 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
         label, best = min(zip((f"kf-mode-{i}", f"kf-mode-{j}"), own),
                           key=lambda c: c[1][1:].mean())
         denom = np.where(best[1:] > 0, best[1:], 1.0)
-        improvement = float(_SUMMARIES[metric]((best[1:] - skf_mse[1:])
-                                               / denom))
+        rel = (best[1:] - skf_mse[1:]) / denom
+        improvement = _metric_value(rel, metric)
         pairs.append(MergePairReport(
             mode_i=int(i), mode_j=int(j), skf_mse=skf_mse,
             best_single_mse=best, best_single_label=label,
@@ -384,12 +395,25 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
 
 
 def merge_clusters(report: MergeReport) -> list[list[int]]:
-    """Connected components of the merge graph (1-based mode indices),
-    ordered by their smallest mode; an unmerged mode is a singleton."""
-    cluster = {k: {k} for k in range(1, report.r + 1)}
+    """Connected components of the merge graph (1-based mode indices).
+
+    Modes joined by any chain of merge recommendations land in one
+    cluster; a mode with no merges forms its own singleton.
+    """
+    parent = list(range(report.r + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
     for pair in report.pairs:
         if pair.merge:
-            joined = cluster[pair.mode_i] | cluster[pair.mode_j]
-            for k in joined:
-                cluster[k] = joined
-    return sorted(map(sorted, {min(c): c for c in cluster.values()}.values()))
+            ra, rb = find(pair.mode_i), find(pair.mode_j)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for k in range(1, report.r + 1):
+        groups.setdefault(find(k), []).append(k)
+    return [groups[root] for root in sorted(groups)]

@@ -141,19 +141,25 @@ def _check_innovations(B: np.ndarray, step: Optional[int] = None) -> None:
 
 
 def _gain_step(meas: MeasurementModel, P: np.ndarray,
-               step: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+               past: Optional[np.ndarray] = None,
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Innovation covariances B and gains K of predicted covariances
     ``P`` (..., z, z): one solve.  A singular solve raises, with the
-    reason ``_check_innovations`` finds (``P`` is (rows, z, z) at 0-based
-    ``step`` when given); callers vet the B of a successful one."""
+    reason ``_check_innovations`` finds; given ``past`` (n, rows, m, m),
+    the unchecked innovation covariances of steps 1..n, it checks those
+    first, so the error names the first bad step.  Callers vet the B of
+    a successful solve."""
     HP = meas.H @ P
     B = HP @ meas.H.T + meas.R
     B = (B + B.swapaxes(-1, -2)) / 2.0
     try:
         return B, np.linalg.solve(B, HP).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
-        _check_innovations(B if step is None else B[None], step)
-        at = "" if step is None else f" at step {step + 1}"
+        if past is None:
+            _check_innovations(B)
+        else:
+            _check_innovations(np.concatenate((past, B[None])), 0)
+        at = "" if past is None else f" at step {len(past) + 1}"
         raise InnovationSolveError(f"innovation covariance is singular{at}",
                                    float(np.max(np.linalg.cond(B)))) from None
 
@@ -172,7 +178,7 @@ def _riccati(A: np.ndarray, Q: np.ndarray, meas: MeasurementModel,
     for n in range(A.shape[1]):
         P = A[:, n] @ P @ A[:, n].swapaxes(1, 2) + Q[:, n]
         P = (P + P.swapaxes(1, 2)) / 2.0
-        innov[n], K = _gain_step(meas, P, n)
+        innov[n], K = _gain_step(meas, P, innov[:n])
         gains[:, n] = K
         P = (eye - K @ meas.H) @ P
         P = covs[:, n] = (P + P.swapaxes(1, 2)) / 2.0

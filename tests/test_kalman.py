@@ -258,6 +258,14 @@ class TestSchedules:
                            match="not finite at step 3 of row 0"):
             gain_schedule(mode, meas, init, 4)
 
+    def test_first_bad_step_is_named_when_a_later_solve_fails(self):
+        # R = -1: step 1 has B = -0.5, which solves and leaves P = 1, so
+        # step 2 has B = 0 and its solve fails; step 1 is the first bad.
+        mode, meas = scalar_mode(1.0, 0.0), scalar_meas(1.0, -1.0)
+        with pytest.raises(InnovationSolveError,
+                           match="not positive definite at step 1 of row 0"):
+            gain_schedule(mode, meas, scalar_belief(0.0, 0.5), 3)
+
     def test_indefinite_innovation_caught_after_the_loop(self):
         # R = -1 and P = 0 give B = -1: the solve succeeds, Cholesky not.
         mode, meas = scalar_mode(0.9, 0.0), scalar_meas(1.0, -1.0)
