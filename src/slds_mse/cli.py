@@ -4,7 +4,9 @@ A thin shell over the library: scenario JSON in, CSV/SVG reports out.
 Every number in a report comes from a library call that is unit-tested
 on its own; this layer only selects methods, formats rows and maps
 failures to exit codes (0 success, 2 validation failure or an unwritable
-output path, 3 capacity or method failure, 4 comparison verdict FAIL).
+output path, 3 capacity or method failure, 4 comparison verdict FAIL,
+5 a NaN or infinite cell in an ``analyze`` or ``simulate`` CSV, which is
+still written).
 Set SLDS_MSE_LOG to a level name (DEBUG, INFO, ...) for progress logging
 on stderr.
 """
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 EXIT_COMPARE_FAIL = 4
+EXIT_NON_FINITE = 5
 
 log = logging.getLogger("slds_mse.cli")
 
@@ -266,6 +269,17 @@ def _maybe_svg(path: Optional[str], series_list: list, title: str,
         raise _unwritable("--svg", path, exc)
 
 
+def _require_finite(cells: list) -> None:
+    """Exit 5 naming each filter's first step with a NaN or infinite cell;
+    ``cells`` pairs a filter label with its values ``(N+1, k)``."""
+    bad = [(label, np.flatnonzero(~np.isfinite(values).all(axis=1)))
+           for label, values in cells]
+    named = [f"{label} step {steps[0]}" for label, steps in bad if steps.size]
+    if named:
+        raise CommandError(EXIT_NON_FINITE, "NaN or infinite values in the "
+                           "CSV, first per filter: " + ", ".join(named))
+
+
 def cmd_analyze(args) -> int:
     scenario = _load(args)
     results = _analytic_series(scenario, args)
@@ -277,6 +291,8 @@ def cmd_analyze(args) -> int:
     _maybe_svg(args.svg, [(spec.display, series.mse)
                           for spec, series in results],
                title="Analytic MSE by filter")
+    _require_finite([(spec.display, series.mse[:, None])
+                     for spec, series in results])
     return EXIT_OK
 
 
@@ -286,13 +302,17 @@ def cmd_simulate(args) -> int:
                            scenario.detection, scenario.horizon,
                            scenario.mc_samples, scenario.seed,
                            threads=args.threads, bank=_filter_bank(scenario))
-    rows = []
+    rows, cells = [], []
     for spec, run in zip(scenario.filters, runs):
         emp = empirical_mse(run)
         rows += [[step, spec.display, _g17(emp.mse[step]),
                   _g17(emp.stderr[step])]
                  for step in range(emp.mse.size)]
+        # one sample has no standard error: NaN by definition, not a fault
+        checked = [emp.mse, emp.stderr] if run.samples > 1 else [emp.mse]
+        cells.append((spec.display, np.column_stack(checked)))
     _write_csv(args.out, ["step", "filter", "mc_mse", "mc_stderr"], rows)
+    _require_finite(cells)
     return EXIT_OK
 
 

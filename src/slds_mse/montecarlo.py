@@ -13,13 +13,16 @@ bitwise identical for a given seed regardless of how many threads
 computed the chunks, and the switching filter's detection noise never
 perturbs the simulated trajectories.  Every switching-filter spec is the
 same filter on the same detection stream, so adding or removing any
-filter leaves each other filter's result bitwise unchanged.
+filter leaves each other filter's result bitwise unchanged.  A chunk keeps
+only the current step's states, estimates and errors; their Gram product
+joins that step's moment sums.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,44 +54,56 @@ def _noise_transform(cov: np.ndarray) -> np.ndarray:
 
 
 def _pick(bank: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    """Row ``i`` of ``bank[choice[i]]`` for each run ``i``: every run keeps
-    its own mode's update out of a per-mode bank ``(r, count, z)``."""
-    _, count, z = bank.shape
-    flat = choice * count + np.arange(count)
-    return bank.reshape(-1, z).take(flat, axis=0)
+    """Column ``i`` of ``bank[choice[i]]`` for each run ``i``, with one flat
+    ``take``: every run keeps its own mode's row of a bank ``(r, z, count)``."""
+    _, z, count = bank.shape
+    flat = np.arange(z * count).reshape(z, count) + choice * (z * count)
+    return bank.reshape(-1).take(flat)
 
 
-def _simulate_batch(model: SldsModel, n_steps: int, rng: np.random.Generator,
-                    count: int):
-    """Vectorized simulation of ``count`` independent runs.
+class _System:
+    """The switching system advanced one step at a time on state-major
+    ``(z, count)`` states.  Draw order (fixed, part of the determinism
+    contract): initial-state noise, then per step the mode uniform, the
+    process noise and the measurement noise."""
 
-    Draw order (fixed, part of the determinism contract): initial-state
-    noise, then per step the mode uniform, the process noise and the
-    measurement noise.  Storage is step-major, ``(N+1, count, z)``; the
-    returned modes, states and measurements are sample-major views of it.
-    """
-    z, m = model.z, model.m
-    H_t = model.meas.H.T
-    L0 = _noise_transform(model.init.cov)
-    Lr = _noise_transform(model.meas.R)
-    A_t = np.array([mode.A.T for mode in model.modes])
-    Lq_t = np.array([_noise_transform(mode.Q).T for mode in model.modes])
+    def __init__(self, model: SldsModel):
+        self.model, self.L0 = model, _noise_transform(model.init.cov)
+        self.AL = np.array([np.hstack([mode.A, _noise_transform(mode.Q)])
+                            for mode in model.modes])
+        self.HL = np.hstack([model.meas.H, _noise_transform(model.meas.R)])
+        self.cum_prior = np.cumsum(model.chain.prior)[:, None]
+        self.cum_cols = np.cumsum(model.chain.Z, axis=1).T
 
-    states = np.empty((n_steps + 1, count, z))
-    meas = np.empty((n_steps, count, m))
-    modes = np.empty((n_steps, count), dtype=np.intp)
-    states[0] = model.init.mean + rng.standard_normal((count, z)) @ L0.T
+    def start(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        noise = rng.standard_normal((count, self.model.z))
+        return self.model.init.mean[:, None] + self.L0 @ noise.T
 
-    cum_prior = np.cumsum(model.chain.prior)[:, None]
-    cum_cols = np.cumsum(model.chain.Z, axis=1).T
-    for n in range(1, n_steps + 1):
+    def step(self, rng: np.random.Generator, x: np.ndarray, mode):
+        """(modes, states, measurements) of the next step from the states
+        ``x`` and the modes of the last step (None before step 1)."""
+        model, count = self.model, x.shape[1]
         u = rng.random(count)
-        cum = cum_prior if n == 1 else cum_cols.take(modes[n - 2], axis=1)
-        modes[n - 1] = np.minimum((cum <= u).sum(axis=0), model.r - 1)
-        noise = rng.standard_normal((count, z))
-        states[n] = _pick(states[n - 1] @ A_t + noise @ Lq_t, modes[n - 1])
-        meas[n - 1] = states[n] @ H_t + rng.standard_normal((count, m)) @ Lr.T
-    return modes.T, states.swapaxes(0, 1), meas.swapaxes(0, 1)
+        cum = self.cum_prior if mode is None else self.cum_cols.take(mode, axis=1)
+        mode = np.minimum((cum <= u).sum(axis=0), model.r - 1)
+        noise = rng.standard_normal((count, model.z))
+        x = _pick(self.AL @ np.concatenate([x, noise.T]), mode)
+        noise = rng.standard_normal((count, model.m))
+        return mode, x, self.HL @ np.concatenate([x, noise.T])
+
+
+def _simulate_batch(model: SldsModel, n_steps: int, rng, count: int):
+    """``count`` stored runs of :class:`_System`: modes ``(count, N)``,
+    states ``(count, N+1, z)`` and measurements ``(count, N, m)``."""
+    system = _System(model)
+    modes = np.empty((n_steps, count), dtype=np.intp)
+    states = np.empty((n_steps + 1, model.z, count))
+    meas = np.empty((n_steps, model.m, count))
+    states[0], mode = system.start(rng, count), None
+    for n in range(1, n_steps + 1):
+        mode, states[n], meas[n - 1] = system.step(rng, states[n - 1], mode)
+        modes[n - 1] = mode
+    return modes.T, states.transpose(2, 0, 1), meas.transpose(2, 0, 1)
 
 
 def simulate_slds(model: SldsModel, n_steps: int, rng: np.random.Generator):
@@ -98,71 +113,80 @@ def simulate_slds(model: SldsModel, n_steps: int, rng: np.random.Generator):
     return modes[0], states[0], meas[0]
 
 
+def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
+    """One step's detected modes: the true mode with probability p_d, else
+    uniform over the wrong ones.  One uniform draw, then (if r > 1) one
+    integer draw for the wrong mode."""
+    if r < 2:
+        return truth
+    hit = rng.random(truth.size) < det.p_d
+    wrong = rng.integers(0, r - 1, size=truth.size)
+    wrong = wrong + (wrong >= truth)      # skip over the true index
+    return np.where(hit, truth, wrong)
+
+
 def draw_detections(true_modes: np.ndarray, det: DetectionModel, r: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Detected modes for the switching filter: the true mode with
-    probability p_d, else uniform over the wrong ones.  Per step: one
-    uniform draw, then (if r > 1) one integer draw for the wrong mode."""
+    """Detected modes of true modes ``(count, N)``, step by step."""
     true_modes = np.atleast_2d(true_modes)
-    if r < 2:
-        return true_modes.copy()
-    count, n_steps = true_modes.shape
     detected = np.empty_like(true_modes)
-    for n in range(n_steps):
-        truth = true_modes[:, n]
-        hit = rng.random(count) < det.p_d
-        wrong = rng.integers(0, r - 1, size=count)
-        wrong = wrong + (wrong >= truth)      # skip over the true index
-        detected[:, n] = np.where(hit, truth, wrong)
+    for n, truth in enumerate(true_modes.T):
+        detected[:, n] = _detect(rng, truth, det, r)
     return detected
 
 
-def _replay_inputs(bank: FilterBank, specs: Sequence[FilterSpec]):
-    """Transposed per-step transitions ``(B, N, z, z)`` and gains
-    ``(B, N, m, z)`` that replay ``specs`` in order, read off ``bank``:
-    one row per fixed-gain filter, one row per mode for the switching
-    filter."""
-    rows = [bank.rows(spec) for spec in specs]
-
-    def stack(arr: np.ndarray) -> np.ndarray:
-        # C-contiguous like the per-spec schedules, so products round alike
-        return np.ascontiguousarray(
-            np.concatenate([arr[s] for s in rows]).swapaxes(-1, -2))
-
-    return stack(bank.A), stack(bank.gains)
+def _replay_inputs(bank: FilterBank, specs: Sequence[FilterSpec], H: np.ndarray):
+    """Closed-loop maps ``M = (I - K H) A`` (B, N, z, z) and gains ``K``
+    (B, N, z, m) of ``specs`` in order, read off ``bank``: one row per
+    fixed-gain filter, one per mode of the switching filter."""
+    rows = [i for spec in specs for i in range(len(bank.A))[bank.rows(spec)]]
+    A, K = bank.A[rows], bank.gains[rows]
+    return A - K @ (H @ A), K
 
 
-def _single_filter_errors(states, meas, A_t, K_t, H, init_mean):
-    """Errors of F fixed-gain filters replayed as one stack: filter f
-    applies ``A_t[f, n-1]`` and ``K_t[f, n-1]`` at step n.  Returns
-    ``(F, count, N+1, z)``, sample-major views of step-major storage."""
-    states, meas = states.swapaxes(0, 1), meas.swapaxes(0, 1)
-    n_plus_1, count, z = states.shape
-    errors = np.empty((A_t.shape[0], n_plus_1, count, z))
-    xhat = np.broadcast_to(init_mean, (A_t.shape[0], count, z))
-    errors[:, 0] = states[0] - xhat
-    for n in range(1, n_plus_1):
-        pred = xhat @ A_t[:, n - 1]
-        xhat = pred + (meas[n - 1] - pred @ H.T) @ K_t[:, n - 1]
-        errors[:, n] = states[n] - xhat
-    return errors.swapaxes(1, 2)
+class _Replay:
+    """Filters advanced together on closed-loop maps, ``x̂_n = M_n x̂_{n-1}
+    + K_n y_n`` from ``x̂_0 = x0``.  Estimates ``(G, z, count)`` hold one
+    group per fixed-gain filter, then the switching filter's, which keeps
+    its detected mode's row of its r mode rows.  Spec f is group[f]."""
+
+    def __init__(self, bank: FilterBank, specs: Sequence[FilterSpec],
+                 model: SldsModel, det: Optional[DetectionModel]):
+        self.det, self.r = det, model.r
+        fixed = list(dict.fromkeys(spec for spec in specs if spec.kind != "skf"))
+        skf = [spec for spec in specs if spec.kind == "skf"][:1]
+        self.F, self.skf, self.G = len(fixed), bool(skf), len(fixed) + bool(skf)
+        self.group = [self.F if spec.kind == "skf" else fixed.index(spec)
+                      for spec in specs]
+        self.M, self.K = _replay_inputs(bank, fixed + skf, model.meas.H)
+        self.x0 = np.broadcast_to(model.init.mean[:, None], (self.G, model.z, 1))
+
+    def step(self, n: int, xhat: np.ndarray, y: np.ndarray, truth, rng):
+        """Estimates ``(G, z, count)`` at step n >= 1 from those at n - 1,
+        measurements ``y`` (m, count), true modes and a detection rng."""
+        M, K, F = self.M[:, n - 1], self.K[:, n - 1], self.F
+        out = np.empty((self.G, M.shape[-1], y.shape[1]))
+        if F:
+            np.add(M[:F] @ xhat[:F], K[:F] @ y, out=out[:F])
+        if self.skf:
+            detected = _detect(rng, truth, self.det, self.r)
+            out[F] = _pick(M[F:] @ xhat[F] + K[F:] @ y, detected)
+        return out
 
 
-def _skf_errors(states, meas, detected, A_t, K_t, H, init_mean):
-    """Errors of the switching filter: every mode's update of every run,
-    of which each run keeps its detected mode's.  ``A_t``/``K_t`` hold one
-    row per mode; returns a ``(count, N+1, z)`` view like the states."""
-    states, meas = states.swapaxes(0, 1), meas.swapaxes(0, 1)
-    n_plus_1, count, z = states.shape
-    errors = np.empty_like(states)
-    xhat = np.broadcast_to(init_mean, (count, z))
-    errors[0] = states[0] - xhat
-    for n in range(1, n_plus_1):
-        pred = xhat @ A_t[:, n - 1]
-        bank = pred + (meas[n - 1] - pred @ H.T) @ K_t[:, n - 1]
-        xhat = _pick(bank, detected[:, n - 1])
-        errors[n] = states[n] - xhat
-    return errors.swapaxes(0, 1)
+def _skf_errors(states, modes, meas, replay: _Replay, rng) -> np.ndarray:
+    """Errors e_0..e_N of ``replay``'s one filter on one stored run; a
+    switching filter draws its detections from ``rng``."""
+    xhat, errors = replay.x0, [states[0] - replay.x0[0, :, 0]]
+    for n, (y, mode) in enumerate(zip(meas, modes), 1):
+        xhat = replay.step(n, xhat, y[:, None], mode, rng)
+        errors.append(states[n] - xhat[0, :, 0])
+    return np.array(errors)
+
+
+def _single_filter_errors(states, modes, meas, replay: _Replay) -> np.ndarray:
+    """:func:`_skf_errors` of a fixed-gain filter, which detects nothing."""
+    return _skf_errors(states, modes, meas, replay, None)
 
 
 def run_filter_on_sim(sim, model: SldsModel, spec: FilterSpec,
@@ -177,58 +201,52 @@ def run_filter_on_sim(sim, model: SldsModel, spec: FilterSpec,
     modes, states, meas = sim
     if spec.kind == "skf" and (det is None or rng is None):
         raise ValueError("switching filter needs a detection model and rng")
-    A_t, K_t = _replay_inputs(filter_bank(model, meas.shape[0]), [spec])
-    H, mean = model.meas.H, model.init.mean
+    replay = _Replay(filter_bank(model, meas.shape[0]), [spec], model, det)
     if spec.kind == "skf":
-        detected = draw_detections(modes[None, :], det, model.r, rng)
-        return _skf_errors(states[None], meas[None], detected, A_t, K_t,
-                           H, mean)[0]
-    return _single_filter_errors(states[None], meas[None], A_t, K_t,
-                                 H, mean)[0, 0]
+        return _skf_errors(states, modes, meas, replay, rng)
+    return _single_filter_errors(states, modes, meas, replay)
+
+
+def _gram(V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``V Vᵀ`` of ``V = [1; e; |e|²]`` (..., z+2, count), last row filled."""
+    e = V[..., 1:-1, :]
+    np.einsum("...ic,...ic->...c", e, e, out=V[..., -1, :])
+    return np.matmul(V, V.swapaxes(-1, -2), out=out)
 
 
 @dataclass(frozen=True)
 class SimRun:
     """Error-moment accumulators of one filter over a sample set.
 
-    Raw sums over samples, per step 0..N: the error vector, its outer
-    product, the squared norm, the squared norm's square, and the error
-    scaled by its squared norm (for variance-of-variance estimates).
+    ``gram`` holds, per step 0..N, the sum over samples of ``V Vᵀ`` with
+    ``V = [1; e; |e|²]``.  Its read-only views are the sample count and
+    the sums of the error, its outer product, the squared norm, its square
+    and the error scaled by it (for variance-of-variance estimates).
     Merging two runs is plain addition, so chunked reductions are exact.
     """
 
-    samples: int
-    sum_e: np.ndarray
-    sum_ee: np.ndarray
-    sum_sq: np.ndarray
-    sum_quad: np.ndarray
-    sum_cube: np.ndarray
+    gram: np.ndarray
+
+    def __post_init__(self):
+        self.gram.flags.writeable = False
 
     @classmethod
     def from_errors(cls, errors: np.ndarray) -> "SimRun":
-        """Sums of errors ``(samples, N+1, z)`` as per-step matrix products,
-        on contiguous memory when ``errors`` views step-major storage."""
-        by_step = errors.swapaxes(0, 1)
-        sq = np.einsum("nsi,nsi->ns", by_step, by_step)
-        weighted = np.stack([np.ones_like(sq), sq], axis=1) @ by_step
-        return cls(
-            samples=errors.shape[0],
-            sum_e=weighted[:, 0],
-            sum_ee=by_step.swapaxes(1, 2) @ by_step,
-            sum_sq=sq.sum(axis=1),
-            sum_quad=(sq * sq).sum(axis=1),
-            sum_cube=weighted[:, 1],
-        )
+        """Sums of errors ``(samples, N+1, z)``, one Gram product per step."""
+        samples, n_plus_1, z = errors.shape
+        V = np.ones((n_plus_1, z + 2, samples))
+        V[:, 1:-1] = errors.transpose(1, 2, 0)
+        return cls(_gram(V))
 
     def __add__(self, other: "SimRun") -> "SimRun":
-        return SimRun(
-            samples=self.samples + other.samples,
-            sum_e=self.sum_e + other.sum_e,
-            sum_ee=self.sum_ee + other.sum_ee,
-            sum_sq=self.sum_sq + other.sum_sq,
-            sum_quad=self.sum_quad + other.sum_quad,
-            sum_cube=self.sum_cube + other.sum_cube,
-        )
+        return SimRun(self.gram + other.gram)
+
+    samples = property(lambda self: int(self.gram[0, 0, 0]))
+    sum_e = property(lambda self: self.gram[:, 1:-1, 0])
+    sum_ee = property(lambda self: self.gram[:, 1:-1, 1:-1])
+    sum_sq = property(lambda self: self.gram[:, -1, 0])
+    sum_quad = property(lambda self: self.gram[:, -1, -1])
+    sum_cube = property(lambda self: self.gram[:, 1:-1, -1])
 
     def mean(self) -> np.ndarray:
         return self.sum_e / self.samples
@@ -291,11 +309,6 @@ def empirical_mse(run: SimRun) -> EmpiricalMse:
     return EmpiricalMse(mse=run.mse(), stderr=run.mse_stderr())
 
 
-def _chunk_sizes(samples: int) -> list[int]:
-    full, rest = divmod(samples, CHUNK)
-    return [CHUNK] * full + ([rest] if rest else [])
-
-
 def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
                     det: Optional[DetectionModel], n_steps: int,
                     samples: int, seed: int, threads: int = 1,
@@ -308,43 +321,30 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    filters = list(filters)
     if det is None and any(f.kind == "skf" for f in filters):
         raise ValueError("switching filter requires a detection model")
+    system = _System(model)
+    replay = _Replay(filter_bank(model, n_steps) if bank is None else bank,
+                     filters, model, det)
 
-    fixed = [f for f, spec in enumerate(filters) if spec.kind != "skf"]
-    skf = [f for f, spec in enumerate(filters) if spec.kind == "skf"]
-    if bank is None:
-        bank = filter_bank(model, n_steps)
-    if fixed:
-        A_t, K_t = _replay_inputs(bank, [filters[f] for f in fixed])
-    if skf:
-        skf_A, skf_K = _replay_inputs(bank, [filters[skf[0]]])
-    H, mean = model.meas.H, model.init.mean
-
-    def work(chunk: int, count: int) -> list[SimRun]:
+    def work(chunk: int, count: int) -> np.ndarray:
+        """The chunk's per-step sums ``(N+1, G, z+2, z+2)``, streamed."""
         sim_rng = _rng(seed, chunk, _PURPOSE_SIM)
-        modes, states, meas = _simulate_batch(model, n_steps, sim_rng, count)
-        runs = {}
-        if fixed:
-            stack = _single_filter_errors(states, meas, A_t, K_t, H, mean)
-            runs.update(zip(fixed, map(SimRun.from_errors, stack)))
-            del stack       # free the stack before the switching replay
-        if skf:
-            det_rng = _rng(seed, chunk, _PURPOSE_DETECT)
-            detected = draw_detections(modes, det, model.r, det_rng)
-            runs.update(dict.fromkeys(skf, SimRun.from_errors(_skf_errors(
-                states, meas, detected, skf_A, skf_K, H, mean))))
-        return [runs[f] for f in range(len(filters))]
+        det_rng = _rng(seed, chunk, _PURPOSE_DETECT) if replay.skf else None
+        V = np.ones((replay.G, model.z + 2, count))
+        gram = np.empty((n_steps + 1, replay.G, model.z + 2, model.z + 2))
+        x, mode, xhat = system.start(sim_rng, count), None, replay.x0
+        for n in range(n_steps + 1):
+            if n:
+                mode, x, y = system.step(sim_rng, x, mode)
+                xhat = replay.step(n, xhat, y, mode, det_rng)
+            np.subtract(x, xhat, out=V[:, 1:-1])
+            _gram(V, out=gram[n])
+        return gram
 
-    sizes = _chunk_sizes(samples)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, range(len(sizes)), sizes))
-    else:
-        parts = [work(c, s) for c, s in enumerate(sizes)]
-
-    totals = parts[0]
-    for part in parts[1:]:
-        totals = [a + b for a, b in zip(totals, part)]
-    return totals
+    full, rest = divmod(samples, CHUNK)
+    sizes = [CHUNK] * full + ([rest] if rest else [])
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # no thread for 1
+        parts = (pool.map if threads > 1 else map)(work, range(len(sizes)), sizes)
+        total = reduce(np.add, parts)               # in chunk order
+    return [SimRun(np.ascontiguousarray(total[:, g])) for g in replay.group]

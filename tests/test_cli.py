@@ -269,6 +269,41 @@ class TestCompare:
         assert named == cells
 
 
+class TestNonFiniteOutput:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_non_finite_cells_exit_5(self, scenario_file, tmp_path, capsys,
+                                     command):
+        # mode 2's A = 1e100 keeps every innovation covariance finite but
+        # overflows the MSE: the CSV is still written, and the error names
+        # each filter's first step with a NaN or infinite cell
+        modes = [{"A": [[0.9]], "Q": [[0.01]]},
+                 {"A": [[1e100]], "Q": [[0.01]]}]
+        out = tmp_path / "out.csv"
+        assert main([command, "--scenario",
+                     scenario_file(modes=modes, horizon=5), "--threads", "1",
+                     "--out", str(out)]) == 5
+        header, rows = read_csv(out.read_text())
+        assert len(rows) == 4 * 6
+        numeric = [i for i, name in enumerate(header) if "mse" in name
+                   or "stderr" in name]
+        first = {}
+        for row in rows:
+            if not np.isfinite([float(row[i]) for i in numeric]).all():
+                first.setdefault(row[1], int(row[0]))
+        assert len(first) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: NaN or infinite values in the CSV")
+        assert err.rstrip().endswith(", ".join(
+            f"{label} step {step}" for label, step in first.items()))
+
+    def test_finite_output_exits_0(self, scenario_file, tmp_path):
+        for command in ("analyze", "simulate"):
+            assert main([command, "--scenario", scenario_file(),
+                         "--threads", "1",
+                         "--out", str(tmp_path / "out.csv")]) == 0
+
+
 class TestRecommend:
     @staticmethod
     def run(tmp_path, path, *extra):

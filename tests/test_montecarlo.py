@@ -6,6 +6,8 @@ chunked, thread-invariant), validate the simulator and detection draws
 statistically, and verify the accumulator algebra on hand-built errors.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,7 @@ from slds_mse import (
     simulate_slds,
 )
 from slds_mse.fast import _BLOCK
+from slds_mse import montecarlo
 from slds_mse.montecarlo import _replay_inputs, _simulate_batch
 
 # Horizons on both sides of the analytic recursion's block boundaries.
@@ -155,11 +158,15 @@ class TestFilterReplay:
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_replay_stacks_equal_per_spec_schedules(self, r, n_steps, seed,
                                                     data):
+        # the replay's closed-loop maps (I - K H) A and gains K, one row per
+        # fixed-gain filter and one per mode of the switching filter, are
+        # each spec's own Riccati schedule
         model = random_model(np.random.default_rng(seed), r, 2,
                              uniform_rows=False, uniform_prior=False)
         specs = data.draw(filter_specs(r))
-        A_t, K_t = _replay_inputs(filter_bank(model, n_steps), specs)
-        want_A, want_K = [], []
+        H = model.meas.H
+        M, K = _replay_inputs(filter_bank(model, n_steps), specs, H)
+        want_M, want_K = [], []
         for spec in specs:
             if spec.kind == "skf":
                 filters = model.modes
@@ -171,12 +178,12 @@ class TestFilterReplay:
                 schedules = [gain_schedule(filters[0], model.meas,
                                            model.init, n_steps)]
             for filt, schedule in zip(filters, schedules):
-                want_A.append([mode.A.T for mode in
-                               as_mode_sequence(filt, n_steps)])
-                want_K.append([K.T for K in schedule.gains])
-        assert_array_equal(A_t, np.array(want_A))
-        assert_array_equal(K_t, np.array(want_K))
-        assert A_t.flags.c_contiguous and K_t.flags.c_contiguous
+                want_M.append([mode.A - gain @ (H @ mode.A) for mode, gain in
+                               zip(as_mode_sequence(filt, n_steps),
+                                   schedule.gains)])
+                want_K.append(schedule.gains)
+        assert_array_equal(M, np.array(want_M))
+        assert_array_equal(K, np.array(want_K))
 
     def test_skf_requires_detection_and_rng(self, bench, rng):
         sim = simulate_slds(bench, 3, rng)
@@ -275,6 +282,112 @@ class TestDriverDeterminism:
     def test_skf_needs_detection_model(self, bench):
         with pytest.raises(ValueError, match="detection"):
             run_monte_carlo(bench, [FilterSpec("skf")], None, 4, 64, seed=1)
+
+
+def plain_replay_errors(model, specs, det, n_steps, samples, seed, chunk):
+    """Errors ``(samples, N+1, z)`` of each spec, replayed sample by sample
+    with the one-step Kalman operators on the documented draws: chunk c
+    keys Philox with (seed, c); purpose 0 draws the initial noise, then per
+    step the mode uniform, the process noise and the measurement noise;
+    purpose 1 draws per step the detection uniform and the wrong mode.
+    Chunks hold ``chunk`` samples."""
+    z, m, r = model.z, model.m, model.r
+    chol = np.linalg.cholesky
+    L0, Lr = chol(model.init.cov), chol(model.meas.R)
+    average = average_filter_modes(model, n_steps)
+    errors = {f: [] for f in range(len(specs))}
+    for c, start in enumerate(range(0, samples, chunk)):
+        count = min(chunk, samples - start)
+
+        def generator(purpose):
+            return np.random.Generator(np.random.Philox(
+                counter=[0, 0, 0, purpose], key=[seed, c]))
+
+        sim, detect = generator(0), generator(1)
+        x0 = sim.standard_normal((count, z))
+        u, w, v = zip(*[(sim.random(count), sim.standard_normal((count, z)),
+                         sim.standard_normal((count, m)))
+                        for _ in range(n_steps)])
+        hit, wrong = zip(*[(detect.random(count),
+                            detect.integers(0, r - 1, size=count))
+                           if r > 1 else (None, None)
+                           for _ in range(n_steps)])
+        for i in range(count):
+            x = model.init.mean + L0 @ x0[i]
+            # fixed filters keep a belief each; the switching filter keeps
+            # one estimate and every mode's own KF for its gains
+            beliefs = [model.init] * len(specs)
+            modes = [model.init] * r
+            trail = {f: [x - model.init.mean] for f in range(len(specs))}
+            truth = None
+            for n in range(n_steps):
+                cum = np.cumsum(model.chain.prior if truth is None
+                                else model.chain.Z[truth])
+                truth = min(int((cum <= u[n][i]).sum()), r - 1)
+                mode = model.modes[truth]
+                x = mode.A @ x + chol(mode.Q) @ w[n][i]
+                y = model.meas.H @ x + Lr @ v[n][i]
+                if r > 1 and hit[n][i] >= det.p_d:
+                    detected = wrong[n][i] + (wrong[n][i] >= truth)
+                else:
+                    detected = truth
+                gains = []
+                for j, own in enumerate(model.modes):
+                    gains.append(GaussianBelief(np.zeros(z), modes[j].cov))
+                    modes[j] = kf_update(kf_predict(modes[j], own),
+                                         model.meas, y).posterior
+                for f, spec in enumerate(specs):
+                    if spec.kind == "skf":
+                        prior = GaussianBelief(beliefs[f].mean,
+                                               gains[detected].cov)
+                        filt = model.modes[detected]
+                    else:
+                        prior = beliefs[f]
+                        filt = (average[n] if spec.kind == "average"
+                                else model.modes[spec.mode - 1])
+                    beliefs[f] = kf_update(kf_predict(prior, filt),
+                                           model.meas, y).posterior
+                    trail[f].append(x - beliefs[f].mean)
+            for f in trail:
+                errors[f].append(trail[f])
+    return [np.array(errors[f]) for f in range(len(specs))]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_sums_equal_plain_replay(self, r, monkeypatch):
+        # small chunks, so three chunk keys are checked at little cost
+        monkeypatch.setattr(montecarlo, "CHUNK", 64)
+        model = random_model(np.random.default_rng(40 + r), r, 2,
+                             uniform_rows=False, uniform_prior=False)
+        specs = ([FilterSpec("single-mode", j) for j in range(1, r + 1)]
+                 + [FilterSpec("average"), FilterSpec("skf")])
+        det, n_steps, samples, seed = detection(0.8), 4, 150, 11
+        runs = run_monte_carlo(model, specs, det, n_steps, samples, seed)
+        oracle = plain_replay_errors(model, specs, det, n_steps, samples,
+                                     seed, chunk=64)
+        for run, errors in zip(runs, oracle):
+            want = SimRun.from_errors(errors)
+            assert run.samples == want.samples == samples
+            for name in ("sum_e", "sum_ee", "sum_sq", "sum_quad",
+                         "sum_cube"):
+                assert_allclose(getattr(run, name), getattr(want, name),
+                                rtol=1e-12, atol=0, err_msg=name)
+
+
+class TestMemory:
+    def test_chunk_memory_does_not_grow_with_the_horizon(self):
+        # a streamed chunk keeps one step of errors, not (N+1, count, z)
+        model = random_model(np.random.default_rng(3), 2, 2)
+        specs = [FilterSpec("single-mode", 1), FilterSpec("average"),
+                 FilterSpec("skf")]
+        tracemalloc.start()
+        try:
+            run_monte_carlo(model, specs, detection(), 400, 1024, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestAccumulator:
