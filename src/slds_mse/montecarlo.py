@@ -146,9 +146,10 @@ def _replay_inputs(bank: FilterBank, specs: Sequence[FilterSpec], H: np.ndarray)
 
 class _Replay:
     """Filters advanced together on closed-loop maps, ``x̂_n = M_n x̂_{n-1}
-    + K_n y_n`` from ``x̂_0 = x0``.  Estimates ``(G, z, count)`` hold one
-    group per fixed-gain filter, then the switching filter's, which keeps
-    its detected mode's row of its r mode rows.  Spec f is group[f]."""
+    + K_n y_n`` from ``x̂_0 = x0``.  Estimates ``(R, z, count)`` hold one
+    row per fixed-gain filter, then the switching filter's r mode rows,
+    which all keep each run's detected row; the first G rows hold every
+    distinct filter once, and spec f is row group[f]."""
 
     def __init__(self, bank: FilterBank, specs: Sequence[FilterSpec],
                  model: SldsModel, det: Optional[DetectionModel]):
@@ -159,18 +160,16 @@ class _Replay:
         self.group = [self.F if spec.kind == "skf" else fixed.index(spec)
                       for spec in specs]
         self.M, self.K = _replay_inputs(bank, fixed + skf, model.meas.H)
-        self.x0 = np.broadcast_to(model.init.mean[:, None], (self.G, model.z, 1))
+        self.x0 = np.broadcast_to(model.init.mean[:, None],
+                                  (len(self.M), model.z, 1))
 
     def step(self, n: int, xhat: np.ndarray, y: np.ndarray, truth, rng):
-        """Estimates ``(G, z, count)`` at step n >= 1 from those at n - 1,
-        measurements ``y`` (m, count), true modes and a detection rng."""
-        M, K, F = self.M[:, n - 1], self.K[:, n - 1], self.F
-        out = np.empty((self.G, M.shape[-1], y.shape[1]))
-        if F:
-            np.add(M[:F] @ xhat[:F], K[:F] @ y, out=out[:F])
+        """Estimates at step n >= 1 from those at n - 1, measurements
+        ``y`` (m, count), true modes and a detection rng."""
+        out = self.M[:, n - 1] @ xhat + self.K[:, n - 1] @ y
         if self.skf:
             detected = _detect(rng, truth, self.det, self.r)
-            out[F] = _pick(M[F:] @ xhat[F] + K[F:] @ y, detected)
+            out[self.F:] = _pick(out[self.F:], detected)
         return out
 
 
@@ -338,7 +337,7 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
             if n:
                 mode, x, y = system.step(sim_rng, x, mode)
                 xhat = replay.step(n, xhat, y, mode, det_rng)
-            np.subtract(x, xhat, out=V[:, 1:-1])
+            np.subtract(x, xhat[:replay.G], out=V[:, 1:-1])
             _gram(V, out=gram[n])
         return gram
 
