@@ -331,15 +331,15 @@ def plain_replay_errors(model, specs, det, n_steps, samples, seed, chunk):
                     detected = wrong[n][i] + (wrong[n][i] >= truth)
                 else:
                     detected = truth
-                gains = []
+                covs = []          # every mode's KF covariance before step n
                 for j, own in enumerate(model.modes):
-                    gains.append(GaussianBelief(np.zeros(z), modes[j].cov))
+                    covs.append(modes[j].cov)
                     modes[j] = kf_update(kf_predict(modes[j], own),
                                          model.meas, y).posterior
                 for f, spec in enumerate(specs):
                     if spec.kind == "skf":
                         prior = GaussianBelief(beliefs[f].mean,
-                                               gains[detected].cov)
+                                               covs[detected])
                         filt = model.modes[detected]
                     else:
                         prior = beliefs[f]
