@@ -320,6 +320,7 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    filters = list(filters)
     if det is None and any(f.kind == "skf" for f in filters):
         raise ValueError("switching filter requires a detection model")
     system = _System(model)
