@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import logging
@@ -27,19 +28,19 @@ import numpy as np
 
 from . import __version__
 from .model import MseSeries, Scenario, validate_scenario
-from .kalman import (
-    FilterBank,
-    InnovationSolveError,
-    average_filter_modes,
-    filter_bank,
-)
+from .kalman import FilterBank, InnovationSolveError, filter_bank
 from .enumeration import (
+    DEFAULT_CAP,
     EnumerationCapError,
-    pruned_moments,
-    single_mode_slds_moments,
-    skf_slds_moments,
+    _check_cap,
+    _run_enumeration,
 )
-from .fast import bank_series, merge_clusters, merge_recommendation
+from .fast import (
+    _bank_weights,
+    bank_series,
+    merge_clusters,
+    merge_recommendation,
+)
 from .montecarlo import empirical_mse, run_monte_carlo
 from .serialize import ScenarioFormatError, load_scenario
 from .svgchart import write_line_chart
@@ -145,15 +146,9 @@ def _load(args) -> Scenario:
         raise CommandError(EXIT_VALIDATION, f"cannot read scenario: {exc}")
     except ScenarioFormatError as exc:
         raise CommandError(EXIT_VALIDATION, str(exc))
-    if args.seed is not None or args.horizon is not None:
-        scenario = Scenario(
-            model=scenario.model,
-            horizon=args.horizon if args.horizon is not None else scenario.horizon,
-            detection=scenario.detection,
-            filters=scenario.filters,
-            mc_samples=scenario.mc_samples,
-            seed=args.seed if args.seed is not None else scenario.seed,
-            tolerances=scenario.tolerances)
+    overrides = {"horizon": args.horizon, "seed": args.seed}
+    scenario = dataclasses.replace(scenario, **{
+        key: value for key, value in overrides.items() if value is not None})
     violations = validate_scenario(scenario)
     if violations:
         lines = "\n".join(f"  {v}" for v in violations)
@@ -184,50 +179,47 @@ def _filter_bank(scenario: Scenario) -> FilterBank:
 def _analytic_series(scenario: Scenario, args,
                      bank: Optional[FilterBank] = None) -> list:
     """(FilterSpec, MseSeries) per scenario filter, honoring --method.
-    The aggregate method reads ``bank`` when given."""
-    model = scenario.model
-    det = scenario.detection
-    n = scenario.horizon
+    Every method reads ``bank`` when given, else one new filter bank."""
+    model, det, n = scenario.model, scenario.detection, scenario.horizon
+    specs = scenario.filters
     method = _resolve_method(args)
+    if bank is None:
+        bank = _filter_bank(scenario)
     if method == "aggregate":
         t0 = time.perf_counter()
-        if bank is None:
-            bank = _filter_bank(scenario)
         try:
-            series = bank_series(model, det, scenario.filters, n, bank)
+            series = bank_series(model, det, specs, n, bank)
         except ValueError as exc:
             raise CommandError(EXIT_CAPACITY, f"filter bank: {exc}")
         log.info("%d filters: aggregate method, one filter bank, %.1f ms",
                  len(series), 1e3 * (time.perf_counter() - t0))
-        return list(zip(scenario.filters, series))
-    out = []
-    for spec in scenario.filters:
-        if spec.kind == "average":
-            filt = average_filter_modes(model, n)
-        elif spec.kind == "single-mode":
-            filt = model.modes[spec.mode - 1]
-        else:
-            filt = None
-        t0 = time.perf_counter()
-        try:
-            if method == "exact":
-                if spec.kind == "skf":
-                    series, _ = skf_slds_moments(model, det, n)
-                else:
-                    series, _ = single_mode_slds_moments(model, filt, n)
-            else:
-                series, _ = pruned_moments(model, det, n, keep=args.keep,
-                                           mass=args.mass, filt=filt)
-        except EnumerationCapError as exc:
-            raise CommandError(EXIT_CAPACITY,
-                               f"{spec.display}: {exc} (try --method aggregate "
-                               f"or --method pruned with --keep/--mass)")
-        except (ValueError, InnovationSolveError) as exc:
-            raise CommandError(EXIT_CAPACITY, f"{spec.display}: {exc}")
-        log.info("%s: %s method, %.1f ms", spec.display, series.method,
-                 1e3 * (time.perf_counter() - t0))
-        out.append((spec, series))
-    return out
+        return list(zip(specs, series))
+    # one trajectory tree per group of filters that branch alike: the
+    # switching filter, and every fixed-gain filter
+    W = _bank_weights(model.r, det, specs, bank)
+    groups = [[f for f, spec in enumerate(specs)
+               if (spec.kind == "skf") == skf] for skf in (True, False)]
+    groups = [(", ".join(dict.fromkeys(specs[f].display for f in members)),
+               members, [W[f] for f in members])
+              for members in groups if members]
+    series = {}
+    try:
+        if method == "exact":      # no tree grows while another is over
+            for label, _, group in groups:
+                _check_cap(group, n, DEFAULT_CAP)
+        for label, members, group in groups:
+            t0 = time.perf_counter()
+            runs = _run_enumeration(model, n, bank.A, bank.gains, group,
+                                    keep=args.keep, mass=args.mass)
+            series.update(zip(members, (run[0] for run in runs)))
+            log.info("%s: %s method, %.1f ms", label, method,
+                     1e3 * (time.perf_counter() - t0))
+    except EnumerationCapError as exc:
+        raise CommandError(EXIT_CAPACITY, f"{label}: {exc} (try --method "
+                           f"aggregate or --method pruned with --keep/--mass)")
+    except ValueError as exc:
+        raise CommandError(EXIT_CAPACITY, f"{label}: {exc}")
+    return [(spec, series[f]) for f, spec in enumerate(specs)]
 
 
 def _method_tag(series: MseSeries, step: int) -> str:

@@ -1,32 +1,26 @@
 """Exact SLDS error moments by enumerating mode trajectories.
 
-A single-mode filter applied to a switching system sees a different truth
-along every mode trajectory, so the exact error moments at step n are a
-probability-weighted mixture over all r^n trajectories (and over
-(true, detected) trajectory pairs, r^(2n) of them, for the switching
-filter).
+A fixed filter on a switching system sees a different truth along each
+of the r^n mode trajectories, so its exact error moments at step n are a
+probability-weighted mixture over them (over the r^(2n) (true, detected)
+trajectory pairs for the switching filter).  Each live trajectory l
+carries its lifted moment Phi_l = E[w w.T | trajectory] of w = [x; e; 1],
+raw second moments with the means in its last column, and steps as
+Phi_l' = G Phi_l G.T + C under the branch (true mode i, filter row rho),
+with the map and noise of :func:`slds_mse.fast._joint_factors` that the
+aggregate recursion applies too.  Every moment of
+:class:`~slds_mse.mismatch.ErrorMoments` is read off the mixture
+sum_l pi_l Phi_l.
 
-Every live trajectory l carries its lifted moment
-Phi_l = E[w w.T | trajectory] of w = [x; e; 1]: the top-left blocks are
-the raw second moments of x and e, the last column their means.  Under
-the branch (true mode i, filter d) the vector obeys w' = G w + noise,
-with the map G and noise covariance C of
-:func:`slds_mse.fast._joint_factors`, the step the aggregate recursion
-applies too.  So
-
-    Phi_l'       = G Phi_l G.T + C
-    E[w_n w_n.T] = sum_l  pi_l Phi_l
-    MSE(n)       = tr E[e_n e_n.T]
-
-and every moment of :class:`~slds_mse.mismatch.ErrorMoments` is read off
-the mixture.  The leaves are stored as S[a, l, c] = Phi_l[a, c], shape
-(k, L, k), so one step for all r (or r^2) branches is two BLAS products
-per block of parents: the branch maps stacked into one (branches * k, k)
-matrix times the block of S viewed as (k, L * k), then each branch's
-part times its G.T, written straight into the next step's storage.
-Beam pruning keeps only the highest-probability trajectories and reports
-the retained mass per step; by default the dropped tail is simply
-ignored (no renormalization).
+A run takes filter-bank rows and a group of filters that branch alike,
+which share one tree: every fixed-gain filter (r branches per leaf), or
+the switching filter (r^2).  The leaves are stored as
+S[f, a, l, c] = Phi_l[a, c] of filter f, so a step is two BLAS products
+per block of parents: each filter's branch maps stacked into one
+(branches * k, k) matrix times its block of S viewed as (k, L * k), then
+each branch's part times its G.T, written into the next step's storage.
+Beam pruning keeps the most probable trajectories and reports the kept
+mass per step.
 """
 
 from __future__ import annotations
@@ -37,15 +31,8 @@ import numpy as np
 
 from .model import DetectionModel, MarkovChain, MseSeries, SldsModel
 from .mismatch import ErrorMoments
-from .kalman import (
-    ModeLike,
-    _check_innovations,
-    _gain_step,
-    as_mode_sequence,
-    gain_schedule,
-    mode_schedules,
-)
-from .fast import _branch_weights, _initial_moment, _joint_factors, _noise
+from .kalman import ModeLike, _check_innovations, _gain_step, _mode_dynamics
+from .fast import _filter_rows, _initial_moment, _joint_factors, _noise
 
 DEFAULT_CAP = 2 ** 20
 
@@ -97,88 +84,87 @@ def detection_prob(truth: Sequence[int], detected: Sequence[int],
 
 
 def _branch_maps(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
-                 K: np.ndarray, H: np.ndarray, R: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map G and noise C of every branch (true mode i, filter row d) of
-    ``_joint_factors``' grid, (..., r * R, k, k) each, branch i * R + d."""
+                 K: np.ndarray, H: np.ndarray, R: np.ndarray) -> tuple:
+    """Map G and noise C of every branch (true mode i, filter row rho) of
+    ``_joint_factors``' grid, (..., r, R, k, k) each."""
     Gt, lower = _joint_factors(A, Q, A_f, K, H, R)
-    C = _noise(Q[:, None], lower)
-    branches = Gt.shape[:-4] + (Gt.shape[-4] * Gt.shape[-3],) + Gt.shape[-2:]
-    return Gt.swapaxes(-1, -2).reshape(branches), C.reshape(branches)
+    return Gt.swapaxes(-1, -2), _noise(Q[:, None], lower)
 
 
 def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
              weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Phi' = G Phi G.T + C of every leaf of ``phi`` (k, L, k) under every
-    branch: (k, b L, k), leaves in (branch, parent) order.  With
-    ``weights`` (b L,) the new leaves are never stored: the result is
-    their mixture sum_l w_l Phi_l' (k, k), summed block by block.
+    """Phi' = G Phi G.T + C of every leaf of each filter's ``phi``
+    (F, k, L, k) under every branch: (F, k, b L, k), leaves in (branch,
+    parent) order.  With ``weights`` (b L,) the new leaves are never
+    stored: the result is their mixture sum_l w_l Phi_l' (F, k, k),
+    summed block by block.
 
-    ``G``, ``C`` are (b, k, k) maps shared by all leaves, or (b, L, k, k)
-    maps of one leaf each (detected-path gains).
+    ``G``, ``C`` are (F, b, k, k) maps shared by all leaves, or
+    (F, b, L, k, k) maps of one leaf each (detected-path gains).
     """
-    k, L = phi.shape[:2]
-    if G.ndim == 4:
-        out = G @ phi.swapaxes(0, 1) @ G.swapaxes(-1, -2) + C
-        out = np.ascontiguousarray(out.transpose(2, 0, 1, 3)).reshape(k, -1, k)
+    F, k, L = phi.shape[:3]
+    if G.ndim == 5:
+        out = G @ phi.swapaxes(1, 2)[:, None] @ G.swapaxes(-1, -2) + C
+        out = out.transpose(0, 3, 1, 2, 4).reshape(F, k, -1, k)
         return out if weights is None else _mixture(weights, out)
-    b = len(G)
-    if weights is None:
-        out = np.empty((k, b, L, k))
-        by_branch = out.transpose(1, 0, 2, 3)
-    else:
-        total = np.zeros((k, 1, k))
-        weights = weights.reshape(b, 1, 1, L)
-    stacked = G.reshape(b * k, k)
-    maps_t = np.ascontiguousarray(G.swapaxes(-1, -2))[:, None]
-    flat = phi.reshape(k, L * k)
+    b = G.shape[1]
     width = max(1, _BLOCK_MACS // (b * k ** 3))
+    if weights is None:
+        out = np.empty((F, k, b, L, k))
+        blocks = out.transpose(0, 2, 1, 3, 4)
+    else:
+        blocks = np.empty((F, b, k, min(L, width), k))   # one block's leaves
+        total = np.zeros((F, k, 1, k))
+        weights = weights.reshape(b, 1, 1, L)
+    stacked = G.reshape(F, b * k, k)
+    maps_t = np.ascontiguousarray(G.swapaxes(-1, -2))[:, :, None]
+    C = C[:, :, :, None]
+    flat = phi.reshape(F, k, L * k)
+    left = np.empty((F, b * k, min(L, width) * k))       # one block's G Phi
     for lo in range(0, L, width):
         hi = min(L, lo + width)
-        left = stacked @ flat[:, lo * k:hi * k]                  # G Phi
-        if weights is None:
-            block = by_branch[:, :, lo:hi]
-            np.matmul(left.reshape(b, k, hi - lo, k), maps_t, out=block)
-            block += C[:, :, None]
-        else:
-            block = left.reshape(b, k, hi - lo, k) @ maps_t
-            block += C[:, :, None]
-            total += (weights[..., lo:hi] @ block).sum(axis=0)
-    return out.reshape(k, b * L, k) if weights is None else total[:, 0]
+        GPhi = np.matmul(stacked, flat[..., lo * k:hi * k],
+                         out=left[..., :(hi - lo) * k])
+        block = blocks[..., lo:hi, :] if weights is None else \
+            blocks[..., :hi - lo, :]
+        np.matmul(GPhi.reshape(F, b, k, hi - lo, k), maps_t, out=block)
+        block += C
+        if weights is not None:
+            total += (weights[..., lo:hi] @ block).sum(axis=1)
+    return out.reshape(F, k, b * L, k) if weights is None else total[:, :, 0]
 
 
 def _weights(prob: np.ndarray, renorm: bool) -> tuple[float, np.ndarray]:
-    """Kept mass and the leaves' mixture weights, rescaled to sum to one
-    under ``renorm``."""
+    """Kept mass and mixture weights, rescaled to sum to one if ``renorm``."""
     mass = float(prob.sum())
     return mass, prob / mass if renorm and mass > 0 else prob
 
 
 def _mixture(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """sum_l w_l Phi_l of the leaves ``phi`` (k, L, k), summed in blocks of
-    leaves that stay under ``_BLOCK_MACS``, as ``_advance``'s products do."""
-    k, L = phi.shape[:2]
+    """sum_l w_l Phi_l of each filter's leaves ``phi`` (F, k, L, k), summed
+    in blocks of leaves under ``_BLOCK_MACS``, as ``_advance`` does."""
+    F, k, L = phi.shape[:3]
     width = max(1, _BLOCK_MACS // k ** 2)
-    total = np.zeros((k, k))
+    total = np.zeros((F, k, k))
     for lo in range(0, L, width):
-        total += w[lo:lo + width] @ phi[:, lo:lo + width]
+        total += w[lo:lo + width] @ phi[:, :, lo:lo + width]
     return total
 
 
-def _read_moments(mixtures: np.ndarray, z: int,
-                  ) -> tuple[np.ndarray, list[ErrorMoments]]:
-    """MSE series and per-step moments read off the mixtures
-    sum_l p_l Phi_l, (N + 1, k, k)."""
-    mix = (mixtures + mixtures.swapaxes(1, 2)) / 2.0
+def _read_moments(mixtures: np.ndarray, z: int) -> list:
+    """MSE series and per-step moments of each filter, read off its
+    mixtures sum_l p_l Phi_l, (F, N + 1, k, k)."""
+    mix = (mixtures + mixtures.swapaxes(-1, -2)) / 2.0
     z2 = 2 * z
-    Ex, Ee, Eee = mix[:, :z, z2], mix[:, z:z2, z2], mix[:, z:z2, z:z2]
-    x_cov = mix[:, :z, :z] - Ex[:, :, None] * Ex[:, None, :]
-    e_cov = Eee - Ee[:, :, None] * Ee[:, None, :]
+    Ex, Ee, Eee = mix[..., :z, z2], mix[..., z:z2, z2], mix[..., z:z2, z:z2]
+    x_cov = mix[..., :z, :z] - Ex[..., :, None] * Ex[..., None, :]
+    e_cov = Eee - Ee[..., :, None] * Ee[..., None, :]
     # Cov(e, x) = C(x) - u
-    u = x_cov - (mix[:, z:z2, :z] - Ee[:, :, None] * Ex[:, None, :])
-    moments = [ErrorMoments(*fields, step=n) for n, fields in
-               enumerate(zip(Ee, e_cov, Ex, x_cov, u))]
-    return np.trace(Eee, axis1=1, axis2=2), moments
+    u = x_cov - (mix[..., z:z2, :z] - Ee[..., :, None] * Ex[..., None, :])
+    mse = np.trace(Eee, axis1=-2, axis2=-1)
+    return [(mse[f], [ErrorMoments(*fields, step=n) for n, fields in
+                      enumerate(zip(Ee[f], e_cov[f], Ex[f], x_cov[f], u[f]))])
+            for f in range(len(mix))]
 
 
 def _keep_indices(prob: np.ndarray, keep: Optional[int],
@@ -196,68 +182,75 @@ def _keep_indices(prob: np.ndarray, keep: Optional[int],
     return order[:cut]
 
 
-def _run_enumeration(model: SldsModel, n_steps: int, *,
-                     det: Optional[DetectionModel],
-                     filt: Optional[ModeLike],
-                     keep: Optional[int], mass: Optional[float],
-                     renormalize: bool, cap: int,
-                     gains: str) -> tuple[MseSeries, list[ErrorMoments]]:
-    pairs = filt is None
-    if pairs and det is None:
-        raise ValueError("either a detection model or a filter is required")
-    if gains not in (GAIN_SCHEDULE, GAIN_DETECTED_PATH):
-        raise ValueError(f"unknown gain policy {gains!r}")
-    detected_path = gains == GAIN_DETECTED_PATH
-    if detected_path and not pairs:
-        raise ValueError("detected-path gains apply to the switching filter only")
-    pruning = keep is not None or mass is not None
+def _branches(W: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (F, s) that each filter of a group runs and the branch weights
+    D (r, s) they share: D[i, d] weighs slot d under true mode i."""
+    W = np.array(W)
+    used = W.any(axis=1)
+    if (used.sum(axis=1) == used[0].sum()).all():
+        rows = np.nonzero(used)[1].reshape(len(W), -1)
+        D = np.take_along_axis(W, rows[:, None], axis=2)
+        if (D == D[0]).all():
+            return rows, D[0]
+    raise ValueError("the filters of one enumeration must share their "
+                     "branch weights")
+
+
+def _check_cap(W: Sequence[np.ndarray], n_steps: int, cap: int) -> None:
+    """Raise ``EnumerationCapError`` when an unpruned enumeration of the
+    group ``W`` would outgrow ``cap``."""
+    D = _branches(W)[1]
+    if D.size ** n_steps > cap:
+        raise EnumerationCapError(
+            f"exact enumeration needs {D.size}^{n_steps} "
+            f"{'trajectory pairs' if D.shape[1] > 1 else 'trajectories'}, "
+            f"over the cap of {cap}; use the aggregate recursion or beam "
+            f"pruning instead")
+
+
+def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
+                     K: np.ndarray, W: Sequence[np.ndarray], *,
+                     keep: Optional[int] = None, mass: Optional[float] = None,
+                     renormalize: bool = False, cap: int = DEFAULT_CAP,
+                     detected_path: bool = False) -> list:
+    """Series and moments of each filter ``W`` (r x R) of a bank with rows
+    ``A_f``, ``K`` (R, N, z, z|m), from one trajectory tree.  The filters
+    must share their branch weights (``_branches``): every fixed-gain
+    filter, or the switching filter.  ``detected_path`` gives the
+    switching filter each leaf's gain from its own Riccati step along its
+    detected trajectory instead of ``K``."""
     if keep is not None and mass is not None:
         raise ValueError("give either keep or mass, not both")
     if keep is not None and keep < 1:
         raise ValueError(f"keep must be >= 1, got {keep}")
     if mass is not None and not 0.0 < mass <= 1.0:
         raise ValueError(f"mass target must lie in (0, 1], got {mass}")
-
+    pruning = keep is not None or mass is not None
+    if not pruning:
+        _check_cap(W, n_steps, cap)
+    rows, D = _branches(W)
     r, z, m = model.r, model.z, model.m
-    # D[i, d]: weight of filter branch d under true mode i
-    D = _branch_weights(r, det, pairs)
-    branch_factor = D.size
-    if not pruning and branch_factor ** n_steps > cap:
-        kind = "trajectory pairs" if pairs else "trajectories"
-        raise EnumerationCapError(
-            f"exact enumeration needs {branch_factor}^{n_steps} {kind}, "
-            f"over the cap of {cap}; use the aggregate recursion or beam "
-            f"pruning instead")
-
+    F, b, k = len(rows), D.size, 2 * z + 1
     H, R = model.meas.H, model.meas.R
-    chain = model.chain
-    A = np.stack([mode.A for mode in model.modes])
-    Q = np.stack([mode.Q for mode in model.modes])
-    if not pairs:
-        A_f = np.reshape([mode.A for mode in as_mode_sequence(filt, n_steps)],
-                         (n_steps, 1, z, z))
-        K = np.reshape(gain_schedule(filt, model.meas, model.init,
-                                     n_steps).gains, (n_steps, 1, z, m))
-    elif not detected_path:
-        A_f = np.broadcast_to(A, (n_steps, r, z, z))
-        K = np.reshape([s.gains for s in mode_schedules(model, n_steps)],
-                       (r, n_steps, z, m)).swapaxes(0, 1)
+    A, Q = (mats[:, 0] for mats in _mode_dynamics(model, 1))
     if not detected_path:
-        # maps per (step, branch), branch (true i, filter d) at i * d_count + d
-        G_all, C_all = _branch_maps(A, Q, A_f, K, H, R)
+        # maps per (step, filter, branch), branch (true i, slot d) at
+        # i * s + d, from the grid of every bank row
+        G_all, C_all = (
+            np.moveaxis(X[:, :, rows], 1, 2).reshape(n_steps, F, b, k, k)
+            for X in _branch_maps(A, Q, A_f.swapaxes(0, 1),
+                                  K.swapaxes(0, 1), H, R))
 
-    phi = _initial_moment(model.init)[:, None]               # (k, 1, k)
-    prob = np.ones(1)
-    last = np.zeros(1, dtype=np.intp)     # placeholder before step 1
+    phi = np.broadcast_to(_initial_moment(model.init)[:, None], (F, k, 1, k))
+    prob, last = np.ones(1), None
     filter_cov = model.init.cov[None] if detected_path else None
     kept, w = _weights(prob, renormalize)
     steps = [(kept, _mixture(w, phi))]
     for n in range(1, n_steps + 1):
-        if prob.size * branch_factor > cap:
+        if prob.size * b > cap:
             raise EnumerationCapError(
-                f"step {n} would create {prob.size * branch_factor} "
+                f"step {n} would create {prob.size * b} "
                 f"trajectories, over the cap of {cap}")
-        trans = chain.prior[None] if n == 1 else chain.Z[last]
         if detected_path:
             # each leaf's gain from the filter's own Riccati step along its
             # detected trajectory, as in kalman._riccati, per detected
@@ -271,12 +264,14 @@ def _run_enumeration(model: SldsModel, n_steps: int, *,
             filter_cov = np.broadcast_to((P + P.swapaxes(-1, -2)) / 2.0,
                                          (r,) + P.shape).reshape(-1, z, z)
             # rows (detected d, leaf l): maps per (branch, leaf)
-            G, C = (f.reshape((branch_factor, -1) + f.shape[-2:]) for f in
+            G, C = (X.reshape(1, b, -1, k, k) for X in
                     _branch_maps(A, Q, A.repeat(K_leaf.shape[1], axis=0),
                                  K_leaf.reshape(-1, z, m), H, R))
         else:
             G, C = G_all[n - 1], C_all[n - 1]
+        trans = model.chain.prior[None] if n == 1 else model.chain.Z[last]
         prob = (prob * (trans.T[:, None] * D[:, :, None])).ravel()
+        del trans, last              # not kept beside the next leaves
         if n == n_steps and not pruning:
             # the last leaves are only summed: stream them, never store them
             kept, w = _weights(prob, renormalize)
@@ -286,20 +281,32 @@ def _run_enumeration(model: SldsModel, n_steps: int, *,
         last = np.repeat(np.arange(r), prob.size // r)
         if pruning:
             idx = _keep_indices(prob, keep, mass)
-            prob, last, phi = prob[idx], last[idx], phi[:, idx]
-            if filter_cov is not None:
+            prob, last, phi = prob[idx], last[idx], phi[:, :, idx]
+            if detected_path:
                 filter_cov = filter_cov[idx]
         kept, w = _weights(prob, renormalize)
         steps.append((kept, _mixture(w, phi)))
 
-    kept_mass, mixtures = zip(*steps)
-    mse, moments = _read_moments(np.array(mixtures), z)
+    kept_mass, mixtures = map(np.array, zip(*steps))
     # exact runs carry the mass too: it should sum to one at every step,
     # which makes the bookkeeping auditable from the outside
-    series = MseSeries(mse=mse,
-                       method="pruned" if pruning else "exact",
-                       kept_mass=np.array(kept_mass))
-    return series, moments
+    method = "pruned" if pruning else "exact"
+    return [(MseSeries(mse=mse, method=method, kept_mass=kept_mass), moments)
+            for mse, moments in _read_moments(mixtures.swapaxes(0, 1), z)]
+
+
+def _one_filter(model: SldsModel, det: Optional[DetectionModel],
+                n_steps: int, filt: Optional[ModeLike],
+                gains: str = GAIN_SCHEDULE, **budget) -> tuple:
+    """Enumeration of the one-filter bank of ``fast._filter_rows``."""
+    if gains not in (GAIN_SCHEDULE, GAIN_DETECTED_PATH):
+        raise ValueError(f"unknown gain policy {gains!r}")
+    detected_path = gains == GAIN_DETECTED_PATH
+    if detected_path and filt is not None:
+        raise ValueError("detected-path gains apply to the switching filter only")
+    A_f, K, w = _filter_rows(model, det, n_steps, filt)
+    return _run_enumeration(model, n_steps, A_f, K, [w],
+                            detected_path=detected_path, **budget)[0]
 
 
 def single_mode_slds_moments(model: SldsModel, filt: ModeLike, n_steps: int,
@@ -307,9 +314,7 @@ def single_mode_slds_moments(model: SldsModel, filt: ModeLike, n_steps: int,
                              ) -> tuple[MseSeries, list[ErrorMoments]]:
     """Exact MSE of one fixed filter (or per-step filter sequence) applied
     to the switching system, by full trajectory enumeration."""
-    return _run_enumeration(model, n_steps, det=None, filt=filt,
-                            keep=None, mass=None, renormalize=False,
-                            cap=cap, gains=GAIN_SCHEDULE)
+    return _one_filter(model, None, n_steps, filt, cap=cap)
 
 
 def skf_slds_moments(model: SldsModel, det: DetectionModel, n_steps: int,
@@ -323,9 +328,7 @@ def skf_slds_moments(model: SldsModel, det: DetectionModel, n_steps: int,
     schedule; ``"detected-path"`` runs the filter's Riccati recursion
     along each detected trajectory instead.
     """
-    return _run_enumeration(model, n_steps, det=det, filt=None,
-                            keep=None, mass=None, renormalize=False,
-                            cap=cap, gains=gains)
+    return _one_filter(model, det, n_steps, None, gains, cap=cap)
 
 
 def pruned_moments(model: SldsModel, det: Optional[DetectionModel],
@@ -348,6 +351,5 @@ def pruned_moments(model: SldsModel, det: Optional[DetectionModel],
     """
     if keep is None and mass is None:
         raise ValueError("pruning requires keep or mass")
-    return _run_enumeration(model, n_steps, det=det, filt=filt,
-                            keep=keep, mass=mass, renormalize=renormalize,
-                            cap=cap, gains=gains)
+    return _one_filter(model, det, n_steps, filt, gains, keep=keep,
+                       mass=mass, renormalize=renormalize, cap=cap)

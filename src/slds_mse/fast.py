@@ -171,7 +171,7 @@ def _initial_moment(init: GaussianBelief) -> np.ndarray:
     z = init.z
     w0 = np.concatenate((init.mean, np.zeros(z), [1.0]))
     phi = np.outer(w0, w0)
-    phi[:2 * z, :2 * z] += np.kron(np.ones((2, 2)), init.cov)
+    phi[:2 * z, :2 * z] += np.tile(init.cov, (2, 2))
     return phi
 
 
@@ -260,20 +260,38 @@ class _Stack:
         return noise.sum(axis=3)
 
 
+def _filter_rows(model: SldsModel, det: Optional[DetectionModel],
+                 n_steps: int, filt: Optional[ModeLike]) -> tuple:
+    """Rows ``A_f``, ``K`` (R, N, z, z|m) and row weights (r x R) of the
+    switching filter under ``det`` on the r mode rows, or of the fixed
+    filter ``filt`` on its one row."""
+    if filt is None:
+        K = [s.gains for s in mode_schedules(model, n_steps)]
+        A_f = _mode_dynamics(model, n_steps)[0]
+    else:
+        K = [gain_schedule(filt, model.meas, model.init, n_steps).gains]
+        A_f = np.reshape([mode.A for mode in as_mode_sequence(filt, n_steps)],
+                         (1, n_steps, model.z, model.z))
+    return (A_f, np.reshape(K, (len(K), n_steps, model.z, model.m)),
+            _branch_weights(model.r, det, filt is None))
+
+
 def _filter_moments(model: SldsModel, det: Optional[DetectionModel],
                     n_steps: int, filt: Optional[ModeLike]) -> np.ndarray:
     """Lifted moments (N + 1, k, k) of the switching filter under ``det``,
     or of the fixed filter ``filt``: a one-filter bank."""
-    if filt is None:
-        K = np.array([s.gains for s in mode_schedules(model, n_steps)])
-        A_f = _mode_dynamics(model, n_steps)[0]
-    else:
-        K = np.array([gain_schedule(filt, model.meas, model.init,
-                                    n_steps).gains])
-        A_f = np.array([[mode.A for mode in as_mode_sequence(filt, n_steps)]])
-    blocks = _bank_moments(model, A_f[None], K[None],
-                           [_branch_weights(model.r, det, filt is None)])
+    A_f, K, w = _filter_rows(model, det, n_steps, filt)
+    blocks = _bank_moments(model, A_f[None], K[None], [w])
     return np.concatenate(list(blocks))[:, 0, 0]
+
+
+def _bank_weights(r: int, det: Optional[DetectionModel],
+                  filters: Sequence[FilterSpec], bank: FilterBank) -> list:
+    """Row weights W_f (r x R) of each spec in ``filters`` on ``bank``."""
+    W = [np.zeros((r, len(bank.A))) for _ in filters]
+    for w, spec in zip(W, filters):
+        w[:, bank.rows(spec)] = _branch_weights(r, det, spec.kind == "skf")
+    return W
 
 
 def bank_series(model: SldsModel, det: Optional[DetectionModel],
@@ -284,11 +302,8 @@ def bank_series(model: SldsModel, det: Optional[DetectionModel],
     ``aggregate_series`` bit for bit, whatever else the list holds."""
     if bank is None:
         bank = filter_bank(model, n_steps)
-    W = [np.zeros((model.r, len(bank.A))) for _ in filters]
-    for w, spec in zip(W, filters):
-        w[:, bank.rows(spec)] = _branch_weights(model.r, det,
-                                                spec.kind == "skf")
-    blocks = _bank_moments(model, bank.A[None], bank.gains[None], W)
+    blocks = _bank_moments(model, bank.A[None], bank.gains[None],
+                           _bank_weights(model.r, det, filters, bank))
     mse = np.concatenate([_error_trace(m[:, 0], model.z) for m in blocks])
     return [MseSeries(mse=m, method="aggregate") for m in mse.T]
 

@@ -201,26 +201,22 @@ def gain_schedule(mode: ModeLike, meas: MeasurementModel,
     return GainSchedule(tuple(gains[0]), tuple(covs[0]))
 
 
-def _mixture(model: SldsModel, w: np.ndarray) -> ModeModel:
-    A = sum(wi * mode.A for wi, mode in zip(w, model.modes))
-    Q = sum(wi * mode.Q for wi, mode in zip(w, model.modes))
-    return ModeModel(A, Q)
-
-
 def average_mode(model: SldsModel, n: int) -> ModeModel:
     """Marginal-probability-weighted mixture of the mode dynamics at step n.
 
     Both A and Q are averaged with the same weights, so the construction
     stays symmetric when process noise differs across modes.
     """
-    return _mixture(model, mode_marginals(model.chain, n))
+    w = mode_marginals(model.chain, n)
+    return ModeModel(sum(wi * mode.A for wi, mode in zip(w, model.modes)),
+                     sum(wi * mode.Q for wi, mode in zip(w, model.modes)))
 
 
 def _average_dynamics(model: SldsModel, n_steps: int,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step ``A`` and ``Q`` (N, z, z) of the average filter for steps
     1..n_steps from one pass over the marginals, summed over modes in
-    ``_mixture``'s order so that each step equals ``average_mode``."""
+    ``average_mode``'s order so that each step equals it."""
     w = mode_marginal_series(model.chain, max(n_steps, 1))[:n_steps, :, None]
     A = sum(w[:, j, None] * mode.A for j, mode in enumerate(model.modes))
     Q = sum(w[:, j, None] * mode.Q for j, mode in enumerate(model.modes))

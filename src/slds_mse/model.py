@@ -301,10 +301,7 @@ def mode_marginals(chain: MarkovChain, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"step index must be >= 1, got {n}")
-    p = chain.prior.copy()
-    for _ in range(n - 1):
-        p = p @ chain.Z
-    return p
+    return mode_marginal_series(chain, n)[n - 1]
 
 
 def mode_marginal_series(chain: MarkovChain, n_max: int) -> np.ndarray:
@@ -312,11 +309,9 @@ def mode_marginal_series(chain: MarkovChain, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     out = np.empty((n_max, chain.r))
-    p = chain.prior.copy()
-    out[0] = p
+    out[0] = chain.prior
     for k in range(1, n_max):
-        p = p @ chain.Z
-        out[k] = p
+        out[k] = out[k - 1] @ chain.Z
     return out
 
 

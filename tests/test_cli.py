@@ -24,6 +24,7 @@ from slds_mse import (
     __version__,
     aggregate_series,
     dumps_scenario,
+    enumeration,
     fast,
     kalman,
     load_scenario,
@@ -413,6 +414,20 @@ class TestFailureModes:
         assert "skf" in err
         assert "--method aggregate" in err
 
+    def test_exact_over_capacity_enumerates_nothing(self, scenario_file,
+                                                    capsys):
+        # the SKF's 4^12 pairs are over the cap, the fixed filters' 2^12
+        # trajectories are not: every cap is checked before any leaf moves
+        path = scenario_file(chain=NONUNIFORM, horizon=12)
+        with mock.patch.object(enumeration, "_advance",
+                               wraps=enumeration._advance) as advance:
+            assert main(["analyze", "--scenario", path,
+                         "--method", "exact"]) == 3
+        assert advance.call_count == 0
+        err = capsys.readouterr().err
+        assert "error: skf:" in err
+        assert "--method aggregate" in err and "--method pruned" in err
+
     def test_pruned_requires_a_budget(self, scenario_file, capsys):
         assert main(["analyze", "--scenario", scenario_file(),
                      "--method", "pruned"]) == 3
@@ -526,6 +541,17 @@ class TestSharedFilterBank:
         assert riccati.call_count == passes
         batch = {call.args[0].shape[0] for call in riccati.call_args_list}
         assert batch == {3}            # r = 2 modes plus the average filter
+
+    @pytest.mark.parametrize("method", [
+        ["--method", "exact", "--horizon", "4"],
+        ["--method", "pruned", "--keep", "8"]], ids=["exact", "pruned"])
+    def test_one_riccati_pass_for_enumeration(self, tmp_path, method):
+        with mock.patch.object(kalman, "_riccati",
+                               wraps=kalman._riccati) as riccati:
+            assert main(["analyze", "--scenario", DEMO, *method,
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        assert riccati.call_count == 1
+        assert riccati.call_args.args[0].shape[0] == 3
 
 
 class TestOneMomentPass:

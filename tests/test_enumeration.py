@@ -8,15 +8,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import bimodal_model, random_model, single_mode_model
-from slds_mse import enumeration
+from slds_mse import cli, enumeration
 from slds_mse import (
     DetectionModel,
     EnumerationCapError,
     ErrorMoments,
+    FilterSpec,
     MarkovChain,
+    Scenario,
     average_filter_modes,
     detection_prob,
+    dumps_scenario,
+    filter_bank,
     gain_schedule,
+    load_scenario,
     mismatch_init,
     mismatch_series,
     mismatch_step,
@@ -414,3 +419,87 @@ class TestGainVariants:
         with pytest.raises(ValueError):
             skf_slds_moments(bench, DET, 3, gains="nonsense")
 
+
+
+FIELDS = ("x_mean", "x_cov", "u", "e_mean", "e_cov")
+
+
+def assert_same_run(got, want, label):
+    """Series, kept mass and every moment equal within 1e-12 relative to
+    each quantity's size."""
+    (series, moments), (ref, ref_moments) = got, want
+    assert series.method == ref.method
+    pairs = [("mse", series.mse, ref.mse),
+             ("kept_mass", series.kept_mass, ref.kept_mass)]
+    pairs += [(f"{field} at step {m.step}", getattr(m, field),
+               getattr(r, field))
+              for m, r in zip(moments, ref_moments) for field in FIELDS]
+    assert len(moments) == len(ref_moments)
+    for name, a, b in pairs:
+        assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
+                        err_msg=f"{label}: {name}")
+
+
+class TestFilterBankEnumeration:
+    """The CLI enumerates one filter bank: one tree for every fixed-gain
+    filter and one for the switching filter.  A bank listing the SKF
+    first, a duplicated single-mode filter and the average filter gives
+    each filter what its own one-filter call gives."""
+
+    SPECS = (FilterSpec("skf"), FilterSpec("single-mode", mode=2),
+             FilterSpec("single-mode", mode=2), FilterSpec("average"))
+
+    @pytest.mark.parametrize("budget", [{}, {"keep": 5}, {"mass": 0.9}],
+                             ids=["exact", "keep", "mass"])
+    def test_mixed_bank_equals_one_filter_calls(self, rng, tmp_path, budget):
+        n = 4
+        path = tmp_path / "scenario.json"
+        path.write_text(dumps_scenario(Scenario(
+            model=random_model(rng, 2, 2, uniform_rows=False,
+                               uniform_prior=False),
+            horizon=n, detection=DET, filters=self.SPECS, mc_samples=10,
+            seed=0)))
+        model = load_scenario(str(path)).model
+        runs = []
+
+        def spy(*args, **kwargs):
+            out = enumeration._run_enumeration(*args, **kwargs)
+            runs.extend(zip(args[4], out))
+            return out
+
+        flags = [f"--{key}={value}" for key, value in budget.items()]
+        with mock.patch.object(cli, "_run_enumeration",
+                               side_effect=spy) as run:
+            assert cli.main(["analyze", "--scenario", str(path),
+                             "--method", "pruned" if budget else "exact",
+                             *flags, "--out", str(tmp_path / "out.csv")]) == 0
+        assert run.call_count == 2           # the SKF's tree, then the KFs'
+        assert [tuple(np.flatnonzero(w.any(axis=0))) for w, _ in runs] == \
+            [(0, 1), (1,), (1,), (2,)]
+        fixed = (model.modes[1], model.modes[1],
+                 average_filter_modes(model, n))
+        if budget:
+            refs = [pruned_moments(model, DET, n, **budget)]
+            refs += [pruned_moments(model, None, n, filt=filt, **budget)
+                     for filt in fixed]
+        else:
+            refs = [skf_slds_moments(model, DET, n)]
+            refs += [single_mode_slds_moments(model, filt, n)
+                     for filt in fixed]
+        for spec, (_, got), want in zip(self.SPECS, runs, refs):
+            assert_same_run(got, want, spec.display)
+        if not budget:
+            assert_moments_match(*runs[0][1], brute_skf(model, DET, n, rng))
+            assert_moments_match(*runs[1][1],
+                                 brute_single(model, model.modes[1], n, rng))
+
+    def test_group_must_share_branch_weights(self, bench):
+        bank = filter_bank(bench, 3)
+        skf, kf, other_skf = np.zeros((3, 2, 3))
+        skf[:, :2] = [[0.9, 0.1], [0.1, 0.9]]
+        other_skf[:, :2] = [[0.6, 0.4], [0.4, 0.6]]
+        kf[:, 0] = 1.0
+        for group in ([skf, kf], [skf, other_skf]):
+            with pytest.raises(ValueError, match="branch weights"):
+                enumeration._run_enumeration(bench, 3, bank.A, bank.gains,
+                                             group)
