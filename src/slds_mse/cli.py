@@ -105,10 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "recursion, exact on any Markov chain; exact: "
                             "trajectory enumeration; pruned: beam-pruned "
                             "enumeration)")
-        p.add_argument("--keep", type=int, help="trajectories kept per step "
-                       "(--method pruned only; an error otherwise)")
-        p.add_argument("--mass", type=float, help="probability mass kept per "
-                       "step (--method pruned only; an error otherwise)")
+        budget = p.add_mutually_exclusive_group()
+        budget.add_argument("--keep", type=int, help="trajectories kept per "
+                            "step, >= 1 (--method pruned only; an error "
+                            "otherwise)")
+        budget.add_argument("--mass", type=float, help="probability mass "
+                            "kept per step, in (0, 1] (--method pruned only; "
+                            "an error otherwise)")
 
     p = sub.add_parser("analyze", help="analytic MSE per filter")
     common(p)
@@ -158,6 +161,13 @@ def _load(args) -> Scenario:
 
 
 def _resolve_method(args) -> str:
+    """The analytic method ``args`` select, checked before any work."""
+    if args.keep is not None and args.keep < 1:
+        raise CommandError(EXIT_VALIDATION,
+                           f"--keep must be >= 1, got {args.keep}")
+    if args.mass is not None and not 0.0 < args.mass <= 1.0:
+        raise CommandError(EXIT_VALIDATION,
+                           f"--mass must lie in (0, 1], got {args.mass}")
     given = {"--keep": args.keep, "--mass": args.mass}
     budgets = [flag for flag, value in given.items() if value is not None]
     if args.method == "pruned" and not budgets:
@@ -176,13 +186,13 @@ def _filter_bank(scenario: Scenario) -> FilterBank:
         raise CommandError(EXIT_CAPACITY, f"filter bank: {exc}")
 
 
-def _analytic_series(scenario: Scenario, args,
+def _analytic_series(scenario: Scenario, args, method: str,
                      bank: Optional[FilterBank] = None) -> list:
-    """(FilterSpec, MseSeries) per scenario filter, honoring --method.
-    Every method reads ``bank`` when given, else one new filter bank."""
+    """(FilterSpec, MseSeries) per scenario filter by ``method``, from
+    ``_resolve_method``.  Every method reads ``bank`` when given, else one
+    new filter bank."""
     model, det, n = scenario.model, scenario.detection, scenario.horizon
     specs = scenario.filters
-    method = _resolve_method(args)
     if bank is None:
         bank = _filter_bank(scenario)
     if method == "aggregate":
@@ -273,8 +283,9 @@ def _require_finite(cells: list) -> None:
 
 
 def cmd_analyze(args) -> int:
+    method = _resolve_method(args)
     scenario = _load(args)
-    results = _analytic_series(scenario, args)
+    results = _analytic_series(scenario, args, method)
     rows = [[step, spec.display, _g17(series.mse[step]),
              _method_tag(series, step)]
             for spec, series in results
@@ -312,9 +323,10 @@ def cmd_compare(args) -> int:
     if not (np.isfinite(args.rtol) and args.rtol >= 0):
         raise CommandError(EXIT_VALIDATION, f"--rtol must be finite and "
                                             f">= 0, got {args.rtol}")
+    method = _resolve_method(args)
     scenario = _load(args)
     bank = _filter_bank(scenario)        # one Riccati pass for both sides
-    results = _analytic_series(scenario, args, bank)
+    results = _analytic_series(scenario, args, method, bank)
     runs = run_monte_carlo(scenario.model, scenario.filters,
                            scenario.detection, scenario.horizon,
                            scenario.mc_samples, scenario.seed,

@@ -21,6 +21,15 @@ per block of parents: each filter's branch maps stacked into one
 each branch's part times its G.T, written into the next step's storage.
 Beam pruning keeps the most probable trajectories and reports the kept
 mass per step.
+
+Only the levels before the last two are stored, about 2 k^3 multiply-adds
+per new leaf (k = 2z + 1).  The last level is linear in its parents, so
+its mixture is sum_b G_b (sum_l w_bl Phi_l) G_b.T + (sum_l w_bl) C_b: k^2
+per leaf for the parents' per-branch weighted sums, then one congruence
+per branch (``_fold``; pruned pairs weigh zero).  The level before it is
+streamed block by block into its own mixture and those sums.  A pruned
+run stores that level, to prune it.  Detected-path gains give every leaf
+its own maps, so that policy stores every level.
 """
 
 from __future__ import annotations
@@ -95,27 +104,26 @@ def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
              weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Phi' = G Phi G.T + C of every leaf of each filter's ``phi``
     (F, k, L, k) under every branch: (F, k, b L, k), leaves in (branch,
-    parent) order.  With ``weights`` (b L,) the new leaves are never
-    stored: the result is their mixture sum_l w_l Phi_l' (F, k, k),
+    parent) order.  With ``weights`` (J, b L) the new leaves are never
+    stored: the result is their J mixtures sum_l w_jl Phi_l', (F, k, J, k),
     summed block by block.
 
     ``G``, ``C`` are (F, b, k, k) maps shared by all leaves, or
-    (F, b, L, k, k) maps of one leaf each (detected-path gains).
+    (F, b, L, k, k) maps of one leaf each (detected-path gains, no
+    ``weights``).
     """
     F, k, L = phi.shape[:3]
     if G.ndim == 5:
         out = G @ phi.swapaxes(1, 2)[:, None] @ G.swapaxes(-1, -2) + C
-        out = out.transpose(0, 3, 1, 2, 4).reshape(F, k, -1, k)
-        return out if weights is None else _mixture(weights, out)
+        return out.transpose(0, 3, 1, 2, 4).reshape(F, k, -1, k)
     b = G.shape[1]
     width = max(1, _BLOCK_MACS // (b * k ** 3))
     if weights is None:
         out = np.empty((F, k, b, L, k))
-        blocks = out.transpose(0, 2, 1, 3, 4)
     else:
-        blocks = np.empty((F, b, k, min(L, width), k))   # one block's leaves
-        total = np.zeros((F, k, 1, k))
-        weights = weights.reshape(b, 1, 1, L)
+        weights = weights.reshape(len(weights), b, L)
+        total = np.zeros((F, k, len(weights), k))
+        scratch = np.empty(F * k * b * min(L, width) * k)   # a block's leaves
     stacked = G.reshape(F, b * k, k)
     maps_t = np.ascontiguousarray(G.swapaxes(-1, -2))[:, :, None]
     C = C[:, :, :, None]
@@ -125,13 +133,25 @@ def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
         hi = min(L, lo + width)
         GPhi = np.matmul(stacked, flat[..., lo * k:hi * k],
                          out=left[..., :(hi - lo) * k])
-        block = blocks[..., lo:hi, :] if weights is None else \
-            blocks[..., :hi - lo, :]
-        np.matmul(GPhi.reshape(F, b, k, hi - lo, k), maps_t, out=block)
-        block += C
+        block = out[:, :, :, lo:hi] if weights is None else \
+            scratch[:F * k * b * (hi - lo) * k].reshape(F, k, b, hi - lo, k)
+        leaves = block.transpose(0, 2, 1, 3, 4)
+        np.matmul(GPhi.reshape(F, b, k, hi - lo, k), maps_t, out=leaves)
+        leaves += C
         if weights is not None:
-            total += (weights[..., lo:hi] @ block).sum(axis=1)
-    return out.reshape(F, k, b * L, k) if weights is None else total[:, :, 0]
+            total += (weights[..., lo:hi].reshape(len(weights), -1)
+                      @ block.reshape(F, k, -1, k))
+    return out.reshape(F, k, b * L, k) if weights is None else total
+
+
+def _fold(sums: np.ndarray, w: np.ndarray, G: np.ndarray,
+          C: np.ndarray) -> np.ndarray:
+    """Mixture sum_bl w_bl (G_b Phi_l G_b.T + C_b) of the leaves that the
+    branches b of parents l create, never formed: one congruence per
+    branch of the parents' weighted sums ``sums`` (F, k, b, k), sum_l w_bl
+    Phi_l, plus the noise weighted by sum_l w_bl."""
+    return (G @ sums.swapaxes(1, 2) @ G.swapaxes(-1, -2)
+            + w.sum(axis=1)[:, None, None] * C).sum(axis=1)
 
 
 def _weights(prob: np.ndarray, renorm: bool) -> tuple[float, np.ndarray]:
@@ -141,13 +161,14 @@ def _weights(prob: np.ndarray, renorm: bool) -> tuple[float, np.ndarray]:
 
 
 def _mixture(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """sum_l w_l Phi_l of each filter's leaves ``phi`` (F, k, L, k), summed
+    """sum_l w_l Phi_l of each filter's leaves ``phi`` (F, k, L, k): (F, k,
+    k) for weights (L,), (F, k, J, k) for J rows of weights (J, L).  Summed
     in blocks of leaves under ``_BLOCK_MACS``, as ``_advance`` does."""
     F, k, L = phi.shape[:3]
-    width = max(1, _BLOCK_MACS // k ** 2)
-    total = np.zeros((F, k, k))
+    width = max(1, _BLOCK_MACS // (k ** 2 * (w.size // L)))
+    total = np.zeros((F, k) + w.shape[:-1] + (k,))
     for lo in range(0, L, width):
-        total += w[lo:lo + width] @ phi[:, :, lo:lo + width]
+        total += w[..., lo:lo + width] @ phi[:, :, lo:lo + width]
     return total
 
 
@@ -241,6 +262,15 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
             for X in _branch_maps(A, Q, A_f.swapaxes(0, 1),
                                   K.swapaxes(0, 1), H, R))
 
+    def children(prob: np.ndarray, last: Optional[np.ndarray]) -> np.ndarray:
+        """Probabilities (b L,) of the children of leaves ``prob`` (L,)
+        whose true modes are ``last``, in (branch, parent) order: branch
+        (true i, slot d) of leaf l has prob[l] Z[last[l], i] D[i, d], the
+        prior in place of Z at the root."""
+        trans = (model.chain.prior[None] if last is None
+                 else model.chain.Z[last])
+        return (prob * (trans.T[:, None] * D[:, :, None])).ravel()
+
     phi = np.broadcast_to(_initial_moment(model.init)[:, None], (F, k, 1, k))
     prob, last = np.ones(1), None
     filter_cov = model.init.cov[None] if detected_path else None
@@ -269,16 +299,31 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
                                  K_leaf.reshape(-1, z, m), H, R))
         else:
             G, C = G_all[n - 1], C_all[n - 1]
-        trans = model.chain.prior[None] if n == 1 else model.chain.Z[last]
-        prob = (prob * (trans.T[:, None] * D[:, :, None])).ravel()
-        del trans, last              # not kept beside the next leaves
-        if n == n_steps and not pruning:
-            # the last leaves are only summed: stream them, never store them
+        prob = children(prob, last)
+        del last                     # not kept beside the next leaves
+        if n == n_steps and not detected_path:
+            # the last leaves are only summed: fold each branch's weighted
+            # sum of their parents
+            w = np.zeros(prob.size)              # pruned pairs weigh zero
+            kept_pairs = (_keep_indices(prob, keep, mass) if pruning
+                          else slice(None))
+            kept, w[kept_pairs] = _weights(prob[kept_pairs], renormalize)
+            w = w.reshape(b, -1)
+            steps.append((kept, _fold(_mixture(w, phi), w, G, C)))
+            break
+        last = np.repeat(np.arange(r), prob.size // r)
+        if n == n_steps - 1 and not (detected_path or pruning):
+            # so are this level's: streamed into its own mixture and the
+            # last level's per-branch sums, which fold into that level
             kept, w = _weights(prob, renormalize)
-            steps.append((kept, _advance(phi, G, C, w)))
+            kept_last, w_last = _weights(children(prob, last).reshape(b, -1),
+                                         renormalize)
+            sums = _advance(phi, G, C, np.vstack([w, w_last]))
+            steps += [(kept, sums[:, :, 0]),
+                      (kept_last, _fold(sums[:, :, 1:], w_last,
+                                        G_all[n], C_all[n]))]
             break
         phi = _advance(phi, G, C)
-        last = np.repeat(np.arange(r), prob.size // r)
         if pruning:
             idx = _keep_indices(prob, keep, mass)
             prob, last, phi = prob[idx], last[idx], phi[:, :, idx]

@@ -23,6 +23,7 @@ from slds_mse import (
     Tolerances,
     __version__,
     aggregate_series,
+    cli,
     dumps_scenario,
     enumeration,
     fast,
@@ -446,6 +447,37 @@ class TestFailureModes:
         flag = "--keep" if "--keep" in extra else "--mass"
         assert f"{flag} requires --method pruned" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--keep", "0", "must be >= 1, got 0"),
+        ("--keep", "-3", "must be >= 1, got -3"),
+        ("--mass", "0", "must lie in (0, 1], got 0.0"),
+        ("--mass", "1.5", "must lie in (0, 1], got 1.5"),
+        ("--mass", "nan", "must lie in (0, 1], got nan"),
+    ])
+    def test_bad_budget_is_rejected_before_any_work(
+            self, scenario_file, capsys, command, flag, value, reason):
+        # a validation error naming the flag, not a filter's method failure
+        # after the scenario is read and the filter bank built
+        with mock.patch.object(cli, "load_scenario") as load, \
+                mock.patch.object(cli, "filter_bank") as bank:
+            assert main([command, "--scenario", scenario_file(),
+                         "--method", "pruned", f"{flag}={value}"]) == 2
+        assert load.call_count == bank.call_count == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} {reason}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_keep_and_mass_are_exclusive(self, scenario_file, capsys,
+                                         command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--scenario", scenario_file(), "--method",
+                  "pruned", "--keep", "3", "--mass", "0.5"])
+        assert excinfo.value.code == 2
+        assert "--mass: not allowed with argument --keep" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("compare", "--rtol", "nan"),

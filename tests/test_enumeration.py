@@ -1,6 +1,7 @@
 """Trajectory enumeration: probabilities, exact moments, pruning, caps."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import bimodal_model, random_model, single_mode_model
-from slds_mse import cli, enumeration
+from slds_mse import cli, enumeration, fast
 from slds_mse import (
     DetectionModel,
     EnumerationCapError,
     ErrorMoments,
     FilterSpec,
     MarkovChain,
+    MseSeries,
     Scenario,
     average_filter_modes,
     detection_prob,
@@ -503,3 +505,159 @@ class TestFilterBankEnumeration:
             with pytest.raises(ValueError, match="branch weights"):
                 enumeration._run_enumeration(bench, 3, bank.A, bank.gains,
                                              group)
+
+
+def leaf_by_leaf(model, n_steps, A_f, K, W, keep=None, mass=None,
+                 renormalize=False):
+    """Kept mass and mixture per step of one filter's tree, every leaf of
+    every level formed on its own, Phi' = G Phi G.T + C per (branch,
+    parent), in the engine's (true i, slot d, parent) order, pruned by
+    the same rule and summed in a plain loop.  Probabilities round as the
+    engine's do, so tied pairs are kept alike."""
+    A = np.array([mode.A for mode in model.modes])
+    Q = np.array([mode.Q for mode in model.modes])
+    G, C = enumeration._branch_maps(A, Q, A_f.swapaxes(0, 1),
+                                    K.swapaxes(0, 1), model.meas.H,
+                                    model.meas.R)
+    (rows,), D = enumeration._branches([W])
+    leaves = [(1.0, None, fast._initial_moment(model.init))]
+    steps = [(1.0, leaves[0][2])]
+    for n in range(n_steps):
+        leaves = [
+            (p * ((model.chain.prior if last is None
+                   else model.chain.Z[last])[i] * D[i, d]),
+             i, G[n, i, row] @ phi @ G[n, i, row].T + C[n, i, row])
+            for i in range(model.r) for d, row in enumerate(rows)
+            for p, last, phi in leaves]
+        if keep is not None or mass is not None:
+            prob = np.array([p for p, _, _ in leaves])
+            leaves = [leaves[j] for j in
+                      enumeration._keep_indices(prob, keep, mass)]
+        kept = sum(p for p, _, _ in leaves)
+        scale = kept if renormalize else 1.0
+        steps.append((kept, sum(p / scale * phi for p, _, phi in leaves)))
+    return steps
+
+
+class TestFoldedLevels:
+    """The last level of a schedule-gain tree is folded from its parents'
+    per-branch weighted sums, and in an unpruned run the level before it
+    is streamed: both must equal a leaf-by-leaf sum of the same pairs."""
+
+    @staticmethod
+    def assert_matches_leaf_by_leaf(model, n_steps, det=DET, filt=None,
+                                    **budget):
+        A_f, K, W = fast._filter_rows(model, det, n_steps, filt)
+        got = enumeration._run_enumeration(model, n_steps, A_f, K, [W],
+                                           **budget)[0]
+        kept, mixtures = zip(*leaf_by_leaf(model, n_steps, A_f, K, W,
+                                           **budget))
+        (mse, moments), = enumeration._read_moments(
+            np.array(mixtures)[None], model.z)
+        method = "pruned" if {"keep", "mass"} & set(budget) else "exact"
+        want = MseSeries(mse=mse, method=method, kept_mass=np.array(kept))
+        assert_same_run(got, (want, moments), f"{budget}")
+
+    def test_keep_cutting_through_a_branch_three_modes(self, rng):
+        # 9 SKF branches; 40 kept of 360 last-level pairs leave some
+        # branch with part of its children
+        model = random_model(rng, 3, 2, uniform_rows=False,
+                             uniform_prior=False)
+        with mock.patch.object(enumeration, "_fold",
+                               wraps=enumeration._fold) as fold:
+            self.assert_matches_leaf_by_leaf(model, 3, keep=40)
+        (_, w, _, _), _ = fold.call_args
+        assert w.shape == (9, 40)
+        per_branch = np.count_nonzero(w, axis=1)
+        assert per_branch.sum() == 40
+        assert ((per_branch > 0) & (per_branch < 40)).any()
+
+    @pytest.mark.parametrize("budget", [
+        {"mass": 0.8, "renormalize": True}, {"mass": 0.8},
+        {"keep": 5, "renormalize": True}], ids=["mass-renorm", "mass",
+                                                 "keep-renorm"])
+    def test_mass_and_renormalize(self, rng, budget):
+        model = random_model(rng, 2, 2, uniform_rows=False,
+                             uniform_prior=False)
+        self.assert_matches_leaf_by_leaf(model, 4, **budget)
+        self.assert_matches_leaf_by_leaf(model, 4, None, model.modes[1],
+                                         **budget)
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    @pytest.mark.parametrize("budget", [{}, {"keep": 3}],
+                             ids=["exact", "keep"])
+    def test_short_horizons_start_from_the_initial_leaf(self, rng, n_steps,
+                                                        budget):
+        # horizon 1 folds straight from the initial leaf; at horizon 2 an
+        # unpruned run streams level 1 from it
+        model = random_model(rng, 2, 2, uniform_rows=False,
+                             uniform_prior=False)
+        with mock.patch.object(enumeration, "_advance",
+                               wraps=enumeration._advance) as advance:
+            self.assert_matches_leaf_by_leaf(model, n_steps, **budget)
+            self.assert_matches_leaf_by_leaf(model, n_steps, None,
+                                             model.modes[0], **budget)
+        streamed = [call.args[3] for call in advance.call_args_list
+                    if len(call.args) > 3]
+        assert advance.call_count == 2 * (n_steps - 1)
+        assert len(streamed) == (2 if n_steps == 2 and not budget else 0)
+
+    def test_block_edges_inside_the_streamed_level(self, rng):
+        # blocks three parents wide cut the streamed level's 64 parents
+        # (and the folds' sums) with a short last block
+        model = random_model(rng, 2, 2, uniform_rows=False,
+                             uniform_prior=False)
+        k = 2 * model.z + 1
+        with mock.patch.object(enumeration, "_BLOCK_MACS", 3 * 4 * k ** 3):
+            self.assert_matches_leaf_by_leaf(model, 5)
+            self.assert_matches_leaf_by_leaf(model, 5, keep=7)
+
+    def test_unpruned_run_never_stores_the_last_two_levels(self, bench):
+        # SKF, r = 2: 4 branches per leaf, 4^n leaves at level n
+        n_steps = 6
+        stored, streamed = [], []
+        advance = enumeration._advance
+
+        def spy(phi, G, C, weights=None):
+            out = advance(phi, G, C, weights)
+            if weights is None:
+                stored.append(out.shape[2])
+            else:
+                streamed.append(weights.shape)
+            return out
+
+        with mock.patch.object(enumeration, "_advance", side_effect=spy):
+            skf_slds_moments(bench, DET, n_steps)
+        assert stored == [4 ** n for n in range(1, n_steps - 1)]
+        assert streamed == [(1 + 4, 4 ** (n_steps - 1))]
+
+    def test_peak_memory_below_the_penultimate_leaves(self, bench):
+        # r = 2, z = 4, N = 8: the 4^7 leaves of level N - 1 alone take
+        # 10.6 MB; storing either of the last two levels would exceed it
+        n_steps, k = 8, 2 * bench.z + 1
+        penultimate = 4 ** (n_steps - 1) * k * k * 8
+        tracemalloc.start()
+        try:
+            skf_slds_moments(bench, DET, n_steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < penultimate
+
+    @pytest.mark.parametrize("budget", [{}, {"keep": 6}],
+                             ids=["exact", "keep"])
+    def test_detected_path_stores_and_sums_every_level(self, bench, budget):
+        # per-leaf maps keep the leaf-by-leaf path: nothing is folded or
+        # streamed, and each level is summed with one weight per leaf
+        A_f, K, W = fast._filter_rows(bench, DET, 4, None)
+        with mock.patch.object(enumeration, "_advance",
+                               wraps=enumeration._advance) as advance, \
+                mock.patch.object(enumeration, "_fold") as fold, \
+                mock.patch.object(enumeration, "_mixture",
+                                  wraps=enumeration._mixture) as mixture:
+            enumeration._run_enumeration(bench, 4, A_f, K, [W],
+                                         detected_path=True, **budget)
+        assert fold.call_count == 0
+        assert [len(call.args) for call in advance.call_args_list] == [3] * 4
+        assert [call.args[0].ndim for call in mixture.call_args_list] == \
+            [1] * 5
