@@ -20,7 +20,6 @@ from .model import (
     SldsModel,
     Tolerances,
     Violation,
-    mode_marginals,
     mode_marginal_series,
     validate_model,
     validate_scenario,
@@ -47,18 +46,14 @@ from .mismatch import (
 )
 from .enumeration import (
     EnumerationCapError,
-    detection_prob,
     pruned_moments,
     single_mode_slds_moments,
     skf_slds_moments,
-    trajectory_prob,
 )
 from .fast import (
-    AggregateState,
     MergePairReport,
     MergeReport,
     aggregate_series,
-    aggregate_state_series,
     bank_series,
     merge_clusters,
     merge_recommendation,

@@ -5,8 +5,9 @@ Every number in a report comes from a library call that is unit-tested
 on its own; this layer only selects methods, formats rows and maps
 failures to exit codes (0 success, 2 validation failure or an unwritable
 output path, 3 capacity or method failure, 4 comparison verdict FAIL,
-5 a NaN or infinite cell in an ``analyze`` or ``simulate`` CSV, which is
-still written).
+5 a NaN or infinite cell in an ``analyze`` or ``simulate`` CSV, or in a
+``recommend`` pair's improvement or MSE series; the CSV is still
+written).
 Set SLDS_MSE_LOG to a level name (DEBUG, INFO, ...) for progress logging
 on stderr.
 """
@@ -32,6 +33,7 @@ from .kalman import FilterBank, InnovationSolveError, filter_bank
 from .enumeration import (
     DEFAULT_CAP,
     EnumerationCapError,
+    _branches,
     _check_cap,
     _run_enumeration,
 )
@@ -210,16 +212,16 @@ def _analytic_series(scenario: Scenario, args, method: str,
     groups = [[f for f, spec in enumerate(specs)
                if (spec.kind == "skf") == skf] for skf in (True, False)]
     groups = [(", ".join(dict.fromkeys(specs[f].display for f in members)),
-               members, [W[f] for f in members])
+               members, *_branches([W[f] for f in members]))
               for members in groups if members]
     series = {}
     try:
         if method == "exact":      # no tree grows while another is over
-            for label, _, group in groups:
-                _check_cap(group, n, DEFAULT_CAP)
-        for label, members, group in groups:
+            for label, _, _, D in groups:
+                _check_cap(D, n, DEFAULT_CAP)
+        for label, members, rows, D in groups:
             t0 = time.perf_counter()
-            runs = _run_enumeration(model, n, bank.A, bank.gains, group,
+            runs = _run_enumeration(model, n, bank.A, bank.gains, rows, D,
                                     keep=args.keep, mass=args.mass)
             series.update(zip(members, (run[0] for run in runs)))
             log.info("%s: %s method, %.1f ms", label, method,
@@ -232,10 +234,13 @@ def _analytic_series(scenario: Scenario, args, method: str,
     return [(spec, series[f]) for f, spec in enumerate(specs)]
 
 
-def _method_tag(series: MseSeries, step: int) -> str:
+def _method_tags(series: MseSeries) -> list:
+    """The method column of each step: per step only for ``pruned``,
+    which carries its kept mass."""
     if series.method == "pruned":
-        return f"pruned({format(series.kept_mass[step], '.6g')})"
-    return series.method
+        return [f"pruned({format(m, '.6g')})"
+                for m in series.kept_mass.tolist()]
+    return [series.method] * len(series)
 
 
 def _unwritable(flag: str, path: str, exc: OSError) -> CommandError:
@@ -286,10 +291,11 @@ def cmd_analyze(args) -> int:
     method = _resolve_method(args)
     scenario = _load(args)
     results = _analytic_series(scenario, args, method)
-    rows = [[step, spec.display, _g17(series.mse[step]),
-             _method_tag(series, step)]
-            for spec, series in results
-            for step in range(len(series))]
+    rows = []
+    for spec, series in results:
+        rows += zip(range(len(series)), [spec.display] * len(series),
+                    [format(v, ".17g") for v in series.mse.tolist()],
+                    _method_tags(series))
     _write_csv(args.out, ["step", "filter", "analytic_mse", "method"], rows)
     _maybe_svg(args.svg, [(spec.display, series.mse)
                           for spec, series in results],
@@ -339,10 +345,11 @@ def cmd_compare(args) -> int:
         curves.append((spec.display, series.mse))
         curves.append((f"{spec.display} (mc)", emp.mse))
         finite = np.isfinite(series.mse) & np.isfinite(emp.mse)
+        tags = _method_tags(series)
         for step in range(len(series)):
             a, m = series.mse[step], emp.mse[step]
             rows.append([step, spec.display, _g17(a), _g17(m),
-                         _g17(emp.stderr[step]), _method_tag(series, step)])
+                         _g17(emp.stderr[step]), tags[step]])
             if not finite[step]:
                 failures.append((spec.display, step, a, m, "non-finite"))
             elif step >= 2:
@@ -386,6 +393,12 @@ def cmd_recommend(args) -> int:
             for pair in report.pairs]
     _write_csv(args.out, ["mode_i", "mode_j", "improvement", "metric",
                           "threshold", "best_single", "recommendation"], rows)
+    # a NaN improvement compares false, so it would read as "keep"
+    bad = [f"modes {p.mode_i}+{p.mode_j}" for p in report.pairs if not
+           np.isfinite([p.improvement, *p.skf_mse, *p.best_single_mse]).all()]
+    if bad:
+        raise CommandError(EXIT_NON_FINITE, "NaN or infinite improvement or "
+                           "MSE series in the merge analysis of " + ", ".join(bad))
 
     adjacency = {str(k): [] for k in range(1, report.r + 1)}
     for pair in report.pairs:

@@ -6,9 +6,11 @@ probability-weighted mixture over them (over the r^(2n) (true, detected)
 trajectory pairs for the switching filter).  Each live trajectory l
 carries its lifted moment Phi_l = E[w w.T | trajectory] of w = [x; e; 1],
 raw second moments with the means in its last column, and steps as
-Phi_l' = G Phi_l G.T + C under the branch (true mode i, filter row rho),
-with the map and noise of :func:`slds_mse.fast._joint_factors` that the
-aggregate recursion applies too.  Every moment of
+Phi_l' = G Phi_l G.T + C under the branch (true mode i, filter row rho).
+G and C are the 2z-square [x; e] map and noise of
+:func:`slds_mse.fast._joint_factors`, which the aggregate recursion
+applies as they are, padded here with a unit corner on G and zeros on C
+to carry the means.  Every moment of
 :class:`~slds_mse.mismatch.ErrorMoments` is read off the mixture
 sum_l pi_l Phi_l.
 
@@ -38,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import DetectionModel, MarkovChain, MseSeries, SldsModel
+from .model import DetectionModel, MseSeries, SldsModel
 from .mismatch import ErrorMoments
 from .kalman import ModeLike, _check_innovations, _gain_step, _mode_dynamics
 from .fast import _filter_rows, _initial_moment, _joint_factors, _noise
@@ -60,44 +62,20 @@ class EnumerationCapError(RuntimeError):
     """Raised when an exact enumeration would exceed the trajectory cap."""
 
 
-def trajectory_prob(chain: MarkovChain, modes: Sequence[int]) -> float:
-    """Probability of a mode trajectory: prior times transition products."""
-    modes = list(modes)
-    if not modes:
-        raise ValueError("trajectory must contain at least one mode")
-    for m in modes:
-        if not 1 <= m <= chain.r:
-            raise ValueError(f"mode index {m} outside 1..{chain.r}")
-    p = chain.prior[modes[0] - 1]
-    for a, b in zip(modes, modes[1:]):
-        p *= chain.Z[a - 1, b - 1]
-    return float(p)
-
-
-def detection_prob(truth: Sequence[int], detected: Sequence[int],
-                   det: DetectionModel, r: int) -> float:
-    """P(detected trajectory | true trajectory) under the constant-rate model."""
-    truth, detected = list(truth), list(detected)
-    if len(truth) != len(detected):
-        raise ValueError("trajectories must have equal length")
-    p = 1.0
-    for i, j in zip(truth, detected):
-        if i == j:
-            # with a single mode detection cannot err, whatever p_d says
-            p *= det.p_d if r > 1 else 1.0
-        else:
-            if r < 2:
-                raise ValueError("false detection impossible with a single mode")
-            p *= (1.0 - det.p_d) / (r - 1)
-    return float(p)
-
-
 def _branch_maps(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
                  K: np.ndarray, H: np.ndarray, R: np.ndarray) -> tuple:
-    """Map G and noise C of every branch (true mode i, filter row rho) of
-    ``_joint_factors``' grid, (..., r, R, k, k) each."""
+    """Map G and noise C of w = [x; e; 1] on every branch (true mode i,
+    filter row rho) of ``_joint_factors``' grid, (..., r, R, k, k) each:
+    its [x; e] maps padded with a unit corner on G and zeros on C, which
+    carry the means."""
     Gt, lower = _joint_factors(A, Q, A_f, K, H, R)
-    return Gt.swapaxes(-1, -2), _noise(Q[:, None], lower)
+    k = Gt.shape[-1] + 1
+    lift = np.zeros(Gt.shape[:-2] + (k, k))
+    lift[..., :-1, :-1] = Gt
+    lift[..., -1, -1] = 1.0
+    C = np.zeros_like(lift)
+    C[..., :-1, :-1] = _noise(Q[:, None], lower)
+    return lift.swapaxes(-1, -2), C
 
 
 def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
@@ -217,10 +195,9 @@ def _branches(W: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
                      "branch weights")
 
 
-def _check_cap(W: Sequence[np.ndarray], n_steps: int, cap: int) -> None:
-    """Raise ``EnumerationCapError`` when an unpruned enumeration of the
-    group ``W`` would outgrow ``cap``."""
-    D = _branches(W)[1]
+def _check_cap(D: np.ndarray, n_steps: int, cap: int) -> None:
+    """Raise ``EnumerationCapError`` when an unpruned enumeration of a
+    group with branch weights ``D`` (``_branches``) would outgrow ``cap``."""
     if D.size ** n_steps > cap:
         raise EnumerationCapError(
             f"exact enumeration needs {D.size}^{n_steps} "
@@ -230,16 +207,17 @@ def _check_cap(W: Sequence[np.ndarray], n_steps: int, cap: int) -> None:
 
 
 def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
-                     K: np.ndarray, W: Sequence[np.ndarray], *,
+                     K: np.ndarray, rows: np.ndarray, D: np.ndarray, *,
                      keep: Optional[int] = None, mass: Optional[float] = None,
                      renormalize: bool = False, cap: int = DEFAULT_CAP,
                      detected_path: bool = False) -> list:
-    """Series and moments of each filter ``W`` (r x R) of a bank with rows
-    ``A_f``, ``K`` (R, N, z, z|m), from one trajectory tree.  The filters
-    must share their branch weights (``_branches``): every fixed-gain
-    filter, or the switching filter.  ``detected_path`` gives the
-    switching filter each leaf's gain from its own Riccati step along its
-    detected trajectory instead of ``K``."""
+    """Series and moments of each filter of a bank with rows ``A_f``,
+    ``K`` (R, N, z, z|m), from one trajectory tree.  The filters share
+    the branch weights ``D`` and run the bank rows ``rows`` (F, s) that
+    ``_branches`` reads off their W: every fixed-gain filter, or the
+    switching filter.  ``detected_path`` gives the switching filter each
+    leaf's gain from its own Riccati step along its detected trajectory
+    instead of ``K``."""
     if keep is not None and mass is not None:
         raise ValueError("give either keep or mass, not both")
     if keep is not None and keep < 1:
@@ -248,8 +226,7 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
         raise ValueError(f"mass target must lie in (0, 1], got {mass}")
     pruning = keep is not None or mass is not None
     if not pruning:
-        _check_cap(W, n_steps, cap)
-    rows, D = _branches(W)
+        _check_cap(D, n_steps, cap)
     r, z, m = model.r, model.z, model.m
     F, b, k = len(rows), D.size, 2 * z + 1
     H, R = model.meas.H, model.meas.R
@@ -350,7 +327,7 @@ def _one_filter(model: SldsModel, det: Optional[DetectionModel],
     if detected_path and filt is not None:
         raise ValueError("detected-path gains apply to the switching filter only")
     A_f, K, w = _filter_rows(model, det, n_steps, filt)
-    return _run_enumeration(model, n_steps, A_f, K, [w],
+    return _run_enumeration(model, n_steps, A_f, K, *_branches([w]),
                             detected_path=detected_path, **budget)[0]
 
 

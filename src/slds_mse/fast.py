@@ -1,11 +1,13 @@
 """Scalable SLDS error analysis: mode-conditioned moments and mode merging.
 
-Under schedule gains w = [x; e; 1] is a Markov jump linear system whose
-map at step n depends only on the current true mode and the filter the
+Under schedule gains w = [x; e] is a Markov jump linear system whose map
+at step n depends only on the current true mode and the filter the
 detection selects, so its moments close once conditioned on the current
 mode (Costa, Fragoso & Marques, Discrete-Time Markov Jump Linear
 Systems, 2005, ch. 3), for any chain, at O(N r^2 z^3) cost; enumeration
-stays the test oracle and the only route for detected-path gains.
+stays the test oracle and the only route for detected-path gains.  Every
+noise has zero mean, so the raw second moments close on their own: the
+kernel carries no means, and its moments are 2z-square.
 
 One kernel, :func:`_bank_moments`, advances a whole filter bank in one
 pass.  A bank is R filter rows (per-step dynamics and gains), and each
@@ -13,13 +15,12 @@ filter f is a row-weight matrix W_f (r x R): under true mode j it runs
 row rho with probability W_f[j, rho].  The switching filter puts the
 detection weights D over the mode rows; a fixed filter has a column of
 ones on its own row; merging two filters sums their columns.  Each
-filter carries Phi_j = E[w w.T 1{s_n = j}] per true mode j (its last
-column is the mean, its corner P(s_n = j)), mixes the predecessors,
-Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step 1), and branches:
-Phi_j' = sum_rho W[j, rho] (G Psi_j G.T + p_j C), p_j = P(s_n = j), with
-the branch's map G and noise C.  The maps are built once per block of
-steps on the (true mode x row) grid; the noise enters only as
-sum_rho W C.
+filter carries Phi_j = E[w w.T 1{s_n = j}] per true mode j, mixes the
+predecessors, Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step 1),
+and branches: Phi_j' = sum_rho W[j, rho] (G Psi_j G.T + p_j C),
+p_j = P(s_n = j), with the branch's map G and noise C.  The maps are
+built once per block of steps on the (true mode x row) grid; the noise
+enters only as sum_rho W C.
 
 The mode-merge recommender runs every mode pair as a bimodal sub-system
 with a uniform pairwise chain; a pair whose switching filter barely
@@ -59,28 +60,6 @@ _BLOCK = 25            # steps per block of branch maps in _bank_moments
 
 
 @dataclass(frozen=True)
-class AggregateState:
-    """Mixture moments over all trajectories at one step.
-
-    ``xx``, ``ee`` and ``xe`` are raw second moments (E[x x.T], E[e e.T],
-    E[x e.T]), not central ones; subtracting the outer products of the
-    means recovers the covariances.
-    """
-
-    x_mean: np.ndarray
-    e_mean: np.ndarray
-    xx: np.ndarray
-    ee: np.ndarray
-    xe: np.ndarray
-    step: int
-
-    @property
-    def mse(self) -> float:
-        """E[e].E[e] + tr C(e), which is just tr E[e e.T]."""
-        return float(np.trace(self.ee))
-
-
-@dataclass(frozen=True)
 class MergePairReport:
     """Merge analysis of one unordered mode pair (1-based indices)."""
 
@@ -109,13 +88,13 @@ class MergeReport:
 def _joint_factors(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
                    K: np.ndarray, H: np.ndarray, R: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Branch maps of w = [x; e; 1] on the (true mode, filter row) grid
-    of modes ``A``, ``Q`` (..., r, z, z) and rows ``A_f``, ``K``
-    (..., R, z, z|m): x' = A x + v, e' = J x + M e + B v - K w with
-    B = I - K H, M = B A_f, J = B (A - A_f), so w' = G w + noise,
-    G = [[A, 0, 0], [J, M, 0], [0, 0, 1]], C = [[Q, (B Q).T], [B Q, S]],
+    """Branch maps of [x; e] on the (true mode, filter row) grid of modes
+    ``A``, ``Q`` (..., r, z, z) and rows ``A_f``, ``K`` (..., R, z, z|m):
+    x' = A x + v, e' = J x + M e + B v - K w with B = I - K H,
+    M = B A_f, J = B (A - A_f), so [x'; e'] = G [x; e] + noise,
+    G = [[A, 0], [J, M]], C = [[Q, (B Q).T], [B Q, S]],
     S = B Q B.T + K R K.T; without the cross moment E[x e.T] the error
-    covariance would be wrong.  Returns G.T (..., r, R, k, k) and C's
+    covariance would be wrong.  Returns G.T (..., r, R, 2z, 2z) and C's
     lower block row [B Q, S] (..., r, R, z, 2z); each product runs once
     per row on the modes stacked into one tall (r z, z) matrix.
     """
@@ -131,24 +110,22 @@ def _joint_factors(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
           ).reshape(blocks).swapaxes(-1, -2)
     S = (BQ.reshape(tall) @ Bt).reshape(blocks) + (
         (K @ R) @ K.swapaxes(-1, -2))[..., None, :, :]
-    Gt = np.zeros(lead + (r, rows, 2 * z + 1, 2 * z + 1))
+    Gt = np.zeros(lead + (r, rows, 2 * z, 2 * z))
     Gt[..., :z, :z] = A.swapaxes(-1, -2)[..., None, :, :]
-    Gt[..., :z, z:-1] = Jt.swapaxes(-4, -3)
-    Gt[..., z:-1, z:-1] = (A_f.swapaxes(-1, -2) @ Bt)[..., None, :, :, :]
-    Gt[..., -1, -1] = 1.0
+    Gt[..., :z, z:] = Jt.swapaxes(-4, -3)
+    Gt[..., z:, z:] = (A_f.swapaxes(-1, -2) @ Bt)[..., None, :, :, :]
     return Gt, np.concatenate((BQ, S), axis=-1).swapaxes(-4, -3)
 
 
 def _noise(Q: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Noise covariance [[Q, (B Q).T, 0], [B Q, S, 0], [0, 0, 0]] of
-    w = [x; e; 1] from Q and its lower block row [B Q, S], broadcast over
-    leading axes."""
+    """Noise covariance [[Q, (B Q).T], [B Q, S]] of [x; e] from Q and its
+    lower block row [B Q, S], broadcast over leading axes."""
     z = Q.shape[-1]
-    C = np.zeros(np.broadcast_shapes(Q.shape[:-2], lower.shape[:-2])
-                 + (2 * z + 1, 2 * z + 1))
-    C[..., z:-1, :-1] = lower
+    C = np.empty(np.broadcast_shapes(Q.shape[:-2], lower.shape[:-2])
+                 + (2 * z, 2 * z))
+    C[..., z:, :] = lower
     C[..., :z, :z] = Q
-    C[..., :z, z:-1] = lower[..., :z].swapaxes(-1, -2)
+    C[..., :z, z:] = lower[..., :z].swapaxes(-1, -2)
     return C
 
 
@@ -178,19 +155,20 @@ def _initial_moment(init: GaussianBelief) -> np.ndarray:
 def _bank_moments(base: SldsModel, A_f: np.ndarray, K: np.ndarray,
                   W: Sequence[np.ndarray], true: Optional[tuple] = None,
                   ) -> Iterator[np.ndarray]:
-    """E[w w.T] for steps 0..N of every filter ``W`` of a bank, summed
-    over modes, not symmetrized: (1, b, F, k, k), then (steps, b, F, k, k)
-    per block.  The b systems share ``base``'s measurement, belief and
-    chain; their true modes are ``true = (A, Q)`` (b, r, z, z), by default
-    ``base``'s own, and their rows ``A_f``, ``K`` (b, R, N, z, z|m).
+    """E[w w.T] of w = [x; e] for steps 0..N of every filter ``W`` of a
+    bank, summed over modes, not symmetrized: (1, b, F, k, k), then
+    (steps, b, F, k, k) per block, k = 2z.  The b systems share
+    ``base``'s measurement, belief and chain; their true modes are
+    ``true = (A, Q)`` (b, r, z, z), by default ``base``'s own, and their
+    rows ``A_f``, ``K`` (b, R, N, z, z|m).
     """
     A, Q = true or (m[None, :, 0] for m in _mode_dynamics(base, 1))
-    b, n_steps, k = K.shape[0], K.shape[2], 2 * A.shape[-1] + 1
+    b, n_steps, k = K.shape[0], K.shape[2], 2 * A.shape[-1]
     by_width: dict = {}
     for f, w in enumerate(W):
         rows = np.flatnonzero(w.any(axis=0))
         by_width.setdefault(len(rows), []).append((f, rows, w[:, rows]))
-    phi0 = _initial_moment(base.init)
+    phi0 = _initial_moment(base.init)[:k, :k]          # the [x; e] block
     yield np.broadcast_to(phi0, (1, b, len(W), k, k))
     stacks = [_Stack(members, b, phi0) for members in by_width.values()]
     margs = mode_marginal_series(base.chain, max(n_steps, 1))
@@ -244,8 +222,10 @@ class _Stack:
         lift_t = Gt if self.scale is None else np.multiply(
             Gt, self.scale, order="C")
         lift_h = lift_t.reshape(lift_t.shape[:4] + (-1, k)).swapaxes(-1, -2)
-        noise = _noise(pQ, p * sum(w[:, :, i, None, None] * lower[..., i, :, :]
-                                   for i in range(w.shape[-1])))  # row order
+        noise = _noise(pQ, p * sum(     # in row order; weights of one skipped
+            lower[..., i, :, :] if self.scale is None
+            else w[:, :, i, None, None] * lower[..., i, :, :]
+            for i in range(w.shape[-1])))
         psi_flat = self.psi.reshape(self.psi.shape[:3] + (-1,))
         stacked = self.branches.reshape(self.psi.shape[:3] + (-1, k))
         phi = self.phi
@@ -278,8 +258,9 @@ def _filter_rows(model: SldsModel, det: Optional[DetectionModel],
 
 def _filter_moments(model: SldsModel, det: Optional[DetectionModel],
                     n_steps: int, filt: Optional[ModeLike]) -> np.ndarray:
-    """Lifted moments (N + 1, k, k) of the switching filter under ``det``,
-    or of the fixed filter ``filt``: a one-filter bank."""
+    """Raw moments E[w w.T] of w = [x; e], (N + 1, 2z, 2z), of the
+    switching filter under ``det``, or of the fixed filter ``filt``: a
+    one-filter bank."""
     A_f, K, w = _filter_rows(model, det, n_steps, filt)
     blocks = _bank_moments(model, A_f[None], K[None], [w])
     return np.concatenate(list(blocks))[:, 0, 0]
@@ -311,23 +292,6 @@ def bank_series(model: SldsModel, det: Optional[DetectionModel],
 def _error_trace(moments: np.ndarray, z: int) -> np.ndarray:
     """tr E[e e.T], read off raw moments: a diagonal needs no symmetrizing."""
     return np.trace(moments[..., z:2 * z, z:2 * z], axis1=-2, axis2=-1)
-
-
-def aggregate_state_series(model: SldsModel, det: Optional[DetectionModel],
-                           n_steps: int, filt: Optional[ModeLike] = None,
-                           ) -> list[AggregateState]:
-    """Mixture moments for steps 0..n_steps, exact for any Markov chain.
-
-    Default is the switching filter under ``det``; passing ``filt`` (a
-    fixed mode or per-step sequence) analyzes that single filter on the
-    switching system instead, with no detection involved.
-    """
-    z, z2 = model.z, 2 * model.z
-    moments = _filter_moments(model, det, n_steps, filt)
-    return [AggregateState(x_mean=m[:z, z2], e_mean=m[z:z2, z2],
-                           xx=m[:z, :z], ee=m[z:z2, z:z2], xe=m[:z, z:z2],
-                           step=n)
-            for n, m in enumerate((moments + moments.swapaxes(1, 2)) / 2.0)]
 
 
 def aggregate_series(model: SldsModel, det: Optional[DetectionModel],

@@ -28,7 +28,6 @@ from .model import (
     ModeModel,
     SldsModel,
     mode_marginal_series,
-    mode_marginals,
     symmetrize,
 )
 
@@ -207,7 +206,7 @@ def average_mode(model: SldsModel, n: int) -> ModeModel:
     Both A and Q are averaged with the same weights, so the construction
     stays symmetric when process noise differs across modes.
     """
-    w = mode_marginals(model.chain, n)
+    w = mode_marginal_series(model.chain, n)[n - 1]
     return ModeModel(sum(wi * mode.A for wi, mode in zip(w, model.modes)),
                      sum(wi * mode.Q for wi, mode in zip(w, model.modes)))
 

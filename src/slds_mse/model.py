@@ -294,18 +294,9 @@ class MseSeries:
         return self.mse.size
 
 
-def mode_marginals(chain: MarkovChain, n: int) -> np.ndarray:
-    """Probability of each mode at step ``n`` (1-based).
-
-    Step 1 returns the prior; later steps push the prior through Z.
-    """
-    if n < 1:
-        raise ValueError(f"step index must be >= 1, got {n}")
-    return mode_marginal_series(chain, n)[n - 1]
-
-
 def mode_marginal_series(chain: MarkovChain, n_max: int) -> np.ndarray:
-    """Stacked mode marginals for steps 1..n_max, shape (n_max, r)."""
+    """Stacked mode marginals for steps 1..n_max, shape (n_max, r): the
+    prior at step 1, then pushed through Z one step at a time."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     out = np.empty((n_max, chain.r))

@@ -1,9 +1,12 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders for the test suite, and the brute-force
+trajectory probabilities that the enumeration oracles weigh paths by."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
+
+from typing import Sequence
 
 from slds_mse import (
     DetectionModel,
@@ -109,3 +112,35 @@ def filter_specs(r: int, max_size: int = 10):
 
 def detection(p_d: float = 0.9) -> DetectionModel:
     return DetectionModel(p_d)
+
+
+def trajectory_prob(chain: MarkovChain, modes: Sequence[int]) -> float:
+    """Probability of a mode trajectory: prior times transition products."""
+    modes = list(modes)
+    if not modes:
+        raise ValueError("trajectory must contain at least one mode")
+    for m in modes:
+        if not 1 <= m <= chain.r:
+            raise ValueError(f"mode index {m} outside 1..{chain.r}")
+    p = chain.prior[modes[0] - 1]
+    for a, b in zip(modes, modes[1:]):
+        p *= chain.Z[a - 1, b - 1]
+    return float(p)
+
+
+def detection_prob(truth: Sequence[int], detected: Sequence[int],
+                   det: DetectionModel, r: int) -> float:
+    """P(detected trajectory | true trajectory) under the constant-rate model."""
+    truth, detected = list(truth), list(detected)
+    if len(truth) != len(detected):
+        raise ValueError("trajectories must have equal length")
+    p = 1.0
+    for i, j in zip(truth, detected):
+        if i == j:
+            # with a single mode detection cannot err, whatever p_d says
+            p *= det.p_d if r > 1 else 1.0
+        else:
+            if r < 2:
+                raise ValueError("false detection impossible with a single mode")
+            p *= (1.0 - det.p_d) / (r - 1)
+    return float(p)

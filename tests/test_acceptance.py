@@ -15,7 +15,8 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from helpers import bimodal_model, detection, spd_matrix, stable_matrix
+from helpers import (bimodal_model, detection, detection_prob, spd_matrix,
+                     stable_matrix)
 from slds_mse import (
     DetectionModel,
     FilterSpec,
@@ -26,7 +27,6 @@ from slds_mse import (
     SldsModel,
     aggregate_series,
     average_filter_modes,
-    detection_prob,
     empirical_mse,
     gain_schedule,
     mismatch_series,

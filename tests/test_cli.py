@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import io
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,7 @@ from slds_mse import (
 from slds_mse.cli import main
 
 DEMO = "demos/scenarios/bimodal4d.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def scenario_dict(**overrides):
@@ -358,6 +360,49 @@ class TestRecommend:
                              chain={"Z": [[1.0]], "prior": [1.0]})
         assert main(["recommend", "--scenario", path]) == 2
         assert "at least two modes" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_improvement_exits_5(self, scenario_file, tmp_path,
+                                            capsys):
+        # mode 1 (A = 3) is unstable: every MSE overflows long before step
+        # 800, so the improvement is NaN.  The CSV is still written, and no
+        # verdict is printed for the pair.
+        path = scenario_file(modes=[{"A": [[3.0]], "Q": [[0.1]]},
+                                    {"A": [[0.5]], "Q": [[0.1]]}],
+                             meas={"H": [[1.0]], "R": [[1.0]]}, horizon=800)
+        code, csv_text = self.run(tmp_path, path)
+        assert code == 5
+        _, rows = read_csv(csv_text)
+        assert [row[:3] for row in rows] == [["1", "2", "nan"]]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: NaN or infinite improvement or MSE "
+                                "series in the merge analysis of modes 1+2\n")
+
+
+class TestGoldenOutputs:
+    """The demo's ``analyze`` and ``recommend`` CSVs against files written
+    by an earlier release, before the moment kernel dropped the means:
+    numeric cells within 1e-12 relative, every other cell exact."""
+
+    NUMERIC = {"analytic_mse", "improvement", "threshold"}
+
+    @pytest.mark.parametrize("command", ["analyze", "recommend"])
+    def test_demo_csv_matches_golden_file(self, tmp_path, command):
+        out = tmp_path / "out.csv"
+        assert main([command, "--scenario", DEMO, "--out", str(out)]) == 0
+        header, rows = read_csv(out.read_text())
+        want_header, want_rows = read_csv(
+            (DATA / f"demo_{command}.csv").read_text())
+        assert header == want_header
+        assert len(rows) == len(want_rows)
+        numeric = [name in self.NUMERIC for name in header]
+        for row, want in zip(rows, want_rows):
+            assert [c for c, num in zip(row, numeric) if not num] == \
+                [c for c, num in zip(want, numeric) if not num]
+            assert_allclose([float(c) for c, num in zip(row, numeric) if num],
+                            [float(c) for c, num in zip(want, numeric) if num],
+                            rtol=1e-12, atol=0, err_msg=str(want))
 
 
 class TestFailureModes:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import bimodal_model, random_model, single_mode_model
+from helpers import (bimodal_model, detection_prob, random_model,
+                     single_mode_model, trajectory_prob)
 from slds_mse import cli, enumeration, fast
 from slds_mse import (
     DetectionModel,
@@ -19,9 +20,7 @@ from slds_mse import (
     MseSeries,
     Scenario,
     average_filter_modes,
-    detection_prob,
     dumps_scenario,
-    filter_bank,
     gain_schedule,
     load_scenario,
     mismatch_init,
@@ -31,7 +30,6 @@ from slds_mse import (
     pruned_moments,
     single_mode_slds_moments,
     skf_slds_moments,
-    trajectory_prob,
 )
 
 DET = DetectionModel(0.9)
@@ -466,7 +464,7 @@ class TestFilterBankEnumeration:
 
         def spy(*args, **kwargs):
             out = enumeration._run_enumeration(*args, **kwargs)
-            runs.extend(zip(args[4], out))
+            runs.extend(zip(args[4], out))            # rows per filter
             return out
 
         flags = [f"--{key}={value}" for key, value in budget.items()]
@@ -476,7 +474,7 @@ class TestFilterBankEnumeration:
                              "--method", "pruned" if budget else "exact",
                              *flags, "--out", str(tmp_path / "out.csv")]) == 0
         assert run.call_count == 2           # the SKF's tree, then the KFs'
-        assert [tuple(np.flatnonzero(w.any(axis=0))) for w, _ in runs] == \
+        assert [tuple(rows) for rows, _ in runs] == \
             [(0, 1), (1,), (1,), (2,)]
         fixed = (model.modes[1], model.modes[1],
                  average_filter_modes(model, n))
@@ -495,16 +493,14 @@ class TestFilterBankEnumeration:
             assert_moments_match(*runs[1][1],
                                  brute_single(model, model.modes[1], n, rng))
 
-    def test_group_must_share_branch_weights(self, bench):
-        bank = filter_bank(bench, 3)
+    def test_group_must_share_branch_weights(self):
         skf, kf, other_skf = np.zeros((3, 2, 3))
         skf[:, :2] = [[0.9, 0.1], [0.1, 0.9]]
         other_skf[:, :2] = [[0.6, 0.4], [0.4, 0.6]]
         kf[:, 0] = 1.0
         for group in ([skf, kf], [skf, other_skf]):
             with pytest.raises(ValueError, match="branch weights"):
-                enumeration._run_enumeration(bench, 3, bank.A, bank.gains,
-                                             group)
+                enumeration._branches(group)
 
 
 def leaf_by_leaf(model, n_steps, A_f, K, W, keep=None, mass=None,
@@ -548,8 +544,8 @@ class TestFoldedLevels:
     def assert_matches_leaf_by_leaf(model, n_steps, det=DET, filt=None,
                                     **budget):
         A_f, K, W = fast._filter_rows(model, det, n_steps, filt)
-        got = enumeration._run_enumeration(model, n_steps, A_f, K, [W],
-                                           **budget)[0]
+        got = enumeration._run_enumeration(
+            model, n_steps, A_f, K, *enumeration._branches([W]), **budget)[0]
         kept, mixtures = zip(*leaf_by_leaf(model, n_steps, A_f, K, W,
                                            **budget))
         (mse, moments), = enumeration._read_moments(
@@ -655,7 +651,8 @@ class TestFoldedLevels:
                 mock.patch.object(enumeration, "_fold") as fold, \
                 mock.patch.object(enumeration, "_mixture",
                                   wraps=enumeration._mixture) as mixture:
-            enumeration._run_enumeration(bench, 4, A_f, K, [W],
+            enumeration._run_enumeration(bench, 4, A_f, K,
+                                         *enumeration._branches([W]),
                                          detected_path=True, **budget)
         assert fold.call_count == 0
         assert [len(call.args) for call in advance.call_args_list] == [3] * 4

@@ -16,7 +16,7 @@ from helpers import (
     spd_matrix,
     stable_matrix,
 )
-from slds_mse import fast
+from slds_mse import enumeration, fast
 from slds_mse import (
     DetectionModel,
     ErrorMoments,
@@ -26,7 +26,6 @@ from slds_mse import (
     ModeModel,
     SldsModel,
     aggregate_series,
-    aggregate_state_series,
     average_filter_modes,
     bank_series,
     gain_schedule,
@@ -44,20 +43,34 @@ DET = DetectionModel(0.9)
 
 def assert_all_kinds_match_enumeration(model, det, n_steps):
     """Single-mode, average and switching filters all equal enumeration
-    within 1e-12 relative at every step: the MSE, and the state and error
-    means relative to their root-mean-square sizes."""
+    within 1e-12 relative at every step: the MSE, and the kernel's raw
+    [x; e] moments against the ones rebuilt from enumeration's means and
+    covariances, relative to their root-mean-square size."""
     runs = [(None, skf_slds_moments(model, det, n_steps))]
     runs += [(filt, single_mode_slds_moments(model, filt, n_steps))
              for filt in (*model.modes, average_filter_modes(model, n_steps))]
     for filt, (exact, moments) in runs:
-        fast = aggregate_series(model, det, n_steps, filt=filt)
-        assert_allclose(fast.mse, exact.mse, rtol=1e-12, atol=0)
-        states = aggregate_state_series(model, det, n_steps, filt=filt)
-        for state, m in zip(states, moments):
-            assert_allclose(state.e_mean, m.e_mean, rtol=0,
-                            atol=1e-12 * np.sqrt(np.trace(state.ee)))
-            assert_allclose(state.x_mean, m.x_mean, rtol=0,
-                            atol=1e-12 * np.sqrt(np.trace(state.xx)))
+        series = aggregate_series(model, det, n_steps, filt=filt)
+        assert_allclose(series.mse, exact.mse, rtol=1e-12, atol=0)
+        raw = fast._filter_moments(model, det, n_steps, filt)
+        assert raw.shape == (n_steps + 1, 2 * model.z, 2 * model.z)
+        for got, m in zip(raw, moments):
+            want = raw_moments(m)
+            assert_allclose(got, want, rtol=0,
+                            atol=1e-12 * np.sqrt(np.mean(want ** 2)))
+
+
+def raw_moments(m):
+    """E[w w.T] of w = [x; e] from one step's ``ErrorMoments``: each
+    covariance plus its mean outer product, Cov(e, x) = C(x) - u."""
+    ex = m.x_cov - m.u + np.outer(m.e_mean, m.x_mean)
+    return np.block([[m.x_cov + np.outer(m.x_mean, m.x_mean), ex.T],
+                     [ex, m.e_cov + np.outer(m.e_mean, m.e_mean)]])
+
+
+def symmetric(moments):
+    """The raw moments' symmetric part, which ``eigvalsh`` reads."""
+    return (moments + moments.swapaxes(-1, -2)) / 2.0
 
 
 def with_chain(model, Z, prior):
@@ -118,9 +131,9 @@ class TestAggregateEquivalence:
 
     def test_identical_modes_have_zero_bias(self):
         model = bimodal_model(z=2, a_values=(0.7, 0.7))
-        states = aggregate_state_series(model, DetectionModel(0.5), 10)
-        for s in states:
-            assert np.linalg.norm(s.e_mean) <= 1e-12
+        _, moments = skf_slds_moments(model, DetectionModel(0.5), 10)
+        for m in moments:
+            assert np.linalg.norm(m.e_mean) <= 1e-12
 
     def test_nonuniform_chains_match_enumeration(self, rng):
         for r, n_steps in ((2, 6), (2, 6), (3, 4), (3, 4)):
@@ -158,22 +171,22 @@ class TestAggregateEquivalence:
                                            n_steps)
 
     def test_state_series_matches_mse_series(self, bench):
-        states = aggregate_state_series(bench, DET, 6)
+        raw = fast._filter_moments(bench, DET, 6, None)
         series = aggregate_series(bench, DET, 6)
-        assert len(states) == 7
-        for n, s in enumerate(states):
-            assert s.step == n
-            assert_allclose(np.trace(s.ee), series.mse[n], atol=1e-12)
+        assert raw.shape == (7, 2 * bench.z, 2 * bench.z)
+        assert_allclose(np.trace(raw[:, bench.z:, bench.z:], axis1=1, axis2=2),
+                        series.mse, atol=1e-12)
 
 
 class TestAggregateProperties:
     def test_moments_stay_psd_long_horizon(self, rng):
         for _ in range(3):
             model = random_model(rng, 2, 3)
-            states = aggregate_state_series(model, DET, 200)
-            for s in states[::10]:
-                assert np.linalg.eigvalsh(s.ee).min() >= -1e-9
-                assert np.linalg.eigvalsh(s.xx).min() >= -1e-9
+            raw = symmetric(fast._filter_moments(model, DET, 200, None))
+            z = model.z
+            for m in raw[::10]:
+                assert np.linalg.eigvalsh(m[z:, z:]).min() >= -1e-9
+                assert np.linalg.eigvalsh(m[:z, :z]).min() >= -1e-9
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(r=st.integers(1, 3), kind=st.sampled_from(
@@ -184,9 +197,8 @@ class TestAggregateProperties:
                              uniform_rows=False, uniform_prior=False)
         n_steps = 4 * fast._BLOCK + 7
         filt = spec_filter(model, FilterSpec(kind, mode=r), n_steps)
-        for s in aggregate_state_series(model, DetectionModel(p_d), n_steps,
-                                        filt=filt):
-            joint = np.block([[s.xx, s.xe], [s.xe.T, s.ee]])
+        for joint in symmetric(fast._filter_moments(
+                model, DetectionModel(p_d), n_steps, filt)):
             assert np.linalg.eigvalsh(joint).min() >= -1e-12 * np.trace(joint)
 
     def test_mse_non_increasing_in_detection_rate(self, bench):
@@ -293,7 +305,8 @@ class TestBankOracle:
 
 class TestJointFactors:
     """The branch map that the aggregate recursion and enumeration share,
-    checked on its own against the u-parametrised mismatch step."""
+    checked on its own against the u-parametrised mismatch step, through
+    enumeration's lift of it to w = [x; e; 1]."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(z=st.integers(1, 4), m=st.integers(1, 3),
@@ -314,14 +327,14 @@ class TestJointFactors:
                             x_mean=mean[:z], x_cov=x_cov,
                             u=x_cov - cov[z:, :z], step=0)
         # one true mode and one filter row: a 1 x 1 grid
-        Gt, lower = fast._joint_factors(truth.A[None], truth.Q[None],
+        G, C = enumeration._branch_maps(truth.A[None], truth.Q[None],
                                         filt.A[None], K[None], meas.H, meas.R)
-        lift = Gt[0, 0].T
+        lift = G[0, 0]
         phi = np.zeros_like(lift)
         phi[:-1, :-1] = cov + np.outer(mean, mean)
         phi[:-1, -1] = phi[-1, :-1] = mean
         phi[-1, -1] = 1.0
-        nxt = lift @ phi @ lift.T + fast._noise(truth.Q, lower[0, 0])
+        nxt = lift @ phi @ lift.T + C[0, 0]
         mu = nxt[:-1, -1]
         cov_next = nxt[:-1, :-1] - np.outer(mu, mu)
         want = mismatch_step(prev, truth, filt, meas, K)

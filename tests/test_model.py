@@ -16,7 +16,6 @@ from slds_mse import (
     Scenario,
     SldsModel,
     mode_marginal_series,
-    mode_marginals,
     validate_model,
     validate_scenario,
 )
@@ -129,6 +128,11 @@ class TestValidation:
         assert validate_scenario(sc) == []
 
 
+def mode_marginals(chain, n):
+    """The marginals at step n (1-based): row n - 1 of the series."""
+    return mode_marginal_series(chain, n)[n - 1]
+
+
 class TestMarginals:
     def test_two_step_example(self):
         chain = MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]),
@@ -145,11 +149,12 @@ class TestMarginals:
                             mode_marginals(chain, n) @ chain.Z, atol=1e-14)
 
     def test_series_stacks_marginals(self, rng):
+        # a shorter series is a prefix of a longer one
         chain = random_chain(rng, 2, uniform_rows=False)
         series = mode_marginal_series(chain, 5)
         assert series.shape == (5, 2)
-        for k in range(5):
-            assert_array_equal(series[k], mode_marginals(chain, k + 1))
+        for k in range(1, 5):
+            assert_array_equal(series[:k], mode_marginal_series(chain, k))
 
     def test_identity_chain_is_absorbing(self):
         chain = MarkovChain(np.eye(2), np.array([0.0, 1.0]))
@@ -163,7 +168,7 @@ class TestMarginals:
     def test_step_zero_rejected(self):
         chain = MarkovChain(np.eye(2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            mode_marginals(chain, 0)
+            mode_marginal_series(chain, 0)
 
     def test_is_uniform(self):
         assert bimodal_model().chain.is_uniform()
