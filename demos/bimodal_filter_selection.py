@@ -17,7 +17,6 @@ from pathlib import Path
 from slds_mse import (
     aggregate_series,
     average_filter_modes,
-    empirical_mse,
     load_scenario,
     run_monte_carlo,
     write_line_chart,
@@ -55,7 +54,9 @@ def main() -> None:
               for spec in scenario.filters}
     runs = run_monte_carlo(model, scenario.filters, det, n,
                            scenario.mc_samples, scenario.seed)
-    empirical = {spec.display: empirical_mse(run)
+    mc_mse = {spec.display: run.mse()
+              for spec, run in zip(scenario.filters, runs)}
+    mc_stderr = {spec.display: run.mse_stderr()
                  for spec, run in zip(scenario.filters, runs)}
 
     labels = list(series)
@@ -65,8 +66,7 @@ def main() -> None:
                                        for lab in labels))
     print("\nworst |analytic - mc| in Monte Carlo standard errors:")
     for lab in labels:
-        emp = empirical[lab]
-        z = max(abs(series[lab][s] - emp.mse[s]) / emp.stderr[s]
+        z = max(abs(series[lab][s] - mc_mse[lab][s]) / mc_stderr[lab][s]
                 for s in range(1, n + 1))
         print(f"  {lab:<12} {z:5.2f} stderr")
 
@@ -82,13 +82,13 @@ def main() -> None:
         for step in range(n + 1):
             row = [step]
             for lab in labels:
-                row += [series[lab][step], empirical[lab].mse[step]]
+                row += [series[lab][step], mc_mse[lab][step]]
             writer.writerow(row)
     svg_path = out / "filter_selection.svg"
     write_line_chart(
         svg_path,
         [(lab, range(n + 1), series[lab]) for lab in labels]
-        + [(f"{lab} (mc)", range(n + 1), empirical[lab].mse)
+        + [(f"{lab} (mc)", range(n + 1), mc_mse[lab])
            for lab in labels],
         title="Transient MSE: analytic curves, Monte Carlo overlay",
         dashed={f"{lab} (mc)" for lab in labels})

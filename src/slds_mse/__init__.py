@@ -31,21 +31,16 @@ from .kalman import (
     KalmanStepOutput,
     as_mode_sequence,
     average_filter_modes,
-    average_mode,
     filter_bank,
     gain_schedule,
     kf_predict,
     kf_update,
     mode_schedules,
 )
-from .mismatch import (
-    ErrorMoments,
-    mismatch_init,
-    mismatch_series,
-    mismatch_step,
-)
+from .mismatch import ErrorMoments, mismatch_step
 from .enumeration import (
     EnumerationCapError,
+    mismatch_series,
     pruned_moments,
     single_mode_slds_moments,
     skf_slds_moments,
@@ -60,15 +55,7 @@ from .fast import (
     merged_mode,
     pair_model,
 )
-from .montecarlo import (
-    EmpiricalMse,
-    SimRun,
-    draw_detections,
-    empirical_mse,
-    run_filter_on_sim,
-    run_monte_carlo,
-    simulate_slds,
-)
+from .montecarlo import SimRun, run_monte_carlo
 from .serialize import (
     ScenarioFormatError,
     default_filters,

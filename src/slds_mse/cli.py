@@ -43,7 +43,7 @@ from .fast import (
     merge_clusters,
     merge_recommendation,
 )
-from .montecarlo import empirical_mse, run_monte_carlo
+from .montecarlo import run_monte_carlo
 from .serialize import ScenarioFormatError, load_scenario
 from .svgchart import write_line_chart
 
@@ -313,12 +313,11 @@ def cmd_simulate(args) -> int:
                            threads=args.threads, bank=_filter_bank(scenario))
     rows, cells = [], []
     for spec, run in zip(scenario.filters, runs):
-        emp = empirical_mse(run)
-        rows += [[step, spec.display, _g17(emp.mse[step]),
-                  _g17(emp.stderr[step])]
-                 for step in range(emp.mse.size)]
+        mse, stderr = run.mse(), run.mse_stderr()
+        rows += [[step, spec.display, _g17(mse[step]), _g17(stderr[step])]
+                 for step in range(mse.size)]
         # one sample has no standard error: NaN by definition, not a fault
-        checked = [emp.mse, emp.stderr] if run.samples > 1 else [emp.mse]
+        checked = [mse, stderr] if run.samples > 1 else [mse]
         cells.append((spec.display, np.column_stack(checked)))
     _write_csv(args.out, ["step", "filter", "mc_mse", "mc_stderr"], rows)
     _require_finite(cells)
@@ -341,20 +340,20 @@ def cmd_compare(args) -> int:
     failures = []
     curves = []
     for (spec, series), run in zip(results, runs):
-        emp = empirical_mse(run)
+        mse, stderr = run.mse(), run.mse_stderr()
         curves.append((spec.display, series.mse))
-        curves.append((f"{spec.display} (mc)", emp.mse))
-        finite = np.isfinite(series.mse) & np.isfinite(emp.mse)
+        curves.append((f"{spec.display} (mc)", mse))
+        finite = np.isfinite(series.mse) & np.isfinite(mse)
         tags = _method_tags(series)
         for step in range(len(series)):
-            a, m = series.mse[step], emp.mse[step]
+            a, m = series.mse[step], mse[step]
             rows.append([step, spec.display, _g17(a), _g17(m),
-                         _g17(emp.stderr[step]), tags[step]])
+                         _g17(stderr[step]), tags[step]])
             if not finite[step]:
                 failures.append((spec.display, step, a, m, "non-finite"))
             elif step >= 2:
                 rel = abs(a - m) / a if a > 0 else (0.0 if m == 0 else np.inf)
-                if rel > args.rtol and abs(a - m) > 4.0 * emp.stderr[step]:
+                if rel > args.rtol and abs(a - m) > 4.0 * stderr[step]:
                     failures.append((spec.display, step, a, m,
                                      f"rel gap {rel:.3g}"))
     _write_csv(args.out, ["step", "filter", "analytic_mse", "mc_mse",
@@ -432,7 +431,10 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise CommandError(EXIT_VALIDATION, f"--threads must be >= 1, "
                                                 f"got {args.threads}")
-        return args.func(args)
+        # a divergent run overflows on its way to the exit-5 report, which
+        # names the bad cells; NumPy's own warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

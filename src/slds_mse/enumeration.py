@@ -12,7 +12,8 @@ G and C are the 2z-square [x; e] map and noise of
 applies as they are, padded here with a unit corner on G and zeros on C
 to carry the means.  Every moment of
 :class:`~slds_mse.mismatch.ErrorMoments` is read off the mixture
-sum_l pi_l Phi_l.
+sum_l pi_l Phi_l.  ``mismatch_series`` is the one-mode case: a fixed
+truth has one leaf per step.
 
 A run takes filter-bank rows and a group of filters that branch alike,
 which share one tree: every fixed-gain filter (r branches per leaf), or
@@ -40,7 +41,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import DetectionModel, MseSeries, SldsModel
+from .model import (
+    DetectionModel,
+    GaussianBelief,
+    MarkovChain,
+    MeasurementModel,
+    ModeModel,
+    MseSeries,
+    SldsModel,
+)
 from .mismatch import ErrorMoments
 from .kalman import ModeLike, _check_innovations, _gain_step, _mode_dynamics
 from .fast import _filter_rows, _initial_moment, _joint_factors, _noise
@@ -337,6 +346,17 @@ def single_mode_slds_moments(model: SldsModel, filt: ModeLike, n_steps: int,
     """Exact MSE of one fixed filter (or per-step filter sequence) applied
     to the switching system, by full trajectory enumeration."""
     return _one_filter(model, None, n_steps, filt, cap=cap)
+
+
+def mismatch_series(truth: ModeModel, filt: ModeLike, meas: MeasurementModel,
+                    init: GaussianBelief, n_steps: int,
+                    ) -> tuple[list[ErrorMoments], MseSeries]:
+    """Error moments for steps 0..n_steps of the filter ``filt`` (or a
+    per-step filter sequence) on the fixed truth ``truth``: the one-mode
+    system, whose tree has one leaf per step."""
+    model = SldsModel([truth], meas, MarkovChain([[1.0]], [1.0]), init)
+    series, moments = single_mode_slds_moments(model, filt, n_steps)
+    return moments, MseSeries(mse=series.mse, method="exact")
 
 
 def skf_slds_moments(model: SldsModel, det: DetectionModel, n_steps: int,

@@ -200,22 +200,13 @@ def gain_schedule(mode: ModeLike, meas: MeasurementModel,
     return GainSchedule(tuple(gains[0]), tuple(covs[0]))
 
 
-def average_mode(model: SldsModel, n: int) -> ModeModel:
-    """Marginal-probability-weighted mixture of the mode dynamics at step n.
-
-    Both A and Q are averaged with the same weights, so the construction
-    stays symmetric when process noise differs across modes.
-    """
-    w = mode_marginal_series(model.chain, n)[n - 1]
-    return ModeModel(sum(wi * mode.A for wi, mode in zip(w, model.modes)),
-                     sum(wi * mode.Q for wi, mode in zip(w, model.modes)))
-
-
 def _average_dynamics(model: SldsModel, n_steps: int,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step ``A`` and ``Q`` (N, z, z) of the average filter for steps
-    1..n_steps from one pass over the marginals, summed over modes in
-    ``average_mode``'s order so that each step equals it."""
+    1..n_steps: each mode's dynamics weighted by its marginal probability
+    at that step, from one pass over the marginals.  A and Q share the
+    weights, so the construction stays symmetric when process noise
+    differs across modes."""
     w = mode_marginal_series(model.chain, max(n_steps, 1))[:n_steps, :, None]
     A = sum(w[:, j, None] * mode.A for j, mode in enumerate(model.modes))
     Q = sum(w[:, j, None] * mode.Q for j, mode in enumerate(model.modes))
@@ -223,8 +214,8 @@ def _average_dynamics(model: SldsModel, n_steps: int,
 
 
 def average_filter_modes(model: SldsModel, n_steps: int) -> list[ModeModel]:
-    """Per-step dynamics of the average filter for steps 1..n_steps, equal
-    to ``average_mode`` at each step."""
+    """Per-step dynamics of the average filter for steps 1..n_steps, one
+    ``ModeModel`` per step of ``_average_dynamics``."""
     return [ModeModel(A, Q)
             for A, Q in zip(*_average_dynamics(model, n_steps))]
 

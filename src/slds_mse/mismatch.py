@@ -24,6 +24,11 @@ Monte Carlo (see tests).
 
 When the filter is matched (Ad = A, Qd = Q) the input term vanishes, the
 error stays zero-mean and C(e_n) reproduces P_{n|n} exactly.
+
+``mismatch_step`` applies this recursion one step at a time; it is the
+independent oracle of the lifted-moment kernel.  Whole series come from
+:func:`slds_mse.enumeration.mismatch_series`, the kernel run on a
+one-mode system.
 """
 
 from __future__ import annotations
@@ -32,14 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    GaussianBelief,
-    MeasurementModel,
-    ModeModel,
-    MseSeries,
-    symmetrize,
-)
-from .kalman import GainSchedule, ModeLike, as_mode_sequence, gain_schedule
+from .model import MeasurementModel, ModeModel, symmetrize
 
 
 @dataclass(frozen=True)
@@ -61,20 +59,6 @@ class ErrorMoments:
     def mse(self) -> float:
         """Scalar error size: E[e].E[e] + tr C(e)."""
         return float(self.e_mean @ self.e_mean + np.trace(self.e_cov))
-
-
-def mismatch_init(init: GaussianBelief) -> ErrorMoments:
-    """Moments at step 0: e_0 = x_0 - mean, so C(e_0) = C(x_0) = P_0 and
-    u_0 = 0 because the initial estimate is deterministic."""
-    z = init.z
-    return ErrorMoments(
-        e_mean=np.zeros(z),
-        e_cov=init.cov.copy(),
-        x_mean=init.mean.copy(),
-        x_cov=init.cov.copy(),
-        u=np.zeros((z, z)),
-        step=0,
-    )
 
 
 def mismatch_step(prev: ErrorMoments, truth: ModeModel, filt: ModeModel,
@@ -116,26 +100,3 @@ def mismatch_step(prev: ErrorMoments, truth: ModeModel, filt: ModeModel,
         u=u,
         step=prev.step + 1,
     )
-
-
-def mismatch_series(truth: ModeModel, filt: ModeLike, meas: MeasurementModel,
-                    init: GaussianBelief, n_steps: int,
-                    schedule: GainSchedule | None = None,
-                    ) -> tuple[list[ErrorMoments], MseSeries]:
-    """Error moments for steps 0..n_steps of a fixed-truth, fixed-filter run.
-
-    ``filt`` may be a per-step sequence (average filter).  ``schedule``
-    lets callers reuse a precomputed gain schedule; it must come from the
-    same filter model.
-    """
-    filt_modes = as_mode_sequence(filt, n_steps)
-    if schedule is None:
-        schedule = gain_schedule(filt, meas, init, n_steps)
-    if len(schedule) != n_steps:
-        raise ValueError(f"schedule length {len(schedule)} != {n_steps}")
-    moments = [mismatch_init(init)]
-    for n in range(n_steps):
-        moments.append(mismatch_step(moments[-1], truth, filt_modes[n],
-                                     meas, schedule.gains[n]))
-    mse = np.array([m.mse for m in moments])
-    return moments, MseSeries(mse=mse, method="exact")

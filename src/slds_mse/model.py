@@ -154,10 +154,6 @@ class MarkovChain:
     def r(self) -> int:
         return self.Z.shape[0]
 
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        """True when every transition row is the uniform distribution."""
-        return bool(np.all(np.abs(self.Z - 1.0 / self.r) <= tol))
-
 
 @dataclass(frozen=True)
 class SldsModel:
@@ -271,22 +267,18 @@ class Violation:
 class MseSeries:
     """Per-step scalar MSE, one entry per step 0..N.
 
-    ``method`` records how the series was produced ("exact", "aggregate",
-    "pruned" or "mc").  ``stderr`` is set for Monte Carlo series and
-    ``kept_mass`` for enumeration series: the total probability retained
-    at each step, which is 1 (to rounding) for exact runs and tracks the
-    discarded tail for pruned runs.
+    ``method`` records how the series was produced ("exact", "aggregate"
+    or "pruned").  ``kept_mass`` is set for enumeration series: the total
+    probability retained at each step, which is 1 (to rounding) for exact
+    runs and tracks the discarded tail for pruned runs.
     """
 
     mse: np.ndarray
     method: str
-    stderr: Optional[np.ndarray] = None
     kept_mass: Optional[np.ndarray] = None
 
     def __post_init__(self):
         _set(self, "mse", _freeze(np.atleast_1d(self.mse)))
-        if self.stderr is not None:
-            _set(self, "stderr", _freeze(np.atleast_1d(self.stderr)))
         if self.kept_mass is not None:
             _set(self, "kept_mass", _freeze(np.atleast_1d(self.kept_mass)))
 

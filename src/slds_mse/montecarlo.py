@@ -92,27 +92,6 @@ class _System:
         return mode, x, self.HL @ np.concatenate([x, noise.T])
 
 
-def _simulate_batch(model: SldsModel, n_steps: int, rng, count: int):
-    """``count`` stored runs of :class:`_System`: modes ``(count, N)``,
-    states ``(count, N+1, z)`` and measurements ``(count, N, m)``."""
-    system = _System(model)
-    modes = np.empty((n_steps, count), dtype=np.intp)
-    states = np.empty((n_steps + 1, model.z, count))
-    meas = np.empty((n_steps, model.m, count))
-    states[0], mode = system.start(rng, count), None
-    for n in range(1, n_steps + 1):
-        mode, states[n], meas[n - 1] = system.step(rng, states[n - 1], mode)
-        modes[n - 1] = mode
-    return modes.T, states.transpose(2, 0, 1), meas.transpose(2, 0, 1)
-
-
-def simulate_slds(model: SldsModel, n_steps: int, rng: np.random.Generator):
-    """One simulated run: (mode indices 0-based for steps 1..N, states for
-    steps 0..N, measurements for steps 1..N)."""
-    modes, states, meas = _simulate_batch(model, n_steps, rng, 1)
-    return modes[0], states[0], meas[0]
-
-
 def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
     """One step's detected modes: the true mode with probability p_d, else
     uniform over the wrong ones.  One uniform draw, then (if r > 1) one
@@ -123,16 +102,6 @@ def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
     wrong = rng.integers(0, r - 1, size=truth.size)
     wrong = wrong + (wrong >= truth)      # skip over the true index
     return np.where(hit, truth, wrong)
-
-
-def draw_detections(true_modes: np.ndarray, det: DetectionModel, r: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Detected modes of true modes ``(count, N)``, step by step."""
-    true_modes = np.atleast_2d(true_modes)
-    detected = np.empty_like(true_modes)
-    for n, truth in enumerate(true_modes.T):
-        detected[:, n] = _detect(rng, truth, det, r)
-    return detected
 
 
 def _replay_inputs(bank: FilterBank, specs: Sequence[FilterSpec], H: np.ndarray):
@@ -171,39 +140,6 @@ class _Replay:
             detected = _detect(rng, truth, self.det, self.r)
             out[self.F:] = _pick(out[self.F:], detected)
         return out
-
-
-def _skf_errors(states, modes, meas, replay: _Replay, rng) -> np.ndarray:
-    """Errors e_0..e_N of ``replay``'s one filter on one stored run; a
-    switching filter draws its detections from ``rng``."""
-    xhat, errors = replay.x0, [states[0] - replay.x0[0, :, 0]]
-    for n, (y, mode) in enumerate(zip(meas, modes), 1):
-        xhat = replay.step(n, xhat, y[:, None], mode, rng)
-        errors.append(states[n] - xhat[0, :, 0])
-    return np.array(errors)
-
-
-def _single_filter_errors(states, modes, meas, replay: _Replay) -> np.ndarray:
-    """:func:`_skf_errors` of a fixed-gain filter, which detects nothing."""
-    return _skf_errors(states, modes, meas, replay, None)
-
-
-def run_filter_on_sim(sim, model: SldsModel, spec: FilterSpec,
-                      det: Optional[DetectionModel] = None,
-                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Error sequence e_0..e_N of one filter on one simulated run.
-
-    ``sim`` is the (modes, states, measurements) triple from
-    :func:`simulate_slds`.  The switching filter additionally needs the
-    detection model and a generator for the detection draws.
-    """
-    modes, states, meas = sim
-    if spec.kind == "skf" and (det is None or rng is None):
-        raise ValueError("switching filter needs a detection model and rng")
-    replay = _Replay(filter_bank(model, meas.shape[0]), [spec], model, det)
-    if spec.kind == "skf":
-        return _skf_errors(states, modes, meas, replay, rng)
-    return _single_filter_errors(states, modes, meas, replay)
 
 
 def _gram(V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -292,20 +228,6 @@ class SimRun:
               + 6.0 * mean ** 2 * self.sum_sq) / s - 3.0 * mean ** 4
         var_of_var = (m4 - (s - 3) / (s - 1) * m2 ** 2) / s
         return np.sqrt(np.clip(var_of_var, 0.0, None))
-
-
-@dataclass(frozen=True)
-class EmpiricalMse:
-    """Per-step empirical MSE and its standard error."""
-
-    mse: np.ndarray
-    stderr: np.ndarray
-
-
-def empirical_mse(run: SimRun) -> EmpiricalMse:
-    """Mean squared error norm per step with a delta-method standard
-    error; stderr is NaN when the run holds a single sample."""
-    return EmpiricalMse(mse=run.mse(), stderr=run.mse_stderr())
 
 
 def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],

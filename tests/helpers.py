@@ -10,6 +10,7 @@ from typing import Sequence
 
 from slds_mse import (
     DetectionModel,
+    ErrorMoments,
     FilterSpec,
     GaussianBelief,
     MarkovChain,
@@ -99,6 +100,16 @@ def random_model(rng: np.random.Generator, r: int, z: int,
     chain = random_chain(rng, r, uniform_rows, uniform_prior)
     init = GaussianBelief(rng.standard_normal(z), spd_matrix(rng, z, 0.5))
     return SldsModel(modes, meas, chain, init)
+
+
+def initial_moments(init: GaussianBelief) -> ErrorMoments:
+    """Error moments at step 0, where the ``mismatch_step`` oracle starts:
+    e_0 = x_0 - mean, so C(e_0) = C(x_0) = P_0, and u_0 = 0 because the
+    initial estimate is deterministic."""
+    z = init.z
+    return ErrorMoments(e_mean=np.zeros(z), e_cov=init.cov,
+                        x_mean=init.mean, x_cov=init.cov,
+                        u=np.zeros((z, z)), step=0)
 
 
 def filter_specs(r: int, max_size: int = 10):

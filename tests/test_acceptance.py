@@ -27,7 +27,6 @@ from slds_mse import (
     SldsModel,
     aggregate_series,
     average_filter_modes,
-    empirical_mse,
     gain_schedule,
     mismatch_series,
     pruned_moments,
@@ -71,15 +70,15 @@ def test_criterion_1_analytic_matches_monte_carlo():
         runs = run_monte_carlo(model, ALL_FILTERS, det, 20, 20_000,
                                seed=SEED, threads=1)
         for spec, run in zip(ALL_FILTERS, runs):
-            emp = empirical_mse(run)
+            mse, stderr = run.mse(), run.mse_stderr()
             agg = analytic_mse(model, det, spec, 20, "aggregate")
             enum = analytic_mse(model, det, spec, 8, "exact")
             for step in range(2, 21):
-                gate = max(0.05 * agg[step], 4.0 * emp.stderr[step])
-                worst = max(worst, abs(agg[step] - emp.mse[step]) / gate)
+                gate = max(0.05 * agg[step], 4.0 * stderr[step])
+                worst = max(worst, abs(agg[step] - mse[step]) / gate)
             for step in range(2, 9):
-                gate = max(0.05 * enum[step], 4.0 * emp.stderr[step])
-                worst = max(worst, abs(enum[step] - emp.mse[step]) / gate)
+                gate = max(0.05 * enum[step], 4.0 * stderr[step])
+                worst = max(worst, abs(enum[step] - mse[step]) / gate)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1.0 and elapsed < 60.0
     report(1, ok,

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -301,6 +302,23 @@ class TestNonFiniteOutput:
         assert err.rstrip().endswith(", ".join(
             f"{label} step {step}" for label, step in first.items()))
 
+    @pytest.mark.parametrize("command", ["analyze", "recommend"])
+    def test_divergence_reports_only_the_error_line(
+            self, scenario_file, tmp_path, capsys, command):
+        # mode 1 (A = 3) is unstable: the moments overflow on the way to
+        # the exit-5 report, and NumPy must not warn about it on stderr
+        path = scenario_file(modes=[{"A": [[3.0]], "Q": [[0.1]]},
+                                    {"A": [[0.5]], "Q": [[0.1]]}],
+                             meas={"H": [[1.0]], "R": [[1.0]]}, horizon=800)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--scenario", path,
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: NaN or infinite")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_finite_output_exits_0(self, scenario_file, tmp_path):
         for command in ("analyze", "simulate"):
             assert main([command, "--scenario", scenario_file(),
@@ -381,13 +399,17 @@ class TestRecommend:
 
 
 class TestGoldenOutputs:
-    """The demo's ``analyze`` and ``recommend`` CSVs against files written
-    by an earlier release, before the moment kernel dropped the means:
-    numeric cells within 1e-12 relative, every other cell exact."""
+    """The demo's CSVs against files written by earlier releases: those of
+    ``analyze`` and ``recommend`` before the moment kernel dropped the
+    means, those of the Monte Carlo commands ``simulate`` and ``compare``
+    before the stored-run replay was deleted.  Numeric cells within 1e-12
+    relative, every other cell exact."""
 
-    NUMERIC = {"analytic_mse", "improvement", "threshold"}
+    NUMERIC = {"analytic_mse", "improvement", "threshold", "mc_mse",
+               "mc_stderr"}
 
-    @pytest.mark.parametrize("command", ["analyze", "recommend"])
+    @pytest.mark.parametrize("command",
+                             ["analyze", "recommend", "simulate", "compare"])
     def test_demo_csv_matches_golden_file(self, tmp_path, command):
         out = tmp_path / "out.csv"
         assert main([command, "--scenario", DEMO, "--out", str(out)]) == 0

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import (bimodal_model, detection_prob, random_model,
-                     single_mode_model, trajectory_prob)
+from helpers import (bimodal_model, detection_prob, initial_moments,
+                     random_model, single_mode_model, trajectory_prob)
 from slds_mse import cli, enumeration, fast
 from slds_mse import (
     DetectionModel,
@@ -23,8 +23,6 @@ from slds_mse import (
     dumps_scenario,
     gain_schedule,
     load_scenario,
-    mismatch_init,
-    mismatch_series,
     mismatch_step,
     mode_schedules,
     pruned_moments,
@@ -65,7 +63,7 @@ def brute_single(model, filt, n_steps, rng=None):
         rng.shuffle(seqs)
     runs = []
     for seq in seqs:
-        state = mismatch_init(model.init)
+        state = initial_moments(model.init)
         states = [state]
         for k, mode_idx in enumerate(seq):
             state = mismatch_step(state, model.modes[mode_idx - 1], filt,
@@ -97,7 +95,7 @@ def brute_skf(model, det, n_steps, rng=None, diagonal_only=False,
         if detected_path:
             path = gain_schedule([model.modes[j - 1] for j in det_seq],
                                  model.meas, model.init, n_steps)
-        state = mismatch_init(model.init)
+        state = initial_moments(model.init)
         states = [state]
         for k in range(n_steps):
             i, j = truth_seq[k] - 1, det_seq[k] - 1
@@ -233,12 +231,17 @@ class TestExactMoments:
     def test_degenerate_chain_reduces_to_fixed_mode(self):
         # Chain locked to mode 1 with an identity transition matrix: the
         # switching system is a plain linear system, so enumeration must
-        # reproduce the direct mismatched-filter recursion.
+        # reproduce the one-step mismatched-filter recursion.
         model = bimodal_model(z=2, prior=(1.0, 0.0), rows=np.eye(2))
         series, _ = single_mode_slds_moments(model, model.modes[1], 8)
-        _, direct = mismatch_series(model.modes[0], model.modes[1],
-                                    model.meas, model.init, 8)
-        assert_allclose(series.mse, direct.mse, atol=1e-10)
+        sched = gain_schedule(model.modes[1], model.meas, model.init, 8)
+        state = initial_moments(model.init)
+        direct = [state.mse]
+        for gain in sched.gains:
+            state = mismatch_step(state, model.modes[0], model.modes[1],
+                                  model.meas, gain)
+            direct.append(state.mse)
+        assert_allclose(series.mse, direct, atol=1e-10)
 
     def test_one_mode_skf_is_matched_filter(self):
         model = single_mode_model(z=2)

@@ -16,11 +16,11 @@ from slds_mse import (
     SldsModel,
     as_mode_sequence,
     average_filter_modes,
-    average_mode,
     filter_bank,
     gain_schedule,
     kf_predict,
     kf_update,
+    mode_marginal_series,
     mode_schedules,
 )
 
@@ -281,28 +281,34 @@ class TestSchedules:
 
 class TestAverageFilter:
     def test_benchmark_average_is_0p68(self, bench):
-        avg = average_mode(bench, 1)
+        avg = average_filter_modes(bench, 1)[0]
         assert_allclose(avg.A, 0.68 * np.eye(4), atol=1e-15)
         assert_allclose(avg.Q, 0.01 * np.eye(4), atol=1e-15)
 
     def test_average_tracks_marginals(self):
         model = bimodal_model(prior=(1.0, 0.0))
-        assert_allclose(average_mode(model, 1).A, 0.9 * np.eye(4), atol=1e-15)
-        assert_allclose(average_mode(model, 2).A, 0.68 * np.eye(4), atol=1e-15)
+        first, second = average_filter_modes(model, 2)
+        assert_allclose(first.A, 0.9 * np.eye(4), atol=1e-15)
+        assert_allclose(second.A, 0.68 * np.eye(4), atol=1e-15)
 
     def test_identical_modes_average_to_themselves(self):
         model = bimodal_model(a_values=(0.7, 0.7))
-        assert_allclose(average_mode(model, 3).A, 0.7 * np.eye(4), atol=1e-15)
+        assert_allclose(average_filter_modes(model, 3)[2].A, 0.7 * np.eye(4),
+                        atol=1e-15)
 
     def test_average_filter_modes_equal_average_mode(self, rng):
+        # the average mode of step n: each mode's A and Q weighted by its
+        # marginal probability at step n, summed in mode order
         model = random_model(rng, 3, 2, uniform_rows=False,
                              uniform_prior=False)
         seq = average_filter_modes(model, 50)
+        marginals = mode_marginal_series(model.chain, 50)
         assert len(seq) == 50
-        for n, mode in enumerate(seq, start=1):
-            expected = average_mode(model, n)
-            assert_array_equal(mode.A, expected.A)
-            assert_array_equal(mode.Q, expected.Q)
+        for mode, w in zip(seq, marginals):
+            assert_array_equal(mode.A, sum(wj * m.A for wj, m in
+                                           zip(w, model.modes)))
+            assert_array_equal(mode.Q, sum(wj * m.Q for wj, m in
+                                           zip(w, model.modes)))
 
     def test_average_filter_modes_series(self, bench):
         seq = average_filter_modes(bench, 6)

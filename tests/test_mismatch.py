@@ -1,9 +1,10 @@
 """Exact error moments of a mismatched Kalman filter on a fixed-mode system."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_mode, spd_matrix
+from helpers import initial_moments, random_mode, random_model, spd_matrix
 from slds_mse import (
     FilterSpec,
     GaussianBelief,
@@ -11,8 +12,9 @@ from slds_mse import (
     MeasurementModel,
     ModeModel,
     SldsModel,
+    as_mode_sequence,
+    average_filter_modes,
     gain_schedule,
-    mismatch_init,
     mismatch_series,
     mismatch_step,
     run_monte_carlo,
@@ -40,12 +42,16 @@ def locked_mode_model(truth, filt, meas, init):
 class TestInit:
     def test_initial_moments(self, rng):
         init = GaussianBelief(rng.standard_normal(3), spd_matrix(rng, 3, 1.0))
-        m = mismatch_init(init)
-        assert_allclose(m.e_mean, np.zeros(3), atol=0)
-        assert_allclose(m.e_cov, init.cov, atol=0)
-        assert_allclose(m.x_mean, init.mean, atol=0)
-        assert_allclose(m.x_cov, init.cov, atol=0)
-        assert_allclose(m.u, np.zeros((3, 3)), atol=0)
+        truth, filt = random_mode(rng, 3), random_mode(rng, 3)
+        meas = MeasurementModel(np.eye(3), spd_matrix(rng, 3, 0.1))
+        m = mismatch_series(truth, filt, meas, init, 1)[0][0]
+        assert_allclose(m.e_mean, np.zeros(3), rtol=0, atol=0)
+        assert_allclose(m.e_cov, init.cov, rtol=0, atol=0)
+        assert_allclose(m.x_mean, init.mean, rtol=0, atol=0)
+        # C(x) and u subtract E[x] E[x].T from raw moments: round-off only
+        raw = np.abs(init.cov + np.outer(init.mean, init.mean)).max()
+        assert_allclose(m.x_cov, init.cov, rtol=0, atol=1e-15 * raw)
+        assert_allclose(m.u, np.zeros((3, 3)), rtol=0, atol=1e-15 * raw)
         assert m.step == 0
         assert_allclose(m.mse, np.trace(init.cov), atol=1e-15)
 
@@ -121,23 +127,36 @@ class TestRecursion:
         assert len(series) == 6 and len(moments) == 6
         assert_allclose(series.mse[0], 1.0, atol=0)
 
-    def test_explicit_schedule_matches_default(self):
-        truth, filt, meas, init = scalar_pair()
-        sched = gain_schedule(filt, meas, init, 6)
-        _, auto = mismatch_series(truth, filt, meas, init, 6)
-        _, manual = mismatch_series(truth, filt, meas, init, 6, schedule=sched)
-        assert_allclose(manual.mse, auto.mse, atol=0)
-
-    def test_step_function_matches_series(self):
-        truth, filt, meas, init = scalar_pair()
-        sched = gain_schedule(filt, meas, init, 4)
-        moments, _ = mismatch_series(truth, filt, meas, init, 4)
-        state = mismatch_init(init)
-        for n in range(4):
-            state = mismatch_step(state, truth, filt, meas,
-                                  sched.gains[n])
-            assert_allclose(state.e_cov, moments[n + 1].e_cov, atol=1e-15)
-            assert state.step == n + 1
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(z=st.integers(1, 3), n_steps=st.integers(1, 12),
+           filt_index=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_step_function_matches_series(self, z, n_steps, filt_index,
+                                          seed):
+        # the lifted-moment series against the independent one-step
+        # recursion, for a fixed filter (modes 1 and 2) or the average
+        # filter's per-step sequence (3), on the truth of mode 1
+        model = random_model(np.random.default_rng(seed), 3, z,
+                             uniform_rows=False, uniform_prior=False)
+        truth = model.modes[0]
+        filt = (average_filter_modes(model, n_steps) if filt_index == 3
+                else model.modes[filt_index - 1])
+        sched = gain_schedule(filt, model.meas, model.init, n_steps)
+        moments, series = mismatch_series(truth, filt, model.meas,
+                                          model.init, n_steps)
+        state = initial_moments(model.init)
+        fields = ("e_mean", "e_cov", "x_mean", "x_cov", "u")
+        for n, mode in enumerate(as_mode_sequence(filt, n_steps), start=1):
+            state = mismatch_step(state, truth, mode, model.meas,
+                                  sched.gains[n - 1])
+            got = moments[n]
+            assert got.step == state.step == n
+            # within 1e-12 of the step's RMS moment size
+            rms = np.sqrt(np.mean(np.concatenate(
+                [np.ravel(getattr(state, f)) for f in fields]) ** 2))
+            for f in fields:
+                assert_allclose(getattr(got, f), getattr(state, f), rtol=0,
+                                atol=1e-12 * rms, err_msg=f"{f} at step {n}")
+            assert_allclose(series.mse[n], state.mse, rtol=1e-12)
 
 
 class TestMonteCarloAgreement:

@@ -170,12 +170,6 @@ class TestMarginals:
         with pytest.raises(ValueError):
             mode_marginal_series(chain, 0)
 
-    def test_is_uniform(self):
-        assert bimodal_model().chain.is_uniform()
-        sticky = MarkovChain(np.array([[0.9, 0.1], [0.1, 0.9]]),
-                             np.array([0.5, 0.5]))
-        assert not sticky.is_uniform()
-
 
 class TestTypes:
     def test_filter_spec_display(self):

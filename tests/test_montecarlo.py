@@ -31,20 +31,16 @@ from slds_mse import (
     SldsModel,
     as_mode_sequence,
     average_filter_modes,
-    draw_detections,
-    empirical_mse,
     filter_bank,
     gain_schedule,
     kf_predict,
     kf_update,
     mode_schedules,
-    run_filter_on_sim,
     run_monte_carlo,
-    simulate_slds,
 )
 from slds_mse.fast import _BLOCK
 from slds_mse import montecarlo
-from slds_mse.montecarlo import _replay_inputs, _simulate_batch
+from slds_mse.montecarlo import _replay_inputs
 
 # Horizons on both sides of the analytic recursion's block boundaries.
 HORIZONS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
@@ -62,30 +58,46 @@ def noiseless_constant_model(z=2):
     )
 
 
+def simulate(model, n_steps, rng, count):
+    """``count`` runs of the system stepped ``n_steps`` times: modes
+    ``(N, count)``, states ``(N+1, z, count)``, measurements ``(N, m,
+    count)``."""
+    system = montecarlo._System(model)
+    x, mode = system.start(rng, count), None
+    modes, states, meas = [], [x], []
+    for _ in range(n_steps):
+        mode, x, y = system.step(rng, x, mode)
+        modes.append(mode)
+        states.append(x)
+        meas.append(y)
+    return np.array(modes), np.array(states), np.array(meas)
+
+
 class TestSimulator:
     def test_output_shapes(self, bench, rng):
-        modes, states, meas = simulate_slds(bench, 5, rng)
-        assert modes.shape == (5,)
+        modes, states, meas = simulate(bench, 5, rng, 3)
+        assert modes.shape == (5, 3)
         assert np.issubdtype(modes.dtype, np.integer)
-        assert states.shape == (6, 4)
-        assert meas.shape == (5, 4)
+        assert states.shape == (6, 4, 3)
+        assert meas.shape == (5, 4, 3)
         assert modes.min() >= 0 and modes.max() <= 1
 
     def test_noiseless_constant_system_is_exact(self, rng):
         model = noiseless_constant_model()
-        modes, states, meas = simulate_slds(model, 4, rng)
-        assert_array_equal(modes, np.zeros(4, dtype=modes.dtype))
-        assert_array_equal(states, np.tile(model.init.mean, (5, 1)))
-        assert_array_equal(meas, np.tile(model.meas.H @ model.init.mean,
-                                         (4, 1)))
+        modes, states, meas = simulate(model, 4, rng, 3)
+        assert_array_equal(modes, np.zeros((4, 3), dtype=modes.dtype))
+        assert_array_equal(states, np.broadcast_to(
+            model.init.mean[:, None], (5, 2, 3)))
+        assert_array_equal(meas, np.broadcast_to(
+            (model.meas.H @ model.init.mean)[:, None], (4, 2, 3)))
 
     def test_prior_locks_first_mode(self, rng):
         model = bimodal_model(prior=(1.0, 0.0))
-        modes, _, _ = _simulate_batch(model, 3, rng, 500)
-        assert_array_equal(modes[:, 0], np.zeros(500, dtype=modes.dtype))
+        modes, _, _ = simulate(model, 3, rng, 500)
+        assert_array_equal(modes[0], np.zeros(500, dtype=modes.dtype))
 
     def test_uniform_chain_mode_frequencies(self, bench, rng):
-        modes, _, _ = _simulate_batch(bench, 6, rng, 2000)
+        modes, _, _ = simulate(bench, 6, rng, 2000)
         # uniform rows make every step an independent fair coin
         freq = modes.mean()
         assert abs(freq - 0.5) < 3.0 * np.sqrt(0.25 / modes.size)
@@ -93,29 +105,37 @@ class TestSimulator:
     def test_sticky_chain_step_frequencies(self, rng):
         model = bimodal_model(rows=[[0.9, 0.1], [0.2, 0.8]],
                               prior=(1.0, 0.0))
-        modes, _, _ = _simulate_batch(model, 2, rng, 4000)
+        modes, _, _ = simulate(model, 2, rng, 4000)
         # step 1 is pinned by the prior, step 2 follows the first row
-        assert_array_equal(modes[:, 0], np.zeros(4000, dtype=modes.dtype))
-        freq = modes[:, 1].mean()
+        assert_array_equal(modes[0], np.zeros(4000, dtype=modes.dtype))
+        freq = modes[1].mean()
         assert abs(freq - 0.1) < 4.0 * np.sqrt(0.1 * 0.9 / 4000)
+
+
+def detect_steps(truth, det, r, rng):
+    """Detected modes of true modes ``(count, N)``, one step at a time."""
+    return np.column_stack([montecarlo._detect(rng, step, det, r)
+                            for step in truth.T])
 
 
 class TestDetections:
     def test_perfect_detection_matches_truth(self, rng):
         truth = rng.integers(0, 3, size=(8, 10))
-        detected = draw_detections(truth, DetectionModel(1.0), 3, rng)
+        detected = detect_steps(truth, DetectionModel(1.0), 3, rng)
         assert_array_equal(detected, truth)
 
     def test_single_mode_always_detected(self, rng):
+        # one mode leaves nothing to confuse: no draw is made
         truth = np.zeros((4, 6), dtype=np.intp)
-        detected = draw_detections(truth, DetectionModel(0.0), 1, rng)
+        state = rng.bit_generator.state
+        detected = detect_steps(truth, DetectionModel(0.0), 1, rng)
         assert_array_equal(detected, truth)
-        assert detected is not truth
+        assert rng.bit_generator.state == state
 
     def test_detection_statistics(self, rng):
         truth = rng.integers(0, 3, size=(4000, 5))
         det = DetectionModel(0.8)
-        detected = draw_detections(truth, det, 3, rng)
+        detected = detect_steps(truth, det, 3, rng)
         assert detected.min() >= 0 and detected.max() <= 2
         correct = (detected == truth).mean()
         assert abs(correct - 0.8) < 4.0 * np.sqrt(0.8 * 0.2 / truth.size)
@@ -128,30 +148,17 @@ class TestDetections:
 
 
 class TestFilterReplay:
-    def test_single_filter_matches_kalman_operator(self, lgss, rng):
-        sim = simulate_slds(lgss, 8, rng)
-        errors = run_filter_on_sim(sim, lgss, FilterSpec("single-mode", 1))
-        _, states, meas = sim
-        belief = lgss.init
-        assert_allclose(errors[0], states[0] - belief.mean, atol=0)
-        for n in range(1, 9):
-            predicted = kf_predict(belief, lgss.modes[0])
-            belief = kf_update(predicted, lgss.meas, meas[n - 1]).posterior
-            assert_allclose(errors[n], states[n] - belief.mean, atol=1e-12)
-
-    def test_skf_with_perfect_detection_on_locked_chain(self, rng):
+    def test_skf_with_perfect_detection_on_locked_chain(self):
         # chain locked to mode 1: perfect detection makes the switching
         # filter replay the mode-1 single filter arithmetic exactly
         model = bimodal_model(z=2, rows=[[1.0, 0.0], [1.0, 0.0]],
                               prior=(1.0, 0.0))
-        sim = simulate_slds(model, 6, rng)
-        single = run_filter_on_sim(sim, model, FilterSpec("single-mode", 1))
-        skf = run_filter_on_sim(sim, model, FilterSpec("skf"),
-                                det=DetectionModel(1.0),
-                                rng=np.random.default_rng(0))
-        # both paths read mode 1's row of one filter bank, and the switching
+        single, skf = run_monte_carlo(
+            model, [FilterSpec("single-mode", 1), FilterSpec("skf")],
+            DetectionModel(1.0), 6, 1500, seed=4)
+        # both read mode 1's row of one filter bank, and the switching
         # filter's per-run gain selection picks that row at every step
-        assert_array_equal(skf, single)
+        TestDriverDeterminism.assert_runs_identical(skf, single)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(r=st.integers(1, 4), n_steps=st.sampled_from(HORIZONS),
@@ -185,16 +192,16 @@ class TestFilterReplay:
         assert_array_equal(M, np.array(want_M))
         assert_array_equal(K, np.array(want_K))
 
-    def test_skf_requires_detection_and_rng(self, bench, rng):
-        sim = simulate_slds(bench, 3, rng)
-        with pytest.raises(ValueError, match="detection"):
-            run_filter_on_sim(sim, bench, FilterSpec("skf"))
-
-    def test_average_filter_error_shape(self, bench, rng):
-        sim = simulate_slds(bench, 5, rng)
-        errors = run_filter_on_sim(sim, bench, FilterSpec("average"))
-        assert errors.shape == (6, 4)
-        assert_allclose(errors[0], sim[1][0] - bench.init.mean, atol=0)
+    def test_average_filter_error_shape(self, bench):
+        # one accumulator row per step, and every filter starts from the
+        # same estimate, so e_0 = x_0 - mean sums alike for all of them
+        average, single = run_monte_carlo(
+            bench, [FilterSpec("average"), FilterSpec("single-mode", 1)],
+            None, 5, 100, seed=2)
+        assert average.gram.shape == (6, 6, 6)
+        assert average.sum_e.shape == (6, 4)
+        assert_array_equal(average.gram[0], single.gram[0])
+        assert not np.array_equal(average.gram[1], single.gram[1])
 
 
 class TestDriverDeterminism:
@@ -394,9 +401,9 @@ class TestAccumulator:
     def test_two_point_mse(self):
         errors = np.zeros((2, 1, 2))
         errors[1, 0] = [1.0, 1.0]          # squared norms 0 and 2
-        result = empirical_mse(SimRun.from_errors(errors))
-        assert_allclose(result.mse, [1.0], atol=0)
-        assert_allclose(result.stderr, [1.0], atol=0)
+        run = SimRun.from_errors(errors)
+        assert_allclose(run.mse(), [1.0], atol=0)
+        assert_allclose(run.mse_stderr(), [1.0], atol=0)
 
     def test_all_zero_errors(self):
         run = SimRun.from_errors(np.zeros((5, 3, 2)))
@@ -475,5 +482,4 @@ class TestStatisticalAgreement:
     def test_initial_mse_is_trace_of_prior_cov(self, bench):
         run = run_monte_carlo(bench, [FilterSpec("average")], None, 1,
                               4096, seed=12)[0]
-        result = empirical_mse(run)
-        assert abs(result.mse[0] - 4.0) < 3.0 * result.stderr[0]
+        assert abs(run.mse()[0] - 4.0) < 3.0 * run.mse_stderr()[0]
