@@ -30,13 +30,7 @@ import numpy as np
 from . import __version__
 from .model import MseSeries, Scenario, validate_scenario
 from .kalman import FilterBank, InnovationSolveError, filter_bank
-from .enumeration import (
-    DEFAULT_CAP,
-    EnumerationCapError,
-    _branches,
-    _check_cap,
-    _run_enumeration,
-)
+from .enumeration import EnumerationCapError, _branches, _run_enumeration
 from .fast import (
     _bank_weights,
     bank_series,
@@ -207,7 +201,10 @@ def _analytic_series(scenario: Scenario, args, method: str,
                  len(series), 1e3 * (time.perf_counter() - t0))
         return list(zip(specs, series))
     # one trajectory tree per group of filters that branch alike: the
-    # switching filter, and every fixed-gain filter
+    # switching filter, then every fixed-gain filter.  Each run checks its
+    # own cap before any leaf grows, and the SKF tree (r^2 branches per
+    # leaf) outgrows the fixed-gain one (r), so running it first means no
+    # tree grows while another is over the cap
     W = _bank_weights(model.r, det, specs, bank)
     groups = [[f for f, spec in enumerate(specs)
                if (spec.kind == "skf") == skf] for skf in (True, False)]
@@ -216,9 +213,6 @@ def _analytic_series(scenario: Scenario, args, method: str,
               for members in groups if members]
     series = {}
     try:
-        if method == "exact":      # no tree grows while another is over
-            for label, _, _, D in groups:
-                _check_cap(D, n, DEFAULT_CAP)
         for label, members, rows, D in groups:
             t0 = time.perf_counter()
             runs = _run_enumeration(model, n, bank.A, bank.gains, rows, D,

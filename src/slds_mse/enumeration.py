@@ -51,7 +51,7 @@ from .model import (
     SldsModel,
 )
 from .mismatch import ErrorMoments
-from .kalman import ModeLike, _check_innovations, _gain_step, _mode_dynamics
+from .kalman import ModeLike, _check_innovations, _mode_dynamics, _riccati_step
 from .fast import _filter_rows, _initial_moment, _joint_factors, _noise
 
 DEFAULT_CAP = 2 ** 20
@@ -204,17 +204,6 @@ def _branches(W: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
                      "branch weights")
 
 
-def _check_cap(D: np.ndarray, n_steps: int, cap: int) -> None:
-    """Raise ``EnumerationCapError`` when an unpruned enumeration of a
-    group with branch weights ``D`` (``_branches``) would outgrow ``cap``."""
-    if D.size ** n_steps > cap:
-        raise EnumerationCapError(
-            f"exact enumeration needs {D.size}^{n_steps} "
-            f"{'trajectory pairs' if D.shape[1] > 1 else 'trajectories'}, "
-            f"over the cap of {cap}; use the aggregate recursion or beam "
-            f"pruning instead")
-
-
 def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
                      K: np.ndarray, rows: np.ndarray, D: np.ndarray, *,
                      keep: Optional[int] = None, mass: Optional[float] = None,
@@ -234,8 +223,12 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
     if mass is not None and not 0.0 < mass <= 1.0:
         raise ValueError(f"mass target must lie in (0, 1], got {mass}")
     pruning = keep is not None or mass is not None
-    if not pruning:
-        _check_cap(D, n_steps, cap)
+    if not pruning and D.size ** n_steps > cap:     # before any leaf grows
+        raise EnumerationCapError(
+            f"exact enumeration needs {D.size}^{n_steps} "
+            f"{'trajectory pairs' if D.shape[1] > 1 else 'trajectories'}, "
+            f"over the cap of {cap}; use the aggregate recursion or beam "
+            f"pruning instead")
     r, z, m = model.r, model.z, model.m
     F, b, k = len(rows), D.size, 2 * z + 1
     H, R = model.meas.H, model.meas.R
@@ -269,16 +262,11 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
                 f"trajectories, over the cap of {cap}")
         if detected_path:
             # each leaf's gain from the filter's own Riccati step along its
-            # detected trajectory, as in kalman._riccati, per detected
-            # mode d: (d, L, z, m)
-            P = (A[:, None] @ filter_cov @ A[:, None].swapaxes(-1, -2)
-                 + Q[:, None])
-            P = (P + P.swapaxes(-1, -2)) / 2.0
-            B, K_leaf = _gain_step(model.meas, P)
+            # detected trajectory, per detected mode d: (d, L, z, m)
+            B, K_leaf, P = _riccati_step(model.meas, A[:, None], Q[:, None],
+                                         filter_cov)
             _check_innovations(B)
-            P = (np.eye(z) - K_leaf @ H) @ P
-            filter_cov = np.broadcast_to((P + P.swapaxes(-1, -2)) / 2.0,
-                                         (r,) + P.shape).reshape(-1, z, z)
+            filter_cov = np.broadcast_to(P, (r,) + P.shape).reshape(-1, z, z)
             # rows (detected d, leaf l): maps per (branch, leaf)
             G, C = (X.reshape(1, b, -1, k, k) for X in
                     _branch_maps(A, Q, A.repeat(K_leaf.shape[1], axis=0),

@@ -163,24 +163,34 @@ def _gain_step(meas: MeasurementModel, P: np.ndarray,
                                    float(np.max(np.linalg.cond(B)))) from None
 
 
+def _riccati_step(meas: MeasurementModel, A: np.ndarray, Q: np.ndarray,
+                  P: np.ndarray, past: Optional[np.ndarray] = None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One predict/update of posterior covariances ``P`` (..., z, z) under
+    dynamics ``A``, ``Q``: innovation covariances B, gains K and the new
+    posterior covariances, each covariance symmetrized.  ``past`` goes to
+    ``_gain_step``; callers vet B."""
+    P = A @ P @ A.swapaxes(-1, -2) + Q
+    P = (P + P.swapaxes(-1, -2)) / 2.0
+    B, K = _gain_step(meas, P, past)
+    P = (np.eye(P.shape[-1]) - K @ meas.H) @ P
+    return B, K, (P + P.swapaxes(-1, -2)) / 2.0
+
+
 def _riccati(A: np.ndarray, Q: np.ndarray, meas: MeasurementModel,
              P0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains (B, N, z, m) and posterior covariances (B, N, z, z) of B
     filters with per-step dynamics ``A``, ``Q`` (B, N, z, z) sharing
-    ``meas`` and ``P0``: one ``_gain_step`` per step, then one check of
-    all the innovation covariances."""
+    ``meas`` and ``P0``: one ``_riccati_step`` per step, then one check
+    of all the innovation covariances."""
     gains = np.empty(A.shape[:2] + meas.H.T.shape)
     covs = np.empty(A.shape)
     innov = np.empty((A.shape[1], len(A)) + meas.R.shape)
-    eye = np.eye(P0.shape[0])
     P = P0
     for n in range(A.shape[1]):
-        P = A[:, n] @ P @ A[:, n].swapaxes(1, 2) + Q[:, n]
-        P = (P + P.swapaxes(1, 2)) / 2.0
-        innov[n], K = _gain_step(meas, P, innov[:n])
-        gains[:, n] = K
-        P = (eye - K @ meas.H) @ P
-        P = covs[:, n] = (P + P.swapaxes(1, 2)) / 2.0
+        innov[n], gains[:, n], P = _riccati_step(meas, A[:, n], Q[:, n], P,
+                                                 innov[:n])
+        covs[:, n] = P
     _check_innovations(innov, 0)
     return gains, covs
 

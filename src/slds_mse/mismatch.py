@@ -46,6 +46,10 @@ class ErrorMoments:
 
     ``u`` is Cov(xhat_n, x_n), which is not symmetric in general; the
     error/state cross-covariance is recovered as Cov(e, x) = x_cov - u.
+    Enumeration reads the covariances off raw moments, E[x x.T] - E[x]
+    E[x].T, so they lose relative precision as |mean|^2/variance grows:
+    an initial mean of 1e6 on a scalar pair puts ``e_cov`` 3.2e-4 off.
+    The MSE, a raw trace, is unaffected.
     """
 
     e_mean: np.ndarray

@@ -11,14 +11,16 @@ vector over the mode at step 1.  All noise is white and mutually
 independent, and ``x_0 ~ N(mean, cov)`` of the initial belief.
 
 Model objects are frozen dataclasses wrapping read-only numpy arrays, so
-they are safe to share between threads.  Constructors only enforce shape
-coherence; tolerance-based properties (symmetry, positive semidefiniteness,
-stochastic rows) are reported as data by :func:`validate_scenario` rather
-than raised, so a single call surfaces every problem at once.
+they are safe to share between threads.  Constructors only enforce types
+and shape coherence; tolerance-based properties (symmetry, positive
+semidefiniteness, stochastic rows) are reported as data by
+:func:`validate_scenario` rather than raised, so a single call surfaces
+every problem at once.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,7 +30,6 @@ DEFAULT_SYM_TOL = 1e-9
 DEFAULT_PSD_TOL = 1e-9
 
 _KINDS = ("single-mode", "average", "skf")
-_CONFUSION_POLICIES = ("uniform-over-wrong-modes",)
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -46,14 +47,38 @@ def min_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(mat))[0])
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _set(obj, name: str, value) -> None:
+    object.__setattr__(obj, name, value)
+
+
+def _array(obj, name: str, ndmin: int) -> np.ndarray:
+    """Field ``name`` of ``obj`` as a read-only float copy of at least
+    ``ndmin`` dimensions, leading ones added.  It must be a rectangular
+    array of real numbers, none of them a boolean or a string."""
+    value = getattr(obj, name)
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        value = np.array(value, dtype=object)
+        # plain floats and ints skip the slower ABC check
+        bad = [x for x in value.ravel().tolist() if type(x) not in (float, int)
+               and (isinstance(x, bool) or not isinstance(x, numbers.Real))]
+        if bad:
+            raise TypeError(f"{name} must be a rectangular array of real "
+                            f"numbers, got entry {bad[0]!r}")
+    out = np.array(value, dtype=float, ndmin=ndmin)
     out.flags.writeable = False
     return out
 
 
-def _set(obj, name: str, value) -> None:
-    object.__setattr__(obj, name, value)
+def _scalar(obj, name: str, kind: type) -> None:
+    """Store field ``name`` of ``obj`` as a plain ``kind`` (int or float),
+    refusing anything that is not a ``numbers`` instance of it: NumPy
+    scalars pass, booleans and strings do not."""
+    value = getattr(obj, name)
+    abc, what = ((numbers.Integral, "an integer") if kind is int
+                 else (numbers.Real, "a real number"))
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    _set(obj, name, kind(value))
 
 
 @dataclass(frozen=True)
@@ -64,14 +89,14 @@ class ModeModel:
     Q: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+        A = _array(self, "A", 2)
+        Q = _array(self, "Q", 2)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if Q.shape != A.shape:
             raise ValueError(f"Q shape {Q.shape} does not match A shape {A.shape}")
-        _set(self, "A", _freeze(A))
-        _set(self, "Q", _freeze(Q))
+        _set(self, "A", A)
+        _set(self, "Q", Q)
 
     @property
     def z(self) -> int:
@@ -86,15 +111,15 @@ class MeasurementModel:
     R: np.ndarray
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
+        H = _array(self, "H", 2)
+        R = _array(self, "R", 2)
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError(f"R must be square, got shape {R.shape}")
         if H.shape[0] != R.shape[0]:
             raise ValueError(f"R dimension {R.shape[0]} does not match "
                              f"measurement count {H.shape[0]}")
-        _set(self, "H", _freeze(H))
-        _set(self, "R", _freeze(R))
+        _set(self, "H", H)
+        _set(self, "R", R)
 
     @property
     def m(self) -> int:
@@ -113,15 +138,15 @@ class GaussianBelief:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean = _array(self, "mean", 1)
+        cov = _array(self, "cov", 2)
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match "
                              f"mean length {mean.size}")
-        _set(self, "mean", _freeze(mean))
-        _set(self, "cov", _freeze(cov))
+        _set(self, "mean", mean)
+        _set(self, "cov", cov)
 
     @property
     def z(self) -> int:
@@ -140,15 +165,15 @@ class MarkovChain:
     prior: np.ndarray
 
     def __post_init__(self):
-        Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
-        prior = np.atleast_1d(np.asarray(self.prior, dtype=float))
+        Z = _array(self, "Z", 2)
+        prior = _array(self, "prior", 1)
         if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
             raise ValueError(f"Z must be square, got shape {Z.shape}")
         if prior.shape != (Z.shape[0],):
             raise ValueError(f"prior length {prior.size} does not match "
                              f"Z dimension {Z.shape[0]}")
-        _set(self, "Z", _freeze(Z))
-        _set(self, "prior", _freeze(prior))
+        _set(self, "Z", Z)
+        _set(self, "prior", prior)
 
     @property
     def r(self) -> int:
@@ -189,12 +214,9 @@ class DetectionModel:
     past; otherwise the detected mode is uniform over the wrong modes."""
 
     p_d: float
-    confusion: str = "uniform-over-wrong-modes"
 
     def __post_init__(self):
-        if self.confusion not in _CONFUSION_POLICIES:
-            raise ValueError(f"unknown confusion policy {self.confusion!r}")
-        _set(self, "p_d", float(self.p_d))
+        _scalar(self, "p_d", float)
 
 
 @dataclass(frozen=True)
@@ -212,8 +234,12 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "single-mode" and self.mode is None:
+        if self.mode is not None:
+            _scalar(self, "mode", int)
+        elif self.kind == "single-mode":
             raise ValueError("single-mode filter spec requires a mode index")
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a string, got {self.label!r}")
 
     @property
     def display(self) -> str:
@@ -228,6 +254,10 @@ class FilterSpec:
 class Tolerances:
     sym_tol: float = DEFAULT_SYM_TOL
     psd_tol: float = DEFAULT_PSD_TOL
+
+    def __post_init__(self):
+        _scalar(self, "sym_tol", float)
+        _scalar(self, "psd_tol", float)
 
 
 @dataclass(frozen=True)
@@ -246,9 +276,8 @@ class Scenario:
 
     def __post_init__(self):
         _set(self, "filters", tuple(self.filters))
-        _set(self, "horizon", int(self.horizon))
-        _set(self, "mc_samples", int(self.mc_samples))
-        _set(self, "seed", int(self.seed))
+        for name in ("horizon", "mc_samples", "seed"):
+            _scalar(self, name, int)
 
 
 @dataclass(frozen=True)
@@ -278,9 +307,9 @@ class MseSeries:
     kept_mass: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _set(self, "mse", _freeze(np.atleast_1d(self.mse)))
+        _set(self, "mse", _array(self, "mse", 1))
         if self.kept_mass is not None:
-            _set(self, "kept_mass", _freeze(np.atleast_1d(self.kept_mass)))
+            _set(self, "kept_mass", _array(self, "kept_mass", 1))
 
     def __len__(self) -> int:
         return self.mse.size

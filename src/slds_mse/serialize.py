@@ -17,15 +17,22 @@ Schema (``schema_version: 1``), matrices as row-major nested lists::
       "tolerances": {"sym_tol": 1e-9, "psd_tol": 1e-9}  # optional
     }
 
-Unknown keys are rejected so typos surface as errors instead of silently
-falling back to defaults.  Serialization is canonical (sorted keys,
-fixed indentation), so round-tripping a file is diff-stable.
+Each section is the dataclass it becomes (``_SECTIONS``), and the top
+level holds the fields of :class:`SldsModel` and :class:`Scenario`: the
+keys of an object are its class's field names, those without a default
+are required, and unknown keys are rejected so typos surface as errors
+instead of silently falling back to defaults.  Types are checked by the
+constructors, whose complaints are re-raised naming the object.
+Serialization is canonical (sorted keys, fixed indentation), so
+round-tripping a file is diff-stable.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from dataclasses import MISSING, fields, is_dataclass
+
+import numpy as np
 
 from .model import (
     DetectionModel,
@@ -41,6 +48,13 @@ from .model import (
 
 SCHEMA_VERSION = 1
 
+# section key -> the class of its object, or of each entry of its list
+_SECTIONS = {"modes": ModeModel, "meas": MeasurementModel,
+             "chain": MarkovChain, "init": GaussianBelief,
+             "detection": DetectionModel, "filters": FilterSpec,
+             "tolerances": Tolerances}
+_LISTS = ("modes", "filters")
+
 
 class ScenarioFormatError(ValueError):
     """Scenario JSON that does not follow the documented schema."""
@@ -54,13 +68,7 @@ def default_filters(r: int) -> tuple:
     return tuple(specs)
 
 
-def _require(data: dict, key: str, where: str):
-    if key not in data:
-        raise ScenarioFormatError(f"{where}: missing required key {key!r}")
-    return data[key]
-
-
-def _check_keys(data: dict, allowed: Sequence[str], where: str) -> None:
+def _check_keys(data, allowed, where: str) -> None:
     if not isinstance(data, dict):
         raise ScenarioFormatError(f"{where}: expected an object")
     unknown = sorted(set(data) - set(allowed))
@@ -68,116 +76,76 @@ def _check_keys(data: dict, allowed: Sequence[str], where: str) -> None:
         raise ScenarioFormatError(f"{where}: unknown keys {unknown}")
 
 
-def _filter_from_dict(data: dict, where: str) -> FilterSpec:
-    _check_keys(data, ("kind", "mode", "label"), where)
-    kind = _require(data, "kind", where)
+def _build(cls, data, where: str):
+    """``cls(**data)`` for an object whose keys are ``cls``'s field names,
+    every field without a default among them; a constructor's complaint
+    is re-raised naming ``where``."""
+    known = fields(cls)
+    _check_keys(data, [f.name for f in known], where)
+    for f in known:
+        if f.name not in data and f.default is f.default_factory is MISSING:
+            raise ScenarioFormatError(f"{where}: missing required key "
+                                      f"{f.name!r}")
     try:
-        return FilterSpec(kind=kind, mode=data.get("mode"),
-                          label=data.get("label", ""))
-    except ValueError as exc:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
+def _section(key: str, data, where: str):
+    """The object of section ``key``; a tuple of them for a list section."""
+    if key not in _LISTS:
+        return _build(_SECTIONS[key], data, where)
+    if not isinstance(data, list) or not data:
+        raise ScenarioFormatError(f"{where}: expected a non-empty list")
+    return tuple(_build(_SECTIONS[key], entry, f"{where}[{k}]")
+                 for k, entry in enumerate(data))
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from parsed JSON; structural problems raise
-    :class:`ScenarioFormatError` (numeric invariants are left to
-    :func:`slds_mse.model.validate_scenario`)."""
-    _check_keys(data, ("schema_version", "modes", "meas", "chain", "init",
-                       "detection", "filters", "horizon", "mc_samples",
-                       "seed", "tolerances"), "scenario")
-    version = _require(data, "schema_version", "scenario")
-    if version != SCHEMA_VERSION:
+    """Build a Scenario from parsed JSON; structural problems and wrong
+    types raise :class:`ScenarioFormatError` (numeric invariants are left
+    to :func:`slds_mse.model.validate_scenario`)."""
+    model_keys = [f.name for f in fields(SldsModel)]
+    _check_keys(data, {"schema_version", *model_keys,
+                       *(f.name for f in fields(Scenario))} - {"model"},
+                "scenario")
+    if "schema_version" not in data:
+        raise ScenarioFormatError("scenario: missing required key "
+                                  "'schema_version'")
+    version = data["schema_version"]
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ScenarioFormatError(
             f"scenario: unsupported schema_version {version!r}, "
             f"this reader handles {SCHEMA_VERSION}")
-
-    raw_modes = _require(data, "modes", "scenario")
-    if not isinstance(raw_modes, list) or not raw_modes:
-        raise ScenarioFormatError("scenario.modes: expected a non-empty list")
-    try:
-        modes = []
-        for k, entry in enumerate(raw_modes):
-            _check_keys(entry, ("A", "Q"), f"scenario.modes[{k}]")
-            modes.append(ModeModel(A=_require(entry, "A", f"scenario.modes[{k}]"),
-                                   Q=_require(entry, "Q", f"scenario.modes[{k}]")))
-        raw = _require(data, "meas", "scenario")
-        _check_keys(raw, ("H", "R"), "scenario.meas")
-        meas = MeasurementModel(H=_require(raw, "H", "scenario.meas"),
-                                R=_require(raw, "R", "scenario.meas"))
-        raw = _require(data, "chain", "scenario")
-        _check_keys(raw, ("Z", "prior"), "scenario.chain")
-        chain = MarkovChain(Z=_require(raw, "Z", "scenario.chain"),
-                            prior=_require(raw, "prior", "scenario.chain"))
-        raw = _require(data, "init", "scenario")
-        _check_keys(raw, ("mean", "cov"), "scenario.init")
-        init = GaussianBelief(mean=_require(raw, "mean", "scenario.init"),
-                              cov=_require(raw, "cov", "scenario.init"))
-        model = SldsModel(modes=modes, meas=meas, chain=chain, init=init)
-    except ScenarioFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"scenario: {exc}") from exc
-
-    raw = data.get("detection", {"p_d": 1.0})
-    _check_keys(raw, ("p_d",), "scenario.detection")
-    detection = DetectionModel(p_d=float(_require(raw, "p_d",
-                                                  "scenario.detection")))
-
-    if "filters" in data:
-        raw_filters = data["filters"]
-        if not isinstance(raw_filters, list) or not raw_filters:
-            raise ScenarioFormatError("scenario.filters: expected a non-empty list")
-        filters = tuple(_filter_from_dict(entry, f"scenario.filters[{k}]")
-                        for k, entry in enumerate(raw_filters))
-    else:
-        filters = default_filters(model.r)
-
-    raw = data.get("tolerances", {})
-    _check_keys(raw, ("sym_tol", "psd_tol"), "scenario.tolerances")
-    tolerances = Tolerances(sym_tol=float(raw.get("sym_tol", Tolerances.sym_tol)),
-                            psd_tol=float(raw.get("psd_tol", Tolerances.psd_tol)))
-
-    horizon = _require(data, "horizon", "scenario")
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
-        raise ScenarioFormatError("scenario.horizon: expected an integer")
-    for key in ("mc_samples", "seed"):
-        if key in data and (not isinstance(data[key], int)
-                            or isinstance(data[key], bool)):
-            raise ScenarioFormatError(f"scenario.{key}: expected an integer")
-
-    return Scenario(model=model, horizon=horizon, detection=detection,
-                    filters=filters, mc_samples=data.get("mc_samples", 20000),
-                    seed=data.get("seed", 0), tolerances=tolerances)
+    parts = {key: _section(key, value, f"scenario.{key}")
+             if key in _SECTIONS else value
+             for key, value in data.items() if key != "schema_version"}
+    model = _build(SldsModel, {key: parts.pop(key) for key in model_keys
+                               if key in parts}, "scenario")
+    parts.setdefault("detection", DetectionModel(p_d=1.0))
+    parts.setdefault("filters", default_filters(model.r))
+    return _build(Scenario, {"model": model, **parts}, "scenario")
 
 
-def _filter_to_dict(spec: FilterSpec) -> dict:
-    out: dict = {"kind": spec.kind}
-    if spec.mode is not None:
-        out["mode"] = spec.mode
-    if spec.label:
-        out["label"] = spec.label
-    return out
+def _plain(obj):
+    """The JSON value of a scenario object: a dataclass is the object of
+    its fields, less those left at None or the empty string (a filter's
+    optional mode and label); arrays and tuples are lists."""
+    if is_dataclass(obj):
+        items = ((f.name, _plain(getattr(obj, f.name))) for f in fields(obj))
+        return {name: value for name, value in items
+                if value is not None and value != ""}
+    if isinstance(obj, tuple):
+        return [_plain(item) for item in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    model = scenario.model
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "modes": [{"A": mode.A.tolist(), "Q": mode.Q.tolist()}
-                  for mode in model.modes],
-        "meas": {"H": model.meas.H.tolist(), "R": model.meas.R.tolist()},
-        "chain": {"Z": model.chain.Z.tolist(),
-                  "prior": model.chain.prior.tolist()},
-        "init": {"mean": model.init.mean.tolist(),
-                 "cov": model.init.cov.tolist()},
-        "detection": {"p_d": scenario.detection.p_d},
-        "filters": [_filter_to_dict(spec) for spec in scenario.filters],
-        "horizon": scenario.horizon,
-        "mc_samples": scenario.mc_samples,
-        "seed": scenario.seed,
-        "tolerances": {"sym_tol": scenario.tolerances.sym_tol,
-                       "psd_tol": scenario.tolerances.psd_tol},
-    }
+    data = _plain(scenario)
+    return {"schema_version": SCHEMA_VERSION, **data.pop("model"), **data}
 
 
 def dumps_scenario(scenario: Scenario) -> str:

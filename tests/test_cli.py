@@ -31,6 +31,7 @@ from slds_mse import (
     fast,
     kalman,
     load_scenario,
+    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -103,6 +104,16 @@ class TestScenarioFiles:
         assert dumps_scenario(scenario_from_dict(
             scenario_to_dict(scenario))) == text
         assert dumps_scenario(scenario_from_dict(json.loads(text))) == text
+
+    def test_demo_file_is_canonical(self):
+        assert dumps_scenario(load_scenario(DEMO)) == Path(DEMO).read_text()
+
+    def test_save_scenario_round_trip(self, scenario_file, tmp_path):
+        scenario = load_scenario(scenario_file())
+        path = tmp_path / "saved.json"
+        save_scenario(scenario, path)
+        assert path.read_text() == dumps_scenario(scenario)
+        assert dumps_scenario(load_scenario(path)) == path.read_text()
 
     def test_demo_scenario_loads(self):
         scenario = load_scenario("demos/scenarios/bimodal4d.json")
@@ -496,6 +507,21 @@ class TestFailureModes:
         assert "error: skf:" in err
         assert "--method aggregate" in err and "--method pruned" in err
 
+    def test_fixed_gain_over_capacity_enumerates_nothing(self, scenario_file,
+                                                        capsys):
+        # without a switching filter the fixed-gain tree checks its own cap
+        filters = [{"kind": "single-mode", "mode": 1},
+                   {"kind": "single-mode", "mode": 2}, {"kind": "average"}]
+        path = scenario_file(chain=NONUNIFORM, horizon=21, filters=filters)
+        with mock.patch.object(enumeration, "_advance",
+                               wraps=enumeration._advance) as advance:
+            assert main(["analyze", "--scenario", path,
+                         "--method", "exact"]) == 3
+        assert advance.call_count == 0
+        err = capsys.readouterr().err
+        assert "error: kf-mode-1, kf-mode-2, average-kf: " in err
+        assert "2^21 trajectories" in err and "--method aggregate" in err
+
     def test_pruned_requires_a_budget(self, scenario_file, capsys):
         assert main(["analyze", "--scenario", scenario_file(),
                      "--method", "pruned"]) == 3
@@ -605,6 +631,97 @@ class TestFailureModes:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.strip() == __version__
+
+
+DROP = object()
+PLANAR = {"modes": [{"A": [[0.9, 0.0], [0.0, 0.9]],
+                     "Q": [[0.01, 0.005], [0.0, 0.01]]}] * 2,
+          "meas": {"H": [[1.0, 0.0]], "R": [[0.01]]},
+          "init": {"mean": [1.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}
+
+
+class TestInputRejection:
+    """Each malformed scenario exits 2 before any analysis, with one
+    ``error: scenario...`` line naming the object at fault."""
+
+    @pytest.mark.parametrize("override, named", [
+        ({"detection": {"p_d": "high"}},
+         "scenario.detection: p_d must be a real number, got 'high'"),
+        ({"detection": {"p_d": None}},
+         "scenario.detection: p_d must be a real number, got None"),
+        ({"tolerances": {"sym_tol": "x"}},
+         "scenario.tolerances: sym_tol must be a real number, got 'x'"),
+        ({"filters": [{"kind": "single-mode", "mode": "1"}]},
+         "scenario.filters[0]: mode must be an integer, got '1'"),
+        ({"filters": [{"kind": "single-mode", "mode": 1.5}]},
+         "scenario.filters[0]: mode must be an integer, got 1.5"),
+        ({"filters": [{"kind": "skf"}, {"kind": "single-mode", "mode": True}]},
+         "scenario.filters[1]: mode must be an integer, got True"),
+        ({"filters": [{"kind": "skf", "label": 3}]},
+         "scenario.filters[0]: label must be a string, got 3"),
+        ({"schema_version": True},
+         "scenario: unsupported schema_version True"),
+        ({"horizon": 6.0}, "scenario: horizon must be an integer, got 6.0"),
+        ({"seed": False}, "scenario: seed must be an integer, got False"),
+        ({"horizon": DROP}, "scenario: missing required key 'horizon'"),
+        ({"meas": {"H": [[1.0]]}}, "scenario.meas: missing required key 'R'"),
+        ({"chain": [[0.5, 0.5], [0.5, 0.5]]}, "scenario.chain: expected an "
+                                              "object"),
+        ({"modes": [{"A": [[0.9]], "Q": [[0.01]]}, "mode"]},
+         "scenario.modes[1]: expected an object"),
+        ({"modes": []}, "scenario.modes: expected a non-empty list"),
+        ({"filters": []}, "scenario.filters: expected a non-empty list"),
+        ({"modes": [{"A": [[0.9, 0.1], [0.2]], "Q": [[0.01]]}]},
+         "scenario.modes[0]: A must be a rectangular array of real numbers, "
+         "got entry [0.9, 0.1]"),
+        ({"modes": [{"A": [[True]], "Q": [[0.01]]}] * 2},
+         "scenario.modes[0]: A must be a rectangular array of real numbers, "
+         "got entry True"),
+        ({"chain": {"Z": [[0.5, 0.5], [0.5, 0.5]], "prior": [0.5, None]}},
+         "scenario.chain: prior must be a rectangular array of real "
+         "numbers, got entry None"),
+        ({"init": {"mean": [1.0], "cov": [[[1.0]]]}},
+         "scenario.init: cov shape (1, 1, 1) does not match mean length 1"),
+        ({"modes": [{"A": [[0.9]], "Q": [[0.01]]},
+                    {"A": [[0.46]], "Q": [[0.01, 0.0]]}]},
+         "scenario.modes[1]: Q shape (1, 2) does not match A shape (1, 1)"),
+        ({"chain": {"Z": [[0.5, 0.5], [0.5, 0.5]], "prior": [1.0]}},
+         "scenario.chain: prior length 1 does not match Z dimension 2"),
+        ({"meas": {"H": [[1.0], [1.0]], "R": [[0.01]]}},
+         "scenario.meas: R dimension 1 does not match measurement count 2"),
+        ({"filters": [{"kind": "ukf"}]},
+         "scenario.filters[0]: unknown filter kind 'ukf'"),
+        ({"filters": [{"kind": "single-mode"}]},
+         "scenario.filters[0]: single-mode filter spec requires a mode index"),
+        ({"modes": [{"A": [[0.9]], "Q": [[0.01]]}, PLANAR["modes"][0]]},
+         "[state-dim-mismatch] modes[2]: state dimension 2 != 1"),
+        ({"chain": {"Z": [[1.5, -0.5], [0.5, 0.5]], "prior": [0.5, 0.5]}},
+         "[probability-range] chain.Z"),
+        (PLANAR, "[Q-symmetric] modes[1].Q"),
+    ], ids=["p_d-string", "p_d-null", "sym_tol-string", "mode-string",
+            "mode-float", "mode-bool", "label-int", "schema_version-bool",
+            "horizon-float", "seed-bool", "missing-horizon", "missing-R",
+            "chain-list", "modes-entry-string", "no-modes", "no-filters",
+            "ragged-A", "A-bool-entry", "prior-null-entry", "cov-3d",
+            "Q-shape", "prior-length", "R-shape", "unknown-kind",
+            "single-mode-no-mode", "mode-dimension", "Z-range",
+            "Q-asymmetric"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_rejected_with_its_reason(self, tmp_path, capsys, command,
+                                      override, named):
+        data = {key: value for key, value in scenario_dict(**override).items()
+                if value is not DROP}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with mock.patch.object(cli, "filter_bank") as bank:
+            assert main([command, "--scenario", str(path)]) == 2
+        assert bank.call_count == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert [line.startswith("error: scenario") for line in lines] == \
+            [True] + [False] * (len(lines) - 1)
+        assert named in captured.err
 
 
 class TestDivergentFilterBank:

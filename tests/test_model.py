@@ -1,5 +1,7 @@
 """Model types, validation, and mode-marginal arithmetic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -15,6 +17,7 @@ from slds_mse import (
     MseSeries,
     Scenario,
     SldsModel,
+    Tolerances,
     mode_marginal_series,
     validate_model,
     validate_scenario,
@@ -193,9 +196,42 @@ class TestTypes:
     def test_detection_model_defaults(self):
         det = DetectionModel(0.9)
         assert det.p_d == 0.9
-        assert det.confusion == "uniform-over-wrong-modes"
-        with pytest.raises(ValueError):
-            DetectionModel(0.9, confusion="nonsense")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DetectionModel("0.9"), "p_d must be a real number"),
+        (lambda: DetectionModel(True), "p_d must be a real number"),
+        (lambda: Tolerances(psd_tol=None), "psd_tol must be a real number"),
+        (lambda: FilterSpec("single-mode", 1.0), "mode must be an integer"),
+        (lambda: FilterSpec("average", np.bool_(True)),
+         "mode must be an integer"),
+        (lambda: FilterSpec("skf", label=None), "label must be a string"),
+        (lambda: ModeModel(np.eye(2) > 0, np.eye(2)),
+         "A must be a .* got entry True"),
+        (lambda: GaussianBelief([1.0, "2"], np.eye(2)),
+         "mean must be a .* got entry '2'"),
+        (lambda: MarkovChain([[1.0], [0.5, 0.5]], [1.0]),
+         "Z must be a rectangular array of real numbers, got entry"),
+    ])
+    def test_types_are_checked(self, make, message):
+        with pytest.raises(TypeError, match=message):
+            make()
+
+    @pytest.mark.parametrize("name", ["horizon", "mc_samples", "seed"])
+    @pytest.mark.parametrize("value", [3.7, 3.0, True, "3", None])
+    def test_scenario_integers_are_checked(self, bench, name, value):
+        sc = Scenario(bench, 5, DetectionModel(0.9), [FilterSpec("skf")])
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            dataclasses.replace(sc, **{name: value})
+
+    def test_numpy_scalars_become_python_scalars(self, bench):
+        sc = Scenario(bench, np.int64(5), DetectionModel(np.float32(0.5)),
+                      [FilterSpec("single-mode", np.int32(2))],
+                      mc_samples=np.uint16(9),
+                      tolerances=Tolerances(np.float64(1e-8), 0))
+        assert (sc.horizon, sc.mc_samples, sc.filters[0].mode) == (5, 9, 2)
+        assert type(sc.horizon) is type(sc.filters[0].mode) is int
+        assert sc.detection.p_d == 0.5 and type(sc.detection.p_d) is float
+        assert type(sc.tolerances.psd_tol) is float
 
     def test_dimensions(self, bench):
         assert bench.r == 2
