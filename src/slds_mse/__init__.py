@@ -26,20 +26,15 @@ from .model import (
 )
 from .kalman import (
     FilterBank,
-    GainSchedule,
     InnovationSolveError,
-    KalmanStepOutput,
     as_mode_sequence,
     average_filter_modes,
     filter_bank,
     gain_schedule,
-    kf_predict,
-    kf_update,
-    mode_schedules,
 )
-from .mismatch import ErrorMoments, mismatch_step
 from .enumeration import (
     EnumerationCapError,
+    ErrorMoments,
     mismatch_series,
     pruned_moments,
     single_mode_slds_moments,

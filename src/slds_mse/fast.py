@@ -49,10 +49,10 @@ from .kalman import (
     FilterBank,
     ModeLike,
     _mode_dynamics,
+    _riccati,
     as_mode_sequence,
     filter_bank,
     gain_schedule,
-    mode_schedules,
 )
 
 METRICS = ("mean", "max", "final")
@@ -246,14 +246,13 @@ def _filter_rows(model: SldsModel, det: Optional[DetectionModel],
     switching filter under ``det`` on the r mode rows, or of the fixed
     filter ``filt`` on its one row."""
     if filt is None:
-        K = [s.gains for s in mode_schedules(model, n_steps)]
-        A_f = _mode_dynamics(model, n_steps)[0]
+        A_f, Q_f = _mode_dynamics(model, n_steps)
+        K, _ = _riccati(A_f, Q_f, model.meas, model.init.cov)
     else:
-        K = [gain_schedule(filt, model.meas, model.init, n_steps).gains]
+        K = gain_schedule(filt, model.meas, model.init, n_steps)[0][None]
         A_f = np.reshape([mode.A for mode in as_mode_sequence(filt, n_steps)],
                          (1, n_steps, model.z, model.z))
-    return (A_f, np.reshape(K, (len(K), n_steps, model.z, model.m)),
-            _branch_weights(model.r, det, filt is None))
+    return A_f, K, _branch_weights(model.r, det, filt is None)
 
 
 def _filter_moments(model: SldsModel, det: Optional[DetectionModel],
@@ -348,7 +347,7 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
     # Pairs share H, R and P0, so mode j's schedule is row j of the full
     # model's.  One bank pass runs every pair's SKF and its two KFs.
     members = np.array(list(itertools.combinations(range(model.r), 2)))
-    gains = np.array([s.gains for s in mode_schedules(model, n_steps)])
+    gains = _filter_rows(model, det, n_steps, None)[1]
     A, Q = (m[:, 0][members] for m in _mode_dynamics(model, 1))
     W = (_branch_weights(2, det, True), np.array([[1.0, 0.0]] * 2),
          np.array([[0.0, 1.0]] * 2))

@@ -1,17 +1,15 @@
-"""Kalman filter operator and per-mode gain schedules.
+"""Riccati gain schedules and the filter bank.
 
-Prediction and measurement update for a linear-Gaussian model::
+The covariance recursion of a Kalman filter on a linear-Gaussian model::
 
-    x_pred = A @ x
     P_pred = A @ P @ A.T + Q
     B      = H @ P_pred @ H.T + R          (innovation covariance)
     K      = P_pred @ H.T @ inv(B)         (computed via a PD solve)
-    x_post = x_pred + K @ (y - H @ x_pred)
     P_post = (I - K @ H) @ P_pred
 
-The covariance recursion never touches the data, so the whole gain
-sequence K_1..K_N for a filter model can be computed up front; downstream
-error analysis consumes only those schedules.
+never touches the data, so the whole gain sequence K_1..K_N for a filter
+model can be computed up front; downstream error analysis consumes only
+those schedules.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .model import (
     ModeModel,
     SldsModel,
     mode_marginal_series,
-    symmetrize,
 )
 
 ModeLike = Union[ModeModel, Sequence[ModeModel]]
@@ -40,65 +37,6 @@ class InnovationSolveError(RuntimeError):
     def __init__(self, message: str, condition: float):
         super().__init__(f"{message} (condition estimate {condition:.3e})")
         self.condition = condition
-
-
-@dataclass(frozen=True)
-class KalmanStepOutput:
-    """Everything one predict/update cycle produces."""
-
-    predicted: GaussianBelief
-    posterior: GaussianBelief
-    gain: np.ndarray
-    innovation_cov: np.ndarray
-
-
-@dataclass(frozen=True)
-class GainSchedule:
-    """Gains K_1..K_N and posterior covariances P_1..P_N of one filter."""
-
-    gains: tuple
-    covariances: tuple
-
-    def __len__(self) -> int:
-        return len(self.gains)
-
-
-def kf_predict(belief: GaussianBelief, mode: ModeModel) -> GaussianBelief:
-    """Time update: push a belief through one mode's dynamics."""
-    if mode.z != belief.z:
-        raise ValueError(f"mode dimension {mode.z} != belief dimension {belief.z}")
-    mean = mode.A @ belief.mean
-    cov = symmetrize(mode.A @ belief.cov @ mode.A.T + mode.Q)
-    return GaussianBelief(mean, cov)
-
-
-def kf_update(predicted: GaussianBelief, meas: MeasurementModel,
-              y: np.ndarray, joseph: bool = False) -> KalmanStepOutput:
-    """Measurement update.
-
-    The gain comes from ``_gain_step``, the Riccati kernel's own solve,
-    and ``_check_innovations`` vets its innovation covariance, so
-    iterating ``kf_predict``/``kf_update`` reproduces ``gain_schedule``
-    bit for bit.  ``joseph=True`` switches the covariance update to the
-    Joseph form, which is algebraically identical for the optimal gain
-    but more tolerant of rounding.
-    """
-    H, R = meas.H, meas.R
-    if meas.z != predicted.z:
-        raise ValueError(f"measurement model expects state dimension "
-                         f"{meas.z}, belief has {predicted.z}")
-    y = np.asarray(y, dtype=float).reshape(H.shape[0])
-    P = predicted.cov
-    B, K = _gain_step(meas, P)
-    _check_innovations(B)
-    mean = predicted.mean + K @ (y - H @ predicted.mean)
-    ikh = np.eye(P.shape[0]) - K @ H
-    if joseph:
-        cov = ikh @ P @ ikh.T + K @ R @ K.T
-    else:
-        cov = ikh @ P
-    posterior = GaussianBelief(mean, symmetrize(cov))
-    return KalmanStepOutput(predicted, posterior, K, B)
 
 
 def as_mode_sequence(modes: ModeLike, n_steps: int) -> list[ModeModel]:
@@ -196,8 +134,10 @@ def _riccati(A: np.ndarray, Q: np.ndarray, meas: MeasurementModel,
 
 
 def gain_schedule(mode: ModeLike, meas: MeasurementModel,
-                  init: GaussianBelief, n_steps: int) -> GainSchedule:
-    """Run the covariance recursion for ``n_steps`` and collect the gains.
+                  init: GaussianBelief, n_steps: int,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (N, z, m) and posterior covariances (N, z, z) of one filter
+    over ``n_steps``.
 
     ``mode`` may be a single :class:`ModeModel` or a per-step sequence
     (used for the average filter, whose dynamics follow the mode
@@ -207,7 +147,7 @@ def gain_schedule(mode: ModeLike, meas: MeasurementModel,
     A = np.array([[step.A for step in steps]])
     Q = np.array([[step.Q for step in steps]])
     gains, covs = _riccati(A, Q, meas, init.cov)
-    return GainSchedule(tuple(gains[0]), tuple(covs[0]))
+    return gains[0], covs[0]
 
 
 def _average_dynamics(model: SldsModel, n_steps: int,
@@ -237,18 +177,6 @@ def _mode_dynamics(model: SldsModel, n_steps: int,
     return tuple(np.broadcast_to(np.stack(mats)[:, None], shape) for mats in
                  ([mode.A for mode in model.modes],
                   [mode.Q for mode in model.modes]))
-
-
-def mode_schedules(model: SldsModel, n_steps: int) -> list[GainSchedule]:
-    """Standalone gain schedule of each mode's own filter (shared P0).
-
-    All modes share the measurement model and the initial covariance, so
-    the r recursions run as one batched Riccati iteration; row j equals
-    ``gain_schedule(model.modes[j], ...)`` bit for bit.
-    """
-    gains, covs = _riccati(*_mode_dynamics(model, n_steps), model.meas,
-                           model.init.cov)
-    return [GainSchedule(tuple(g), tuple(c)) for g, c in zip(gains, covs)]
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,14 @@ class Scenario:
 
     def __post_init__(self):
         _set(self, "filters", tuple(self.filters))
+        checks = [("model", self.model, SldsModel),
+                  ("detection", self.detection, DetectionModel)]
+        checks += [(f"filters[{k}]", spec, FilterSpec)
+                   for k, spec in enumerate(self.filters)]
+        for name, value, kind in checks:
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be of type {kind.__name__}, "
+                                f"got {value!r}")
         for name in ("horizon", "mc_samples", "seed"):
             _scalar(self, name, int)
 

@@ -114,7 +114,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioFormatError("scenario: missing required key "
                                   "'schema_version'")
     version = data["schema_version"]
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioFormatError(
             f"scenario: unsupported schema_version {version!r}, "
             f"this reader handles {SCHEMA_VERSION}")

@@ -1,7 +1,12 @@
-"""Shared model builders for the test suite, and the brute-force
-trajectory probabilities that the enumeration oracles weigh paths by."""
+"""Shared model builders for the test suite, and the independent
+oracles the library is checked against: the step-by-step Kalman filter
+(``kf_predict``/``kf_update``), the one-step error-moment recursion of a
+mismatched filter (``mismatch_step``), and the brute-force trajectory
+probabilities that the enumeration oracles weigh paths by."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -18,6 +23,8 @@ from slds_mse import (
     ModeModel,
     SldsModel,
 )
+from slds_mse.kalman import _check_innovations, _gain_step
+from slds_mse.model import symmetrize
 
 # The two-mode benchmark used throughout: scaled-identity dynamics
 # (a fast mode 0.9 and a slow mode 0.46), identity measurements, equal
@@ -155,3 +162,119 @@ def detection_prob(truth: Sequence[int], detected: Sequence[int],
                 raise ValueError("false detection impossible with a single mode")
             p *= (1.0 - det.p_d) / (r - 1)
     return float(p)
+
+
+@dataclass(frozen=True)
+class KalmanStepOutput:
+    """Everything one predict/update cycle produces."""
+
+    predicted: GaussianBelief
+    posterior: GaussianBelief
+    gain: np.ndarray
+    innovation_cov: np.ndarray
+
+
+def kf_predict(belief: GaussianBelief, mode: ModeModel) -> GaussianBelief:
+    """Time update: push a belief through one mode's dynamics."""
+    if mode.z != belief.z:
+        raise ValueError(f"mode dimension {mode.z} != belief dimension {belief.z}")
+    mean = mode.A @ belief.mean
+    cov = symmetrize(mode.A @ belief.cov @ mode.A.T + mode.Q)
+    return GaussianBelief(mean, cov)
+
+
+def kf_update(predicted: GaussianBelief, meas: MeasurementModel,
+              y: np.ndarray, joseph: bool = False) -> KalmanStepOutput:
+    """Measurement update.
+
+    The gain comes from ``_gain_step``, the Riccati kernel's own solve,
+    and ``_check_innovations`` vets its innovation covariance, so
+    iterating ``kf_predict``/``kf_update`` reproduces ``gain_schedule``
+    bit for bit.  ``joseph=True`` switches the covariance update to the
+    Joseph form, which is algebraically identical for the optimal gain
+    but more tolerant of rounding.
+    """
+    H, R = meas.H, meas.R
+    if meas.z != predicted.z:
+        raise ValueError(f"measurement model expects state dimension "
+                         f"{meas.z}, belief has {predicted.z}")
+    y = np.asarray(y, dtype=float).reshape(H.shape[0])
+    P = predicted.cov
+    B, K = _gain_step(meas, P)
+    _check_innovations(B)
+    mean = predicted.mean + K @ (y - H @ predicted.mean)
+    ikh = np.eye(P.shape[0]) - K @ H
+    if joseph:
+        cov = ikh @ P @ ikh.T + K @ R @ K.T
+    else:
+        cov = ikh @ P
+    posterior = GaussianBelief(mean, symmetrize(cov))
+    return KalmanStepOutput(predicted, posterior, K, B)
+
+
+def mismatch_step(prev: ErrorMoments, truth: ModeModel, filt: ModeModel,
+                  meas: MeasurementModel, gain: np.ndarray) -> ErrorMoments:
+    """Advance the error moments of a Kalman filter running the wrong
+    dynamics by one step.
+
+    Let the truth evolve with (A, Q) while the filter assumes (Ad, Qd) and
+    therefore uses the gain K of its own covariance recursion.  With
+    B = I - K @ H, the estimation error e_n = x_n - xhat_n obeys the
+    linear recursion::
+
+        e_n = B (A - Ad) x_{n-1} + B Ad e_{n-1} + B v_n - K w_n
+
+    which is itself a state-space model driven by the true state.  Its
+    first two moments therefore close recursively once we also track
+    E[x], C(x) and the cross-covariance u_n = Cov(xhat_n, x_n)::
+
+        E[e_n]  = B (A - Ad) E[x_{n-1}] + B Ad E[e_{n-1}]
+        u_n     = B Ad u_{n-1} A.T + K H A C(x_{n-1}) A.T + K H Q
+        C(e_n)  = J C(x_{n-1}) J.T + M C(e_{n-1}) M.T + S + S.T
+                  + B Q B.T + K R K.T
+
+    with J = B (A - Ad), M = B Ad, and the cross term
+    S = J Cov(x_{n-1}, e_{n-1}) M.T where Cov(x, e) = C(x) - u.T.  The
+    orientation of u in the cross term matters; this one makes the
+    matched case collapse exactly to the filter covariance and agrees
+    with Monte Carlo.  When the filter is matched (Ad = A, Qd = Q) the
+    input term vanishes, the error stays zero-mean and C(e_n) reproduces
+    P_{n|n} exactly.
+
+    It is written independently of the lifted-moment kernel
+    (``slds_mse.fast._joint_factors``), so it is that kernel's oracle.
+    ``gain`` is the filter's gain for this step, normally taken from
+    ``gain_schedule`` on the filter model.  ``truth`` supplies the
+    dynamics the state actually followed this step.
+    """
+    H, R = meas.H, meas.R
+    K = np.asarray(gain, dtype=float)
+    if K.shape != (truth.z, H.shape[0]):
+        raise ValueError(f"gain shape {K.shape} does not match "
+                         f"({truth.z}, {H.shape[0]})")
+    B = np.eye(truth.z) - K @ H
+    M = B @ filt.A
+    J = B @ (truth.A - filt.A)
+
+    e_mean = J @ prev.x_mean + M @ prev.e_mean
+    x_mean = truth.A @ prev.x_mean
+
+    cross_xe = prev.x_cov - prev.u.T          # Cov(x_{n-1}, e_{n-1})
+    S = J @ cross_xe @ M.T
+    e_cov = (J @ prev.x_cov @ J.T + M @ prev.e_cov @ M.T + S + S.T
+             + B @ truth.Q @ B.T + K @ R @ K.T)
+
+    KH = K @ H
+    u = (M @ prev.u @ truth.A.T
+         + KH @ truth.A @ prev.x_cov @ truth.A.T
+         + KH @ truth.Q)
+    x_cov = truth.A @ prev.x_cov @ truth.A.T + truth.Q
+
+    return ErrorMoments(
+        e_mean=e_mean,
+        e_cov=symmetrize(e_cov),
+        x_mean=x_mean,
+        x_cov=symmetrize(x_cov),
+        u=u,
+        step=prev.step + 1,
+    )

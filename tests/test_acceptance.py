@@ -118,11 +118,11 @@ def test_criterion_3_matched_filter_exactness():
             spd_matrix(rng, z, 0.05))
         init = GaussianBelief(rng.standard_normal(z), spd_matrix(rng, z, 0.5))
         moments, _ = mismatch_series(truth, truth, meas, init, 50)
-        schedule = gain_schedule(truth, meas, init, 50)
+        _, covs = gain_schedule(truth, meas, init, 50)
         for n in range(1, 51):
             worst_mean = max(worst_mean,
                              float(np.linalg.norm(moments[n].e_mean)))
-            gap = moments[n].e_cov - schedule.covariances[n - 1]
+            gap = moments[n].e_cov - covs[n - 1]
             worst_cov = max(worst_cov, float(np.linalg.norm(gap)))
     ok = worst_mean <= 1e-9 and worst_cov <= 1e-8
     report(3, ok,

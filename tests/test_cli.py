@@ -661,6 +661,8 @@ class TestInputRejection:
          "scenario.filters[0]: label must be a string, got 3"),
         ({"schema_version": True},
          "scenario: unsupported schema_version True"),
+        ({"schema_version": 1.0},
+         "scenario: unsupported schema_version 1.0"),
         ({"horizon": 6.0}, "scenario: horizon must be an integer, got 6.0"),
         ({"seed": False}, "scenario: seed must be an integer, got False"),
         ({"horizon": DROP}, "scenario: missing required key 'horizon'"),
@@ -700,7 +702,8 @@ class TestInputRejection:
         (PLANAR, "[Q-symmetric] modes[1].Q"),
     ], ids=["p_d-string", "p_d-null", "sym_tol-string", "mode-string",
             "mode-float", "mode-bool", "label-int", "schema_version-bool",
-            "horizon-float", "seed-bool", "missing-horizon", "missing-R",
+            "schema_version-float", "horizon-float", "seed-bool",
+            "missing-horizon", "missing-R",
             "chain-list", "modes-entry-string", "no-modes", "no-filters",
             "ragged-A", "A-bool-entry", "prior-null-entry", "cov-3d",
             "Q-shape", "prior-length", "R-shape", "unknown-kind",

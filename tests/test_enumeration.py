@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import (bimodal_model, detection_prob, initial_moments,
-                     random_model, single_mode_model, trajectory_prob)
+                     mismatch_step, random_model, single_mode_model,
+                     trajectory_prob)
 from slds_mse import cli, enumeration, fast
 from slds_mse import (
     DetectionModel,
@@ -23,8 +24,6 @@ from slds_mse import (
     dumps_scenario,
     gain_schedule,
     load_scenario,
-    mismatch_step,
-    mode_schedules,
     pruned_moments,
     single_mode_slds_moments,
     skf_slds_moments,
@@ -57,7 +56,7 @@ def brute_single(model, filt, n_steps, rng=None):
     with mismatch_step directly.  Optionally visits trajectories in a
     shuffled order so agreement with the engine also proves order
     invariance of the aggregation."""
-    sched = gain_schedule(filt, model.meas, model.init, n_steps)
+    gains, _ = gain_schedule(filt, model.meas, model.init, n_steps)
     seqs = list(itertools.product(range(1, model.r + 1), repeat=n_steps))
     if rng is not None:
         rng.shuffle(seqs)
@@ -67,7 +66,7 @@ def brute_single(model, filt, n_steps, rng=None):
         states = [state]
         for k, mode_idx in enumerate(seq):
             state = mismatch_step(state, model.modes[mode_idx - 1], filt,
-                                  model.meas, sched.gains[k])
+                                  model.meas, gains[k])
             states.append(state)
         runs.append((trajectory_prob(model.chain, seq), states))
     return mixture(runs)
@@ -79,7 +78,8 @@ def brute_skf(model, det, n_steps, rng=None, diagonal_only=False,
     sequence pairs weighted by trajectory_prob times detection_prob.
     ``detected_path`` takes the gains from the filter's own Riccati run
     along each detected sequence instead of the per-mode schedules."""
-    scheds = mode_schedules(model, n_steps)
+    scheds = [gain_schedule(mode, model.meas, model.init, n_steps)[0]
+              for mode in model.modes]
     seqs = list(itertools.product(range(1, model.r + 1), repeat=n_steps))
     pairs = [(l, q) for l in seqs for q in seqs
              if not diagonal_only or l == q]
@@ -93,13 +93,13 @@ def brute_skf(model, det, n_steps, rng=None, diagonal_only=False,
         if w == 0.0:
             continue
         if detected_path:
-            path = gain_schedule([model.modes[j - 1] for j in det_seq],
-                                 model.meas, model.init, n_steps)
+            path, _ = gain_schedule([model.modes[j - 1] for j in det_seq],
+                                    model.meas, model.init, n_steps)
         state = initial_moments(model.init)
         states = [state]
         for k in range(n_steps):
             i, j = truth_seq[k] - 1, det_seq[k] - 1
-            gain = path.gains[k] if detected_path else scheds[j].gains[k]
+            gain = path[k] if detected_path else scheds[j][k]
             state = mismatch_step(state, model.modes[i], model.modes[j],
                                   model.meas, gain)
             states.append(state)
@@ -234,10 +234,10 @@ class TestExactMoments:
         # reproduce the one-step mismatched-filter recursion.
         model = bimodal_model(z=2, prior=(1.0, 0.0), rows=np.eye(2))
         series, _ = single_mode_slds_moments(model, model.modes[1], 8)
-        sched = gain_schedule(model.modes[1], model.meas, model.init, 8)
+        gains, _ = gain_schedule(model.modes[1], model.meas, model.init, 8)
         state = initial_moments(model.init)
         direct = [state.mse]
-        for gain in sched.gains:
+        for gain in gains:
             state = mismatch_step(state, model.modes[0], model.modes[1],
                                   model.meas, gain)
             direct.append(state.mse)
@@ -246,9 +246,9 @@ class TestExactMoments:
     def test_one_mode_skf_is_matched_filter(self):
         model = single_mode_model(z=2)
         series, moments = skf_slds_moments(model, DetectionModel(0.3), 10)
-        sched = gain_schedule(model.modes[0], model.meas, model.init, 10)
+        _, covs = gain_schedule(model.modes[0], model.meas, model.init, 10)
         for n in range(1, 11):
-            assert_allclose(series.mse[n], np.trace(sched.covariances[n - 1]),
+            assert_allclose(series.mse[n], np.trace(covs[n - 1]),
                             atol=1e-12)
             assert_allclose(moments[n].e_mean, np.zeros(2), atol=1e-12)
 
@@ -263,12 +263,12 @@ class TestExactMoments:
 
     def test_indistinguishable_modes_equal_matched_filter(self):
         model = bimodal_model(z=2, a_values=(0.7, 0.7))
-        sched = gain_schedule(model.modes[0], model.meas, model.init, 6)
+        _, covs = gain_schedule(model.modes[0], model.meas, model.init, 6)
         for p_d in (0.4, 1.0):
             series, _ = skf_slds_moments(model, DetectionModel(p_d), 6)
             for n in range(1, 7):
-                assert_allclose(series.mse[n],
-                                np.trace(sched.covariances[n - 1]), atol=1e-12)
+                assert_allclose(series.mse[n], np.trace(covs[n - 1]),
+                                atol=1e-12)
 
     def test_exact_mass_is_one(self, rng):
         scalar = bimodal_model(z=1)

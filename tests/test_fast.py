@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from helpers import (
     bimodal_model,
     filter_specs,
+    mismatch_step,
     random_model,
     single_mode_model,
     spd_matrix,
@@ -32,7 +33,6 @@ from slds_mse import (
     merge_clusters,
     merge_recommendation,
     merged_mode,
-    mismatch_step,
     pair_model,
     single_mode_slds_moments,
     skf_slds_moments,
@@ -123,10 +123,10 @@ class TestAggregateEquivalence:
 
     def test_one_mode_reduces_to_matched_filter(self):
         model = single_mode_model(z=2)
-        sched = gain_schedule(model.modes[0], model.meas, model.init, 12)
+        _, covs = gain_schedule(model.modes[0], model.meas, model.init, 12)
         fast = aggregate_series(model, DetectionModel(0.2), 12)
         for n in range(1, 13):
-            assert_allclose(fast.mse[n], np.trace(sched.covariances[n - 1]),
+            assert_allclose(fast.mse[n], np.trace(covs[n - 1]),
                             atol=1e-12)
 
     def test_identical_modes_have_zero_bias(self):

@@ -1,12 +1,21 @@
-"""Kalman prediction/update steps, gain schedules, and the average filter."""
+"""Gain schedules, the filter bank and the average filter, checked
+against the step-by-step Kalman filter of ``helpers``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import bimodal_model, random_mode, random_model, spd_matrix
+from helpers import (
+    bimodal_model,
+    kf_predict,
+    kf_update,
+    random_mode,
+    random_model,
+    spd_matrix,
+)
 from slds_mse import (
+    DetectionModel,
     FilterSpec,
     GaussianBelief,
     InnovationSolveError,
@@ -14,15 +23,15 @@ from slds_mse import (
     MeasurementModel,
     ModeModel,
     SldsModel,
+    aggregate_series,
     as_mode_sequence,
     average_filter_modes,
     filter_bank,
     gain_schedule,
-    kf_predict,
-    kf_update,
     mode_marginal_series,
-    mode_schedules,
 )
+from slds_mse.fast import _filter_rows
+from slds_mse.kalman import _mode_dynamics, _riccati
 
 
 def scalar_mode(a, q):
@@ -132,12 +141,10 @@ class TestSteps:
 
 class TestSchedules:
     def test_schedule_length_and_first_entries(self, bench):
-        sched = gain_schedule(bench.modes[0], bench.meas, bench.init, 7)
-        assert len(sched) == 7
-        assert len(sched.gains) == 7
-        assert len(sched.covariances) == 7
-        assert_allclose(sched.gains[0], (0.82 / 0.83) * np.eye(4), atol=1e-12)
-        assert_allclose(sched.covariances[0], (0.82 * 0.01 / 0.83) * np.eye(4),
+        gains, covs = gain_schedule(bench.modes[0], bench.meas, bench.init, 7)
+        assert gains.shape == covs.shape == (7, 4, 4)
+        assert_allclose(gains[0], (0.82 / 0.83) * np.eye(4), atol=1e-12)
+        assert_allclose(covs[0], (0.82 * 0.01 / 0.83) * np.eye(4),
                         atol=1e-12)
 
     def test_riccati_converges_for_stable_models(self, rng):
@@ -145,8 +152,8 @@ class TestSchedules:
             mode = random_mode(rng, 2)
             meas = MeasurementModel(np.eye(2), spd_matrix(rng, 2, 0.1))
             init = GaussianBelief(np.zeros(2), spd_matrix(rng, 2, 1.0))
-            sched = gain_schedule(mode, meas, init, 60)
-            traces = np.array([np.trace(c) for c in sched.covariances])
+            _, covs = gain_schedule(mode, meas, init, 60)
+            traces = np.trace(covs, axis1=1, axis2=2)
             deltas = np.abs(np.diff(traces))
             assert deltas[-1] < 1e-8
             # geometric settling after burn-in
@@ -162,22 +169,30 @@ class TestSchedules:
             as_mode_sequence(explicit, 4)
 
     def test_mode_schedules_match_individual(self, bench):
-        per_mode = mode_schedules(bench, 5)
-        assert len(per_mode) == 2
+        # The switching filter runs one row per mode; row j is mode j's KF.
+        _, K, _ = _filter_rows(bench, DetectionModel(0.9), 5, None)
+        assert K.shape == (2, 5, 4, 4)
         for j in (0, 1):
-            single = gain_schedule(bench.modes[j], bench.meas, bench.init, 5)
+            gains, _ = gain_schedule(bench.modes[j], bench.meas, bench.init, 5)
             for k in range(5):
-                assert_array_equal(per_mode[j].gains[k], single.gains[k])
+                assert_array_equal(K[j, k], gains[k])
 
     def test_mode_schedule_rows_are_single_schedules_bitwise(self, rng):
-        # One batched Riccati loop serves both; a row of the batch must not
-        # depend on the other rows.
+        # The switching filter's r rows, the bank's first r rows and each
+        # mode's own schedule come from batched Riccati loops of different
+        # sizes; a row of a batch must not depend on the other rows.
         model = random_model(rng, 3, 3)
-        for j, row in enumerate(mode_schedules(model, 30)):
-            single = gain_schedule(model.modes[j], model.meas, model.init, 30)
-            assert_array_equal(np.stack(row.gains), np.stack(single.gains))
-            assert_array_equal(np.stack(row.covariances),
-                               np.stack(single.covariances))
+        A, Q = _mode_dynamics(model, 30)
+        gains, covs = _riccati(A, Q, model.meas, model.init.cov)
+        A_f, K, _ = _filter_rows(model, DetectionModel(0.9), 30, None)
+        bank = filter_bank(model, 30)
+        assert_array_equal(K, gains)
+        assert_array_equal(K, bank.gains[:3])
+        assert_array_equal(A_f, bank.A[:3])
+        for j, mode in enumerate(model.modes):
+            single = gain_schedule(mode, model.meas, model.init, 30)
+            assert_array_equal(gains[j], single[0])
+            assert_array_equal(covs[j], single[1])
 
     def test_filter_bank_rows_are_single_schedules_bitwise(self, rng):
         model = random_model(rng, 3, 3, uniform_rows=False,
@@ -186,8 +201,8 @@ class TestSchedules:
         filters = (*model.modes, average_filter_modes(model, 30))
         assert bank.A.shape == (4, 30, 3, 3)
         for j, filt in enumerate(filters):
-            single = gain_schedule(filt, model.meas, model.init, 30)
-            assert_array_equal(bank.gains[j], np.stack(single.gains))
+            gains, _ = gain_schedule(filt, model.meas, model.init, 30)
+            assert_array_equal(bank.gains[j], gains)
             assert_array_equal(bank.A[j], np.stack(
                 [mode.A for mode in as_mode_sequence(filt, 30)]))
 
@@ -202,13 +217,13 @@ class TestSchedules:
         model = random_model(rng, r, z, uniform_rows=False,
                              uniform_prior=False)
         for filt in (*model.modes, average_filter_modes(model, n_steps)):
-            sched = gain_schedule(filt, model.meas, model.init, n_steps)
+            gains, covs = gain_schedule(filt, model.meas, model.init, n_steps)
             belief = model.init
             for n, mode in enumerate(as_mode_sequence(filt, n_steps)):
                 out = kf_update(kf_predict(belief, mode), model.meas,
                                 rng.standard_normal(z))
-                assert_array_equal(out.gain, sched.gains[n])
-                assert_array_equal(out.posterior.cov, sched.covariances[n])
+                assert_array_equal(out.gain, gains[n])
+                assert_array_equal(out.posterior.cov, covs[n])
                 belief = out.posterior
 
     @pytest.mark.parametrize("mode", [0, -1, 4])
@@ -224,7 +239,7 @@ class TestSchedules:
         model = SldsModel((mode, mode), meas,
                           MarkovChain(np.full((2, 2), 0.5), [0.5, 0.5]), init)
         for run in (lambda: gain_schedule(mode, meas, init, 3),
-                    lambda: mode_schedules(model, 3),
+                    lambda: aggregate_series(model, DetectionModel(0.9), 3),
                     lambda: filter_bank(model, 3)):
             with pytest.raises(InnovationSolveError) as err:
                 run()
@@ -239,7 +254,8 @@ class TestSchedules:
                           MarkovChain(np.full((2, 2), 0.5), [0.5, 0.5]), init)
         for run, where in ((lambda: gain_schedule(huge, meas, init, 3),
                             "at step 1 of row 0"),
-                           (lambda: mode_schedules(model, 3),
+                           (lambda: aggregate_series(model,
+                                                     DetectionModel(0.9), 3),
                             "at step 1 of row 1"),
                            (lambda: filter_bank(model, 3),
                             "at step 1 of row 1")):
@@ -275,8 +291,8 @@ class TestSchedules:
 
     def test_schedule_accepts_per_step_modes(self, bench):
         seq = [bench.modes[0], bench.modes[1], bench.modes[0]]
-        sched = gain_schedule(seq, bench.meas, bench.init, 3)
-        assert len(sched) == 3
+        gains, covs = gain_schedule(seq, bench.meas, bench.init, 3)
+        assert len(gains) == len(covs) == 3
 
 
 class TestAverageFilter:

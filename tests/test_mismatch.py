@@ -4,7 +4,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import initial_moments, random_mode, random_model, spd_matrix
+from helpers import (
+    initial_moments,
+    mismatch_step,
+    random_mode,
+    random_model,
+    spd_matrix,
+)
 from slds_mse import (
     FilterSpec,
     GaussianBelief,
@@ -16,7 +22,6 @@ from slds_mse import (
     average_filter_modes,
     gain_schedule,
     mismatch_series,
-    mismatch_step,
     run_monte_carlo,
 )
 
@@ -80,11 +85,11 @@ class TestRecursion:
                                     spd_matrix(rng, z, 0.1))
             init = GaussianBelief(rng.standard_normal(z),
                                   spd_matrix(rng, z, 1.0))
-            sched = gain_schedule(truth, meas, init, 30)
+            _, covs = gain_schedule(truth, meas, init, 30)
             moments, _ = mismatch_series(truth, truth, meas, init, 30)
             for n in range(1, 31):
                 assert np.linalg.norm(moments[n].e_mean) <= 1e-12
-                gap = np.linalg.norm(moments[n].e_cov - sched.covariances[n - 1])
+                gap = np.linalg.norm(moments[n].e_cov - covs[n - 1])
                 assert gap <= 1e-10
 
     def test_equal_dynamics_means_zero_bias(self):
@@ -92,11 +97,11 @@ class TestRecursion:
         truth, _, meas, init = scalar_pair()
         filt = ModeModel(truth.A, np.array([[0.5]]))
         moments, _ = mismatch_series(truth, filt, meas, init, 10)
-        sched = gain_schedule(truth, meas, init, 10)
+        _, covs = gain_schedule(truth, meas, init, 10)
         for n in range(11):
             assert moments[n].e_mean[0] == 0.0
         # ...but its error covariance is worse than the matched filter's
-        assert moments[10].e_cov[0, 0] > sched.covariances[9][0, 0]
+        assert moments[10].e_cov[0, 0] > covs[9][0, 0]
 
     def test_error_mean_linear_in_initial_mean(self):
         truth, filt, meas, init = scalar_pair()
@@ -140,14 +145,14 @@ class TestRecursion:
         truth = model.modes[0]
         filt = (average_filter_modes(model, n_steps) if filt_index == 3
                 else model.modes[filt_index - 1])
-        sched = gain_schedule(filt, model.meas, model.init, n_steps)
+        gains, _ = gain_schedule(filt, model.meas, model.init, n_steps)
         moments, series = mismatch_series(truth, filt, model.meas,
                                           model.init, n_steps)
         state = initial_moments(model.init)
         fields = ("e_mean", "e_cov", "x_mean", "x_cov", "u")
         for n, mode in enumerate(as_mode_sequence(filt, n_steps), start=1):
             state = mismatch_step(state, truth, mode, model.meas,
-                                  sched.gains[n - 1])
+                                  gains[n - 1])
             got = moments[n]
             assert got.step == state.step == n
             # within 1e-12 of the step's RMS moment size

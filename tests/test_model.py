@@ -211,6 +211,14 @@ class TestTypes:
          "mean must be a .* got entry '2'"),
         (lambda: MarkovChain([[1.0], [0.5, 0.5]], [1.0]),
          "Z must be a rectangular array of real numbers, got entry"),
+        (lambda: Scenario(bimodal_model(), 5, None, ["skf"]),
+         "detection must be of type DetectionModel, got None"),
+        (lambda: Scenario(bimodal_model().modes, 5, DetectionModel(0.9),
+                          [FilterSpec("skf")]),
+         "model must be of type SldsModel, got"),
+        (lambda: Scenario(bimodal_model(), 5, DetectionModel(0.9),
+                          [FilterSpec("skf"), "skf"]),
+         r"filters\[1\] must be of type FilterSpec, got 'skf'"),
     ])
     def test_types_are_checked(self, make, message):
         with pytest.raises(TypeError, match=message):

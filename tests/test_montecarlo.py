@@ -17,6 +17,8 @@ from helpers import (
     bimodal_model,
     detection,
     filter_specs,
+    kf_predict,
+    kf_update,
     random_model,
     single_mode_model,
 )
@@ -33,9 +35,6 @@ from slds_mse import (
     average_filter_modes,
     filter_bank,
     gain_schedule,
-    kf_predict,
-    kf_update,
-    mode_schedules,
     run_monte_carlo,
 )
 from slds_mse.fast import _BLOCK
@@ -177,18 +176,16 @@ class TestFilterReplay:
         for spec in specs:
             if spec.kind == "skf":
                 filters = model.modes
-                schedules = mode_schedules(model, n_steps)
             else:
                 filters = [average_filter_modes(model, n_steps)
                            if spec.kind == "average"
                            else model.modes[spec.mode - 1]]
-                schedules = [gain_schedule(filters[0], model.meas,
-                                           model.init, n_steps)]
-            for filt, schedule in zip(filters, schedules):
+            for filt in filters:
+                gains, _ = gain_schedule(filt, model.meas, model.init,
+                                         n_steps)
                 want_M.append([mode.A - gain @ (H @ mode.A) for mode, gain in
-                               zip(as_mode_sequence(filt, n_steps),
-                                   schedule.gains)])
-                want_K.append(schedule.gains)
+                               zip(as_mode_sequence(filt, n_steps), gains)])
+                want_K.append(gains)
         assert_array_equal(M, np.array(want_M))
         assert_array_equal(K, np.array(want_K))
 
@@ -469,14 +466,14 @@ class TestStatisticalAgreement:
     def test_matched_filter_moments(self, lgss):
         run = run_monte_carlo(lgss, [FilterSpec("single-mode", 1)], None,
                               6, 40_000, seed=5)[0]
-        schedule = gain_schedule(lgss.modes[0], lgss.meas, lgss.init, 6)
+        _, covs = gain_schedule(lgss.modes[0], lgss.meas, lgss.init, 6)
         mean, mean_se = run.mean(), run.mean_stderr()
         var, var_se = run.var(), run.var_stderr()
         assert abs(var[0] - lgss.init.cov[0, 0]) < 4.0 * var_se[0]
         for n in range(1, 7):
             # matched KF: error mean zero, error variance the posterior P
             assert abs(mean[n, 0]) < 4.0 * mean_se[n, 0]
-            posterior = schedule.covariances[n - 1][0, 0]
+            posterior = covs[n - 1][0, 0]
             assert abs(var[n] - posterior) < 4.0 * var_se[n]
 
     def test_initial_mse_is_trace_of_prior_cov(self, bench):
