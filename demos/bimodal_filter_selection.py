@@ -14,25 +14,10 @@ import argparse
 import csv
 from pathlib import Path
 
-from slds_mse import (
-    aggregate_series,
-    average_filter_modes,
-    load_scenario,
-    run_monte_carlo,
-    write_line_chart,
-)
+from slds_mse import (bank_series, load_scenario, run_monte_carlo,
+                      write_line_chart)
 
 SCENARIO = Path(__file__).parent / "scenarios" / "bimodal4d.json"
-
-
-def analytic(model, det, spec, n):
-    if spec.kind == "skf":
-        return aggregate_series(model, det, n).mse
-    if spec.kind == "average":
-        return aggregate_series(model, None, n,
-                                filt=average_filter_modes(model, n)).mse
-    return aggregate_series(model, None, n,
-                            filt=model.modes[spec.mode - 1]).mse
 
 
 def main() -> None:
@@ -50,8 +35,9 @@ def main() -> None:
 
     print(f"\nanalytic MSE per step, then a {scenario.mc_samples}-sample "
           f"Monte Carlo cross-check:")
-    series = {spec.display: analytic(model, det, spec, n)
-              for spec in scenario.filters}
+    series = {spec.display: analytic.mse for spec, analytic in
+              zip(scenario.filters,
+                  bank_series(model, det, scenario.filters, n))}
     runs = run_monte_carlo(model, scenario.filters, det, n,
                            scenario.mc_samples, scenario.seed)
     mc_mse = {spec.display: run.mse()

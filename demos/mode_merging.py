@@ -20,13 +20,14 @@ import numpy as np
 
 from slds_mse import (
     DetectionModel,
+    FilterSpec,
     GaussianBelief,
     MarkovChain,
     MeasurementModel,
     ModeModel,
     SldsModel,
-    aggregate_series,
-    average_filter_modes,
+    bank_series,
+    default_filters,
     merge_clusters,
     merge_recommendation,
     merged_mode,
@@ -76,8 +77,9 @@ def main() -> None:
     # the (1, 2) sub-system the switching filter and the mode-1 KF are
     # the same filter, whatever the detector does.
     sub = pair_model(model, 1, 2)
-    skf = aggregate_series(sub, det, N_STEPS).mse
-    single = aggregate_series(sub, None, N_STEPS, filt=sub.modes[0]).mse
+    skf, single = (series.mse for series in bank_series(
+        sub, det, [FilterSpec("skf"), FilterSpec("single-mode", mode=1)],
+        N_STEPS))
     print(f"\ntwin pair (1, 2): max |SKF - single KF| over steps = "
           f"{np.max(np.abs(skf - single)):.2e}")
     rep = merged_mode(model, [1, 2])
@@ -85,14 +87,10 @@ def main() -> None:
           "(identical to both members)")
 
     print(f"\nwhat detection is worth on the full {model.r}-mode system:")
-    skf_full = aggregate_series(model, det, N_STEPS).mse
-    avg = aggregate_series(model, None, N_STEPS,
-                           filt=average_filter_modes(model, N_STEPS)).mse
-    singles = {f"kf-mode-{k + 1}":
-               aggregate_series(model, None, N_STEPS, filt=m).mse
-               for k, m in enumerate(model.modes)}
-    labels = list(singles) + ["average-kf", "skf"]
-    curves = list(singles.values()) + [avg, skf_full]
+    specs = default_filters(model.r)       # each mode's KF, average, SKF
+    labels = [spec.display for spec in specs]
+    curves = [series.mse for series in bank_series(model, det, specs,
+                                                   N_STEPS)]
     print(f"{'step':>4}" + "".join(f" {lab:>11}" for lab in labels))
     for step in (1, 2, 3, 5, 10, N_STEPS):
         print(f"{step:>4}" + "".join(f" {c[step]:>11.5f}" for c in curves))

@@ -18,18 +18,20 @@ import numpy as np
 
 from slds_mse import (
     DetectionModel,
+    FilterSpec,
     GaussianBelief,
     MarkovChain,
     MeasurementModel,
     ModeModel,
     SldsModel,
-    pruned_moments,
+    enumerate_filters,
     single_mode_slds_moments,
     skf_slds_moments,
     write_line_chart,
 )
 
 N_STEPS = 10
+SKF, KF1 = FilterSpec("skf"), FilterSpec("single-mode", mode=1)
 KEEPS = (1, 2, 4, 8, 16, 32)
 MASSES = (0.9, 0.99, 0.999)
 
@@ -42,6 +44,11 @@ def sticky_model() -> SldsModel:
     return SldsModel(modes=modes, meas=MeasurementModel(
         H=np.array([[1.0]]), R=np.array([[0.01]])),
         chain=chain, init=GaussianBelief(np.array([1.0]), np.array([[1.0]])))
+
+
+def pruned(model, det, spec, **budget):
+    """Beam-pruned MSE series of the one filter ``spec``."""
+    return enumerate_filters(model, det, [spec], N_STEPS, **budget)[0][0]
 
 
 def gap(series, exact) -> float:
@@ -62,16 +69,14 @@ def main() -> None:
     print("sticky two-mode chain, Z diagonal 0.99, horizon "
           f"{N_STEPS}")
 
-    filt = model.modes[0]
-    exact_single, _ = single_mode_slds_moments(model, filt, N_STEPS)
+    exact_single, _ = single_mode_slds_moments(model, model.modes[0], N_STEPS)
     print(f"\n-- fixed mode-1 filter: beam over the {2 ** N_STEPS} true "
           "trajectories --")
     print(f"{'keep':>6} {'final kept mass':>16} {'plain':>10} "
           f"{'renormalized':>13}")
     for keep in KEEPS:
-        plain, _ = pruned_moments(model, None, N_STEPS, keep=keep, filt=filt)
-        renorm, _ = pruned_moments(model, None, N_STEPS, keep=keep,
-                                   filt=filt, renormalize=True)
+        plain = pruned(model, det, KF1, keep=keep)
+        renorm = pruned(model, det, KF1, keep=keep, renormalize=True)
         print(f"{keep:>6} {plain.kept_mass[-1]:>16.6f} "
               f"{gap(plain, exact_single.mse):>10.2e} "
               f"{gap(renorm, exact_single.mse):>13.2e}")
@@ -87,9 +92,8 @@ def main() -> None:
           f"{'renormalized':>13}")
     keep_rows = {}
     for keep in KEEPS:
-        plain, _ = pruned_moments(model, det, N_STEPS, keep=keep)
-        renorm, _ = pruned_moments(model, det, N_STEPS, keep=keep,
-                                   renormalize=True)
+        plain = pruned(model, det, SKF, keep=keep)
+        renorm = pruned(model, det, SKF, keep=keep, renormalize=True)
         keep_rows[keep] = plain
         print(f"{keep:>6} {plain.kept_mass[-1]:>16.6f} "
               f"{gap(plain, exact_skf.mse):>10.2e} "
@@ -103,7 +107,7 @@ def main() -> None:
     print(f"{'target':>8} {'final kept mass':>16} {'plain':>10}")
     mass_rows = {}
     for mass in MASSES:
-        series, _ = pruned_moments(model, det, N_STEPS, mass=mass)
+        series = pruned(model, det, SKF, mass=mass)
         mass_rows[mass] = series
         print(f"{mass:>8} {series.kept_mass[-1]:>16.6f} "
               f"{gap(series, exact_skf.mse):>10.2e}")

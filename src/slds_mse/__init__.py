@@ -27,23 +27,20 @@ from .model import (
 from .kalman import (
     FilterBank,
     InnovationSolveError,
-    as_mode_sequence,
-    average_filter_modes,
     filter_bank,
     gain_schedule,
 )
 from .enumeration import (
     EnumerationCapError,
     ErrorMoments,
+    enumerate_filters,
     mismatch_series,
-    pruned_moments,
     single_mode_slds_moments,
     skf_slds_moments,
 )
 from .fast import (
     MergePairReport,
     MergeReport,
-    aggregate_series,
     bank_series,
     merge_clusters,
     merge_recommendation,

@@ -30,13 +30,8 @@ import numpy as np
 from . import __version__
 from .model import MseSeries, Scenario, validate_scenario
 from .kalman import FilterBank, InnovationSolveError, filter_bank
-from .enumeration import EnumerationCapError, _branches, _run_enumeration
-from .fast import (
-    _bank_weights,
-    bank_series,
-    merge_clusters,
-    merge_recommendation,
-)
+from .enumeration import EnumerationCapError, enumerate_filters
+from .fast import bank_series, merge_clusters, merge_recommendation
 from .montecarlo import run_monte_carlo
 from .serialize import ScenarioFormatError, load_scenario
 from .svgchart import write_line_chart
@@ -200,32 +195,15 @@ def _analytic_series(scenario: Scenario, args, method: str,
         log.info("%d filters: aggregate method, one filter bank, %.1f ms",
                  len(series), 1e3 * (time.perf_counter() - t0))
         return list(zip(specs, series))
-    # one trajectory tree per group of filters that branch alike: the
-    # switching filter, then every fixed-gain filter.  Each run checks its
-    # own cap before any leaf grows, and the SKF tree (r^2 branches per
-    # leaf) outgrows the fixed-gain one (r), so running it first means no
-    # tree grows while another is over the cap
-    W = _bank_weights(model.r, det, specs, bank)
-    groups = [[f for f, spec in enumerate(specs)
-               if (spec.kind == "skf") == skf] for skf in (True, False)]
-    groups = [(", ".join(dict.fromkeys(specs[f].display for f in members)),
-               members, *_branches([W[f] for f in members]))
-              for members in groups if members]
-    series = {}
     try:
-        for label, members, rows, D in groups:
-            t0 = time.perf_counter()
-            runs = _run_enumeration(model, n, bank.A, bank.gains, rows, D,
-                                    keep=args.keep, mass=args.mass)
-            series.update(zip(members, (run[0] for run in runs)))
-            log.info("%s: %s method, %.1f ms", label, method,
-                     1e3 * (time.perf_counter() - t0))
+        runs = enumerate_filters(model, det, specs, n, bank, keep=args.keep,
+                                 mass=args.mass)
     except EnumerationCapError as exc:
-        raise CommandError(EXIT_CAPACITY, f"{label}: {exc} (try --method "
-                           f"aggregate or --method pruned with --keep/--mass)")
+        raise CommandError(EXIT_CAPACITY, f"{exc} (try --method aggregate or "
+                           f"--method pruned with --keep/--mass)")
     except ValueError as exc:
-        raise CommandError(EXIT_CAPACITY, f"{label}: {exc}")
-    return [(spec, series[f]) for f, spec in enumerate(specs)]
+        raise CommandError(EXIT_CAPACITY, str(exc))
+    return [(spec, series) for spec, (series, _) in zip(specs, runs)]
 
 
 def _method_tags(series: MseSeries) -> list:

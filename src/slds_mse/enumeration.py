@@ -36,6 +36,8 @@ its own maps, so that policy stores every level.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,6 +45,7 @@ import numpy as np
 
 from .model import (
     DetectionModel,
+    FilterSpec,
     GaussianBelief,
     MarkovChain,
     MeasurementModel,
@@ -50,8 +53,15 @@ from .model import (
     MseSeries,
     SldsModel,
 )
-from .kalman import ModeLike, _check_innovations, _mode_dynamics, _riccati_step
-from .fast import _filter_rows, _initial_moment, _joint_factors, _noise
+from .kalman import (
+    FilterBank,
+    _check_innovations,
+    _mode_dynamics,
+    _riccati_step,
+    filter_bank,
+    gain_schedule,
+)
+from .fast import _bank_weights, _initial_moment, _joint_factors, _noise
 
 DEFAULT_CAP = 2 ** 20
 
@@ -64,6 +74,8 @@ GAIN_DETECTED_PATH = "detected-path"
 # slowing the commands that followed.  A block's scratch also stays
 # cache-sized however many leaves a step creates.
 _BLOCK_MACS = 2 ** 19
+
+log = logging.getLogger(__name__)
 
 
 class EnumerationCapError(RuntimeError):
@@ -338,34 +350,76 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
             for mse, moments in _read_moments(mixtures.swapaxes(0, 1), z)]
 
 
-def _one_filter(model: SldsModel, det: Optional[DetectionModel],
-                n_steps: int, filt: Optional[ModeLike],
-                gains: str = GAIN_SCHEDULE, **budget) -> tuple:
-    """Enumeration of the one-filter bank of ``fast._filter_rows``."""
+def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
+                      filters: Sequence[FilterSpec], n_steps: int,
+                      bank: Optional[FilterBank] = None, *,
+                      keep: Optional[int] = None, mass: Optional[float] = None,
+                      renormalize: bool = False, cap: int = DEFAULT_CAP,
+                      gains: str = GAIN_SCHEDULE,
+                      ) -> list[tuple[MseSeries, list[ErrorMoments]]]:
+    """Series and per-step moments of each spec in ``filters`` by
+    trajectory enumeration on one ``filter_bank`` (or the caller's
+    ``bank``), exact or beam-pruned.
+
+    One tree runs per group of filters that branch alike: first the
+    switching filter on (true, detected) pairs, whose r^2 branches per
+    leaf outgrow the other tree's r, so no tree grows while another is
+    over its cap; then every fixed-gain filter.  A tree's error names its
+    filters.  ``keep`` retains that many trajectories per step, ``mass``
+    the smallest prefix reaching that probability; each series carries
+    its kept mass, and ``renormalize`` rescales the kept weights to sum
+    to one.  ``gains="detected-path"`` runs the switching filter's
+    Riccati recursion along each detected trajectory in place of the
+    detected mode's schedule.
+    """
     if gains not in (GAIN_SCHEDULE, GAIN_DETECTED_PATH):
         raise ValueError(f"unknown gain policy {gains!r}")
     detected_path = gains == GAIN_DETECTED_PATH
-    if detected_path and filt is not None:
+    if detected_path and any(spec.kind != "skf" for spec in filters):
         raise ValueError("detected-path gains apply to the switching filter only")
-    A_f, K, w = _filter_rows(model, det, n_steps, filt)
-    return _run_enumeration(model, n_steps, A_f, K, *_branches([w]),
-                            detected_path=detected_path, **budget)[0]
+    if bank is None:
+        bank = filter_bank(model, n_steps)
+    W = _bank_weights(model.r, det, filters, bank)
+    runs = {}
+    for skf in (True, False):
+        members = [f for f, spec in enumerate(filters)
+                   if (spec.kind == "skf") == skf]
+        if not members:
+            continue
+        label = ", ".join(dict.fromkeys(filters[f].display for f in members))
+        t0 = time.perf_counter()
+        try:
+            runs.update(zip(members, _run_enumeration(
+                model, n_steps, bank.A, bank.gains,
+                *_branches([W[f] for f in members]), keep=keep, mass=mass,
+                renormalize=renormalize, cap=cap,
+                detected_path=detected_path)))
+        except (EnumerationCapError, ValueError) as exc:
+            raise type(exc)(f"{label}: {exc}") from exc
+        log.info("%s: %s method, %.1f ms", label, runs[members[0]][0].method,
+                 1e3 * (time.perf_counter() - t0))
+    return [runs[f] for f in range(len(filters))]
 
 
-def single_mode_slds_moments(model: SldsModel, filt: ModeLike, n_steps: int,
+def single_mode_slds_moments(model: SldsModel, filt: ModeModel, n_steps: int,
                              cap: int = DEFAULT_CAP,
                              ) -> tuple[MseSeries, list[ErrorMoments]]:
-    """Exact MSE of one fixed filter (or per-step filter sequence) applied
-    to the switching system, by full trajectory enumeration."""
-    return _one_filter(model, None, n_steps, filt, cap=cap)
+    """Exact MSE of the KF of mode ``filt``, which need not be one of the
+    model's, applied to the switching system, by full trajectory
+    enumeration."""
+    K, _ = gain_schedule(filt, model.meas, model.init, n_steps)
+    A_f = np.tile(filt.A, (1, n_steps, 1, 1))
+    return _run_enumeration(model, n_steps, A_f, K[None],
+                            np.zeros((1, 1), dtype=int),
+                            np.ones((model.r, 1)), cap=cap)[0]
 
 
-def mismatch_series(truth: ModeModel, filt: ModeLike, meas: MeasurementModel,
+def mismatch_series(truth: ModeModel, filt: ModeModel, meas: MeasurementModel,
                     init: GaussianBelief, n_steps: int,
                     ) -> tuple[list[ErrorMoments], MseSeries]:
-    """Error moments for steps 0..n_steps of the filter ``filt`` (or a
-    per-step filter sequence) on the fixed truth ``truth``: the one-mode
-    system, whose tree has one leaf per step."""
+    """Error moments for steps 0..n_steps of the KF of mode ``filt`` on the
+    fixed truth ``truth``: the one-mode system, whose tree has one leaf
+    per step."""
     model = SldsModel([truth], meas, MarkovChain([[1.0]], [1.0]), init)
     series, moments = single_mode_slds_moments(model, filt, n_steps)
     return moments, MseSeries(mse=series.mse, method="exact")
@@ -375,35 +429,7 @@ def skf_slds_moments(model: SldsModel, det: DetectionModel, n_steps: int,
                      cap: int = DEFAULT_CAP, gains: str = GAIN_SCHEDULE,
                      ) -> tuple[MseSeries, list[ErrorMoments]]:
     """Exact MSE of the switching filter under the constant detection rate,
-    by full (true, detected) trajectory-pair enumeration.
-
-    ``gains`` selects how the filter gain for a detected mode is formed:
-    ``"schedule"`` (default) reads the detected mode's standalone gain
-    schedule; ``"detected-path"`` runs the filter's Riccati recursion
-    along each detected trajectory instead.
-    """
-    return _one_filter(model, det, n_steps, None, gains, cap=cap)
-
-
-def pruned_moments(model: SldsModel, det: Optional[DetectionModel],
-                   n_steps: int, keep: Optional[int] = None,
-                   mass: Optional[float] = None, filt: Optional[ModeLike] = None,
-                   renormalize: bool = False, cap: int = DEFAULT_CAP,
-                   gains: str = GAIN_SCHEDULE,
-                   ) -> tuple[MseSeries, list[ErrorMoments]]:
-    """Beam-pruned enumeration: keep the highest-probability trajectories.
-
-    ``keep`` retains a fixed number per step; ``mass`` retains the
-    smallest prefix reaching the target probability.  The returned series
-    carries the kept mass per step.  By default aggregates are plain
-    partial sums over the kept set (the dropped tail is ignored);
-    ``renormalize=True`` rescales the kept weights to sum to one.
-
-    With ``filt`` given the beam runs over true trajectories for that
-    fixed filter; otherwise it runs over (true, detected) pairs for the
-    switching filter under ``det``.
-    """
-    if keep is None and mass is None:
-        raise ValueError("pruning requires keep or mass")
-    return _one_filter(model, det, n_steps, filt, gains, keep=keep,
-                       mass=mass, renormalize=renormalize, cap=cap)
+    by full (true, detected) trajectory-pair enumeration; ``gains`` as in
+    :func:`enumerate_filters`."""
+    return enumerate_filters(model, det, [FilterSpec("skf")], n_steps,
+                             cap=cap, gains=gains)[0]

@@ -45,15 +45,7 @@ from .model import (
     SldsModel,
     mode_marginal_series,
 )
-from .kalman import (
-    FilterBank,
-    ModeLike,
-    _mode_dynamics,
-    _riccati,
-    as_mode_sequence,
-    filter_bank,
-    gain_schedule,
-)
+from .kalman import FilterBank, _mode_dynamics, _riccati, filter_bank
 
 METRICS = ("mean", "max", "final")
 _BLOCK = 25            # steps per block of branch maps in _bank_moments
@@ -240,31 +232,6 @@ class _Stack:
         return noise.sum(axis=3)
 
 
-def _filter_rows(model: SldsModel, det: Optional[DetectionModel],
-                 n_steps: int, filt: Optional[ModeLike]) -> tuple:
-    """Rows ``A_f``, ``K`` (R, N, z, z|m) and row weights (r x R) of the
-    switching filter under ``det`` on the r mode rows, or of the fixed
-    filter ``filt`` on its one row."""
-    if filt is None:
-        A_f, Q_f = _mode_dynamics(model, n_steps)
-        K, _ = _riccati(A_f, Q_f, model.meas, model.init.cov)
-    else:
-        K = gain_schedule(filt, model.meas, model.init, n_steps)[0][None]
-        A_f = np.reshape([mode.A for mode in as_mode_sequence(filt, n_steps)],
-                         (1, n_steps, model.z, model.z))
-    return A_f, K, _branch_weights(model.r, det, filt is None)
-
-
-def _filter_moments(model: SldsModel, det: Optional[DetectionModel],
-                    n_steps: int, filt: Optional[ModeLike]) -> np.ndarray:
-    """Raw moments E[w w.T] of w = [x; e], (N + 1, 2z, 2z), of the
-    switching filter under ``det``, or of the fixed filter ``filt``: a
-    one-filter bank."""
-    A_f, K, w = _filter_rows(model, det, n_steps, filt)
-    blocks = _bank_moments(model, A_f[None], K[None], [w])
-    return np.concatenate(list(blocks))[:, 0, 0]
-
-
 def _bank_weights(r: int, det: Optional[DetectionModel],
                   filters: Sequence[FilterSpec], bank: FilterBank) -> list:
     """Row weights W_f (r x R) of each spec in ``filters`` on ``bank``."""
@@ -278,8 +245,10 @@ def bank_series(model: SldsModel, det: Optional[DetectionModel],
                 filters: Sequence[FilterSpec], n_steps: int,
                 bank: Optional[FilterBank] = None) -> list[MseSeries]:
     """MSE series of each spec in ``filters`` from one ``filter_bank`` (or
-    the caller's ``bank``) and one moment pass; each equals
-    ``aggregate_series`` bit for bit, whatever else the list holds."""
+    the caller's ``bank``) and one moment pass: the mode-conditioned moment
+    recursion, exact for any Markov chain under schedule gains.  Each
+    series equals that of a one-spec call bit for bit, whatever else the
+    list holds."""
     if bank is None:
         bank = filter_bank(model, n_steps)
     blocks = _bank_moments(model, bank.A[None], bank.gains[None],
@@ -291,15 +260,6 @@ def bank_series(model: SldsModel, det: Optional[DetectionModel],
 def _error_trace(moments: np.ndarray, z: int) -> np.ndarray:
     """tr E[e e.T], read off raw moments: a diagonal needs no symmetrizing."""
     return np.trace(moments[..., z:2 * z, z:2 * z], axis1=-2, axis2=-1)
-
-
-def aggregate_series(model: SldsModel, det: Optional[DetectionModel],
-                     n_steps: int, filt: Optional[ModeLike] = None,
-                     ) -> MseSeries:
-    """MSE series via the mode-conditioned moment recursion (exact for
-    any Markov chain under schedule gains)."""
-    moments = _filter_moments(model, det, n_steps, filt)
-    return MseSeries(mse=_error_trace(moments, model.z), method="aggregate")
 
 
 def _metric_value(rel: np.ndarray, metric: str) -> float:
@@ -347,7 +307,8 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
     # Pairs share H, R and P0, so mode j's schedule is row j of the full
     # model's.  One bank pass runs every pair's SKF and its two KFs.
     members = np.array(list(itertools.combinations(range(model.r), 2)))
-    gains = _filter_rows(model, det, n_steps, None)[1]
+    gains, _ = _riccati(*_mode_dynamics(model, n_steps), model.meas,
+                        model.init.cov)
     A, Q = (m[:, 0][members] for m in _mode_dynamics(model, 1))
     W = (_branch_weights(2, det, True), np.array([[1.0, 0.0]] * 2),
          np.array([[0.0, 1.0]] * 2))

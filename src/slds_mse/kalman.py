@@ -15,7 +15,7 @@ those schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .model import (
     mode_marginal_series,
 )
 
-ModeLike = Union[ModeModel, Sequence[ModeModel]]
-
 
 class InnovationSolveError(RuntimeError):
     """Raised when the innovation covariance cannot be factorized."""
@@ -37,16 +35,6 @@ class InnovationSolveError(RuntimeError):
     def __init__(self, message: str, condition: float):
         super().__init__(f"{message} (condition estimate {condition:.3e})")
         self.condition = condition
-
-
-def as_mode_sequence(modes: ModeLike, n_steps: int) -> list[ModeModel]:
-    """Normalize a fixed mode or per-step mode sequence to length n_steps."""
-    if isinstance(modes, ModeModel):
-        return [modes] * n_steps
-    modes = list(modes)
-    if len(modes) != n_steps:
-        raise ValueError(f"expected {n_steps} per-step modes, got {len(modes)}")
-    return modes
 
 
 def _check_innovations(B: np.ndarray, step: Optional[int] = None) -> None:
@@ -133,19 +121,16 @@ def _riccati(A: np.ndarray, Q: np.ndarray, meas: MeasurementModel,
     return gains, covs
 
 
-def gain_schedule(mode: ModeLike, meas: MeasurementModel,
+def gain_schedule(mode: ModeModel, meas: MeasurementModel,
                   init: GaussianBelief, n_steps: int,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Gains (N, z, m) and posterior covariances (N, z, z) of one filter
-    over ``n_steps``.
-
-    ``mode`` may be a single :class:`ModeModel` or a per-step sequence
-    (used for the average filter, whose dynamics follow the mode
-    marginals).  Measurement values never enter the recursion.
-    """
-    steps = as_mode_sequence(mode, n_steps)
-    A = np.array([[step.A for step in steps]])
-    Q = np.array([[step.Q for step in steps]])
+    """Gains (N, z, m) and posterior covariances (N, z, z) of the KF of
+    ``mode`` over ``n_steps``.  Measurement values never enter the
+    recursion."""
+    if mode.z != meas.z:
+        raise ValueError(f"filter mode dimension {mode.z} does not match "
+                         f"state dimension {meas.z}")
+    A, Q = (np.tile(X, (1, n_steps, 1, 1)) for X in (mode.A, mode.Q))
     gains, covs = _riccati(A, Q, meas, init.cov)
     return gains[0], covs[0]
 
@@ -161,13 +146,6 @@ def _average_dynamics(model: SldsModel, n_steps: int,
     A = sum(w[:, j, None] * mode.A for j, mode in enumerate(model.modes))
     Q = sum(w[:, j, None] * mode.Q for j, mode in enumerate(model.modes))
     return A, Q
-
-
-def average_filter_modes(model: SldsModel, n_steps: int) -> list[ModeModel]:
-    """Per-step dynamics of the average filter for steps 1..n_steps, one
-    ``ModeModel`` per step of ``_average_dynamics``."""
-    return [ModeModel(A, Q)
-            for A, Q in zip(*_average_dynamics(model, n_steps))]
 
 
 def _mode_dynamics(model: SldsModel, n_steps: int,
@@ -204,8 +182,7 @@ class FilterBank:
 def filter_bank(model: SldsModel, n_steps: int) -> FilterBank:
     """Every mode's KF and the average filter from one batched Riccati
     pass (B = r + 1).  Row j equals ``gain_schedule(model.modes[j], ...)``
-    and row r ``gain_schedule(average_filter_modes(model, n_steps), ...)``
-    bit for bit."""
+    bit for bit; row r runs ``_average_dynamics``."""
     A, Q = (np.concatenate((modes, average[None])) for modes, average in
             zip(_mode_dynamics(model, n_steps),
                 _average_dynamics(model, n_steps)))

@@ -1,8 +1,10 @@
 """Shared model builders for the test suite, and the independent
 oracles the library is checked against: the step-by-step Kalman filter
-(``kf_predict``/``kf_update``), the one-step error-moment recursion of a
-mismatched filter (``mismatch_step``), and the brute-force trajectory
-probabilities that the enumeration oracles weigh paths by."""
+(``kf_predict``/``kf_update``, and ``kf_schedule`` over per-step
+dynamics such as the average filter's ``average_filter_modes``), the
+one-step error-moment recursion of a mismatched filter
+(``mismatch_step``), and the brute-force trajectory probabilities that
+the enumeration oracles weigh paths by."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from slds_mse import (
     ModeModel,
     SldsModel,
 )
-from slds_mse.kalman import _check_innovations, _gain_step
+from slds_mse.kalman import _average_dynamics, _check_innovations, _gain_step
 from slds_mse.model import symmetrize
 
 # The two-mode benchmark used throughout: scaled-identity dynamics
@@ -210,6 +212,30 @@ def kf_update(predicted: GaussianBelief, meas: MeasurementModel,
         cov = ikh @ P
     posterior = GaussianBelief(mean, symmetrize(cov))
     return KalmanStepOutput(predicted, posterior, K, B)
+
+
+def kf_schedule(modes: Sequence[ModeModel], meas: MeasurementModel,
+                init: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (N, z, m) and posterior covariances (N, z, z) of a KF whose
+    dynamics at step n are ``modes[n - 1]``, one ``kf_predict``/
+    ``kf_update`` per step; measurement values never enter them.  They
+    equal the Riccati kernel's rows bit for bit
+    (``test_kf_steps_reproduce_gain_schedule_bitwise``)."""
+    gains, covs, belief = [], [], init
+    for mode in modes:
+        out = kf_update(kf_predict(belief, mode), meas, np.zeros(meas.m))
+        gains.append(out.gain)
+        covs.append(out.posterior.cov)
+        belief = out.posterior
+    return np.array(gains), np.array(covs)
+
+
+def average_filter_modes(model: SldsModel, n_steps: int) -> list[ModeModel]:
+    """The average filter's dynamics at steps 1..n_steps, one ``ModeModel``
+    per step of ``kalman._average_dynamics``: the filter bank's row r in
+    the form the step-by-step oracles take."""
+    return [ModeModel(A, Q)
+            for A, Q in zip(*_average_dynamics(model, n_steps))]
 
 
 def mismatch_step(prev: ErrorMoments, truth: ModeModel, filt: ModeModel,

@@ -25,11 +25,10 @@ from slds_mse import (
     MeasurementModel,
     ModeModel,
     SldsModel,
-    aggregate_series,
-    average_filter_modes,
+    bank_series,
+    enumerate_filters,
     gain_schedule,
     mismatch_series,
-    pruned_moments,
     run_monte_carlo,
     single_mode_slds_moments,
     skf_slds_moments,
@@ -38,27 +37,12 @@ from slds_mse.cli import main
 
 SEED = 20260823
 
-ALL_FILTERS = (FilterSpec("single-mode", 1), FilterSpec("single-mode", 2),
-               FilterSpec("average"), FilterSpec("skf"))
+KF1, SKF = FilterSpec("single-mode", 1), FilterSpec("skf")
+ALL_FILTERS = (KF1, FilterSpec("single-mode", 2), FilterSpec("average"), SKF)
 
 
 def report(num: int, ok: bool, description: str) -> None:
     print(f"CRITERION {num}: {'PASS' if ok else 'FAIL'} — {description}")
-
-
-def analytic_mse(model, det, spec, n_steps, method):
-    """MSE series of one filter by the requested analytic method."""
-    if spec.kind == "skf":
-        if method == "aggregate":
-            return aggregate_series(model, det, n_steps).mse
-        return skf_slds_moments(model, det, n_steps)[0].mse
-    if spec.kind == "average":
-        filt = average_filter_modes(model, n_steps)
-    else:
-        filt = model.modes[spec.mode - 1]
-    if method == "aggregate":
-        return aggregate_series(model, None, n_steps, filt=filt).mse
-    return single_mode_slds_moments(model, filt, n_steps)[0].mse
 
 
 def test_criterion_1_analytic_matches_monte_carlo():
@@ -69,10 +53,11 @@ def test_criterion_1_analytic_matches_monte_carlo():
         det = DetectionModel(p_d)
         runs = run_monte_carlo(model, ALL_FILTERS, det, 20, 20_000,
                                seed=SEED, threads=1)
-        for spec, run in zip(ALL_FILTERS, runs):
+        aggregate = bank_series(model, det, ALL_FILTERS, 20)
+        exact = enumerate_filters(model, det, ALL_FILTERS, 8)
+        for run, agg_series, (enum_series, _) in zip(runs, aggregate, exact):
             mse, stderr = run.mse(), run.mse_stderr()
-            agg = analytic_mse(model, det, spec, 20, "aggregate")
-            enum = analytic_mse(model, det, spec, 8, "exact")
+            agg, enum = agg_series.mse, enum_series.mse
             for step in range(2, 21):
                 gate = max(0.05 * agg[step], 4.0 * stderr[step])
                 worst = max(worst, abs(agg[step] - mse[step]) / gate)
@@ -92,10 +77,9 @@ def test_criterion_1_analytic_matches_monte_carlo():
 
 def test_criterion_2_skf_beats_single_filters():
     model = bimodal_model()
-    skf = aggregate_series(model, DetectionModel(0.9), 20).mse
-    singles = np.minimum(
-        aggregate_series(model, None, 20, filt=model.modes[0]).mse,
-        aggregate_series(model, None, 20, filt=model.modes[1]).mse)
+    skf, kf1, kf2 = (series.mse for series in bank_series(
+        model, DetectionModel(0.9), [SKF, *ALL_FILTERS[:2]], 20))
+    singles = np.minimum(kf1, kf2)
     margin = float((singles - skf)[3:21].min())
     ok = margin > 1e-6
     report(2, ok,
@@ -154,7 +138,7 @@ def test_criterion_4_aggregate_equals_enumeration():
         init = GaussianBelief(rng.standard_normal(z), spd_matrix(rng, z, 0.5))
         model = SldsModel(modes, meas, chain, init)
         det = DetectionModel(float(rng.uniform(0.6, 1.0)))
-        agg = aggregate_series(model, det, 8).mse
+        agg = bank_series(model, det, [SKF], 8)[0].mse
         exact = skf_slds_moments(model, det, 8)[0].mse
         worst = max(worst, float(np.abs(agg - exact).max()))
     elapsed = time.perf_counter() - t0
@@ -242,10 +226,11 @@ def test_criterion_6_beam_pruning_quality():
     exact, _ = single_mode_slds_moments(model, filt, 6)
 
     # full-mass pruning must reproduce the exact aggregates
-    full, _ = pruned_moments(model, None, 6, mass=1.0, filt=filt)
+    full, _ = enumerate_filters(model, None, [KF1], 6, mass=1.0)[0]
     full_gap = float(np.abs(full.mse - exact.mse).max())
     skf_exact, _ = skf_slds_moments(model, detection(), 6)
-    skf_full, _ = pruned_moments(model, detection(), 6, mass=1.0)
+    skf_full, _ = enumerate_filters(model, detection(), [SKF], 6,
+                                    mass=1.0)[0]
     full_gap = max(full_gap,
                    float(np.abs(skf_full.mse - skf_exact.mse).max()))
 
@@ -254,13 +239,13 @@ def test_criterion_6_beam_pruning_quality():
     # paths 0.99**4 * 0.01; all other paths carry less.  A beam of width k
     # that keeps the most probable paths therefore keeps the closed-form
     # top-k mass, and 6 is the smallest width above 0.99.
-    narrow, _ = pruned_moments(model, None, 6, keep=5, filt=filt)
+    narrow, _ = enumerate_filters(model, None, [KF1], 6, keep=5)[0]
     narrow_mass = float(narrow.kept_mass[6])
     assert_allclose(narrow_mass, 0.99 ** 5 + 4 * 0.99 ** 4 * 0.01,
                     rtol=1e-12)
     assert narrow_mass < 0.99
 
-    pruned, _ = pruned_moments(model, None, 6, keep=6, filt=filt)
+    pruned, _ = enumerate_filters(model, None, [KF1], 6, keep=6)[0]
     final_mass = float(pruned.kept_mass[6])
     assert_allclose(final_mass, 0.99 ** 5 + 5 * 0.99 ** 4 * 0.01,
                     rtol=1e-12)

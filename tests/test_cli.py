@@ -21,10 +21,11 @@ from numpy.testing import assert_allclose
 from helpers import bimodal_model, detection, filter_specs, random_model
 from slds_mse import (
     DetectionModel,
+    FilterSpec,
     Scenario,
     Tolerances,
     __version__,
-    aggregate_series,
+    bank_series,
     cli,
     dumps_scenario,
     enumeration,
@@ -136,7 +137,7 @@ class TestAnalyze:
         assert {row[3] for row in rows} == {"aggregate"}
         # the 17-digit cells round-trip the library doubles exactly
         model = bimodal_model(z=1)
-        series = aggregate_series(model, None, 6, filt=model.modes[0])
+        series, = bank_series(model, None, [FilterSpec("single-mode", 1)], 6)
         cells = [float(row[2]) for row in rows if row[1] == "kf-mode-1"]
         assert cells == [float(v) for v in series.mse]
 

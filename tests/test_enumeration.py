@@ -1,16 +1,18 @@
 """Trajectory enumeration: probabilities, exact moments, pruning, caps."""
 
 import itertools
+import logging
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import (bimodal_model, detection_prob, initial_moments,
-                     mismatch_step, random_model, single_mode_model,
-                     trajectory_prob)
+from helpers import (bimodal_model, detection_prob, filter_specs,
+                     initial_moments, kf_schedule, mismatch_step,
+                     random_model, single_mode_model, trajectory_prob)
 from slds_mse import cli, enumeration, fast
 from slds_mse import (
     DetectionModel,
@@ -20,16 +22,17 @@ from slds_mse import (
     MarkovChain,
     MseSeries,
     Scenario,
-    average_filter_modes,
     dumps_scenario,
+    enumerate_filters,
+    filter_bank,
     gain_schedule,
     load_scenario,
-    pruned_moments,
     single_mode_slds_moments,
     skf_slds_moments,
 )
 
 DET = DetectionModel(0.9)
+SKF = FilterSpec("skf")
 
 
 def mixture(runs):
@@ -93,8 +96,8 @@ def brute_skf(model, det, n_steps, rng=None, diagonal_only=False,
         if w == 0.0:
             continue
         if detected_path:
-            path, _ = gain_schedule([model.modes[j - 1] for j in det_seq],
-                                    model.meas, model.init, n_steps)
+            path, _ = kf_schedule([model.modes[j - 1] for j in det_seq],
+                                  model.meas, model.init)
         state = initial_moments(model.init)
         states = [state]
         for k in range(n_steps):
@@ -285,8 +288,8 @@ class TestExactMoments:
         assert np.abs(s.kept_mass - 1.0).max() <= 1e-10
 
     def test_average_filter_sequence_accepted(self, bench):
-        avg = average_filter_modes(bench, 5)
-        series, _ = single_mode_slds_moments(bench, avg, 5)
+        series, _ = enumerate_filters(bench, None, [FilterSpec("average")],
+                                      5)[0]
         assert len(series) == 6
         assert np.abs(series.kept_mass - 1.0).max() <= 1e-12
 
@@ -297,7 +300,8 @@ class TestExactMoments:
         for series, moments in (
                 single_mode_slds_moments(bench, bench.modes[0], 0),
                 skf_slds_moments(bench, DET, 0, gains=gains),
-                pruned_moments(bench, DET, 0, keep=1, gains=gains)):
+                enumerate_filters(bench, DET, [SKF], 0, keep=1,
+                                  gains=gains)[0]):
             assert_allclose(series.mse, [want], rtol=1e-15)
             assert_allclose(moments[0].u, np.zeros((4, 4)), atol=1e-15)
 
@@ -314,7 +318,7 @@ class TestExactMoments:
 class TestPruning:
     def test_full_mass_equals_exact(self, bench):
         exact, _ = skf_slds_moments(bench, DET, 6)
-        full, _ = pruned_moments(bench, DET, 6, mass=1.0)
+        full, _ = enumerate_filters(bench, DET, [SKF], 6, mass=1.0)[0]
         assert full.method == "pruned"
         assert np.abs(full.mse - exact.mse).max() <= 1e-12
         assert np.abs(full.kept_mass - 1.0).max() <= 1e-12
@@ -323,17 +327,17 @@ class TestPruning:
         exact, _ = skf_slds_moments(bench, DET, 3)
         last_mass = None
         for keep in (1, 2, 4, 16, 64):
-            got, _ = pruned_moments(bench, DET, 3, keep=keep)
+            got, _ = enumerate_filters(bench, DET, [SKF], 3, keep=keep)[0]
             if last_mass is not None:
                 assert np.all(got.kept_mass >= last_mass - 1e-12)
             last_mass = got.kept_mass
         # keep = 4^3 covers every pair trajectory: bitwise-level agreement
         assert np.abs(last_mass - 1.0).max() <= 1e-12
-        full, _ = pruned_moments(bench, DET, 3, keep=64)
+        full, _ = enumerate_filters(bench, DET, [SKF], 3, keep=64)[0]
         assert np.abs(full.mse - exact.mse).max() <= 1e-12
 
     def test_mass_target_reached(self, bench):
-        got, _ = pruned_moments(bench, DET, 5, mass=0.8)
+        got, _ = enumerate_filters(bench, DET, [SKF], 5, mass=0.8)[0]
         assert np.all(got.kept_mass >= 0.8 - 1e-12)
         assert got.kept_mass[5] < 0.999  # pruning actually happened
 
@@ -342,8 +346,9 @@ class TestPruning:
         # width-4 beam holds a vanishing share of the mass and the
         # unnormalized sum collapses with it.
         exact, _ = skf_slds_moments(bench, DET, 6)
-        unnorm, _ = pruned_moments(bench, DET, 6, keep=4)
-        renorm, _ = pruned_moments(bench, DET, 6, keep=4, renormalize=True)
+        unnorm, _ = enumerate_filters(bench, DET, [SKF], 6, keep=4)[0]
+        renorm, _ = enumerate_filters(bench, DET, [SKF], 6, keep=4,
+                                      renormalize=True)[0]
         assert_allclose(unnorm.kept_mass[6], 0.81 * 0.45 ** 4, atol=1e-12)
         assert unnorm.mse[6] < 0.1 * exact.mse[6]
         # renormalizing recovers a usable estimate from the same beam
@@ -354,21 +359,21 @@ class TestPruning:
         model = bimodal_model(prior=(1.0, 0.0),
                               rows=np.array([[0.99, 0.01], [0.01, 0.99]]))
         exact, _ = single_mode_slds_moments(model, model.modes[1], 6)
-        got, _ = pruned_moments(model, None, 6, keep=4, filt=model.modes[1])
+        got, _ = enumerate_filters(model, None,
+                                   [FilterSpec("single-mode", mode=2)], 6,
+                                   keep=4)[0]
         assert_allclose(got.kept_mass[6], 0.9798079302, atol=1e-9)
         gap = np.abs(got.mse[1:] - exact.mse[1:]) / exact.mse[1:]
         assert gap.max() < 0.005
 
     def test_keep_and_mass_both_given_rejected(self, bench):
-        with pytest.raises(ValueError):
-            pruned_moments(bench, DET, 3, keep=2, mass=0.9)
-        with pytest.raises(ValueError):
-            pruned_moments(bench, DET, 3)
+        with pytest.raises(ValueError, match="either keep or mass"):
+            enumerate_filters(bench, DET, [SKF], 3, keep=2, mass=0.9)
 
     def test_invalid_mass_rejected(self, bench):
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                pruned_moments(bench, DET, 3, mass=bad)
+                enumerate_filters(bench, DET, [SKF], 3, mass=bad)
 
 
 class TestCaps:
@@ -389,10 +394,11 @@ class TestCaps:
         # A pruned run skips the up-front power check, so a beam wider
         # than cap/branch-factor trips the per-step guard instead.
         with pytest.raises(EnumerationCapError, match="step 3"):
-            pruned_moments(bench, DET, 3, keep=8, cap=20)
+            enumerate_filters(bench, DET, [SKF], 3, keep=8, cap=20)
 
     def test_pruning_relieves_the_cap(self, bench):
-        series, _ = pruned_moments(bench, DET, 6, keep=2, cap=20)
+        series, _ = enumerate_filters(bench, DET, [SKF], 6, keep=2,
+                                      cap=20)[0]
         assert len(series) == 7
 
 
@@ -464,14 +470,15 @@ class TestFilterBankEnumeration:
             seed=0)))
         model = load_scenario(str(path)).model
         runs = []
+        run_enumeration = enumeration._run_enumeration
 
         def spy(*args, **kwargs):
-            out = enumeration._run_enumeration(*args, **kwargs)
+            out = run_enumeration(*args, **kwargs)
             runs.extend(zip(args[4], out))            # rows per filter
             return out
 
         flags = [f"--{key}={value}" for key, value in budget.items()]
-        with mock.patch.object(cli, "_run_enumeration",
+        with mock.patch.object(enumeration, "_run_enumeration",
                                side_effect=spy) as run:
             assert cli.main(["analyze", "--scenario", str(path),
                              "--method", "pruned" if budget else "exact",
@@ -479,16 +486,13 @@ class TestFilterBankEnumeration:
         assert run.call_count == 2           # the SKF's tree, then the KFs'
         assert [tuple(rows) for rows, _ in runs] == \
             [(0, 1), (1,), (1,), (2,)]
-        fixed = (model.modes[1], model.modes[1],
-                 average_filter_modes(model, n))
         if budget:
-            refs = [pruned_moments(model, DET, n, **budget)]
-            refs += [pruned_moments(model, None, n, filt=filt, **budget)
-                     for filt in fixed]
+            refs = [enumerate_filters(model, DET, [spec], n, **budget)[0]
+                    for spec in self.SPECS]
         else:
             refs = [skf_slds_moments(model, DET, n)]
-            refs += [single_mode_slds_moments(model, filt, n)
-                     for filt in fixed]
+            refs += [single_mode_slds_moments(model, model.modes[1], n)] * 2
+            refs += enumerate_filters(model, DET, self.SPECS[3:], n)
         for spec, (_, got), want in zip(self.SPECS, runs, refs):
             assert_same_run(got, want, spec.display)
         if not budget:
@@ -504,6 +508,64 @@ class TestFilterBankEnumeration:
         for group in ([skf, kf], [skf, other_skf]):
             with pytest.raises(ValueError, match="branch weights"):
                 enumeration._branches(group)
+
+
+class TestEnumerateFilters:
+    """One call enumerates a list of filter specs: one tree for the SKF,
+    one for every fixed-gain filter."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 3), n_steps=st.integers(0, 4),
+           p_d=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+           budget=st.sampled_from([{}, {"keep": 5}, {"mass": 0.9},
+                                   {"keep": 3, "renormalize": True}]),
+           data=st.data())
+    def test_each_filter_equals_its_own_enumeration(self, r, n_steps, p_d,
+                                                    seed, budget, data):
+        model = random_model(np.random.default_rng(seed), r, 2,
+                             uniform_rows=False, uniform_prior=False)
+        det = DetectionModel(p_d)
+        specs = data.draw(filter_specs(r, max_size=5))
+        runs = enumerate_filters(model, det, specs, n_steps, **budget)
+        assert len(runs) == len(specs)
+        for spec, (series, moments) in zip(specs, runs):
+            # the other filters in the list never move this one
+            alone, alone_moments = enumerate_filters(model, det, [spec],
+                                                     n_steps, **budget)[0]
+            assert series.method == alone.method
+            assert_array_equal(series.mse, alone.mse)
+            assert_array_equal(series.kept_mass, alone.kept_mass)
+            assert len(moments) == len(alone_moments) == n_steps + 1
+            for got, want in zip(moments, alone_moments):
+                for field in FIELDS:
+                    assert_array_equal(getattr(got, field),
+                                       getattr(want, field))
+
+    def test_detected_path_gains_reject_a_fixed_gain_filter(self, bench):
+        for specs in ([FilterSpec("average")], [SKF, FilterSpec("average")]):
+            with pytest.raises(ValueError, match="switching filter only"):
+                enumerate_filters(bench, DET, specs, 3,
+                                  gains="detected-path")
+
+    def test_cap_error_names_its_group(self, bench):
+        fixed = [FilterSpec("single-mode", mode=1), FilterSpec("average"),
+                 FilterSpec("single-mode", mode=1)]
+        with pytest.raises(EnumerationCapError,
+                           match=r"^kf-mode-1, average-kf: exact "
+                                 r"enumeration needs 2\^5 trajectories"):
+            enumerate_filters(bench, DET, fixed, 5, cap=20)
+        # the SKF tree runs, and fails, first
+        with pytest.raises(EnumerationCapError,
+                           match=r"^skf: exact enumeration needs 4\^5"):
+            enumerate_filters(bench, DET, [*fixed, SKF], 5, cap=20)
+
+    def test_each_tree_logs_its_filters(self, bench, caplog):
+        with caplog.at_level(logging.INFO, logger="slds_mse.enumeration"):
+            enumerate_filters(bench, DET, [FilterSpec("average"), SKF], 3,
+                              keep=4)
+        assert [record.getMessage().rsplit(",", 1)[0]
+                for record in caplog.records] == \
+            ["skf: pruned method", "average-kf: pruned method"]
 
 
 def leaf_by_leaf(model, n_steps, A_f, K, W, keep=None, mass=None,
@@ -544,13 +606,13 @@ class TestFoldedLevels:
     is streamed: both must equal a leaf-by-leaf sum of the same pairs."""
 
     @staticmethod
-    def assert_matches_leaf_by_leaf(model, n_steps, det=DET, filt=None,
-                                    **budget):
-        A_f, K, W = fast._filter_rows(model, det, n_steps, filt)
-        got = enumeration._run_enumeration(
-            model, n_steps, A_f, K, *enumeration._branches([W]), **budget)[0]
-        kept, mixtures = zip(*leaf_by_leaf(model, n_steps, A_f, K, W,
-                                           **budget))
+    def assert_matches_leaf_by_leaf(model, n_steps, spec=SKF, **budget):
+        bank = filter_bank(model, n_steps)
+        W, = fast._bank_weights(model.r, DET, [spec], bank)
+        got = enumerate_filters(model, DET, [spec], n_steps, bank,
+                                **budget)[0]
+        kept, mixtures = zip(*leaf_by_leaf(model, n_steps, bank.A, bank.gains,
+                                           W, **budget))
         (mse, moments), = enumeration._read_moments(
             np.array(mixtures)[None], model.z)
         method = "pruned" if {"keep", "mass"} & set(budget) else "exact"
@@ -579,8 +641,8 @@ class TestFoldedLevels:
         model = random_model(rng, 2, 2, uniform_rows=False,
                              uniform_prior=False)
         self.assert_matches_leaf_by_leaf(model, 4, **budget)
-        self.assert_matches_leaf_by_leaf(model, 4, None, model.modes[1],
-                                         **budget)
+        self.assert_matches_leaf_by_leaf(
+            model, 4, FilterSpec("single-mode", mode=2), **budget)
 
     @pytest.mark.parametrize("n_steps", [1, 2])
     @pytest.mark.parametrize("budget", [{}, {"keep": 3}],
@@ -594,8 +656,8 @@ class TestFoldedLevels:
         with mock.patch.object(enumeration, "_advance",
                                wraps=enumeration._advance) as advance:
             self.assert_matches_leaf_by_leaf(model, n_steps, **budget)
-            self.assert_matches_leaf_by_leaf(model, n_steps, None,
-                                             model.modes[0], **budget)
+            self.assert_matches_leaf_by_leaf(
+                model, n_steps, FilterSpec("single-mode", mode=1), **budget)
         streamed = [call.args[3] for call in advance.call_args_list
                     if len(call.args) > 3]
         assert advance.call_count == 2 * (n_steps - 1)
@@ -648,15 +710,13 @@ class TestFoldedLevels:
     def test_detected_path_stores_and_sums_every_level(self, bench, budget):
         # per-leaf maps keep the leaf-by-leaf path: nothing is folded or
         # streamed, and each level is summed with one weight per leaf
-        A_f, K, W = fast._filter_rows(bench, DET, 4, None)
         with mock.patch.object(enumeration, "_advance",
                                wraps=enumeration._advance) as advance, \
                 mock.patch.object(enumeration, "_fold") as fold, \
                 mock.patch.object(enumeration, "_mixture",
                                   wraps=enumeration._mixture) as mixture:
-            enumeration._run_enumeration(bench, 4, A_f, K,
-                                         *enumeration._branches([W]),
-                                         detected_path=True, **budget)
+            enumerate_filters(bench, DET, [SKF], 4, gains="detected-path",
+                              **budget)
         assert fold.call_count == 0
         assert [len(call.args) for call in advance.call_args_list] == [3] * 4
         assert [call.args[0].ndim for call in mixture.call_args_list] == \

@@ -26,19 +26,29 @@ from slds_mse import (
     MeasurementModel,
     ModeModel,
     SldsModel,
-    aggregate_series,
-    average_filter_modes,
     bank_series,
+    default_filters,
+    enumerate_filters,
+    filter_bank,
     gain_schedule,
     merge_clusters,
     merge_recommendation,
     merged_mode,
     pair_model,
-    single_mode_slds_moments,
     skf_slds_moments,
 )
 
 DET = DetectionModel(0.9)
+SKF = FilterSpec("skf")
+
+
+def bank_moments(model, det, specs, n_steps):
+    """The kernel's raw moments E[w w.T] of w = [x; e] of each spec,
+    (N + 1, F, 2z, 2z), from the one moment pass ``bank_series`` runs."""
+    bank = filter_bank(model, n_steps)
+    blocks = fast._bank_moments(model, bank.A[None], bank.gains[None],
+                                fast._bank_weights(model.r, det, specs, bank))
+    return np.concatenate(list(blocks))[:, 0]
 
 
 def assert_all_kinds_match_enumeration(model, det, n_steps):
@@ -46,15 +56,14 @@ def assert_all_kinds_match_enumeration(model, det, n_steps):
     within 1e-12 relative at every step: the MSE, and the kernel's raw
     [x; e] moments against the ones rebuilt from enumeration's means and
     covariances, relative to their root-mean-square size."""
-    runs = [(None, skf_slds_moments(model, det, n_steps))]
-    runs += [(filt, single_mode_slds_moments(model, filt, n_steps))
-             for filt in (*model.modes, average_filter_modes(model, n_steps))]
-    for filt, (exact, moments) in runs:
-        series = aggregate_series(model, det, n_steps, filt=filt)
+    specs = default_filters(model.r)
+    raw = bank_moments(model, det, specs, n_steps)
+    assert raw.shape == (n_steps + 1, len(specs), 2 * model.z, 2 * model.z)
+    for f, (series, (exact, moments)) in enumerate(zip(
+            bank_series(model, det, specs, n_steps),
+            enumerate_filters(model, det, specs, n_steps))):
         assert_allclose(series.mse, exact.mse, rtol=1e-12, atol=0)
-        raw = fast._filter_moments(model, det, n_steps, filt)
-        assert raw.shape == (n_steps + 1, 2 * model.z, 2 * model.z)
-        for got, m in zip(raw, moments):
+        for got, m in zip(raw[:, f], moments):
             want = raw_moments(m)
             assert_allclose(got, want, rtol=0,
                             atol=1e-12 * np.sqrt(np.mean(want ** 2)))
@@ -78,53 +87,43 @@ def with_chain(model, Z, prior):
                      model.init)
 
 
-def spec_filter(model, spec, n_steps):
-    """``aggregate_series``'s ``filt`` for a filter spec."""
-    if spec.kind == "single-mode":
-        return model.modes[spec.mode - 1]
-    if spec.kind == "average":
-        return average_filter_modes(model, n_steps)
-    return None
-
-
 class TestAggregateEquivalence:
     def test_skf_matches_enumeration_on_benchmark(self, bench):
         exact, _ = skf_slds_moments(bench, DET, 8)
-        fast = aggregate_series(bench, DET, 8)
+        fast, = bank_series(bench, DET, [SKF], 8)
         assert fast.method == "aggregate"
         assert np.abs(fast.mse - exact.mse).max() <= 1e-8
 
     def test_all_filters_match_enumeration_on_benchmark(self, bench):
-        for filt in (bench.modes[0], bench.modes[1],
-                     average_filter_modes(bench, 8)):
-            exact, _ = single_mode_slds_moments(bench, filt, 8)
-            fast = aggregate_series(bench, None, 8, filt=filt)
+        specs = default_filters(bench.r)[:-1]          # all but the SKF
+        for fast, (exact, _) in zip(bank_series(bench, None, specs, 8),
+                                    enumerate_filters(bench, None, specs, 8)):
             assert np.abs(fast.mse - exact.mse).max() <= 1e-8
 
     def test_random_bimodal_models(self, rng):
         for _ in range(8):
             model = random_model(rng, 2, int(rng.integers(1, 4)))
             exact, _ = skf_slds_moments(model, DET, 8)
-            fast = aggregate_series(model, DET, 8)
+            fast, = bank_series(model, DET, [SKF], 8)
             assert np.abs(fast.mse - exact.mse).max() <= 1e-8
 
     def test_nonuniform_prior_still_exact(self, rng):
         # The recursion starts from the prior itself, so any prior is exact.
         model = random_model(rng, 2, 2, uniform_prior=False)
         exact, _ = skf_slds_moments(model, DET, 8)
-        fast = aggregate_series(model, DET, 8)
+        fast, = bank_series(model, DET, [SKF], 8)
         assert np.abs(fast.mse - exact.mse).max() <= 1e-10
 
     def test_three_mode_model(self, rng):
         model = random_model(rng, 3, 2)
         exact, _ = skf_slds_moments(model, DET, 5, cap=9 ** 5)
-        fast = aggregate_series(model, DET, 5)
+        fast, = bank_series(model, DET, [SKF], 5)
         assert np.abs(fast.mse - exact.mse).max() <= 1e-8
 
     def test_one_mode_reduces_to_matched_filter(self):
         model = single_mode_model(z=2)
         _, covs = gain_schedule(model.modes[0], model.meas, model.init, 12)
-        fast = aggregate_series(model, DetectionModel(0.2), 12)
+        fast, = bank_series(model, DetectionModel(0.2), [SKF], 12)
         for n in range(1, 13):
             assert_allclose(fast.mse[n], np.trace(covs[n - 1]),
                             atol=1e-12)
@@ -171,8 +170,8 @@ class TestAggregateEquivalence:
                                            n_steps)
 
     def test_state_series_matches_mse_series(self, bench):
-        raw = fast._filter_moments(bench, DET, 6, None)
-        series = aggregate_series(bench, DET, 6)
+        raw = bank_moments(bench, DET, [SKF], 6)[:, 0]
+        series, = bank_series(bench, DET, [SKF], 6)
         assert raw.shape == (7, 2 * bench.z, 2 * bench.z)
         assert_allclose(np.trace(raw[:, bench.z:, bench.z:], axis1=1, axis2=2),
                         series.mse, atol=1e-12)
@@ -182,7 +181,7 @@ class TestAggregateProperties:
     def test_moments_stay_psd_long_horizon(self, rng):
         for _ in range(3):
             model = random_model(rng, 2, 3)
-            raw = symmetric(fast._filter_moments(model, DET, 200, None))
+            raw = symmetric(bank_moments(model, DET, [SKF], 200)[:, 0])
             z = model.z
             for m in raw[::10]:
                 assert np.linalg.eigvalsh(m[z:, z:]).min() >= -1e-9
@@ -196,13 +195,13 @@ class TestAggregateProperties:
         model = random_model(np.random.default_rng(seed), r, 3,
                              uniform_rows=False, uniform_prior=False)
         n_steps = 4 * fast._BLOCK + 7
-        filt = spec_filter(model, FilterSpec(kind, mode=r), n_steps)
-        for joint in symmetric(fast._filter_moments(
-                model, DetectionModel(p_d), n_steps, filt)):
+        for joint in symmetric(bank_moments(
+                model, DetectionModel(p_d), [FilterSpec(kind, mode=r)],
+                n_steps)[:, 0]):
             assert np.linalg.eigvalsh(joint).min() >= -1e-12 * np.trace(joint)
 
     def test_mse_non_increasing_in_detection_rate(self, bench):
-        curves = {p: aggregate_series(bench, DetectionModel(p), 20).mse
+        curves = {p: bank_series(bench, DetectionModel(p), [SKF], 20)[0].mse
                   for p in (0.5, 0.7, 0.9, 1.0)}
         for n in range(3, 21):
             assert curves[1.0][n] <= curves[0.9][n] + 1e-12
@@ -211,14 +210,14 @@ class TestAggregateProperties:
 
     def test_runtime_under_10ms(self, rng):
         model = random_model(rng, 2, 4)
-        aggregate_series(model, DET, 100)  # warm-up
+        bank_series(model, DET, [SKF], 100)  # warm-up
         best = min(self._timed(model) for _ in range(3))
         assert best < 0.010
 
     @staticmethod
     def _timed(model):
         t0 = time.perf_counter()
-        aggregate_series(model, DET, 100)
+        bank_series(model, DET, [SKF], 100)
         return time.perf_counter() - t0
 
 
@@ -239,12 +238,11 @@ class TestStackedRecursion:
             [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
         for pair in rep.pairs:
             sub = pair_model(model, pair.mode_i, pair.mode_j)
-            skf = aggregate_series(sub, det, n_steps).mse
+            skf, *singles = (series.mse for series in bank_series(
+                sub, det, [SKF, *default_filters(2)[:2]], n_steps))
             label, best = min(
-                ((f"kf-mode-{mode}", aggregate_series(sub, None, n_steps,
-                                                      filt=filt).mse)
-                 for mode, filt in zip((pair.mode_i, pair.mode_j),
-                                       sub.modes)),
+                zip((f"kf-mode-{pair.mode_i}", f"kf-mode-{pair.mode_j}"),
+                    singles),
                 key=lambda c: c[1][1:].mean())
             assert_allclose(pair.skf_mse, skf, rtol=1e-12, atol=0)
             assert_allclose(pair.best_single_mse, best, rtol=1e-12, atol=0)
@@ -262,13 +260,13 @@ class TestStackedRecursion:
         model = with_chain(model, 0.9 * np.eye(r) + 0.1 * model.chain.Z,
                            model.chain.prior)
         det = DetectionModel(p_d)
-        for filt in (None, model.modes[0]):
-            full = aggregate_series(model, det, HORIZONS[-1], filt=filt).mse
-            short = aggregate_series(model, det, n_steps, filt=filt).mse
+        for spec in (SKF, FilterSpec("single-mode", mode=1)):
+            full = bank_series(model, det, [spec], HORIZONS[-1])[0].mse
+            short = bank_series(model, det, [spec], n_steps)[0].mse
             assert_allclose(full[:n_steps + 1], short, rtol=1e-12, atol=0)
             # The blocks only bound memory: one block gives the same series.
             with mock.patch.object(fast, "_BLOCK", HORIZONS[-1]):
-                whole = aggregate_series(model, det, HORIZONS[-1], filt=filt)
+                whole, = bank_series(model, det, [spec], HORIZONS[-1])
             assert_allclose(whole.mse, full, rtol=1e-12, atol=0)
 
 
@@ -292,14 +290,9 @@ class TestBankOracle:
         for n_steps in SHORT_HORIZONS:
             with mock.patch.object(fast, "_BLOCK", SHORT_BLOCK):
                 series = bank_series(model, det, specs, n_steps)
-            for spec, got in zip(specs, series):
-                if spec.kind == "skf":
-                    exact, _ = skf_slds_moments(model, det, n_steps,
-                                                cap=9 ** n_steps)
-                else:
-                    exact, _ = single_mode_slds_moments(
-                        model, spec_filter(model, spec, n_steps), n_steps)
-                assert_allclose(got.mse, exact.mse, rtol=1e-12, atol=0,
+            exact = enumerate_filters(model, det, specs, n_steps)
+            for spec, got, (want, _) in zip(specs, series, exact):
+                assert_allclose(got.mse, want.mse, rtol=1e-12, atol=0,
                                 err_msg=f"{spec.display} N={n_steps}")
 
 
@@ -360,9 +353,6 @@ class TestFilterBank:
         series = bank_series(model, det, specs, n_steps)
         assert len(series) == len(specs)
         for spec, got in zip(specs, series):
-            alone = aggregate_series(model, det, n_steps,
-                                     filt=spec_filter(model, spec, n_steps))
-            assert_array_equal(got.mse, alone.mse)
             assert got.method == "aggregate"
             # the other filters in the list never move this one
             assert_array_equal(bank_series(model, det, [spec], n_steps)[0].mse,

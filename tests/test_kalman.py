@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
+    average_filter_modes,
     bimodal_model,
     kf_predict,
+    kf_schedule,
     kf_update,
     random_mode,
     random_model,
@@ -23,15 +25,17 @@ from slds_mse import (
     MeasurementModel,
     ModeModel,
     SldsModel,
-    aggregate_series,
-    as_mode_sequence,
-    average_filter_modes,
     filter_bank,
     gain_schedule,
+    merge_recommendation,
+    mismatch_series,
     mode_marginal_series,
+    single_mode_slds_moments,
 )
-from slds_mse.fast import _filter_rows
-from slds_mse.kalman import _mode_dynamics, _riccati
+from slds_mse.kalman import _average_dynamics, _mode_dynamics, _riccati
+
+
+THREE_D = ModeModel(0.5 * np.eye(3), 0.1 * np.eye(3))
 
 
 def scalar_mode(a, q):
@@ -159,18 +163,10 @@ class TestSchedules:
             # geometric settling after burn-in
             assert np.all(deltas[40:] <= deltas[39])
 
-    def test_as_mode_sequence(self, bench):
-        mode = bench.modes[0]
-        seq = as_mode_sequence(mode, 4)
-        assert len(seq) == 4 and all(m is mode for m in seq)
-        explicit = [bench.modes[0], bench.modes[1], bench.modes[0]]
-        assert as_mode_sequence(explicit, 3) == explicit
-        with pytest.raises(ValueError):
-            as_mode_sequence(explicit, 4)
-
     def test_mode_schedules_match_individual(self, bench):
         # The switching filter runs one row per mode; row j is mode j's KF.
-        _, K, _ = _filter_rows(bench, DetectionModel(0.9), 5, None)
+        bank = filter_bank(bench, 5)
+        K = bank.gains[bank.rows(FilterSpec("skf"))]
         assert K.shape == (2, 5, 4, 4)
         for j in (0, 1):
             gains, _ = gain_schedule(bench.modes[j], bench.meas, bench.init, 5)
@@ -178,17 +174,15 @@ class TestSchedules:
                 assert_array_equal(K[j, k], gains[k])
 
     def test_mode_schedule_rows_are_single_schedules_bitwise(self, rng):
-        # The switching filter's r rows, the bank's first r rows and each
-        # mode's own schedule come from batched Riccati loops of different
-        # sizes; a row of a batch must not depend on the other rows.
+        # The mode rows that merge analysis runs, the bank's first r rows
+        # and each mode's own schedule come from batched Riccati loops of
+        # different sizes; a row of a batch must not depend on the others.
         model = random_model(rng, 3, 3)
         A, Q = _mode_dynamics(model, 30)
         gains, covs = _riccati(A, Q, model.meas, model.init.cov)
-        A_f, K, _ = _filter_rows(model, DetectionModel(0.9), 30, None)
         bank = filter_bank(model, 30)
-        assert_array_equal(K, gains)
-        assert_array_equal(K, bank.gains[:3])
-        assert_array_equal(A_f, bank.A[:3])
+        assert_array_equal(gains, bank.gains[:3])
+        assert_array_equal(A, bank.A[:3])
         for j, mode in enumerate(model.modes):
             single = gain_schedule(mode, model.meas, model.init, 30)
             assert_array_equal(gains[j], single[0])
@@ -198,13 +192,15 @@ class TestSchedules:
         model = random_model(rng, 3, 3, uniform_rows=False,
                              uniform_prior=False)
         bank = filter_bank(model, 30)
-        filters = (*model.modes, average_filter_modes(model, 30))
         assert bank.A.shape == (4, 30, 3, 3)
-        for j, filt in enumerate(filters):
-            gains, _ = gain_schedule(filt, model.meas, model.init, 30)
+        for j, mode in enumerate(model.modes):
+            gains, _ = gain_schedule(mode, model.meas, model.init, 30)
             assert_array_equal(bank.gains[j], gains)
-            assert_array_equal(bank.A[j], np.stack(
-                [mode.A for mode in as_mode_sequence(filt, 30)]))
+            assert_array_equal(bank.A[j], np.broadcast_to(mode.A, (30, 3, 3)))
+        average = average_filter_modes(model, 30)
+        assert_array_equal(bank.gains[3],
+                           kf_schedule(average, model.meas, model.init)[0])
+        assert_array_equal(bank.A[3], [mode.A for mode in average])
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(r=st.integers(1, 4), z=st.integers(1, 4),
@@ -216,20 +212,38 @@ class TestSchedules:
         rng = np.random.default_rng(seed)
         model = random_model(rng, r, z, uniform_rows=False,
                              uniform_prior=False)
-        for filt in (*model.modes, average_filter_modes(model, n_steps)):
-            gains, covs = gain_schedule(filt, model.meas, model.init, n_steps)
+        # the average filter's one-row pass on its per-step dynamics
+        A, Q = _average_dynamics(model, n_steps)
+        gains, covs = _riccati(A[None], Q[None], model.meas, model.init.cov)
+        schedules = [(gains[0], covs[0],
+                      average_filter_modes(model, n_steps))]
+        schedules += [(*gain_schedule(mode, model.meas, model.init, n_steps),
+                       [mode] * n_steps) for mode in model.modes]
+        for gains, covs, steps in schedules:
             belief = model.init
-            for n, mode in enumerate(as_mode_sequence(filt, n_steps)):
+            for n, mode in enumerate(steps):
                 out = kf_update(kf_predict(belief, mode), model.meas,
                                 rng.standard_normal(z))
                 assert_array_equal(out.gain, gains[n])
                 assert_array_equal(out.posterior.cov, covs[n])
                 belief = out.posterior
 
-    @pytest.mark.parametrize("mode", [0, -1, 4])
-    def test_filter_bank_rejects_an_unknown_mode(self, bench, mode):
-        with pytest.raises(ValueError, match="outside 1..2"):
-            filter_bank(bench, 3).rows(FilterSpec("single-mode", mode=mode))
+    UNKNOWN_MODES = [
+        pytest.param(lambda model, j=j: filter_bank(model, 3).rows(
+            FilterSpec("single-mode", mode=j)), "outside 1..2", id=str(j))
+        for j in (0, -1, 4)]
+    # a filter mode of another state dimension than the model's 4
+    OTHER_DIMENSION = "dimension 3 does not match state dimension 4"
+
+    @pytest.mark.parametrize("reject, reason", UNKNOWN_MODES + [
+        pytest.param(lambda model: single_mode_slds_moments(model, THREE_D, 3),
+                     OTHER_DIMENSION, id="3-d-single-mode"),
+        pytest.param(lambda model: mismatch_series(
+            model.modes[0], THREE_D, model.meas, model.init, 3),
+                     OTHER_DIMENSION, id="3-d-mismatch")])
+    def test_filter_bank_rejects_an_unknown_mode(self, bench, reject, reason):
+        with pytest.raises(ValueError, match=reason):
+            reject(bench)
 
     def test_singular_innovation_raises_in_schedules(self):
         # R = 0, P0 = 0 and Q = 0 leave a zero innovation covariance.
@@ -239,7 +253,8 @@ class TestSchedules:
         model = SldsModel((mode, mode), meas,
                           MarkovChain(np.full((2, 2), 0.5), [0.5, 0.5]), init)
         for run in (lambda: gain_schedule(mode, meas, init, 3),
-                    lambda: aggregate_series(model, DetectionModel(0.9), 3),
+                    lambda: merge_recommendation(model, DetectionModel(0.9),
+                                                 3, 0.1),
                     lambda: filter_bank(model, 3)):
             with pytest.raises(InnovationSolveError) as err:
                 run()
@@ -254,8 +269,8 @@ class TestSchedules:
                           MarkovChain(np.full((2, 2), 0.5), [0.5, 0.5]), init)
         for run, where in ((lambda: gain_schedule(huge, meas, init, 3),
                             "at step 1 of row 0"),
-                           (lambda: aggregate_series(model,
-                                                     DetectionModel(0.9), 3),
+                           (lambda: merge_recommendation(
+                               model, DetectionModel(0.9), 3, 0.1),
                             "at step 1 of row 1"),
                            (lambda: filter_bank(model, 3),
                             "at step 1 of row 1")):
@@ -288,11 +303,6 @@ class TestSchedules:
         with pytest.raises(InnovationSolveError,
                            match="not positive definite at step 1 of row 0"):
             gain_schedule(mode, meas, scalar_belief(0.0, 0.0), 3)
-
-    def test_schedule_accepts_per_step_modes(self, bench):
-        seq = [bench.modes[0], bench.modes[1], bench.modes[0]]
-        gains, covs = gain_schedule(seq, bench.meas, bench.init, 3)
-        assert len(gains) == len(covs) == 3
 
 
 class TestAverageFilter:

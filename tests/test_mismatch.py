@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import (
+    average_filter_modes,
     initial_moments,
+    kf_schedule,
     mismatch_step,
     random_mode,
     random_model,
@@ -18,12 +20,12 @@ from slds_mse import (
     MeasurementModel,
     ModeModel,
     SldsModel,
-    as_mode_sequence,
-    average_filter_modes,
+    filter_bank,
     gain_schedule,
     mismatch_series,
     run_monte_carlo,
 )
+from slds_mse.enumeration import _run_enumeration
 
 
 def scalar_pair(a_true=0.9, a_filt=0.46, q_true=0.01, q_filt=0.01,
@@ -139,18 +141,28 @@ class TestRecursion:
                                           seed):
         # the lifted-moment series against the independent one-step
         # recursion, for a fixed filter (modes 1 and 2) or the average
-        # filter's per-step sequence (3), on the truth of mode 1
+        # filter's per-step dynamics (3), on the truth of mode 1
         model = random_model(np.random.default_rng(seed), 3, z,
                              uniform_rows=False, uniform_prior=False)
         truth = model.modes[0]
-        filt = (average_filter_modes(model, n_steps) if filt_index == 3
-                else model.modes[filt_index - 1])
-        gains, _ = gain_schedule(filt, model.meas, model.init, n_steps)
-        moments, series = mismatch_series(truth, filt, model.meas,
-                                          model.init, n_steps)
+        if filt_index == 3:
+            # the bank's average row on the one-mode system of the truth
+            steps = average_filter_modes(model, n_steps)
+            bank = filter_bank(model, n_steps)
+            row = bank.rows(FilterSpec("average"))
+            fixed = SldsModel([truth], model.meas, MarkovChain([[1.0]], [1.0]),
+                              model.init)
+            series, moments = _run_enumeration(
+                fixed, n_steps, bank.A[row], bank.gains[row],
+                np.zeros((1, 1), dtype=int), np.ones((1, 1)))[0]
+        else:
+            steps = [model.modes[filt_index - 1]] * n_steps
+            moments, series = mismatch_series(truth, steps[0], model.meas,
+                                              model.init, n_steps)
+        gains, _ = kf_schedule(steps, model.meas, model.init)
         state = initial_moments(model.init)
         fields = ("e_mean", "e_cov", "x_mean", "x_cov", "u")
-        for n, mode in enumerate(as_mode_sequence(filt, n_steps), start=1):
+        for n, mode in enumerate(steps, start=1):
             state = mismatch_step(state, truth, mode, model.meas,
                                   gains[n - 1])
             got = moments[n]

@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
+    average_filter_modes,
     bimodal_model,
     detection,
     filter_specs,
     kf_predict,
+    kf_schedule,
     kf_update,
     random_model,
     single_mode_model,
@@ -31,8 +33,6 @@ from slds_mse import (
     ModeModel,
     SimRun,
     SldsModel,
-    as_mode_sequence,
-    average_filter_modes,
     filter_bank,
     gain_schedule,
     run_monte_carlo,
@@ -175,16 +175,15 @@ class TestFilterReplay:
         want_M, want_K = [], []
         for spec in specs:
             if spec.kind == "skf":
-                filters = model.modes
+                filters = [[mode] * n_steps for mode in model.modes]
+            elif spec.kind == "average":
+                filters = [average_filter_modes(model, n_steps)]
             else:
-                filters = [average_filter_modes(model, n_steps)
-                           if spec.kind == "average"
-                           else model.modes[spec.mode - 1]]
-            for filt in filters:
-                gains, _ = gain_schedule(filt, model.meas, model.init,
-                                         n_steps)
-                want_M.append([mode.A - gain @ (H @ mode.A) for mode, gain in
-                               zip(as_mode_sequence(filt, n_steps), gains)])
+                filters = [[model.modes[spec.mode - 1]] * n_steps]
+            for steps in filters:
+                gains, _ = kf_schedule(steps, model.meas, model.init)
+                want_M.append([mode.A - gain @ (H @ mode.A)
+                               for mode, gain in zip(steps, gains)])
                 want_K.append(gains)
         assert_array_equal(M, np.array(want_M))
         assert_array_equal(K, np.array(want_K))
