@@ -14,9 +14,10 @@ to carry the means.  Every moment of :class:`ErrorMoments` is read off
 the mixture sum_l pi_l Phi_l.  ``mismatch_series`` is the one-mode
 case: a fixed truth has one leaf per step.
 
-A run takes filter-bank rows and a group of filters that branch alike,
-which share one tree: every fixed-gain filter (r branches per leaf), or
-the switching filter (r^2).  The leaves are stored as
+A run takes filter-bank rows and one group of ``kalman.filter_groups``,
+rows (F, s) of filters that share branch weights D (r, s) and one tree:
+every fixed-gain filter (r branches per leaf), or the switching filter
+(r^2).  The leaves are stored as
 S[f, a, l, c] = Phi_l[a, c] of filter f, so a step is two BLAS products
 per block of parents: each filter's branch maps stacked into one
 (branches * k, k) matrix times its block of S viewed as (k, L * k), then
@@ -59,9 +60,10 @@ from .kalman import (
     _mode_dynamics,
     _riccati_step,
     filter_bank,
+    filter_groups,
     gain_schedule,
 )
-from .fast import _bank_weights, _initial_moment, _joint_factors, _noise
+from .fast import _initial_moment, _joint_factors, _noise
 
 DEFAULT_CAP = 2 ** 20
 
@@ -226,32 +228,18 @@ def _keep_indices(prob: np.ndarray, keep: Optional[int],
     return order[:cut]
 
 
-def _branches(W: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (F, s) that each filter of a group runs and the branch weights
-    D (r, s) they share: D[i, d] weighs slot d under true mode i."""
-    W = np.array(W)
-    used = W.any(axis=1)
-    if (used.sum(axis=1) == used[0].sum()).all():
-        rows = np.nonzero(used)[1].reshape(len(W), -1)
-        D = np.take_along_axis(W, rows[:, None], axis=2)
-        if (D == D[0]).all():
-            return rows, D[0]
-    raise ValueError("the filters of one enumeration must share their "
-                     "branch weights")
-
-
 def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
                      K: np.ndarray, rows: np.ndarray, D: np.ndarray, *,
                      keep: Optional[int] = None, mass: Optional[float] = None,
                      renormalize: bool = False, cap: int = DEFAULT_CAP,
                      detected_path: bool = False) -> list:
-    """Series and moments of each filter of a bank with rows ``A_f``,
-    ``K`` (R, N, z, z|m), from one trajectory tree.  The filters share
-    the branch weights ``D`` and run the bank rows ``rows`` (F, s) that
-    ``_branches`` reads off their W: every fixed-gain filter, or the
-    switching filter.  ``detected_path`` gives the switching filter each
-    leaf's gain from its own Riccati step along its detected trajectory
-    instead of ``K``."""
+    """Series and moments of each filter of one group of
+    ``kalman.filter_groups`` on a bank with rows ``A_f``, ``K`` (R, N, z,
+    z|m), from one trajectory tree: the filters run the bank rows ``rows``
+    (F, s) under the shared branch weights ``D`` (r, s).
+    ``detected_path`` gives the switching filter each leaf's gain from
+    its own Riccati step along its detected trajectory instead of ``K``,
+    which it does not read."""
     if keep is not None and mass is not None:
         raise ValueError("give either keep or mass, not both")
     if keep is not None and keep < 1:
@@ -361,37 +349,33 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     trajectory enumeration on one ``filter_bank`` (or the caller's
     ``bank``), exact or beam-pruned.
 
-    One tree runs per group of filters that branch alike: first the
-    switching filter on (true, detected) pairs, whose r^2 branches per
-    leaf outgrow the other tree's r, so no tree grows while another is
-    over its cap; then every fixed-gain filter.  A tree's error names its
+    One tree runs per group of ``filter_groups``: first the switching
+    filter on (true, detected) pairs, whose r^2 branches per leaf outgrow
+    the other tree's r, so no tree grows while another is over its cap;
+    then every fixed-gain filter.  A tree's error names its
     filters.  ``keep`` retains that many trajectories per step, ``mass``
     the smallest prefix reaching that probability; each series carries
     its kept mass, and ``renormalize`` rescales the kept weights to sum
     to one.  ``gains="detected-path"`` runs the switching filter's
     Riccati recursion along each detected trajectory in place of the
-    detected mode's schedule.
+    detected mode's schedule, and builds no filter bank.
     """
     if gains not in (GAIN_SCHEDULE, GAIN_DETECTED_PATH):
         raise ValueError(f"unknown gain policy {gains!r}")
     detected_path = gains == GAIN_DETECTED_PATH
     if detected_path and any(spec.kind != "skf" for spec in filters):
         raise ValueError("detected-path gains apply to the switching filter only")
-    if bank is None:
+    groups = filter_groups(model.r, det, filters)
+    if bank is None and not detected_path:   # detected paths read no rows
         bank = filter_bank(model, n_steps)
-    W = _bank_weights(model.r, det, filters, bank)
+    A_f, K = (None, None) if bank is None else (bank.A, bank.gains)
     runs = {}
-    for skf in (True, False):
-        members = [f for f, spec in enumerate(filters)
-                   if (spec.kind == "skf") == skf]
-        if not members:
-            continue
+    for members, rows, D in groups:
         label = ", ".join(dict.fromkeys(filters[f].display for f in members))
         t0 = time.perf_counter()
         try:
             runs.update(zip(members, _run_enumeration(
-                model, n_steps, bank.A, bank.gains,
-                *_branches([W[f] for f in members]), keep=keep, mass=mass,
+                model, n_steps, A_f, K, rows, D, keep=keep, mass=mass,
                 renormalize=renormalize, cap=cap,
                 detected_path=detected_path)))
         except (EnumerationCapError, ValueError) as exc:
@@ -420,6 +404,9 @@ def mismatch_series(truth: ModeModel, filt: ModeModel, meas: MeasurementModel,
     """Error moments for steps 0..n_steps of the KF of mode ``filt`` on the
     fixed truth ``truth``: the one-mode system, whose tree has one leaf
     per step."""
+    if truth.z != meas.z:
+        raise ValueError(f"truth mode dimension {truth.z} does not match "
+                         f"state dimension {meas.z}")
     model = SldsModel([truth], meas, MarkovChain([[1.0]], [1.0]), init)
     series, moments = single_mode_slds_moments(model, filt, n_steps)
     return moments, MseSeries(mse=series.mse, method="exact")

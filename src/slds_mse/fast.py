@@ -10,17 +10,18 @@ noise has zero mean, so the raw second moments close on their own: the
 kernel carries no means, and its moments are 2z-square.
 
 One kernel, :func:`_bank_moments`, advances a whole filter bank in one
-pass.  A bank is R filter rows (per-step dynamics and gains), and each
-filter f is a row-weight matrix W_f (r x R): under true mode j it runs
-row rho with probability W_f[j, rho].  The switching filter puts the
-detection weights D over the mode rows; a fixed filter has a column of
-ones on its own row; merging two filters sums their columns.  Each
-filter carries Phi_j = E[w w.T 1{s_n = j}] per true mode j, mixes the
-predecessors, Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step 1),
-and branches: Phi_j' = sum_rho W[j, rho] (G Psi_j G.T + p_j C),
-p_j = P(s_n = j), with the branch's map G and noise C.  The maps are
-built once per block of steps on the (true mode x row) grid; the noise
-enters only as sum_rho W C.
+pass.  A bank is R filter rows (per-step dynamics and gains), and a
+group of ``kalman.filter_groups`` runs rows (F, s) under shared branch
+weights D (r, s): under true mode j its filter runs slot d's row with
+probability D[j, d].  The switching filter puts the detection weights
+over the mode rows; a fixed filter has ones on its own row; merging two
+filters sums two columns of D.  Each filter carries
+Phi_j = E[w w.T 1{s_n = j}] per true mode j, mixes the predecessors,
+Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step 1), and branches:
+Phi_j' = sum_d D[j, d] (G Psi_j G.T + p_j C), p_j = P(s_n = j), with
+the map G and noise C of the branch (j, its row in slot d).  The maps
+are built once per block of steps on the (true mode x row) grid; the
+noise enters only as sum_d D C.
 
 The mode-merge recommender runs every mode pair as a bimodal sub-system
 with a uniform pairwise chain; a pair whose switching filter barely
@@ -45,7 +46,8 @@ from .model import (
     SldsModel,
     mode_marginal_series,
 )
-from .kalman import FilterBank, _mode_dynamics, _riccati, filter_bank
+from .kalman import (FilterBank, _mode_dynamics, _riccati, filter_bank,
+                     filter_groups)
 
 METRICS = ("mean", "max", "final")
 _BLOCK = 25            # steps per block of branch maps in _bank_moments
@@ -121,19 +123,6 @@ def _noise(Q: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return C
 
 
-def _branch_weights(r: int, det: Optional[DetectionModel],
-                    switching: bool) -> np.ndarray:
-    """W of one filter over its own rows: one row for a fixed filter, or
-    the switching filter's D[i, j] = P(detected mode j | true mode i); a
-    lone mode is always detected, whatever p_d says."""
-    if not switching:
-        return np.ones((r, 1))
-    if det is None:
-        raise ValueError("switching-filter analysis needs a detection model")
-    miss = (1.0 - det.p_d) / max(r - 1, 1)
-    return np.where(np.eye(r, dtype=bool), det.p_d if r > 1 else 1.0, miss)
-
-
 def _initial_moment(init: GaussianBelief) -> np.ndarray:
     """E[w w.T] of w = [x; e; 1] at step 0: e_0 = x_0 - mean, so x_0 and
     e_0 share the covariance P_0."""
@@ -145,24 +134,21 @@ def _initial_moment(init: GaussianBelief) -> np.ndarray:
 
 
 def _bank_moments(base: SldsModel, A_f: np.ndarray, K: np.ndarray,
-                  W: Sequence[np.ndarray], true: Optional[tuple] = None,
+                  groups: Sequence[tuple], true: Optional[tuple] = None,
                   ) -> Iterator[np.ndarray]:
-    """E[w w.T] of w = [x; e] for steps 0..N of every filter ``W`` of a
-    bank, summed over modes, not symmetrized: (1, b, F, k, k), then
-    (steps, b, F, k, k) per block, k = 2z.  The b systems share
-    ``base``'s measurement, belief and chain; their true modes are
-    ``true = (A, Q)`` (b, r, z, z), by default ``base``'s own, and their
-    rows ``A_f``, ``K`` (b, R, N, z, z|m).
+    """E[w w.T] of w = [x; e] for steps 0..N of the filters of ``groups``
+    (``kalman.filter_groups``) by spec position, summed over modes, not
+    symmetrized: (1, b, F, k, k), then (steps, b, F, k, k) per block,
+    k = 2z.  The b systems share ``base``'s measurement, belief and chain;
+    their true modes are ``true = (A, Q)`` (b, r, z, z), by default
+    ``base``'s own, and their rows ``A_f``, ``K`` (b, R, N, z, z|m).
     """
     A, Q = true or (m[None, :, 0] for m in _mode_dynamics(base, 1))
     b, n_steps, k = K.shape[0], K.shape[2], 2 * A.shape[-1]
-    by_width: dict = {}
-    for f, w in enumerate(W):
-        rows = np.flatnonzero(w.any(axis=0))
-        by_width.setdefault(len(rows), []).append((f, rows, w[:, rows]))
+    F = sum(len(members) for members, _, _ in groups)
     phi0 = _initial_moment(base.init)[:k, :k]          # the [x; e] block
-    yield np.broadcast_to(phi0, (1, b, len(W), k, k))
-    stacks = [_Stack(members, b, phi0) for members in by_width.values()]
+    yield np.broadcast_to(phi0, (1, b, F, k, k))
+    stacks = [_Stack(*group, b, phi0) for group in groups]
     margs = mode_marginal_series(base.chain, max(n_steps, 1))
     for start in range(0, n_steps, _BLOCK):
         steps = slice(start, start + _BLOCK)
@@ -172,7 +158,7 @@ def _bank_moments(base: SldsModel, A_f: np.ndarray, K: np.ndarray,
                               K[:, :, steps].transpose(2, 0, 1, 3, 4),
                               base.meas.H, base.meas.R)
         p = margs[steps, None, None, :, None, None]
-        pQ, out = p * Q[None, :, None], np.empty((len(p), b, len(W), k, k))
+        pQ, out = p * Q[None, :, None], np.empty((len(p), b, F, k, k))
         for stack in stacks:
             out[:, :, stack.filters] = stack.advance(grid, p, pQ, base.chain,
                                                      start == 0)
@@ -180,25 +166,25 @@ def _bank_moments(base: SldsModel, A_f: np.ndarray, K: np.ndarray,
 
 
 class _Stack:
-    """Filters of a bank that run as many rows, advanced as one through
-    products and sums of each filter's own shape, so that a filter's
-    moments do not depend, bit for bit, on the rest of the bank: positions
-    ``filters`` (F,), rows (F, s), weights ``w`` (F, r, s) and moments
-    ``phi`` (system, filter, mode, k k).  sqrt(W) on both sides applies
-    each weight once, so with L_j = [G_j1 | G_j2 | ...] the branch sum is
-    one stacked product, L_j (I (x) Psi_j) L_j.T."""
+    """One group of a bank's filters, advanced as one through products
+    and sums of each filter's own shape, so that a filter's moments do
+    not depend, bit for bit, on the rest of the bank: positions
+    ``filters`` (F,), ``rows`` (F, s), shared branch weights ``D`` (r, s)
+    and moments ``phi`` (system, filter, mode, k k).  sqrt(D) on both
+    sides applies each weight once, so with L_j = [G_j1 | G_j2 | ...] the
+    branch sum is one stacked product, L_j (I (x) Psi_j) L_j.T."""
 
-    def __init__(self, members: list, b: int, phi0: np.ndarray):
-        self.filters, self.rows, self.w = map(np.array, zip(*members))
+    def __init__(self, filters: list, rows: np.ndarray, D: np.ndarray,
+                 b: int, phi0: np.ndarray):
+        self.filters, self.rows, self.D = filters, rows, D
         # A bank listed in row order gives one ascending run of rows: a
         # slice keeps the maps a view, where an index array copies them
         # in a slow layout; weights of one need no scaled copy at all.
-        flat = self.rows.ravel()
+        flat = rows.ravel()
         self.pick = slice(flat[0], flat[-1] + 1) \
             if (np.diff(flat) == 1).all() else flat
-        self.scale = None if (self.w == 1.0).all() else \
-            np.sqrt(self.w)[..., None, None]
-        (F, r, s), k = self.w.shape, len(phi0)
+        self.scale = None if (D == 1.0).all() else np.sqrt(D)[..., None, None]
+        (F, s), r, k = rows.shape, len(D), len(phi0)
         self.phi = np.broadcast_to(phi0.ravel(), (b, F, 1, k * k))
         self.psi = np.empty((b, F, r, 1, k, k))       # scratch of each step
         self.branches = np.empty((b, F, r, s, k, k))
@@ -210,14 +196,14 @@ class _Stack:
         Gt, lower = (X[..., self.pick, :, :].reshape(
             X.shape[:3] + self.rows.shape + X.shape[-2:]).swapaxes(2, 3)
             for X in grid)       # (step, system, filter, mode, row) blocks
-        k, w = Gt.shape[-1], self.w
+        k, D = Gt.shape[-1], self.D
         lift_t = Gt if self.scale is None else np.multiply(
             Gt, self.scale, order="C")
         lift_h = lift_t.reshape(lift_t.shape[:4] + (-1, k)).swapaxes(-1, -2)
         noise = _noise(pQ, p * sum(     # in row order; weights of one skipped
             lower[..., i, :, :] if self.scale is None
-            else w[:, :, i, None, None] * lower[..., i, :, :]
-            for i in range(w.shape[-1])))
+            else D[:, i, None, None] * lower[..., i, :, :]
+            for i in range(D.shape[-1])))
         psi_flat = self.psi.reshape(self.psi.shape[:3] + (-1,))
         stacked = self.branches.reshape(self.psi.shape[:3] + (-1, k))
         phi = self.phi
@@ -232,15 +218,6 @@ class _Stack:
         return noise.sum(axis=3)
 
 
-def _bank_weights(r: int, det: Optional[DetectionModel],
-                  filters: Sequence[FilterSpec], bank: FilterBank) -> list:
-    """Row weights W_f (r x R) of each spec in ``filters`` on ``bank``."""
-    W = [np.zeros((r, len(bank.A))) for _ in filters]
-    for w, spec in zip(W, filters):
-        w[:, bank.rows(spec)] = _branch_weights(r, det, spec.kind == "skf")
-    return W
-
-
 def bank_series(model: SldsModel, det: Optional[DetectionModel],
                 filters: Sequence[FilterSpec], n_steps: int,
                 bank: Optional[FilterBank] = None) -> list[MseSeries]:
@@ -252,7 +229,7 @@ def bank_series(model: SldsModel, det: Optional[DetectionModel],
     if bank is None:
         bank = filter_bank(model, n_steps)
     blocks = _bank_moments(model, bank.A[None], bank.gains[None],
-                           _bank_weights(model.r, det, filters, bank))
+                           filter_groups(model.r, det, filters))
     mse = np.concatenate([_error_trace(m[:, 0], model.z) for m in blocks])
     return [MseSeries(mse=m, method="aggregate") for m in mse.T]
 
@@ -310,12 +287,13 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
     gains, _ = _riccati(*_mode_dynamics(model, n_steps), model.meas,
                         model.init.cov)
     A, Q = (m[:, 0][members] for m in _mode_dynamics(model, 1))
-    W = (_branch_weights(2, det, True), np.array([[1.0, 0.0]] * 2),
-         np.array([[0.0, 1.0]] * 2))
+    groups = filter_groups(2, det, [FilterSpec("skf"),
+                                    FilterSpec("single-mode", mode=1),
+                                    FilterSpec("single-mode", mode=2)])
     blocks = _bank_moments(
         pair_model(model, 1, 2),
         np.broadcast_to(A[:, :, None], A.shape[:2] + (n_steps,) + A.shape[2:]),
-        gains[members], W, true=(A, Q))
+        gains[members], groups, true=(A, Q))
     mse = np.concatenate([_error_trace(m, model.z) for m in blocks]).T
     pairs = []
     for (i, j), (skf_mse, *own) in zip(members + 1, mse.swapaxes(0, 1)):

@@ -9,17 +9,18 @@ The covariance recursion of a Kalman filter on a linear-Gaussian model::
 
 never touches the data, so the whole gain sequence K_1..K_N for a filter
 model can be computed up front; downstream error analysis consumes only
-those schedules.
+those schedules.  ``filter_groups`` maps filter specs to bank rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import (
+    DetectionModel,
     FilterSpec,
     GaussianBelief,
     MeasurementModel,
@@ -166,18 +167,6 @@ class FilterBank:
     A: np.ndarray
     gains: np.ndarray
 
-    def rows(self, spec: FilterSpec) -> slice:
-        """The rows ``spec`` runs: its own row for a fixed-gain filter, the
-        r mode rows for the switching filter."""
-        r = len(self.A) - 1
-        if spec.kind == "skf":
-            return slice(0, r)
-        if spec.kind == "average":
-            return slice(r, r + 1)
-        if not 1 <= spec.mode <= r:
-            raise ValueError(f"filter mode {spec.mode} is outside 1..{r}")
-        return slice(spec.mode - 1, spec.mode)
-
 
 def filter_bank(model: SldsModel, n_steps: int) -> FilterBank:
     """Every mode's KF and the average filter from one batched Riccati
@@ -188,3 +177,41 @@ def filter_bank(model: SldsModel, n_steps: int) -> FilterBank:
                 _average_dynamics(model, n_steps)))
     gains, _ = _riccati(A, Q, model.meas, model.init.cov)
     return FilterBank(A, gains)
+
+
+def _branch_weights(r: int, det: Optional[DetectionModel]) -> np.ndarray:
+    """The switching filter's branch weights D[i, j] = P(detected mode j |
+    true mode i); a lone mode is always detected, whatever p_d says."""
+    if det is None:
+        raise ValueError("switching-filter analysis needs a detection model")
+    miss = (1.0 - det.p_d) / max(r - 1, 1)
+    return np.where(np.eye(r, dtype=bool), det.p_d if r > 1 else 1.0, miss)
+
+
+def _spec_rows(r: int, spec: FilterSpec) -> list:
+    """The bank rows ``spec`` runs."""
+    if spec.kind == "skf":
+        return list(range(r))
+    if spec.kind == "average":
+        return [r]
+    if not 1 <= spec.mode <= r:
+        raise ValueError(f"filter mode {spec.mode} is outside 1..{r}")
+    return [spec.mode - 1]
+
+
+def filter_groups(r: int, det: Optional[DetectionModel],
+                  specs: Sequence[FilterSpec]) -> list:
+    """Groups of ``specs`` that branch alike on ``filter_bank``'s rows, the
+    switching filter's first, then every fixed-gain filter's: (spec
+    positions, bank rows (F, s), shared branch weights D (r, s)).  Under
+    true mode i a filter runs its slot d's row with probability D[i, d]:
+    detection weights over the r mode rows, or ones on one row."""
+    groups = []
+    for skf in (True, False):
+        members = [f for f, spec in enumerate(specs)
+                   if (spec.kind == "skf") == skf]
+        if members:
+            rows = [_spec_rows(r, specs[f]) for f in members]
+            D = _branch_weights(r, det) if skf else np.ones((r, 1))
+            groups.append((members, np.array(rows), D))
+    return groups

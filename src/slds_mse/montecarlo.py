@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import DetectionModel, FilterSpec, SldsModel
-from .kalman import FilterBank, filter_bank
+from .kalman import FilterBank, filter_bank, filter_groups
 
 CHUNK = 1024
 
@@ -104,31 +104,34 @@ def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
     return np.where(hit, truth, wrong)
 
 
-def _replay_inputs(bank: FilterBank, specs: Sequence[FilterSpec], H: np.ndarray):
+def _replay_inputs(bank: FilterBank, groups: list, H: np.ndarray):
     """Closed-loop maps ``M = (I - K H) A`` (B, N, z, z) and gains ``K``
-    (B, N, z, m) of ``specs`` in order, read off ``bank``: one row per
-    fixed-gain filter, one per mode of the switching filter."""
-    rows = [i for spec in specs for i in range(len(bank.A))[bank.rows(spec)]]
+    (B, N, z, m) of the bank rows of ``filter_groups``' ``groups``, in
+    group order: one per fixed-gain filter, one per mode of the switching
+    filter."""
+    rows = np.concatenate([rows.ravel() for _, rows, _ in groups])
     A, K = bank.A[rows], bank.gains[rows]
     return A - K @ (H @ A), K
 
 
 class _Replay:
     """Filters advanced together on closed-loop maps, ``x̂_n = M_n x̂_{n-1}
-    + K_n y_n`` from ``x̂_0 = x0``.  Estimates ``(R, z, count)`` hold one
-    row per fixed-gain filter, then the switching filter's r mode rows,
-    which all keep each run's detected row; the first G rows hold every
-    distinct filter once, and spec f is row group[f]."""
+    + K_n y_n`` from ``x̂_0 = x0``.  Estimates ``(R, z, count)`` hold the
+    switching filter's r mode rows, which all keep each run's detected
+    row, then one row per fixed-gain filter; the rows from ``lead`` on
+    hold every distinct filter once, and spec f is row group[f] of them."""
 
     def __init__(self, bank: FilterBank, specs: Sequence[FilterSpec],
                  model: SldsModel, det: Optional[DetectionModel]):
         self.det, self.r = det, model.r
-        fixed = list(dict.fromkeys(spec for spec in specs if spec.kind != "skf"))
         skf = [spec for spec in specs if spec.kind == "skf"][:1]
-        self.F, self.skf, self.G = len(fixed), bool(skf), len(fixed) + bool(skf)
-        self.group = [self.F if spec.kind == "skf" else fixed.index(spec)
+        fixed = list(dict.fromkeys(spec for spec in specs if spec.kind != "skf"))
+        self.skf, self.G = bool(skf), len(fixed) + bool(skf)
+        self.lead = model.r - 1 if skf else 0     # the SKF's last mode row
+        self.group = [0 if spec.kind == "skf" else self.skf + fixed.index(spec)
                       for spec in specs]
-        self.M, self.K = _replay_inputs(bank, fixed + skf, model.meas.H)
+        self.M, self.K = _replay_inputs(
+            bank, filter_groups(model.r, det, skf + fixed), model.meas.H)
         self.x0 = np.broadcast_to(model.init.mean[:, None],
                                   (len(self.M), model.z, 1))
 
@@ -138,7 +141,7 @@ class _Replay:
         out = self.M[:, n - 1] @ xhat + self.K[:, n - 1] @ y
         if self.skf:
             detected = _detect(rng, truth, self.det, self.r)
-            out[self.F:] = _pick(out[self.F:], detected)
+            out[:self.r] = _pick(out[:self.r], detected)
         return out
 
 
@@ -243,8 +246,6 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     filters = list(filters)
-    if det is None and any(f.kind == "skf" for f in filters):
-        raise ValueError("switching filter requires a detection model")
     system = _System(model)
     replay = _Replay(filter_bank(model, n_steps) if bank is None else bank,
                      filters, model, det)
@@ -260,7 +261,7 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
             if n:
                 mode, x, y = system.step(sim_rng, x, mode)
                 xhat = replay.step(n, xhat, y, mode, det_rng)
-            np.subtract(x, xhat[:replay.G], out=V[:, 1:-1])
+            np.subtract(x, xhat[replay.lead:], out=V[:, 1:-1])
             _gram(V, out=gram[n])
         return gram
 

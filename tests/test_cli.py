@@ -414,20 +414,29 @@ class TestGoldenOutputs:
     """The demo's CSVs against files written by earlier releases: those of
     ``analyze`` and ``recommend`` before the moment kernel dropped the
     means, those of the Monte Carlo commands ``simulate`` and ``compare``
-    before the stored-run replay was deleted.  Numeric cells within 1e-12
-    relative, every other cell exact."""
+    before the stored-run replay was deleted, and those of exact and
+    pruned enumeration before the filter groups replaced per-filter row
+    weights.  Numeric cells within 1e-12 relative, every other cell
+    exact."""
 
     NUMERIC = {"analytic_mse", "improvement", "threshold", "mc_mse",
                "mc_stderr"}
+    # golden file demo_<name>.csv: the command that writes it
+    COMMANDS = {
+        "analyze": ["analyze"], "recommend": ["recommend"],
+        "simulate": ["simulate"], "compare": ["compare"],
+        "exact": ["analyze", "--method", "exact", "--horizon", "8"],
+        "pruned": ["analyze", "--method", "pruned", "--keep", "64",
+                   "--horizon", "8"]}
 
-    @pytest.mark.parametrize("command",
-                             ["analyze", "recommend", "simulate", "compare"])
-    def test_demo_csv_matches_golden_file(self, tmp_path, command):
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_demo_csv_matches_golden_file(self, tmp_path, name):
         out = tmp_path / "out.csv"
-        assert main([command, "--scenario", DEMO, "--out", str(out)]) == 0
+        assert main([*self.COMMANDS[name], "--scenario", DEMO,
+                     "--out", str(out)]) == 0
         header, rows = read_csv(out.read_text())
         want_header, want_rows = read_csv(
-            (DATA / f"demo_{command}.csv").read_text())
+            (DATA / f"demo_{name}.csv").read_text())
         assert header == want_header
         assert len(rows) == len(want_rows)
         numeric = [name in self.NUMERIC for name in header]
@@ -792,17 +801,22 @@ class TestOneMomentPass:
                          "--threads", "1",
                          "--out", str(tmp_path / "out.csv")]) == 0
         assert kernel.call_count == 1
-        base, A_f, K, W = kernel.call_args.args
+        base, A_f, K, groups = kernel.call_args.args
         assert factors.call_count == 3
+        # (positions, rows shape, D shape) of each filter group
+        shapes = [(members, rows.shape, D.shape)
+                  for members, rows, D in groups]
         if command == "recommend":
             # one pair of modes: its two KF rows, its SKF and both KFs
             A, Q = kernel.call_args.kwargs["true"]
             assert A.shape == Q.shape == (1, 2, 1, 1)
             assert A_f.shape == K.shape == (1, 2, horizon, 1, 1)
-            assert [w.shape for w in W] == [(2, 2)] * 3
+            assert shapes == [([0], (1, 2), (2, 2)),
+                              ([1, 2], (2, 1), (2, 1))]
         else:
             # the scenario's own modes: r = 2 mode rows plus the average
             # filter's, four filters
             assert base.r == 2 and not kernel.call_args.kwargs
             assert A_f.shape == K.shape == (1, 3, horizon, 1, 1)
-            assert [w.shape for w in W] == [(2, 3)] * 4
+            assert shapes == [([3], (1, 2), (2, 2)),
+                              ([0, 1, 2], (3, 1), (2, 1))]

@@ -30,6 +30,7 @@ from slds_mse import (
     single_mode_slds_moments,
     skf_slds_moments,
 )
+from slds_mse.kalman import filter_groups
 
 DET = DetectionModel(0.9)
 SKF = FilterSpec("skf")
@@ -428,6 +429,16 @@ class TestGainVariants:
         with pytest.raises(ValueError):
             skf_slds_moments(bench, DET, 3, gains="nonsense")
 
+    @pytest.mark.parametrize("gains, banks", [("detected-path", 0),
+                                              ("schedule", 1)])
+    def test_only_schedule_gains_build_a_filter_bank(self, bench, gains,
+                                                     banks):
+        # a detected-path tree reads no bank row, so it builds no bank
+        with mock.patch.object(enumeration, "filter_bank",
+                               wraps=enumeration.filter_bank) as build:
+            skf_slds_moments(bench, DET, 3, gains=gains)
+        assert build.call_count == banks
+
 
 
 FIELDS = ("x_mean", "x_cov", "u", "e_mean", "e_cov")
@@ -500,14 +511,26 @@ class TestFilterBankEnumeration:
             assert_moments_match(*runs[1][1],
                                  brute_single(model, model.modes[1], n, rng))
 
-    def test_group_must_share_branch_weights(self):
-        skf, kf, other_skf = np.zeros((3, 2, 3))
-        skf[:, :2] = [[0.9, 0.1], [0.1, 0.9]]
-        other_skf[:, :2] = [[0.6, 0.4], [0.4, 0.6]]
-        kf[:, 0] = 1.0
-        for group in ([skf, kf], [skf, other_skf]):
-            with pytest.raises(ValueError, match="branch weights"):
-                enumeration._branches(group)
+    def test_filter_groups_of_a_reordered_repeated_list(self):
+        # one rule maps every spec to its bank rows and branch weights:
+        # the SKF's group first, then every fixed-gain filter, each spec
+        # kept at its own position
+        specs = [FilterSpec("average"), SKF, FilterSpec("single-mode", mode=2),
+                 SKF, FilterSpec("single-mode", mode=1)]
+        (skf, skf_rows, D), (fixed, fixed_rows, ones) = \
+            filter_groups(3, DET, specs)
+        assert skf == [1, 3]
+        assert_array_equal(skf_rows, [[0, 1, 2]] * 2)
+        assert_array_equal(D, [[detection_prob([i], [d], DET, 3)
+                                for d in range(3)] for i in range(3)])
+        assert fixed == [0, 2, 4]
+        assert_array_equal(fixed_rows, [[3], [1], [0]])
+        assert_array_equal(ones, np.ones((3, 1)))
+        for mode in (0, 4):
+            with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+                filter_groups(3, DET, [FilterSpec("single-mode", mode=mode)])
+        with pytest.raises(ValueError, match="detection"):
+            filter_groups(3, None, specs)
 
 
 class TestEnumerateFilters:
@@ -568,9 +591,10 @@ class TestEnumerateFilters:
             ["skf: pruned method", "average-kf: pruned method"]
 
 
-def leaf_by_leaf(model, n_steps, A_f, K, W, keep=None, mass=None,
+def leaf_by_leaf(model, n_steps, A_f, K, rows, D, keep=None, mass=None,
                  renormalize=False):
-    """Kept mass and mixture per step of one filter's tree, every leaf of
+    """Kept mass and mixture per step of one filter's tree on the bank
+    rows ``rows`` (s,) under branch weights ``D`` (r, s), every leaf of
     every level formed on its own, Phi' = G Phi G.T + C per (branch,
     parent), in the engine's (true i, slot d, parent) order, pruned by
     the same rule and summed in a plain loop.  Probabilities round as the
@@ -580,7 +604,6 @@ def leaf_by_leaf(model, n_steps, A_f, K, W, keep=None, mass=None,
     G, C = enumeration._branch_maps(A, Q, A_f.swapaxes(0, 1),
                                     K.swapaxes(0, 1), model.meas.H,
                                     model.meas.R)
-    (rows,), D = enumeration._branches([W])
     leaves = [(1.0, None, fast._initial_moment(model.init))]
     steps = [(1.0, leaves[0][2])]
     for n in range(n_steps):
@@ -608,11 +631,11 @@ class TestFoldedLevels:
     @staticmethod
     def assert_matches_leaf_by_leaf(model, n_steps, spec=SKF, **budget):
         bank = filter_bank(model, n_steps)
-        W, = fast._bank_weights(model.r, DET, [spec], bank)
+        [(_, (rows,), D)] = filter_groups(model.r, DET, [spec])
         got = enumerate_filters(model, DET, [spec], n_steps, bank,
                                 **budget)[0]
         kept, mixtures = zip(*leaf_by_leaf(model, n_steps, bank.A, bank.gains,
-                                           W, **budget))
+                                           rows, D, **budget))
         (mse, moments), = enumeration._read_moments(
             np.array(mixtures)[None], model.z)
         method = "pruned" if {"keep", "mass"} & set(budget) else "exact"

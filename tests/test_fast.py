@@ -37,6 +37,7 @@ from slds_mse import (
     pair_model,
     skf_slds_moments,
 )
+from slds_mse.kalman import filter_groups
 
 DET = DetectionModel(0.9)
 SKF = FilterSpec("skf")
@@ -47,7 +48,7 @@ def bank_moments(model, det, specs, n_steps):
     (N + 1, F, 2z, 2z), from the one moment pass ``bank_series`` runs."""
     bank = filter_bank(model, n_steps)
     blocks = fast._bank_moments(model, bank.A[None], bank.gains[None],
-                                fast._bank_weights(model.r, det, specs, bank))
+                                filter_groups(model.r, det, specs))
     return np.concatenate(list(blocks))[:, 0]
 
 

@@ -32,7 +32,12 @@ from slds_mse import (
     mode_marginal_series,
     single_mode_slds_moments,
 )
-from slds_mse.kalman import _average_dynamics, _mode_dynamics, _riccati
+from slds_mse.kalman import (
+    _average_dynamics,
+    _mode_dynamics,
+    _riccati,
+    filter_groups,
+)
 
 
 THREE_D = ModeModel(0.5 * np.eye(3), 0.1 * np.eye(3))
@@ -166,7 +171,9 @@ class TestSchedules:
     def test_mode_schedules_match_individual(self, bench):
         # The switching filter runs one row per mode; row j is mode j's KF.
         bank = filter_bank(bench, 5)
-        K = bank.gains[bank.rows(FilterSpec("skf"))]
+        [(_, (rows,), _)] = filter_groups(2, DetectionModel(0.9),
+                                          [FilterSpec("skf")])
+        K = bank.gains[rows]
         assert K.shape == (2, 5, 4, 4)
         for j in (0, 1):
             gains, _ = gain_schedule(bench.modes[j], bench.meas, bench.init, 5)
@@ -229,8 +236,9 @@ class TestSchedules:
                 belief = out.posterior
 
     UNKNOWN_MODES = [
-        pytest.param(lambda model, j=j: filter_bank(model, 3).rows(
-            FilterSpec("single-mode", mode=j)), "outside 1..2", id=str(j))
+        pytest.param(lambda model, j=j: filter_groups(
+            model.r, None, [FilterSpec("single-mode", mode=j)]),
+                     "outside 1..2", id=str(j))
         for j in (0, -1, 4)]
     # a filter mode of another state dimension than the model's 4
     OTHER_DIMENSION = "dimension 3 does not match state dimension 4"
@@ -240,7 +248,10 @@ class TestSchedules:
                      OTHER_DIMENSION, id="3-d-single-mode"),
         pytest.param(lambda model: mismatch_series(
             model.modes[0], THREE_D, model.meas, model.init, 3),
-                     OTHER_DIMENSION, id="3-d-mismatch")])
+                     OTHER_DIMENSION, id="3-d-mismatch"),
+        pytest.param(lambda model: mismatch_series(
+            THREE_D, model.modes[0], model.meas, model.init, 3),
+                     OTHER_DIMENSION, id="3-d-truth")])
     def test_filter_bank_rejects_an_unknown_mode(self, bench, reject, reason):
         with pytest.raises(ValueError, match=reason):
             reject(bench)

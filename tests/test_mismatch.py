@@ -26,6 +26,7 @@ from slds_mse import (
     run_monte_carlo,
 )
 from slds_mse.enumeration import _run_enumeration
+from slds_mse.kalman import filter_groups
 
 
 def scalar_pair(a_true=0.9, a_filt=0.46, q_true=0.01, q_filt=0.01,
@@ -149,7 +150,7 @@ class TestRecursion:
             # the bank's average row on the one-mode system of the truth
             steps = average_filter_modes(model, n_steps)
             bank = filter_bank(model, n_steps)
-            row = bank.rows(FilterSpec("average"))
+            [(_, (row,), _)] = filter_groups(3, None, [FilterSpec("average")])
             fixed = SldsModel([truth], model.meas, MarkovChain([[1.0]], [1.0]),
                               model.init)
             series, moments = _run_enumeration(

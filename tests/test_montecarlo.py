@@ -39,6 +39,7 @@ from slds_mse import (
 )
 from slds_mse.fast import _BLOCK
 from slds_mse import montecarlo
+from slds_mse.kalman import filter_groups
 from slds_mse.montecarlo import _replay_inputs
 
 # Horizons on both sides of the analytic recursion's block boundaries.
@@ -165,15 +166,17 @@ class TestFilterReplay:
     def test_replay_stacks_equal_per_spec_schedules(self, r, n_steps, seed,
                                                     data):
         # the replay's closed-loop maps (I - K H) A and gains K, one row per
-        # fixed-gain filter and one per mode of the switching filter, are
-        # each spec's own Riccati schedule
+        # fixed-gain filter and one per mode of the switching filter, in
+        # the order of the filter groups, are each spec's own Riccati
+        # schedule
         model = random_model(np.random.default_rng(seed), r, 2,
                              uniform_rows=False, uniform_prior=False)
         specs = data.draw(filter_specs(r))
         H = model.meas.H
-        M, K = _replay_inputs(filter_bank(model, n_steps), specs, H)
+        groups = filter_groups(r, DetectionModel(0.9), specs)
+        M, K = _replay_inputs(filter_bank(model, n_steps), groups, H)
         want_M, want_K = [], []
-        for spec in specs:
+        for spec in (specs[f] for members, _, _ in groups for f in members):
             if spec.kind == "skf":
                 filters = [[mode] * n_steps for mode in model.modes]
             elif spec.kind == "average":
