@@ -4,35 +4,33 @@ A fixed filter on a switching system sees a different truth along each
 of the r^n mode trajectories, so its exact error moments at step n are a
 probability-weighted mixture over them (over the r^(2n) (true, detected)
 trajectory pairs for the switching filter).  Each live trajectory l
-carries its lifted moment Phi_l = E[w w.T | trajectory] of w = [x; e; 1],
-raw second moments with the means in its last column, and steps as
-Phi_l' = G Phi_l G.T + C under the branch (true mode i, filter row rho).
-G and C are the 2z-square [x; e] map and noise of
-:func:`slds_mse.fast._joint_factors`, which the aggregate recursion
-applies as they are, padded here with a unit corner on G and zeros on C
-to carry the means.  Every moment of :class:`ErrorMoments` is read off
-the mixture sum_l pi_l Phi_l.  ``mismatch_series`` is the one-mode
-case: a fixed truth has one leaf per step.
+carries [M_l | m_l]: M_l = E[w w.T | trajectory] of w = [x; e] beside
+the mean m_l = E[w | trajectory], k x (k + 1) with k = 2z, stepped as
+M_l' = G M_l G.T + C and m_l' = G m_l under the branch (true mode i,
+filter row rho) by the map and noise of :func:`slds_mse.fast._joint_factors`
+and ``_noise``, as the aggregate recursion applies them.  Every moment of
+:class:`ErrorMoments` is read off the mixture sum_l pi_l [M_l | m_l].
+``mismatch_series`` is the one-mode case: one leaf per step.
 
 A run takes filter-bank rows and one group of ``kalman.filter_groups``,
 rows (F, s) of filters that share branch weights D (r, s) and one tree:
 every fixed-gain filter (r branches per leaf), or the switching filter
-(r^2).  The leaves are stored as
-S[f, a, l, c] = Phi_l[a, c] of filter f, so a step is two BLAS products
-per block of parents: each filter's branch maps stacked into one
-(branches * k, k) matrix times its block of S viewed as (k, L * k), then
-each branch's part times its G.T, written into the next step's storage.
+(r^2).  The leaves are stored as S[f, a, l, c] = [M_l | m_l][a, c] of
+filter f, so a step is two BLAS products per block of parents: each
+filter's branch maps stacked into one (branches * k, k) matrix times its
+block of S viewed as (k, L * (k + 1)), means included, then each
+branch's part of M times its G.T, written into the next step's storage.
 Beam pruning keeps the most probable trajectories and reports the kept
 mass per step.
 
 Only the levels before the last two are stored, about 2 k^3 multiply-adds
-per new leaf (k = 2z + 1).  The last level is linear in its parents, so
-its mixture is sum_b G_b (sum_l w_bl Phi_l) G_b.T + (sum_l w_bl) C_b: k^2
-per leaf for the parents' per-branch weighted sums, then one congruence
-per branch (``_fold``; pruned pairs weigh zero).  The level before it is
-streamed block by block into its own mixture and those sums.  A pruned
-run stores that level, to prune it.  Detected-path gains give every leaf
-its own maps, so that policy stores every level.
+per new leaf.  The last level is linear in its parents, so its mixture
+is sum_b G_b (sum_l w_bl [M_l | m_l]) with G_b.T and (sum_l w_bl) C_b on
+M: k (k + 1) per leaf for the parents' per-branch weighted sums, then
+one congruence per branch (``_fold``; pruned pairs weigh zero).  The
+level before it is streamed block by block into its own mixture and
+those sums.  A pruned run stores that level, to prune it.  Detected-path
+gains give every leaf its own maps, so that policy stores every level.
 """
 
 from __future__ import annotations
@@ -109,28 +107,12 @@ class ErrorMoments:
         return float(self.e_mean @ self.e_mean + np.trace(self.e_cov))
 
 
-def _branch_maps(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
-                 K: np.ndarray, H: np.ndarray, R: np.ndarray) -> tuple:
-    """Map G and noise C of w = [x; e; 1] on every branch (true mode i,
-    filter row rho) of ``_joint_factors``' grid, (..., r, R, k, k) each:
-    its [x; e] maps padded with a unit corner on G and zeros on C, which
-    carry the means."""
-    Gt, lower = _joint_factors(A, Q, A_f, K, H, R)
-    k = Gt.shape[-1] + 1
-    lift = np.zeros(Gt.shape[:-2] + (k, k))
-    lift[..., :-1, :-1] = Gt
-    lift[..., -1, -1] = 1.0
-    C = np.zeros_like(lift)
-    C[..., :-1, :-1] = _noise(Q[:, None], lower)
-    return lift.swapaxes(-1, -2), C
-
-
 def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
              weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Phi' = G Phi G.T + C of every leaf of each filter's ``phi``
-    (F, k, L, k) under every branch: (F, k, b L, k), leaves in (branch,
-    parent) order.  With ``weights`` (J, b L) the new leaves are never
-    stored: the result is their J mixtures sum_l w_jl Phi_l', (F, k, J, k),
+    """[G M G.T + C | G m] of every leaf [M | m] of each filter's ``phi``
+    (F, k, L, k + 1) under every branch: (F, k, b L, k + 1), leaves in
+    (branch, parent) order.  With ``weights`` (J, b L) the new leaves are
+    never stored: the result is their J mixtures, (F, k, J, k + 1),
     summed block by block.
 
     ``G``, ``C`` are (F, b, k, k) maps shared by all leaves, or
@@ -139,44 +121,50 @@ def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
     """
     F, k, L = phi.shape[:3]
     if G.ndim == 5:
-        out = G @ phi.swapaxes(1, 2)[:, None] @ G.swapaxes(-1, -2) + C
-        return out.transpose(0, 3, 1, 2, 4).reshape(F, k, -1, k)
-    b = G.shape[1]
-    width = max(1, _BLOCK_MACS // (b * k ** 3))
+        out = G @ phi.swapaxes(1, 2)[:, None]
+        out[..., :k] = out[..., :k] @ G.swapaxes(-1, -2) + C
+        return out.transpose(0, 3, 1, 2, 4).reshape(F, k, -1, k + 1)
+    b, c = G.shape[1], k + 1
+    width = max(1, _BLOCK_MACS // (b * k ** 2 * c))
     if weights is None:
-        out = np.empty((F, k, b, L, k))
+        out = np.empty((F, k, b, L, c))
     else:
         weights = weights.reshape(len(weights), b, L)
-        total = np.zeros((F, k, len(weights), k))
-        scratch = np.empty(F * k * b * min(L, width) * k)   # a block's leaves
+        total = np.zeros((F, k, len(weights), c))
+        scratch = np.empty(F * k * b * min(L, width) * c)   # a block's leaves
     stacked = G.reshape(F, b * k, k)
     maps_t = np.ascontiguousarray(G.swapaxes(-1, -2))[:, :, None]
     C = C[:, :, :, None]
-    flat = phi.reshape(F, k, L * k)
-    left = np.empty((F, b * k, min(L, width) * k))       # one block's G Phi
+    flat = phi.reshape(F, k, L * c)
+    left = np.empty((F, b * k, min(L, width) * c))       # one block's G Phi
     for lo in range(0, L, width):
         hi = min(L, lo + width)
-        GPhi = np.matmul(stacked, flat[..., lo * k:hi * k],
-                         out=left[..., :(hi - lo) * k])
+        GPhi = np.matmul(stacked, flat[..., lo * c:hi * c],
+                         out=left[..., :(hi - lo) * c]
+                         ).reshape(F, b, k, hi - lo, c)
         block = out[:, :, :, lo:hi] if weights is None else \
-            scratch[:F * k * b * (hi - lo) * k].reshape(F, k, b, hi - lo, k)
+            scratch[:F * k * b * (hi - lo) * c].reshape(F, k, b, hi - lo, c)
         leaves = block.transpose(0, 2, 1, 3, 4)
-        np.matmul(GPhi.reshape(F, b, k, hi - lo, k), maps_t, out=leaves)
-        leaves += C
+        np.matmul(GPhi[..., :k], maps_t, out=leaves[..., :k])
+        leaves[..., :k] += C
+        leaves[..., k] = GPhi[..., k]
         if weights is not None:
             total += (weights[..., lo:hi].reshape(len(weights), -1)
-                      @ block.reshape(F, k, -1, k))
-    return out.reshape(F, k, b * L, k) if weights is None else total
+                      @ block.reshape(F, k, -1, c))
+    return out.reshape(F, k, b * L, c) if weights is None else total
 
 
 def _fold(sums: np.ndarray, w: np.ndarray, G: np.ndarray,
           C: np.ndarray) -> np.ndarray:
-    """Mixture sum_bl w_bl (G_b Phi_l G_b.T + C_b) of the leaves that the
-    branches b of parents l create, never formed: one congruence per
-    branch of the parents' weighted sums ``sums`` (F, k, b, k), sum_l w_bl
-    Phi_l, plus the noise weighted by sum_l w_bl."""
-    return (G @ sums.swapaxes(1, 2) @ G.swapaxes(-1, -2)
-            + w.sum(axis=1)[:, None, None] * C).sum(axis=1)
+    """Mixture sum_bl w_bl [G_b M_l G_b.T + C_b | G_b m_l] of the leaves
+    that the branches b of parents l create, never formed: one congruence
+    per branch of the parents' weighted sums ``sums`` (F, k, b, k + 1),
+    sum_l w_bl [M_l | m_l], plus the noise weighted by sum_l w_bl."""
+    k = G.shape[-1]
+    out = G @ sums.swapaxes(1, 2)
+    out[..., :k] = (out[..., :k] @ G.swapaxes(-1, -2)
+                    + w.sum(axis=1)[:, None, None] * C)
+    return out.sum(axis=1)
 
 
 def _weights(prob: np.ndarray, renorm: bool) -> tuple[float, np.ndarray]:
@@ -186,12 +174,13 @@ def _weights(prob: np.ndarray, renorm: bool) -> tuple[float, np.ndarray]:
 
 
 def _mixture(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """sum_l w_l Phi_l of each filter's leaves ``phi`` (F, k, L, k): (F, k,
-    k) for weights (L,), (F, k, J, k) for J rows of weights (J, L).  Summed
-    in blocks of leaves under ``_BLOCK_MACS``, as ``_advance`` does."""
+    """sum_l w_l [M_l | m_l] of each filter's leaves ``phi`` (F, k, L,
+    k + 1): (F, k, k + 1) for weights (L,), (F, k, J, k + 1) for J rows of
+    weights (J, L).  Summed in blocks of leaves under ``_BLOCK_MACS``, as
+    ``_advance`` does."""
     F, k, L = phi.shape[:3]
     width = max(1, _BLOCK_MACS // (k ** 2 * (w.size // L)))
-    total = np.zeros((F, k) + w.shape[:-1] + (k,))
+    total = np.zeros((F, k) + w.shape[:-1] + (k + 1,))
     for lo in range(0, L, width):
         total += w[..., lo:lo + width] @ phi[:, :, lo:lo + width]
     return total
@@ -199,14 +188,15 @@ def _mixture(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _read_moments(mixtures: np.ndarray, z: int) -> list:
     """MSE series and per-step moments of each filter, read off its
-    mixtures sum_l p_l Phi_l, (F, N + 1, k, k)."""
-    mix = (mixtures + mixtures.swapaxes(-1, -2)) / 2.0
+    mixtures sum_l p_l [M_l | m_l], (F, N + 1, 2z, 2z + 1)."""
     z2 = 2 * z
-    Ex, Ee, Eee = mix[..., :z, z2], mix[..., z:z2, z2], mix[..., z:z2, z:z2]
+    Ex, Ee = mixtures[..., :z, z2], mixtures[..., z:, z2]
+    mix = (mixtures[..., :z2] + mixtures[..., :z2].swapaxes(-1, -2)) / 2.0
+    Eee = mix[..., z:, z:]
     x_cov = mix[..., :z, :z] - Ex[..., :, None] * Ex[..., None, :]
     e_cov = Eee - Ee[..., :, None] * Ee[..., None, :]
     # Cov(e, x) = C(x) - u
-    u = x_cov - (mix[..., z:z2, :z] - Ee[..., :, None] * Ex[..., None, :])
+    u = x_cov - (mix[..., z:, :z] - Ee[..., :, None] * Ex[..., None, :])
     mse = np.trace(Eee, axis1=-2, axis2=-1)
     return [(mse[f], [ErrorMoments(*fields, step=n) for n, fields in
                       enumerate(zip(Ee[f], e_cov[f], Ex[f], x_cov[f], u[f]))])
@@ -254,16 +244,17 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
             f"over the cap of {cap}; use the aggregate recursion or beam "
             f"pruning instead")
     r, z, m = model.r, model.z, model.m
-    F, b, k = len(rows), D.size, 2 * z + 1
+    F, b, k = len(rows), D.size, 2 * z
     H, R = model.meas.H, model.meas.R
     A, Q = (mats[:, 0] for mats in _mode_dynamics(model, 1))
     if not detected_path:
         # maps per (step, filter, branch), branch (true i, slot d) at
         # i * s + d, from the grid of every bank row
+        Gt, lower = _joint_factors(A, Q, A_f.swapaxes(0, 1),
+                                   K.swapaxes(0, 1), H, R)
         G_all, C_all = (
             np.moveaxis(X[:, :, rows], 1, 2).reshape(n_steps, F, b, k, k)
-            for X in _branch_maps(A, Q, A_f.swapaxes(0, 1),
-                                  K.swapaxes(0, 1), H, R))
+            for X in (Gt.swapaxes(-1, -2), _noise(Q[:, None], lower)))
 
     def children(prob: np.ndarray, last: Optional[np.ndarray]) -> np.ndarray:
         """Probabilities (b L,) of the children of leaves ``prob`` (L,)
@@ -274,7 +265,9 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
                  else model.chain.Z[last])
         return (prob * (trans.T[:, None] * D[:, :, None])).ravel()
 
-    phi = np.broadcast_to(_initial_moment(model.init)[:, None], (F, k, 1, k))
+    leaf = np.column_stack((_initial_moment(model.init),
+                            np.concatenate((model.init.mean, np.zeros(z)))))
+    phi = np.broadcast_to(leaf[:, None], (F, k, 1, k + 1))
     prob, last = np.ones(1), None
     filter_cov = model.init.cov[None] if detected_path else None
     kept, w = _weights(prob, renormalize)
@@ -292,9 +285,10 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
             _check_innovations(B)
             filter_cov = np.broadcast_to(P, (r,) + P.shape).reshape(-1, z, z)
             # rows (detected d, leaf l): maps per (branch, leaf)
+            Gt, lower = _joint_factors(A, Q, A.repeat(K_leaf.shape[1], 0),
+                                       K_leaf.reshape(-1, z, m), H, R)
             G, C = (X.reshape(1, b, -1, k, k) for X in
-                    _branch_maps(A, Q, A.repeat(K_leaf.shape[1], axis=0),
-                                 K_leaf.reshape(-1, z, m), H, R))
+                    (Gt.swapaxes(-1, -2), _noise(Q[:, None], lower)))
         else:
             G, C = G_all[n - 1], C_all[n - 1]
         prob = children(prob, last)

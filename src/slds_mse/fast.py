@@ -124,12 +124,11 @@ def _noise(Q: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
 
 def _initial_moment(init: GaussianBelief) -> np.ndarray:
-    """E[w w.T] of w = [x; e; 1] at step 0: e_0 = x_0 - mean, so x_0 and
-    e_0 share the covariance P_0."""
+    """E[w w.T] of w = [x; e] at step 0: e_0 = x_0 - mean has zero mean
+    and shares the covariance P_0 with x_0."""
     z = init.z
-    w0 = np.concatenate((init.mean, np.zeros(z), [1.0]))
-    phi = np.outer(w0, w0)
-    phi[:2 * z, :2 * z] += np.tile(init.cov, (2, 2))
+    phi = np.tile(init.cov, (2, 2))
+    phi[:z, :z] += np.outer(init.mean, init.mean)
     return phi
 
 
@@ -146,7 +145,7 @@ def _bank_moments(base: SldsModel, A_f: np.ndarray, K: np.ndarray,
     A, Q = true or (m[None, :, 0] for m in _mode_dynamics(base, 1))
     b, n_steps, k = K.shape[0], K.shape[2], 2 * A.shape[-1]
     F = sum(len(members) for members, _, _ in groups)
-    phi0 = _initial_moment(base.init)[:k, :k]          # the [x; e] block
+    phi0 = _initial_moment(base.init)
     yield np.broadcast_to(phi0, (1, b, F, k, k))
     stacks = [_Stack(*group, b, phi0) for group in groups]
     margs = mode_marginal_series(base.chain, max(n_steps, 1))

@@ -224,7 +224,8 @@ class FilterSpec:
     """Which filter to evaluate: one of the single-mode KFs, the
     marginal-weighted average KF, or the switching KF.
 
-    ``mode`` is 1-based, matching mode numbering everywhere user-facing.
+    ``mode`` is 1-based, matching mode numbering everywhere user-facing,
+    and only a single-mode filter takes one.
     """
 
     kind: str
@@ -236,6 +237,9 @@ class FilterSpec:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.mode is not None:
             _scalar(self, "mode", int)
+            if self.kind != "single-mode":
+                raise ValueError(f"{self.kind} filter spec takes no mode "
+                                 f"index, got {self.mode}")
         elif self.kind == "single-mode":
             raise ValueError("single-mode filter spec requires a mode index")
         if not isinstance(self.label, str):

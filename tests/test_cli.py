@@ -705,6 +705,12 @@ class TestInputRejection:
          "scenario.filters[0]: unknown filter kind 'ukf'"),
         ({"filters": [{"kind": "single-mode"}]},
          "scenario.filters[0]: single-mode filter spec requires a mode index"),
+        ({"filters": [{"kind": "average", "mode": 2}]},
+         "scenario.filters[0]: average filter spec takes no mode index, "
+         "got 2"),
+        ({"filters": [{"kind": "single-mode", "mode": 1},
+                      {"kind": "skf", "mode": 7}]},
+         "scenario.filters[1]: skf filter spec takes no mode index, got 7"),
         ({"modes": [{"A": [[0.9]], "Q": [[0.01]]}, PLANAR["modes"][0]]},
          "[state-dim-mismatch] modes[2]: state dimension 2 != 1"),
         ({"chain": {"Z": [[1.5, -0.5], [0.5, 0.5]], "prior": [0.5, 0.5]}},
@@ -717,7 +723,8 @@ class TestInputRejection:
             "chain-list", "modes-entry-string", "no-modes", "no-filters",
             "ragged-A", "A-bool-entry", "prior-null-entry", "cov-3d",
             "Q-shape", "prior-length", "R-shape", "unknown-kind",
-            "single-mode-no-mode", "mode-dimension", "Z-range",
+            "single-mode-no-mode", "average-mode", "skf-mode",
+            "mode-dimension", "Z-range",
             "Q-asymmetric"])
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_rejected_with_its_reason(self, tmp_path, capsys, command,

@@ -224,8 +224,9 @@ class TestExactMoments:
         model = random_model(rng, 2, 2, uniform_rows=False,
                              uniform_prior=False)
         series, moments = skf_slds_moments(model, DET, 5)
-        k = 2 * model.z + 1
-        with mock.patch.object(enumeration, "_BLOCK_MACS", 3 * 4 * k ** 3):
+        k = 2 * model.z
+        with mock.patch.object(enumeration, "_BLOCK_MACS",
+                               3 * 4 * k ** 2 * (k + 1)):
             narrow, narrow_moments = skf_slds_moments(model, DET, 5)
         assert_allclose(narrow.mse, series.mse, rtol=1e-12, atol=0)
         for got, want in zip(narrow_moments, moments):
@@ -594,32 +595,41 @@ class TestEnumerateFilters:
 def leaf_by_leaf(model, n_steps, A_f, K, rows, D, keep=None, mass=None,
                  renormalize=False):
     """Kept mass and mixture per step of one filter's tree on the bank
-    rows ``rows`` (s,) under branch weights ``D`` (r, s), every leaf of
-    every level formed on its own, Phi' = G Phi G.T + C per (branch,
-    parent), in the engine's (true i, slot d, parent) order, pruned by
-    the same rule and summed in a plain loop.  Probabilities round as the
-    engine's do, so tied pairs are kept alike."""
+    rows ``rows`` (s,) under branch weights ``D`` (r, s), every leaf
+    [M | m] = [E[w w.T | path] | E[w | path]] of every level formed on its
+    own, M' = G M G.T + C and m' = G m per (branch, parent), in the
+    engine's (true i, slot d, parent) order, pruned by the same rule and
+    summed in a plain loop.  Probabilities round as the engine's do, so
+    tied pairs are kept alike."""
     A = np.array([mode.A for mode in model.modes])
     Q = np.array([mode.Q for mode in model.modes])
-    G, C = enumeration._branch_maps(A, Q, A_f.swapaxes(0, 1),
+    Gt, lower = fast._joint_factors(A, Q, A_f.swapaxes(0, 1),
                                     K.swapaxes(0, 1), model.meas.H,
                                     model.meas.R)
-    leaves = [(1.0, None, fast._initial_moment(model.init))]
+    G, C = Gt.swapaxes(-1, -2), fast._noise(Q[:, None], lower)
+
+    def child(G, C, leaf):
+        M, m = leaf[:, :-1], leaf[:, -1]
+        return np.column_stack((G @ M @ G.T + C, G @ m))
+
+    mean0 = np.concatenate((model.init.mean, np.zeros(model.z)))
+    leaves = [(1.0, None, np.column_stack(
+        (fast._initial_moment(model.init), mean0)))]
     steps = [(1.0, leaves[0][2])]
     for n in range(n_steps):
         leaves = [
             (p * ((model.chain.prior if last is None
                    else model.chain.Z[last])[i] * D[i, d]),
-             i, G[n, i, row] @ phi @ G[n, i, row].T + C[n, i, row])
+             i, child(G[n, i, row], C[n, i, row], leaf))
             for i in range(model.r) for d, row in enumerate(rows)
-            for p, last, phi in leaves]
+            for p, last, leaf in leaves]
         if keep is not None or mass is not None:
             prob = np.array([p for p, _, _ in leaves])
             leaves = [leaves[j] for j in
                       enumeration._keep_indices(prob, keep, mass)]
         kept = sum(p for p, _, _ in leaves)
         scale = kept if renormalize else 1.0
-        steps.append((kept, sum(p / scale * phi for p, _, phi in leaves)))
+        steps.append((kept, sum(p / scale * leaf for p, _, leaf in leaves)))
     return steps
 
 
@@ -691,8 +701,9 @@ class TestFoldedLevels:
         # (and the folds' sums) with a short last block
         model = random_model(rng, 2, 2, uniform_rows=False,
                              uniform_prior=False)
-        k = 2 * model.z + 1
-        with mock.patch.object(enumeration, "_BLOCK_MACS", 3 * 4 * k ** 3):
+        k = 2 * model.z
+        with mock.patch.object(enumeration, "_BLOCK_MACS",
+                               3 * 4 * k ** 2 * (k + 1)):
             self.assert_matches_leaf_by_leaf(model, 5)
             self.assert_matches_leaf_by_leaf(model, 5, keep=7)
 
@@ -717,9 +728,9 @@ class TestFoldedLevels:
 
     def test_peak_memory_below_the_penultimate_leaves(self, bench):
         # r = 2, z = 4, N = 8: the 4^7 leaves of level N - 1 alone take
-        # 10.6 MB; storing either of the last two levels would exceed it
-        n_steps, k = 8, 2 * bench.z + 1
-        penultimate = 4 ** (n_steps - 1) * k * k * 8
+        # 9.4 MB; storing either of the last two levels would exceed it
+        n_steps, k = 8, 2 * bench.z
+        penultimate = 4 ** (n_steps - 1) * k * (k + 1) * 8
         tracemalloc.start()
         try:
             skf_slds_moments(bench, DET, n_steps)

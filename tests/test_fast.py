@@ -17,7 +17,7 @@ from helpers import (
     spd_matrix,
     stable_matrix,
 )
-from slds_mse import enumeration, fast
+from slds_mse import fast
 from slds_mse import (
     DetectionModel,
     ErrorMoments,
@@ -197,7 +197,8 @@ class TestAggregateProperties:
                              uniform_rows=False, uniform_prior=False)
         n_steps = 4 * fast._BLOCK + 7
         for joint in symmetric(bank_moments(
-                model, DetectionModel(p_d), [FilterSpec(kind, mode=r)],
+                model, DetectionModel(p_d),
+                [FilterSpec(kind, mode=r if kind == "single-mode" else None)],
                 n_steps)[:, 0]):
             assert np.linalg.eigvalsh(joint).min() >= -1e-12 * np.trace(joint)
 
@@ -299,13 +300,14 @@ class TestBankOracle:
 
 class TestJointFactors:
     """The branch map that the aggregate recursion and enumeration share,
-    checked on its own against the u-parametrised mismatch step, through
-    enumeration's lift of it to w = [x; e; 1]."""
+    checked on its own against the u-parametrised mismatch step: G and C
+    on the second moments [M | m] = [E[w w.T] | E[w]] of w = [x; e], G
+    alone on the mean column, as enumeration applies them."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(z=st.integers(1, 4), m=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_lifted_map_equals_mismatch_step(self, z, m, seed):
+    def test_joint_map_equals_mismatch_step(self, z, m, seed):
         rng = np.random.default_rng(seed)
         truth = ModeModel(stable_matrix(rng, z), spd_matrix(rng, z))
         filt = ModeModel(stable_matrix(rng, z), spd_matrix(rng, z))
@@ -321,16 +323,13 @@ class TestJointFactors:
                             x_mean=mean[:z], x_cov=x_cov,
                             u=x_cov - cov[z:, :z], step=0)
         # one true mode and one filter row: a 1 x 1 grid
-        G, C = enumeration._branch_maps(truth.A[None], truth.Q[None],
+        Gt, lower = fast._joint_factors(truth.A[None], truth.Q[None],
                                         filt.A[None], K[None], meas.H, meas.R)
-        lift = G[0, 0]
-        phi = np.zeros_like(lift)
-        phi[:-1, :-1] = cov + np.outer(mean, mean)
-        phi[:-1, -1] = phi[-1, :-1] = mean
-        phi[-1, -1] = 1.0
-        nxt = lift @ phi @ lift.T + C[0, 0]
-        mu = nxt[:-1, -1]
-        cov_next = nxt[:-1, :-1] - np.outer(mu, mu)
+        G, C = Gt[0, 0].T, fast._noise(truth.Q, lower[0, 0])
+        assert G.shape == C.shape == (2 * z, 2 * z)
+        mu = G @ mean
+        cov_next = G @ (cov + np.outer(mean, mean)) @ G.T + C \
+            - np.outer(mu, mu)
         want = mismatch_step(prev, truth, filt, meas, K)
         got = {"x_mean": mu[:z], "e_mean": mu[z:],
                "x_cov": cov_next[:z, :z], "e_cov": cov_next[z:, z:],

@@ -115,6 +115,24 @@ class TestRecursion:
             assert_allclose(scaled[n].e_mean, 2.0 * base[n].e_mean, atol=1e-14)
             assert_allclose(scaled[n].e_cov, base[n].e_cov, atol=1e-14)
 
+    def test_large_initial_mean_keeps_mse_and_means_exact(self):
+        # ErrorMoments' covariances subtract E[x] E[x].T from raw moments
+        # and lose precision at a mean of 1e6; the MSE, a raw trace, and
+        # the means do not
+        truth, filt, meas, _ = scalar_pair()
+        init = GaussianBelief(np.array([1e6]), np.array([[1.0]]))
+        n_steps = 10
+        moments, series = mismatch_series(truth, filt, meas, init, n_steps)
+        gains, _ = gain_schedule(filt, meas, init, n_steps)
+        want = [initial_moments(init)]
+        for gain in gains:
+            want.append(mismatch_step(want[-1], truth, filt, meas, gain))
+        assert_allclose(series.mse, [ref.mse for ref in want], rtol=1e-12,
+                        atol=0)
+        for got, ref in zip(moments, want):
+            assert_allclose(got.e_mean, ref.e_mean, rtol=1e-12, atol=0)
+            assert_allclose(got.x_mean, ref.x_mean, rtol=1e-12, atol=0)
+
     def test_cross_covariance_is_cauchy_schwarz_feasible(self, rng):
         for z in (1, 3):
             truth = random_mode(rng, z)

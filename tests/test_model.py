@@ -224,6 +224,12 @@ class TestTypes:
         with pytest.raises(TypeError, match=message):
             make()
 
+    @pytest.mark.parametrize("kind", ["average", "skf"])
+    def test_only_single_mode_filters_take_a_mode(self, kind):
+        with pytest.raises(ValueError,
+                           match=f"^{kind} filter spec takes no mode index"):
+            FilterSpec(kind, 2)
+
     @pytest.mark.parametrize("name", ["horizon", "mc_samples", "seed"])
     @pytest.mark.parametrize("value", [3.7, 3.0, True, "3", None])
     def test_scenario_integers_are_checked(self, bench, name, value):
