@@ -25,7 +25,6 @@ from .model import (
     validate_scenario,
 )
 from .kalman import (
-    FilterBank,
     InnovationSolveError,
     filter_bank,
     gain_schedule,

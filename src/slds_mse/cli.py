@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .model import MseSeries, Scenario, validate_scenario
-from .kalman import FilterBank, InnovationSolveError, filter_bank
+from .kalman import InnovationSolveError, filter_bank
 from .enumeration import EnumerationCapError, enumerate_filters
 from .fast import bank_series, merge_clusters, merge_recommendation
 from .montecarlo import run_monte_carlo
@@ -170,7 +170,7 @@ def _resolve_method(args) -> str:
     return "aggregate" if args.method == "auto" else args.method
 
 
-def _filter_bank(scenario: Scenario) -> FilterBank:
+def _filter_bank(scenario: Scenario) -> tuple:
     try:
         return filter_bank(scenario.model, scenario.horizon)
     except (ValueError, InnovationSolveError) as exc:
@@ -178,7 +178,7 @@ def _filter_bank(scenario: Scenario) -> FilterBank:
 
 
 def _analytic_series(scenario: Scenario, args, method: str,
-                     bank: Optional[FilterBank] = None) -> list:
+                     bank: Optional[tuple] = None) -> list:
     """(FilterSpec, MseSeries) per scenario filter by ``method``, from
     ``_resolve_method``.  Every method reads ``bank`` when given, else one
     new filter bank."""

@@ -53,7 +53,6 @@ from .model import (
     SldsModel,
 )
 from .kalman import (
-    FilterBank,
     _check_innovations,
     _mode_dynamics,
     _riccati_step,
@@ -334,14 +333,14 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
 
 def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
                       filters: Sequence[FilterSpec], n_steps: int,
-                      bank: Optional[FilterBank] = None, *,
+                      bank: Optional[tuple] = None, *,
                       keep: Optional[int] = None, mass: Optional[float] = None,
                       renormalize: bool = False, cap: int = DEFAULT_CAP,
                       gains: str = GAIN_SCHEDULE,
                       ) -> list[tuple[MseSeries, list[ErrorMoments]]]:
     """Series and per-step moments of each spec in ``filters`` by
     trajectory enumeration on one ``filter_bank`` (or the caller's
-    ``bank``), exact or beam-pruned.
+    ``bank``, its ``(A, gains)``), exact or beam-pruned.
 
     One tree runs per group of ``filter_groups``: first the switching
     filter on (true, detected) pairs, whose r^2 branches per leaf outgrow
@@ -362,7 +361,7 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     groups = filter_groups(model.r, det, filters)
     if bank is None and not detected_path:   # detected paths read no rows
         bank = filter_bank(model, n_steps)
-    A_f, K = (None, None) if bank is None else (bank.A, bank.gains)
+    A_f, K = (None, None) if bank is None else bank
     runs = {}
     for members, rows, D in groups:
         label = ", ".join(dict.fromkeys(filters[f].display for f in members))

@@ -10,12 +10,13 @@ noise has zero mean, so the raw second moments close on their own: the
 kernel carries no means, and its moments are 2z-square.
 
 One kernel, :func:`_bank_moments`, advances a whole filter bank in one
-pass.  A bank is R filter rows (per-step dynamics and gains), and a
-group of ``kalman.filter_groups`` runs rows (F, s) under shared branch
-weights D (r, s): under true mode j its filter runs slot d's row with
-probability D[j, d].  The switching filter puts the detection weights
-over the mode rows; a fixed filter has ones on its own row; merging two
-filters sums two columns of D.  Each filter carries
+pass on a stack of ``SldsModel`` systems that share a chain, measurement
+model and initial belief.  A bank is R filter rows (per-step dynamics
+and gains), and a group of ``kalman.filter_groups`` runs rows (F, s)
+under shared branch weights D (r, s): under true mode j its filter runs
+slot d's row with probability D[j, d].  The switching filter puts the
+detection weights over the mode rows; a fixed filter has ones on its
+own row; merging two filters sums two columns of D.  Each filter carries
 Phi_j = E[w w.T 1{s_n = j}] per true mode j, mixes the predecessors,
 Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step 1), and branches:
 Phi_j' = sum_d D[j, d] (G Psi_j G.T + p_j C), p_j = P(s_n = j), with
@@ -23,9 +24,9 @@ the map G and noise C of the branch (j, its row in slot d).  The maps
 are built once per block of steps on the (true mode x row) grid; the
 noise enters only as sum_d D C.
 
-The mode-merge recommender runs every mode pair as a bimodal sub-system
-with a uniform pairwise chain; a pair whose switching filter barely
-beats the better of its two KFs is recommended for merging.
+The mode-merge recommender runs each pair's ``pair_model`` (uniform
+pairwise chain) as one system of one kernel call; a pair whose switching
+filter barely beats the better of its two KFs is recommended for merging.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from .model import (
     SldsModel,
     mode_marginal_series,
 )
-from .kalman import (FilterBank, _mode_dynamics, _riccati, filter_bank,
-                     filter_groups)
+from .kalman import _mode_dynamics, _riccati, filter_bank, filter_groups
 
 METRICS = ("mean", "max", "final")
 _BLOCK = 25            # steps per block of branch maps in _bank_moments
@@ -132,17 +132,18 @@ def _initial_moment(init: GaussianBelief) -> np.ndarray:
     return phi
 
 
-def _bank_moments(base: SldsModel, A_f: np.ndarray, K: np.ndarray,
-                  groups: Sequence[tuple], true: Optional[tuple] = None,
+def _bank_moments(systems: Sequence[SldsModel], A_f: np.ndarray,
+                  K: np.ndarray, groups: Sequence[tuple],
                   ) -> Iterator[np.ndarray]:
     """E[w w.T] of w = [x; e] for steps 0..N of the filters of ``groups``
     (``kalman.filter_groups``) by spec position, summed over modes, not
     symmetrized: (1, b, F, k, k), then (steps, b, F, k, k) per block,
-    k = 2z.  The b systems share ``base``'s measurement, belief and chain;
-    their true modes are ``true = (A, Q)`` (b, r, z, z), by default
-    ``base``'s own, and their rows ``A_f``, ``K`` (b, R, N, z, z|m).
-    """
-    A, Q = true or (m[None, :, 0] for m in _mode_dynamics(base, 1))
+    k = 2z.  Each of the b ``systems`` runs its own modes' (A, Q) on its
+    rows ``A_f``, ``K`` (b, R, N, z, z|m); they must share the chain,
+    measurement model and initial belief, which are read from the first."""
+    base = systems[0]
+    A, Q = (np.stack([[getattr(mode, X) for mode in system.modes]
+                      for system in systems]) for X in "AQ")
     b, n_steps, k = K.shape[0], K.shape[2], 2 * A.shape[-1]
     F = sum(len(members) for members, _, _ in groups)
     phi0 = _initial_moment(base.init)
@@ -219,15 +220,14 @@ class _Stack:
 
 def bank_series(model: SldsModel, det: Optional[DetectionModel],
                 filters: Sequence[FilterSpec], n_steps: int,
-                bank: Optional[FilterBank] = None) -> list[MseSeries]:
+                bank: Optional[tuple] = None) -> list[MseSeries]:
     """MSE series of each spec in ``filters`` from one ``filter_bank`` (or
-    the caller's ``bank``) and one moment pass: the mode-conditioned moment
-    recursion, exact for any Markov chain under schedule gains.  Each
-    series equals that of a one-spec call bit for bit, whatever else the
-    list holds."""
-    if bank is None:
-        bank = filter_bank(model, n_steps)
-    blocks = _bank_moments(model, bank.A[None], bank.gains[None],
+    the caller's ``bank``) and one moment pass with ``model`` as the only
+    system: the mode-conditioned moment recursion, exact for any Markov
+    chain under schedule gains.  Each series equals that of a one-spec
+    call bit for bit, whatever else the list holds."""
+    A_f, K = filter_bank(model, n_steps) if bank is None else bank
+    blocks = _bank_moments([model], A_f[None], K[None],
                            filter_groups(model.r, det, filters))
     mse = np.concatenate([_error_trace(m[:, 0], model.z) for m in blocks])
     return [MseSeries(mse=m, method="aggregate") for m in mse.T]
@@ -246,21 +246,29 @@ def _metric_value(rel: np.ndarray, metric: str) -> float:
     return float(rel[-1])
 
 
+def _mode(model: SldsModel, k: int) -> ModeModel:
+    """Mode k (1-based) of ``model``; an index outside 1..r raises."""
+    if not 1 <= k <= model.r:
+        raise ValueError(f"mode {k} is outside 1..{model.r}")
+    return model.modes[k - 1]
+
+
 def pair_model(model: SldsModel, i: int, j: int) -> SldsModel:
     """Bimodal sub-system for modes i, j (1-based) with a uniform pairwise
     chain, the marginal reduction used for merge analysis."""
     half = MarkovChain(Z=np.full((2, 2), 0.5), prior=np.array([0.5, 0.5]))
-    return SldsModel(modes=(model.modes[i - 1], model.modes[j - 1]),
+    return SldsModel(modes=(_mode(model, i), _mode(model, j)),
                      meas=model.meas, chain=half, init=model.init)
 
 
 def merged_mode(model: SldsModel, members: Sequence[int]) -> ModeModel:
     """Replacement mode for a merged group: equal-weight average of the
     member (A, Q), matching the uniform pairwise chain the analysis used."""
-    members = list(members)
-    A = sum(model.modes[k - 1].A for k in members) / len(members)
-    Q = sum(model.modes[k - 1].Q for k in members) / len(members)
-    return ModeModel(A, Q)
+    modes = [_mode(model, k) for k in members]
+    if not modes:
+        raise ValueError("merged mode needs at least one mode")
+    return ModeModel(sum(mode.A for mode in modes) / len(modes),
+                     sum(mode.Q for mode in modes) / len(modes))
 
 
 def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
@@ -278,21 +286,24 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
     """
     if model.r < 2:
         raise ValueError("merge analysis needs at least two modes")
+    if n_steps < 1:
+        raise ValueError(f"merge analysis needs n_steps >= 1, got {n_steps}")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     # Pairs share H, R and P0, so mode j's schedule is row j of the full
-    # model's.  One bank pass runs every pair's SKF and its two KFs.
+    # model's.  One bank pass runs every pair's SKF and its two KFs, on
+    # rows whose A is a zero-stride view over the steps, not a copy.
     members = np.array(list(itertools.combinations(range(model.r), 2)))
     gains, _ = _riccati(*_mode_dynamics(model, n_steps), model.meas,
                         model.init.cov)
-    A, Q = (m[:, 0][members] for m in _mode_dynamics(model, 1))
+    A = np.stack([mode.A for mode in model.modes])[members]
     groups = filter_groups(2, det, [FilterSpec("skf"),
                                     FilterSpec("single-mode", mode=1),
                                     FilterSpec("single-mode", mode=2)])
     blocks = _bank_moments(
-        pair_model(model, 1, 2),
+        [pair_model(model, i, j) for i, j in members + 1],
         np.broadcast_to(A[:, :, None], A.shape[:2] + (n_steps,) + A.shape[2:]),
-        gains[members], groups, true=(A, Q))
+        gains[members], groups)
     mse = np.concatenate([_error_trace(m, model.z) for m in blocks]).T
     pairs = []
     for (i, j), (skf_mse, *own) in zip(members + 1, mse.swapaxes(0, 1)):

@@ -14,7 +14,6 @@ those schedules.  ``filter_groups`` maps filter specs to bank rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -158,25 +157,16 @@ def _mode_dynamics(model: SldsModel, n_steps: int,
                   [mode.Q for mode in model.modes]))
 
 
-@dataclass(frozen=True)
-class FilterBank:
-    """Per-step dynamics ``A`` (r + 1, N, z, z) and gains ``gains``
-    (r + 1, N, z, m) of every filter a scenario can name: row j is the
-    KF of mode j + 1, row r the average filter."""
-
-    A: np.ndarray
-    gains: np.ndarray
-
-
-def filter_bank(model: SldsModel, n_steps: int) -> FilterBank:
-    """Every mode's KF and the average filter from one batched Riccati
-    pass (B = r + 1).  Row j equals ``gain_schedule(model.modes[j], ...)``
-    bit for bit; row r runs ``_average_dynamics``."""
+def filter_bank(model: SldsModel, n_steps: int) -> tuple:
+    """Per-step dynamics A (r + 1, N, z, z) and gains (r + 1, N, z, m) of
+    every filter a scenario can name, from one batched Riccati pass: row
+    j is mode j + 1's KF, ``gain_schedule(model.modes[j], ...)`` bit for
+    bit, and row r the average filter, on ``_average_dynamics``."""
     A, Q = (np.concatenate((modes, average[None])) for modes, average in
             zip(_mode_dynamics(model, n_steps),
                 _average_dynamics(model, n_steps)))
     gains, _ = _riccati(A, Q, model.meas, model.init.cov)
-    return FilterBank(A, gains)
+    return A, gains
 
 
 def _branch_weights(r: int, det: Optional[DetectionModel]) -> np.ndarray:

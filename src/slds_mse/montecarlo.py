@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import DetectionModel, FilterSpec, SldsModel
-from .kalman import FilterBank, filter_bank, filter_groups
+from .kalman import filter_bank, filter_groups
 
 CHUNK = 1024
 
@@ -104,13 +104,13 @@ def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
     return np.where(hit, truth, wrong)
 
 
-def _replay_inputs(bank: FilterBank, groups: list, H: np.ndarray):
+def _replay_inputs(bank: tuple, groups: list, H: np.ndarray):
     """Closed-loop maps ``M = (I - K H) A`` (B, N, z, z) and gains ``K``
     (B, N, z, m) of the bank rows of ``filter_groups``' ``groups``, in
     group order: one per fixed-gain filter, one per mode of the switching
     filter."""
     rows = np.concatenate([rows.ravel() for _, rows, _ in groups])
-    A, K = bank.A[rows], bank.gains[rows]
+    A, K = (X[rows] for X in bank)
     return A - K @ (H @ A), K
 
 
@@ -121,7 +121,7 @@ class _Replay:
     row, then one row per fixed-gain filter; the rows from ``lead`` on
     hold every distinct filter once, and spec f is row group[f] of them."""
 
-    def __init__(self, bank: FilterBank, specs: Sequence[FilterSpec],
+    def __init__(self, bank: tuple, specs: Sequence[FilterSpec],
                  model: SldsModel, det: Optional[DetectionModel]):
         self.det, self.r = det, model.r
         skf = [spec for spec in specs if spec.kind == "skf"][:1]
@@ -236,7 +236,7 @@ class SimRun:
 def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
                     det: Optional[DetectionModel], n_steps: int,
                     samples: int, seed: int, threads: int = 1,
-                    bank: Optional[FilterBank] = None) -> list[SimRun]:
+                    bank: Optional[tuple] = None) -> list[SimRun]:
     """Empirical error accumulators for each filter, one SimRun per spec.
 
     ``threads`` only distributes chunks; the result is bitwise identical

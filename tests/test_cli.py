@@ -8,6 +8,7 @@ without spawning subprocesses.
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -16,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import bimodal_model, detection, filter_specs, random_model
 from slds_mse import (
@@ -32,6 +33,7 @@ from slds_mse import (
     fast,
     kalman,
     load_scenario,
+    pair_model,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -799,31 +801,48 @@ class TestOneMomentPass:
     @pytest.mark.parametrize("command", ["analyze", "compare", "recommend"])
     def test_one_kernel_call(self, scenario_file, tmp_path, command):
         horizon = 2 * fast._BLOCK + 3                  # three blocks
-        with mock.patch.object(fast, "_bank_moments",
-                               wraps=fast._bank_moments) as kernel, \
-                mock.patch.object(fast, "_joint_factors",
-                                  wraps=fast._joint_factors) as factors:
-            assert main([command, "--scenario",
-                         scenario_file(horizon=horizon, mc_samples=500),
-                         "--threads", "1",
-                         "--out", str(tmp_path / "out.csv")]) == 0
-        assert kernel.call_count == 1
-        base, A_f, K, groups = kernel.call_args.args
-        assert factors.call_count == 3
-        # (positions, rows shape, D shape) of each filter group
-        shapes = [(members, rows.shape, D.shape)
-                  for members, rows, D in groups]
+        paths = [scenario_file(horizon=horizon, mc_samples=500)]
         if command == "recommend":
-            # one pair of modes: its two KF rows, its SKF and both KFs
-            A, Q = kernel.call_args.kwargs["true"]
-            assert A.shape == Q.shape == (1, 2, 1, 1)
-            assert A_f.shape == K.shape == (1, 2, horizon, 1, 1)
-            assert shapes == [([0], (1, 2), (2, 2)),
-                              ([1, 2], (2, 1), (2, 1))]
-        else:
-            # the scenario's own modes: r = 2 mode rows plus the average
-            # filter's, four filters
-            assert base.r == 2 and not kernel.call_args.kwargs
-            assert A_f.shape == K.shape == (1, 3, horizon, 1, 1)
-            assert shapes == [([3], (1, 2), (2, 2)),
-                              ([0, 1, 2], (3, 1), (2, 1))]
+            # three pairs of modes, which one kernel call runs side by side
+            paths.append(scenario_file(
+                "three.json", horizon=horizon,
+                modes=[{"A": [[a]], "Q": [[0.01]]} for a in (0.9, 0.46, 0.7)],
+                chain={"Z": [[1 / 3] * 3] * 3, "prior": [1 / 3] * 3}))
+        for path in paths:
+            with mock.patch.object(fast, "_bank_moments",
+                                   wraps=fast._bank_moments) as kernel, \
+                    mock.patch.object(fast, "_joint_factors",
+                                      wraps=fast._joint_factors) as factors, \
+                    mock.patch.object(cli, "merge_recommendation",
+                                      wraps=cli.merge_recommendation) as merge:
+                assert main([command, "--scenario", path, "--threads", "1",
+                             "--out", str(tmp_path / "out.csv")]) == 0
+            assert kernel.call_count == 1 and not kernel.call_args.kwargs
+            systems, A_f, K, groups = kernel.call_args.args
+            assert factors.call_count == 3
+            # (positions, rows shape, D shape) of each filter group
+            shapes = [(members, rows.shape, D.shape)
+                      for members, rows, D in groups]
+            if command == "recommend":
+                # each pair's own model, in pair order: its two KF rows,
+                # its SKF and both KFs
+                model = merge.call_args.args[0]
+                pairs = list(itertools.combinations(range(1, model.r + 1), 2))
+                assert len(systems) == len(pairs)
+                for system, (i, j) in zip(systems, pairs):
+                    want = pair_model(model, i, j)
+                    assert system.modes == want.modes
+                    assert system.meas is want.meas
+                    assert system.init is want.init
+                    assert_array_equal(system.chain.Z, want.chain.Z)
+                    assert_array_equal(system.chain.prior, want.chain.prior)
+                assert A_f.shape == K.shape == (len(pairs), 2, horizon, 1, 1)
+                assert shapes == [([0], (1, 2), (2, 2)),
+                                  ([1, 2], (2, 1), (2, 1))]
+            else:
+                # the scenario's own modes: r = 2 mode rows plus the
+                # average filter's, four filters
+                assert len(systems) == 1 and systems[0].r == 2
+                assert A_f.shape == K.shape == (1, 3, horizon, 1, 1)
+                assert shapes == [([3], (1, 2), (2, 2)),
+                                  ([0, 1, 2], (3, 1), (2, 1))]

@@ -644,8 +644,8 @@ class TestFoldedLevels:
         [(_, (rows,), D)] = filter_groups(model.r, DET, [spec])
         got = enumerate_filters(model, DET, [spec], n_steps, bank,
                                 **budget)[0]
-        kept, mixtures = zip(*leaf_by_leaf(model, n_steps, bank.A, bank.gains,
-                                           rows, D, **budget))
+        kept, mixtures = zip(*leaf_by_leaf(model, n_steps, *bank, rows, D,
+                                           **budget))
         (mse, moments), = enumeration._read_moments(
             np.array(mixtures)[None], model.z)
         method = "pruned" if {"keep", "mass"} & set(budget) else "exact"

@@ -1,5 +1,6 @@
 """Mode-conditioned aggregate recursion and the mode-merge recommender."""
 
+import re
 import time
 from unittest import mock
 
@@ -46,8 +47,8 @@ SKF = FilterSpec("skf")
 def bank_moments(model, det, specs, n_steps):
     """The kernel's raw moments E[w w.T] of w = [x; e] of each spec,
     (N + 1, F, 2z, 2z), from the one moment pass ``bank_series`` runs."""
-    bank = filter_bank(model, n_steps)
-    blocks = fast._bank_moments(model, bank.A[None], bank.gains[None],
+    A_f, K = filter_bank(model, n_steps)
+    blocks = fast._bank_moments([model], A_f[None], K[None],
                                 filter_groups(model.r, det, specs))
     return np.concatenate(list(blocks))[:, 0]
 
@@ -246,8 +247,9 @@ class TestStackedRecursion:
                 zip((f"kf-mode-{pair.mode_i}", f"kf-mode-{pair.mode_j}"),
                     singles),
                 key=lambda c: c[1][1:].mean())
-            assert_allclose(pair.skf_mse, skf, rtol=1e-12, atol=0)
-            assert_allclose(pair.best_single_mse, best, rtol=1e-12, atol=0)
+            # the systems axis changes no bit of a pair's own analysis
+            assert_array_equal(pair.skf_mse, skf)
+            assert_array_equal(pair.best_single_mse, best)
             assert pair.best_single_label == label
             improvement = ((best[1:] - skf[1:]) / best[1:]).mean()
             assert pair.merge == (improvement < 0.1)
@@ -444,3 +446,17 @@ class TestMergeRecommendation:
         assert_allclose(sub.chain.Z, np.full((2, 2), 0.5), atol=0)
         assert_allclose(sub.chain.prior, [0.5, 0.5], atol=0)
         assert sub.meas is model.meas and sub.init is model.init
+
+    @pytest.mark.parametrize("call, reason", [
+        (lambda m: pair_model(m, 0, 2), "mode 0 is outside 1..2"),
+        (lambda m: pair_model(m, 1, 3), "mode 3 is outside 1..2"),
+        (lambda m: merged_mode(m, [3]), "mode 3 is outside 1..2"),
+        (lambda m: merged_mode(m, [2, -1]), "mode -1 is outside 1..2"),
+        (lambda m: merged_mode(m, []), "needs at least one mode"),
+        (lambda m: merge_recommendation(m, DET, 0, 0.1),
+         "needs n_steps >= 1, got 0"),
+    ], ids=["pair-mode-0", "pair-mode-3", "merged-mode-3", "merged-mode--1",
+            "merged-empty", "merge-no-steps"])
+    def test_bad_input_rejected_with_its_reason(self, bench, call, reason):
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            call(bench)

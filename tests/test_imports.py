@@ -48,7 +48,7 @@ def test_readme_removed_names_are_gone():
     names = re.findall(r"`([A-Za-z_]\w*)`", removed)
     assert {"GainSchedule", "mode_schedules", "kf_update", "mismatch_step",
             "aggregate_series", "pruned_moments", "as_mode_sequence",
-            "average_filter_modes"} <= set(names)
+            "average_filter_modes", "FilterBank"} <= set(names)
     assert [name for name in names if hasattr(slds_mse, name)] == []
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("slds_mse.mismatch")

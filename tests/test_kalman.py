@@ -170,10 +170,10 @@ class TestSchedules:
 
     def test_mode_schedules_match_individual(self, bench):
         # The switching filter runs one row per mode; row j is mode j's KF.
-        bank = filter_bank(bench, 5)
+        _, bank_gains = filter_bank(bench, 5)
         [(_, (rows,), _)] = filter_groups(2, DetectionModel(0.9),
                                           [FilterSpec("skf")])
-        K = bank.gains[rows]
+        K = bank_gains[rows]
         assert K.shape == (2, 5, 4, 4)
         for j in (0, 1):
             gains, _ = gain_schedule(bench.modes[j], bench.meas, bench.init, 5)
@@ -187,9 +187,9 @@ class TestSchedules:
         model = random_model(rng, 3, 3)
         A, Q = _mode_dynamics(model, 30)
         gains, covs = _riccati(A, Q, model.meas, model.init.cov)
-        bank = filter_bank(model, 30)
-        assert_array_equal(gains, bank.gains[:3])
-        assert_array_equal(A, bank.A[:3])
+        bank_A, bank_gains = filter_bank(model, 30)
+        assert_array_equal(gains, bank_gains[:3])
+        assert_array_equal(A, bank_A[:3])
         for j, mode in enumerate(model.modes):
             single = gain_schedule(mode, model.meas, model.init, 30)
             assert_array_equal(gains[j], single[0])
@@ -198,16 +198,17 @@ class TestSchedules:
     def test_filter_bank_rows_are_single_schedules_bitwise(self, rng):
         model = random_model(rng, 3, 3, uniform_rows=False,
                              uniform_prior=False)
-        bank = filter_bank(model, 30)
-        assert bank.A.shape == (4, 30, 3, 3)
+        bank_A, bank_gains = filter_bank(model, 30)
+        assert bank_A.shape == (4, 30, 3, 3)
+        assert bank_gains.shape == (4, 30, 3, model.m)
         for j, mode in enumerate(model.modes):
             gains, _ = gain_schedule(mode, model.meas, model.init, 30)
-            assert_array_equal(bank.gains[j], gains)
-            assert_array_equal(bank.A[j], np.broadcast_to(mode.A, (30, 3, 3)))
+            assert_array_equal(bank_gains[j], gains)
+            assert_array_equal(bank_A[j], np.broadcast_to(mode.A, (30, 3, 3)))
         average = average_filter_modes(model, 30)
-        assert_array_equal(bank.gains[3],
+        assert_array_equal(bank_gains[3],
                            kf_schedule(average, model.meas, model.init)[0])
-        assert_array_equal(bank.A[3], [mode.A for mode in average])
+        assert_array_equal(bank_A[3], [mode.A for mode in average])
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(r=st.integers(1, 4), z=st.integers(1, 4),

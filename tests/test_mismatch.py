@@ -167,12 +167,12 @@ class TestRecursion:
         if filt_index == 3:
             # the bank's average row on the one-mode system of the truth
             steps = average_filter_modes(model, n_steps)
-            bank = filter_bank(model, n_steps)
+            A_f, K = filter_bank(model, n_steps)
             [(_, (row,), _)] = filter_groups(3, None, [FilterSpec("average")])
             fixed = SldsModel([truth], model.meas, MarkovChain([[1.0]], [1.0]),
                               model.init)
             series, moments = _run_enumeration(
-                fixed, n_steps, bank.A[row], bank.gains[row],
+                fixed, n_steps, A_f[row], K[row],
                 np.zeros((1, 1), dtype=int), np.ones((1, 1)))[0]
         else:
             steps = [model.modes[filt_index - 1]] * n_steps
