@@ -21,8 +21,10 @@ Phi_j = E[w w.T 1{s_n = j}] per true mode j, mixes the predecessors,
 Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step 1), and branches:
 Phi_j' = sum_d D[j, d] (G Psi_j G.T + p_j C), p_j = P(s_n = j), with
 the map G and noise C of the branch (j, its row in slot d).  The maps
-are built once per block of steps on the (true mode x row) grid; the
-noise enters only as sum_d D C.
+are built once per block of steps on the (true mode x row) grid; a block
+holds as many steps as keep its maps within ``_BLOCK_BYTES``, so that
+its products stay in cache whatever the bank's size.  The noise enters
+only as sum_d D C.
 
 The mode-merge recommender runs each pair's ``pair_model`` (uniform
 pairwise chain) as one system of one kernel call; a pair whose switching
@@ -50,7 +52,9 @@ from .model import (
 from .kalman import _mode_dynamics, _riccati, filter_bank, filter_groups
 
 METRICS = ("mean", "max", "final")
-_BLOCK = 25            # steps per block of branch maps in _bank_moments
+# Bytes of branch maps G per block of _bank_moments: with the block's
+# temporaries of like size they stay within a 2 MiB L2 cache.
+_BLOCK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,11 @@ def _bank_moments(systems: Sequence[SldsModel], A_f: np.ndarray,
     symmetrized: (1, b, F, k, k), then (steps, b, F, k, k) per block,
     k = 2z.  Each of the b ``systems`` runs its own modes' (A, Q) on its
     rows ``A_f``, ``K`` (b, R, N, z, z|m); they must share the chain,
-    measurement model and initial belief, which are read from the first."""
+    measurement model and initial belief, which are read from the first.
+    A block holds as many steps as keep its maps G, b r R (2z)^2 doubles
+    a step, within ``_BLOCK_BYTES``: at least one step, at most the
+    horizon.  Blocks only bound the working set: each step's products
+    are the same in any block."""
     base = systems[0]
     A, Q = (np.stack([[getattr(mode, X) for mode in system.modes]
                       for system in systems]) for X in "AQ")
@@ -150,8 +158,10 @@ def _bank_moments(systems: Sequence[SldsModel], A_f: np.ndarray,
     yield np.broadcast_to(phi0, (1, b, F, k, k))
     stacks = [_Stack(*group, b, phi0) for group in groups]
     margs = mode_marginal_series(base.chain, max(n_steps, 1))
-    for start in range(0, n_steps, _BLOCK):
-        steps = slice(start, start + _BLOCK)
+    step_bytes = b * A.shape[1] * K.shape[1] * k * k * 8
+    block = max(1, min(n_steps, _BLOCK_BYTES // step_bytes))
+    for start in range(0, n_steps, block):
+        steps = slice(start, start + block)
         # maps on the (step, system, mode, row) grid, built once
         grid = _joint_factors(A[None], Q[None],
                               A_f[:, :, steps].transpose(2, 0, 1, 3, 4),

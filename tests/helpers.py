@@ -111,6 +111,23 @@ def random_model(rng: np.random.Generator, r: int, z: int,
     return SldsModel(modes, meas, chain, init)
 
 
+# Steps per block that the moment-kernel tests pin with ``block_budget``,
+# and horizons on both sides of its boundaries.
+BLOCK = 25
+HORIZONS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+
+
+def block_budget(steps: int, model: SldsModel, merge: bool = False) -> int:
+    """The ``fast._BLOCK_BYTES`` under which the moment kernel runs in
+    blocks of ``steps`` steps: on ``model``'s bank (one system of r modes
+    on r + 1 rows) or, with ``merge``, on ``merge_recommendation``'s
+    stack (r(r - 1)/2 pair systems of two modes on two rows).  A step's
+    maps G are that many (2z)-square float64 matrices."""
+    r = model.r
+    grid = 2 * r * (r - 1) if merge else r * (r + 1)
+    return steps * grid * (2 * model.z) ** 2 * 8
+
+
 def initial_moments(init: GaussianBelief) -> ErrorMoments:
     """Error moments at step 0, where the ``mismatch_step`` oracle starts:
     e_0 = x_0 - mean, so C(e_0) = C(x_0) = P_0, and u_0 = 0 because the

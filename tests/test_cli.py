@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import bimodal_model, detection, filter_specs, random_model
+from helpers import (
+    BLOCK,
+    bimodal_model,
+    block_budget,
+    detection,
+    filter_specs,
+    random_model,
+)
 from slds_mse import (
     DetectionModel,
     FilterSpec,
@@ -800,7 +807,7 @@ class TestOneMomentPass:
 
     @pytest.mark.parametrize("command", ["analyze", "compare", "recommend"])
     def test_one_kernel_call(self, scenario_file, tmp_path, command):
-        horizon = 2 * fast._BLOCK + 3                  # three blocks
+        horizon = 2 * BLOCK + 3          # three blocks under block_budget
         paths = [scenario_file(horizon=horizon, mc_samples=500)]
         if command == "recommend":
             # three pairs of modes, which one kernel call runs side by side
@@ -809,7 +816,10 @@ class TestOneMomentPass:
                 modes=[{"A": [[a]], "Q": [[0.01]]} for a in (0.9, 0.46, 0.7)],
                 chain={"Z": [[1 / 3] * 3] * 3, "prior": [1 / 3] * 3}))
         for path in paths:
-            with mock.patch.object(fast, "_bank_moments",
+            budget = block_budget(BLOCK, load_scenario(path).model,
+                                  merge=command == "recommend")
+            with mock.patch.object(fast, "_BLOCK_BYTES", budget), \
+                    mock.patch.object(fast, "_bank_moments",
                                    wraps=fast._bank_moments) as kernel, \
                     mock.patch.object(fast, "_joint_factors",
                                       wraps=fast._joint_factors) as factors, \

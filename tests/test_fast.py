@@ -1,7 +1,9 @@
 """Mode-conditioned aggregate recursion and the mode-merge recommender."""
 
+import importlib.util
 import re
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
+    BLOCK,
+    HORIZONS,
     bimodal_model,
+    block_budget,
     filter_specs,
     mismatch_step,
     random_model,
@@ -32,10 +37,12 @@ from slds_mse import (
     enumerate_filters,
     filter_bank,
     gain_schedule,
+    load_scenario,
     merge_clusters,
     merge_recommendation,
     merged_mode,
     pair_model,
+    scenario_from_dict,
     skf_slds_moments,
 )
 from slds_mse.kalman import filter_groups
@@ -196,11 +203,14 @@ class TestAggregateProperties:
     def test_joint_moment_psd_past_four_blocks(self, r, kind, p_d, seed):
         model = random_model(np.random.default_rng(seed), r, 3,
                              uniform_rows=False, uniform_prior=False)
-        n_steps = 4 * fast._BLOCK + 7
-        for joint in symmetric(bank_moments(
+        n_steps = 4 * BLOCK + 7
+        with mock.patch.object(fast, "_BLOCK_BYTES",
+                               block_budget(BLOCK, model)):
+            moments = bank_moments(
                 model, DetectionModel(p_d),
                 [FilterSpec(kind, mode=r if kind == "single-mode" else None)],
-                n_steps)[:, 0]):
+                n_steps)
+        for joint in symmetric(moments[:, 0]):
             assert np.linalg.eigvalsh(joint).min() >= -1e-12 * np.trace(joint)
 
     def test_mse_non_increasing_in_detection_rate(self, bench):
@@ -224,11 +234,6 @@ class TestAggregateProperties:
         return time.perf_counter() - t0
 
 
-# Horizons on both sides of the recursion's block boundaries.
-BLOCK = fast._BLOCK
-HORIZONS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
-
-
 class TestStackedRecursion:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(r=st.integers(2, 4), n_steps=st.sampled_from(HORIZONS),
@@ -236,13 +241,17 @@ class TestStackedRecursion:
     def test_merge_equals_per_pair_analysis(self, r, n_steps, p_d, seed):
         model = random_model(np.random.default_rng(seed), r, 2)
         det = DetectionModel(p_d)
-        rep = merge_recommendation(model, det, n_steps, threshold=0.1)
+        with mock.patch.object(fast, "_BLOCK_BYTES",
+                               block_budget(BLOCK, model, merge=True)):
+            rep = merge_recommendation(model, det, n_steps, threshold=0.1)
         assert [(p.mode_i, p.mode_j) for p in rep.pairs] == \
             [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
         for pair in rep.pairs:
             sub = pair_model(model, pair.mode_i, pair.mode_j)
-            skf, *singles = (series.mse for series in bank_series(
-                sub, det, [SKF, *default_filters(2)[:2]], n_steps))
+            with mock.patch.object(fast, "_BLOCK_BYTES",
+                                   block_budget(BLOCK, sub)):
+                skf, *singles = (series.mse for series in bank_series(
+                    sub, det, [SKF, *default_filters(2)[:2]], n_steps))
             label, best = min(
                 zip((f"kf-mode-{pair.mode_i}", f"kf-mode-{pair.mode_j}"),
                     singles),
@@ -265,11 +274,14 @@ class TestStackedRecursion:
                            model.chain.prior)
         det = DetectionModel(p_d)
         for spec in (SKF, FilterSpec("single-mode", mode=1)):
-            full = bank_series(model, det, [spec], HORIZONS[-1])[0].mse
-            short = bank_series(model, det, [spec], n_steps)[0].mse
+            with mock.patch.object(fast, "_BLOCK_BYTES",
+                                   block_budget(BLOCK, model)):
+                full = bank_series(model, det, [spec], HORIZONS[-1])[0].mse
+                short = bank_series(model, det, [spec], n_steps)[0].mse
             assert_allclose(full[:n_steps + 1], short, rtol=1e-12, atol=0)
             # The blocks only bound memory: one block gives the same series.
-            with mock.patch.object(fast, "_BLOCK", HORIZONS[-1]):
+            with mock.patch.object(fast, "_BLOCK_BYTES",
+                                   block_budget(HORIZONS[-1], model)):
                 whole, = bank_series(model, det, [spec], HORIZONS[-1])
             assert_allclose(whole.mse, full, rtol=1e-12, atol=0)
 
@@ -292,12 +304,118 @@ class TestBankOracle:
         specs = [FilterSpec("single-mode", mode=j) for j in (1, 2, 3)]
         specs += [FilterSpec("average"), FilterSpec("skf")]
         for n_steps in SHORT_HORIZONS:
-            with mock.patch.object(fast, "_BLOCK", SHORT_BLOCK):
+            with mock.patch.object(fast, "_BLOCK_BYTES",
+                                   block_budget(SHORT_BLOCK, model)):
                 series = bank_series(model, det, specs, n_steps)
             exact = enumerate_filters(model, det, specs, n_steps)
             for spec, got, (want, _) in zip(specs, series, exact):
                 assert_allclose(got.mse, want.mse, rtol=1e-12, atol=0,
                                 err_msg=f"{spec.display} N={n_steps}")
+
+
+def kernel_blocks(call):
+    """(steps, bytes of G) of each block of branch maps that the moment
+    kernel builds in ``call()``."""
+    blocks, joint_factors = [], fast._joint_factors
+
+    def record(*args):
+        grid = joint_factors(*args)
+        blocks.append((len(grid[0]), grid[0].nbytes))
+        return grid
+
+    with mock.patch.object(fast, "_joint_factors", side_effect=record):
+        call()
+    return blocks
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = ROOT / "demos" / "scenarios" / "bimodal4d.json"
+
+
+def bench_scenario(name, seed):
+    """A generated benchmark scenario, read from ``bench/scenarios.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_scenarios", ROOT / "bench" / "scenarios.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return scenario_from_dict(getattr(module, name)(seed))
+
+
+class TestBlockRule:
+    """Each block of branch maps holds as many steps as keep its maps G
+    within ``fast._BLOCK_BYTES``: at least one, at most the horizon."""
+
+    @staticmethod
+    def runs(scenario):
+        """The scenario's bank pass and its merge stack, as calls."""
+        model, det, n = scenario.model, scenario.detection, scenario.horizon
+        return (lambda: bank_series(model, det, scenario.filters, n),
+                lambda: merge_recommendation(model, det, n, threshold=0.1))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(r=st.integers(2, 4), z=st.integers(1, 4),
+           n_steps=st.integers(1, 40), budget=st.integers(1, 2 ** 16),
+           merge=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_fill_the_budget(self, r, z, n_steps, budget, merge,
+                                    seed):
+        model = random_model(np.random.default_rng(seed), r, z)
+        with mock.patch.object(fast, "_BLOCK_BYTES", budget):
+            blocks = kernel_blocks(
+                lambda: merge_recommendation(model, DET, n_steps, 0.1)
+                if merge else bank_series(model, DET, [SKF], n_steps))
+        (length, nbytes), lengths = blocks[0], [n for n, _ in blocks]
+        step_bytes = nbytes // length
+        assert step_bytes == block_budget(1, model, merge)
+        assert 1 <= length <= n_steps
+        # every step once, in blocks of one length but for a shorter last
+        assert sum(lengths) == n_steps and set(lengths[:-1]) <= {length}
+        # within the budget unless one step exceeds it; one more step not
+        assert length * step_bytes <= budget or length == 1
+        assert (length + 1) * step_bytes > budget or length == n_steps
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(lambda: load_scenario(DEMO), id="demo"),
+        pytest.param(lambda: bench_scenario("sticky_exact", 0),
+                     id="sticky_exact(0)")])
+    def test_small_scenarios_are_one_block(self, scenario):
+        for run in self.runs(scenario()):
+            assert len(kernel_blocks(run)) == 1
+
+    def test_runtime_test_shape_is_one_block(self, rng):
+        model = random_model(rng, 2, 4)
+        assert len(kernel_blocks(
+            lambda: bank_series(model, DET, [SKF], 100))) == 1
+
+    def test_long_horizon_splits_within_the_budget(self):
+        # r = 4, z = 8: the bank of four mode rows and the average row,
+        # and the six-pair stack of recommend
+        for run in self.runs(bench_scenario("long_horizon", 3)):
+            blocks = kernel_blocks(run)
+            assert len(blocks) > 1
+            assert all(nbytes <= fast._BLOCK_BYTES for _, nbytes in blocks)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(r=st.integers(2, 3), z=st.integers(1, 3), n_steps=st.integers(1, 9),
+           p_d=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_step_blocks_change_no_bit(self, r, z, n_steps, p_d, seed):
+        model = random_model(np.random.default_rng(seed), r, z,
+                             uniform_rows=False, uniform_prior=False)
+        det, specs = DetectionModel(p_d), default_filters(r)
+        results = []
+        for budget in (1, 2 ** 40):        # one-step blocks, then one block
+            with mock.patch.object(fast, "_BLOCK_BYTES", budget):
+                blocks = kernel_blocks(lambda: results.append((
+                    bank_series(model, det, specs, n_steps),
+                    merge_recommendation(model, det, n_steps, 0.1))))
+            assert len(blocks) == (2 * n_steps if budget == 1 else 2)
+        (steps, stepped), (whole, merged) = results
+        for a, b in zip(steps, whole):
+            assert_array_equal(a.mse, b.mse)
+        for a, b in zip(stepped.pairs, merged.pairs):
+            assert_array_equal(a.skf_mse, b.skf_mse)
+            assert_array_equal(a.best_single_mse, b.best_single_mse)
+            assert (a.best_single_label, a.improvement, a.merge) == \
+                (b.best_single_label, b.improvement, b.merge)
 
 
 class TestJointFactors:
@@ -352,13 +470,16 @@ class TestFilterBank:
                              uniform_rows=False, uniform_prior=False)
         det = DetectionModel(p_d)
         specs = data.draw(filter_specs(r))
-        series = bank_series(model, det, specs, n_steps)
-        assert len(series) == len(specs)
-        for spec, got in zip(specs, series):
-            assert got.method == "aggregate"
-            # the other filters in the list never move this one
-            assert_array_equal(bank_series(model, det, [spec], n_steps)[0].mse,
-                               got.mse)
+        # 25-step blocks, so that HORIZONS fall on both sides of their edges
+        with mock.patch.object(fast, "_BLOCK_BYTES",
+                               block_budget(BLOCK, model)):
+            series = bank_series(model, det, specs, n_steps)
+            assert len(series) == len(specs)
+            for spec, got in zip(specs, series):
+                assert got.method == "aggregate"
+                # the other filters in the list never move this one
+                alone, = bank_series(model, det, [spec], n_steps)
+                assert_array_equal(alone.mse, got.mse)
 
     def test_switching_filter_needs_detection(self, bench):
         with pytest.raises(ValueError, match="detection"):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
+    HORIZONS,
     average_filter_modes,
     bimodal_model,
     detection,
@@ -37,13 +38,9 @@ from slds_mse import (
     gain_schedule,
     run_monte_carlo,
 )
-from slds_mse.fast import _BLOCK
 from slds_mse import montecarlo
 from slds_mse.kalman import filter_groups
 from slds_mse.montecarlo import _replay_inputs
-
-# Horizons on both sides of the analytic recursion's block boundaries.
-HORIZONS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 
 
 def noiseless_constant_model(z=2):
