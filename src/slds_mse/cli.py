@@ -325,7 +325,8 @@ def cmd_compare(args) -> int:
                 failures.append((spec.display, step, a, m, "non-finite"))
             elif step >= 2:
                 rel = abs(a - m) / a if a > 0 else (0.0 if m == 0 else np.inf)
-                if rel > args.rtol and abs(a - m) > 4.0 * stderr[step]:
+                # a NaN stderr (one sample) excuses no cell
+                if rel > args.rtol and not abs(a - m) <= 4.0 * stderr[step]:
                     failures.append((spec.display, step, a, m,
                                      f"rel gap {rel:.3g}"))
     _write_csv(args.out, ["step", "filter", "analytic_mse", "mc_mse",

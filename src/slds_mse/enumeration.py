@@ -53,10 +53,10 @@ from .model import (
     SldsModel,
 )
 from .kalman import (
+    _bank,
     _check_innovations,
     _mode_dynamics,
     _riccati_step,
-    filter_bank,
     filter_groups,
     gain_schedule,
 )
@@ -340,7 +340,8 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
                       ) -> list[tuple[MseSeries, list[ErrorMoments]]]:
     """Series and per-step moments of each spec in ``filters`` by
     trajectory enumeration on one ``filter_bank`` (or the caller's
-    ``bank``, its ``(A, gains)``), exact or beam-pruned.
+    ``bank``, its ``(A, gains)``; other shapes raise ``ValueError``), exact
+    or beam-pruned.
 
     One tree runs per group of ``filter_groups``: first the switching
     filter on (true, detected) pairs, whose r^2 branches per leaf outgrow
@@ -351,7 +352,7 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     its kept mass, and ``renormalize`` rescales the kept weights to sum
     to one.  ``gains="detected-path"`` runs the switching filter's
     Riccati recursion along each detected trajectory in place of the
-    detected mode's schedule, and builds no filter bank.
+    detected mode's schedule, and builds or reads no filter bank.
     """
     if gains not in (GAIN_SCHEDULE, GAIN_DETECTED_PATH):
         raise ValueError(f"unknown gain policy {gains!r}")
@@ -359,9 +360,8 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     if detected_path and any(spec.kind != "skf" for spec in filters):
         raise ValueError("detected-path gains apply to the switching filter only")
     groups = filter_groups(model.r, det, filters)
-    if bank is None and not detected_path:   # detected paths read no rows
-        bank = filter_bank(model, n_steps)
-    A_f, K = (None, None) if bank is None else bank
+    # detected paths read no rows
+    A_f, K = (None, None) if detected_path else _bank(model, n_steps, bank)
     runs = {}
     for members, rows, D in groups:
         label = ", ".join(dict.fromkeys(filters[f].display for f in members))

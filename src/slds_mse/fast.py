@@ -49,7 +49,7 @@ from .model import (
     SldsModel,
     mode_marginal_series,
 )
-from .kalman import _mode_dynamics, _riccati, filter_bank, filter_groups
+from .kalman import _bank, _mode_dynamics, _riccati, filter_groups
 
 METRICS = ("mean", "max", "final")
 # Bytes of branch maps G per block of _bank_moments: with the block's
@@ -232,11 +232,12 @@ def bank_series(model: SldsModel, det: Optional[DetectionModel],
                 filters: Sequence[FilterSpec], n_steps: int,
                 bank: Optional[tuple] = None) -> list[MseSeries]:
     """MSE series of each spec in ``filters`` from one ``filter_bank`` (or
-    the caller's ``bank``) and one moment pass with ``model`` as the only
-    system: the mode-conditioned moment recursion, exact for any Markov
-    chain under schedule gains.  Each series equals that of a one-spec
-    call bit for bit, whatever else the list holds."""
-    A_f, K = filter_bank(model, n_steps) if bank is None else bank
+    the caller's ``bank``; other shapes raise ``ValueError``) and one moment
+    pass with ``model`` as the only system: the mode-conditioned moment
+    recursion, exact for any Markov chain under schedule gains.  Each
+    series equals that of a one-spec call bit for bit, whatever else the
+    list holds."""
+    A_f, K = _bank(model, n_steps, bank)
     blocks = _bank_moments([model], A_f[None], K[None],
                            filter_groups(model.r, det, filters))
     mse = np.concatenate([_error_trace(m[:, 0], model.z) for m in blocks])

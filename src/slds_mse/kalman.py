@@ -66,39 +66,27 @@ def _check_innovations(B: np.ndarray, step: Optional[int] = None) -> None:
 
 
 def _gain_step(meas: MeasurementModel, P: np.ndarray,
-               past: Optional[np.ndarray] = None,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Innovation covariances B and gains K of predicted covariances
-    ``P`` (..., z, z): one solve.  A singular solve raises, with the
-    reason ``_check_innovations`` finds; given ``past`` (n, rows, m, m),
-    the unchecked innovation covariances of steps 1..n, it checks those
-    first, so the error names the first bad step.  Callers vet the B of
-    a successful solve."""
+    ``P`` (..., z, z): one solve.  A failed solve leaves NaN gains; the
+    caller's check of B names the reason."""
     HP = meas.H @ P
     B = HP @ meas.H.T + meas.R
     B = (B + B.swapaxes(-1, -2)) / 2.0
     try:
         return B, np.linalg.solve(B, HP).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
-        if past is None:
-            _check_innovations(B)
-        else:
-            _check_innovations(np.concatenate((past, B[None])), 0)
-        at = "" if past is None else f" at step {len(past) + 1}"
-        raise InnovationSolveError(f"innovation covariance is singular{at}",
-                                   float(np.max(np.linalg.cond(B)))) from None
+        return B, np.full(HP.swapaxes(-1, -2).shape, np.nan)
 
 
 def _riccati_step(meas: MeasurementModel, A: np.ndarray, Q: np.ndarray,
-                  P: np.ndarray, past: Optional[np.ndarray] = None,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One predict/update of posterior covariances ``P`` (..., z, z) under
     dynamics ``A``, ``Q``: innovation covariances B, gains K and the new
-    posterior covariances, each covariance symmetrized.  ``past`` goes to
-    ``_gain_step``; callers vet B."""
+    posterior covariances, each covariance symmetrized.  Callers vet B."""
     P = A @ P @ A.swapaxes(-1, -2) + Q
     P = (P + P.swapaxes(-1, -2)) / 2.0
-    B, K = _gain_step(meas, P, past)
+    B, K = _gain_step(meas, P)
     P = (np.eye(P.shape[-1]) - K @ meas.H) @ P
     return B, K, (P + P.swapaxes(-1, -2)) / 2.0
 
@@ -114,8 +102,7 @@ def _riccati(A: np.ndarray, Q: np.ndarray, meas: MeasurementModel,
     innov = np.empty((A.shape[1], len(A)) + meas.R.shape)
     P = P0
     for n in range(A.shape[1]):
-        innov[n], gains[:, n], P = _riccati_step(meas, A[:, n], Q[:, n], P,
-                                                 innov[:n])
+        innov[n], gains[:, n], P = _riccati_step(meas, A[:, n], Q[:, n], P)
         covs[:, n] = P
     _check_innovations(innov, 0)
     return gains, covs
@@ -167,6 +154,21 @@ def filter_bank(model: SldsModel, n_steps: int) -> tuple:
                 _average_dynamics(model, n_steps)))
     gains, _ = _riccati(A, Q, model.meas, model.init.cov)
     return A, gains
+
+
+def _bank(model: SldsModel, n_steps: int, bank: Optional[tuple]) -> tuple:
+    """``filter_bank(model, n_steps)``, or the caller's ``bank`` if its
+    arrays have that bank's shapes; any other shapes raise ``ValueError``."""
+    if bank is None:
+        return filter_bank(model, n_steps)
+    rows = (model.r + 1, n_steps, model.z)
+    want = (rows + (model.z,), rows + (model.m,))
+    got = tuple(np.shape(X) for X in bank)
+    if got != want:
+        raise ValueError(f"filter bank arrays of shapes {got} do not match "
+                         f"{want}: r + 1 = {model.r + 1} rows over {n_steps} "
+                         f"steps")
+    return bank
 
 
 def _branch_weights(r: int, det: Optional[DetectionModel]) -> np.ndarray:

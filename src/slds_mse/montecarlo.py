@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import DetectionModel, FilterSpec, SldsModel
-from .kalman import filter_bank, filter_groups
+from .kalman import _bank, filter_groups
 
 CHUNK = 1024
 
@@ -161,6 +161,8 @@ class SimRun:
     the sums of the error, its outer product, the squared norm, its square
     and the error scaled by it (for variance-of-variance estimates).
     Merging two runs is plain addition, so chunked reductions are exact.
+    Every sample statistic (covariance, variance, standard error) is NaN
+    with fewer than two samples.
     """
 
     gram: np.ndarray
@@ -192,6 +194,8 @@ class SimRun:
     def cov(self) -> np.ndarray:
         """Sample covariance (ddof=1) of the error at each step."""
         s = self.samples
+        if s < 2:
+            return np.full_like(self.sum_ee, np.nan)
         mean = self.mean()
         outer = mean[:, :, None] * mean[:, None, :]
         return (self.sum_ee - s * outer) / (s - 1)
@@ -224,6 +228,8 @@ class SimRun:
         """Standard error of the sample variance, from the fourth central
         moment; defined for z = 1 only."""
         s = self.samples
+        if s < 2:
+            return np.full_like(self.sum_sq, np.nan)
         mean = self.mean()[:, 0]
         m2 = self.sum_sq / s - mean ** 2
         m4 = (self.sum_quad
@@ -241,14 +247,14 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
 
     ``threads`` only distributes chunks; the result is bitwise identical
     for any thread count (see the module docstring).  ``bank`` reuses a
-    caller's ``filter_bank(model, n_steps)`` instead of computing it.
+    caller's ``filter_bank(model, n_steps)`` instead of computing it; a
+    bank of other shapes raises ``ValueError``.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     filters = list(filters)
     system = _System(model)
-    replay = _Replay(filter_bank(model, n_steps) if bank is None else bank,
-                     filters, model, det)
+    replay = _Replay(_bank(model, n_steps, bank), filters, model, det)
 
     def work(chunk: int, count: int) -> np.ndarray:
         """The chunk's per-step sums ``(N+1, G, z+2, z+2)``, streamed."""

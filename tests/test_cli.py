@@ -273,6 +273,12 @@ class TestCompare:
         assert "FAIL" in captured.err
         assert "rel gap" in captured.err
 
+    def test_single_sample_gets_no_stderr_gate(self, scenario_file, capsys):
+        # one sample has a NaN stderr, which excuses no gap
+        assert main(["compare", "--scenario", scenario_file(mc_samples=1),
+                     "--threads", "1"]) == 4
+        assert "rel gap" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_cells_fail(self, scenario_file, tmp_path, capsys):
         # mode 2's A = 1e100 keeps every innovation covariance finite but

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from helpers import (bimodal_model, detection_prob, filter_specs,
                      initial_moments, kf_schedule, mismatch_step,
                      random_model, single_mode_model, trajectory_prob)
-from slds_mse import cli, enumeration, fast
+from slds_mse import cli, enumeration, fast, kalman
 from slds_mse import (
     DetectionModel,
     EnumerationCapError,
@@ -435,8 +435,8 @@ class TestGainVariants:
     def test_only_schedule_gains_build_a_filter_bank(self, bench, gains,
                                                      banks):
         # a detected-path tree reads no bank row, so it builds no bank
-        with mock.patch.object(enumeration, "filter_bank",
-                               wraps=enumeration.filter_bank) as build:
+        with mock.patch.object(kalman, "filter_bank",
+                               wraps=kalman.filter_bank) as build:
             skf_slds_moments(bench, DET, 3, gains=gains)
         assert build.call_count == banks
 

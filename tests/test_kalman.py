@@ -25,11 +25,14 @@ from slds_mse import (
     MeasurementModel,
     ModeModel,
     SldsModel,
+    bank_series,
+    enumerate_filters,
     filter_bank,
     gain_schedule,
     merge_recommendation,
     mismatch_series,
     mode_marginal_series,
+    run_monte_carlo,
     single_mode_slds_moments,
 )
 from slds_mse.kalman import (
@@ -309,12 +312,67 @@ class TestSchedules:
                            match="not positive definite at step 1 of row 0"):
             gain_schedule(mode, meas, scalar_belief(0.0, 0.5), 3)
 
+    def test_failed_solve_is_named_by_the_check(self):
+        # P0 = 1 and R = 0: step 1 is good and leaves P = 0, so step 2 has
+        # B = 0, whose solve fails and leaves NaN gains for the check
+        mode, meas = scalar_mode(0.9, 0.0), scalar_meas(1.0, 0.0)
+        with pytest.raises(InnovationSolveError,
+                           match="not positive definite at step 2 of row 0"):
+            gain_schedule(mode, meas, scalar_belief(0.0, 1.0), 3)
+
     def test_indefinite_innovation_caught_after_the_loop(self):
         # R = -1 and P = 0 give B = -1: the solve succeeds, Cholesky not.
         mode, meas = scalar_mode(0.9, 0.0), scalar_meas(1.0, -1.0)
         with pytest.raises(InnovationSolveError,
                            match="not positive definite at step 1 of row 0"):
             gain_schedule(mode, meas, scalar_belief(0.0, 0.0), 3)
+
+
+DET = DetectionModel(0.9)
+SPECS = (FilterSpec("skf"), FilterSpec("single-mode", mode=2),
+         FilterSpec("average"))
+# each engine's per-filter outputs, on a bank or, given None, its own
+ENGINES = {
+    "bank_series": lambda model, n, bank: [
+        series.mse for series in bank_series(model, DET, SPECS, n, bank)],
+    "enumerate_filters": lambda model, n, bank: [
+        series.mse for series, _ in enumerate_filters(model, DET, SPECS, n,
+                                                       bank)],
+    "run_monte_carlo": lambda model, n, bank: [
+        run.gram for run in run_monte_carlo(model, SPECS, DET, n, 64, 7,
+                                            bank=bank)],
+}
+OTHER_BANKS = {
+    "longer": lambda model, n: filter_bank(model, 2 * n),
+    "shorter": lambda model, n: filter_bank(model, n - 2),
+    "more-modes": lambda model, n: filter_bank(
+        bimodal_model(a_values=(0.9, 0.46, 0.7), prior=[1 / 3] * 3), n),
+}
+
+
+class TestCallersBank:
+    """Every engine takes ``filter_bank(model, n)`` for its own bank, and
+    rejects a bank of any other shape with both arrays' shapes named."""
+
+    N = 5
+
+    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
+    def test_own_bank_is_taken_bit_for_bit(self, bench, engine):
+        given = engine(bench, self.N, filter_bank(bench, self.N))
+        built = engine(bench, self.N, None)
+        assert len(given) == len(built) == len(SPECS)
+        for got, want in zip(given, built):
+            assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("other", OTHER_BANKS.values(), ids=OTHER_BANKS)
+    @pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
+    def test_other_bank_is_rejected(self, bench, engine, other):
+        bank = other(bench, self.N)
+        with pytest.raises(ValueError,
+                           match=r"r \+ 1 = 3 rows over 5 steps") as err:
+            engine(bench, self.N, bank)
+        for X in bank:
+            assert str(X.shape) in str(err.value)
 
 
 class TestAverageFilter:

@@ -7,6 +7,7 @@ statistically, and verify the accumulator algebra on hand-built errors.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -407,9 +408,14 @@ class TestAccumulator:
         assert_array_equal(run.mse_stderr(), np.zeros(3))
 
     def test_single_sample_has_nan_stderr(self, rng):
-        run = SimRun.from_errors(rng.standard_normal((1, 2, 3)))
-        assert np.isfinite(run.mse()).all()
-        assert np.isnan(run.mse_stderr()).all()
+        # every sample statistic of one sample is NaN, with no warning
+        run = SimRun.from_errors(rng.standard_normal((1, 2, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(run.mse()).all()
+            for statistic in (run.cov, run.var, run.mean_stderr,
+                              run.mse_stderr, run.var_stderr):
+                assert np.isnan(statistic()).all()
 
     def test_mean_and_cov_match_numpy(self, rng):
         errors = rng.standard_normal((40, 1, 3))
