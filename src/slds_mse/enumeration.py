@@ -27,10 +27,13 @@ Only the levels before the last two are stored, about 2 k^3 multiply-adds
 per new leaf.  The last level is linear in its parents, so its mixture
 is sum_b G_b (sum_l w_bl [M_l | m_l]) with G_b.T and (sum_l w_bl) C_b on
 M: k (k + 1) per leaf for the parents' per-branch weighted sums, then
-one congruence per branch (``_fold``; pruned pairs weigh zero).  The
-level before it is streamed block by block into its own mixture and
-those sums.  A pruned run stores that level, to prune it.  Detected-path
-gains give every leaf its own maps, so that policy stores every level.
+one congruence per branch (``_fold``; pruned pairs weigh zero).  In an
+unpruned run the level before it folds alike into one sum U_a per branch
+a, and the last level's branch beta folds sum_a Z[i_a, i_beta] D[i_beta,
+d_beta] U_a: both levels cost k (k + 1) per leaf of the level before
+the last, for its parents' weighted sums, 2 b congruences and one b x b
+mix.  A pruned run stores that level, to prune it.  Detected-path gains
+give every leaf its own maps, so that policy stores every level.
 """
 
 from __future__ import annotations
@@ -106,17 +109,13 @@ class ErrorMoments:
         return float(self.e_mean @ self.e_mean + np.trace(self.e_cov))
 
 
-def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
-             weights: Optional[np.ndarray] = None) -> np.ndarray:
+def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray) -> np.ndarray:
     """[G M G.T + C | G m] of every leaf [M | m] of each filter's ``phi``
     (F, k, L, k + 1) under every branch: (F, k, b L, k + 1), leaves in
-    (branch, parent) order.  With ``weights`` (J, b L) the new leaves are
-    never stored: the result is their J mixtures, (F, k, J, k + 1),
-    summed block by block.
+    (branch, parent) order.
 
     ``G``, ``C`` are (F, b, k, k) maps shared by all leaves, or
-    (F, b, L, k, k) maps of one leaf each (detected-path gains, no
-    ``weights``).
+    (F, b, L, k, k) maps of one leaf each (detected-path gains).
     """
     F, k, L = phi.shape[:3]
     if G.ndim == 5:
@@ -125,12 +124,7 @@ def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
         return out.transpose(0, 3, 1, 2, 4).reshape(F, k, -1, k + 1)
     b, c = G.shape[1], k + 1
     width = max(1, _BLOCK_MACS // (b * k ** 2 * c))
-    if weights is None:
-        out = np.empty((F, k, b, L, c))
-    else:
-        weights = weights.reshape(len(weights), b, L)
-        total = np.zeros((F, k, len(weights), c))
-        scratch = np.empty(F * k * b * min(L, width) * c)   # a block's leaves
+    out = np.empty((F, k, b, L, c))
     stacked = G.reshape(F, b * k, k)
     maps_t = np.ascontiguousarray(G.swapaxes(-1, -2))[:, :, None]
     C = C[:, :, :, None]
@@ -141,29 +135,25 @@ def _advance(phi: np.ndarray, G: np.ndarray, C: np.ndarray,
         GPhi = np.matmul(stacked, flat[..., lo * c:hi * c],
                          out=left[..., :(hi - lo) * c]
                          ).reshape(F, b, k, hi - lo, c)
-        block = out[:, :, :, lo:hi] if weights is None else \
-            scratch[:F * k * b * (hi - lo) * c].reshape(F, k, b, hi - lo, c)
-        leaves = block.transpose(0, 2, 1, 3, 4)
+        leaves = out[:, :, :, lo:hi].transpose(0, 2, 1, 3, 4)
         np.matmul(GPhi[..., :k], maps_t, out=leaves[..., :k])
         leaves[..., :k] += C
         leaves[..., k] = GPhi[..., k]
-        if weights is not None:
-            total += (weights[..., lo:hi].reshape(len(weights), -1)
-                      @ block.reshape(F, k, -1, c))
-    return out.reshape(F, k, b * L, c) if weights is None else total
+    return out.reshape(F, k, b * L, c)
 
 
 def _fold(sums: np.ndarray, w: np.ndarray, G: np.ndarray,
           C: np.ndarray) -> np.ndarray:
-    """Mixture sum_bl w_bl [G_b M_l G_b.T + C_b | G_b m_l] of the leaves
-    that the branches b of parents l create, never formed: one congruence
-    per branch of the parents' weighted sums ``sums`` (F, k, b, k + 1),
-    sum_l w_bl [M_l | m_l], plus the noise weighted by sum_l w_bl."""
+    """Per-branch mixtures sum_l w_bl [G_b M_l G_b.T + C_b | G_b m_l] of
+    the leaves that the branches b of parents l create, never formed: one
+    congruence per branch of the parents' weighted sums ``sums``
+    (F, k, b, k + 1), sum_l w_bl [M_l | m_l], plus the noise weighted by
+    sum_l w_bl.  (F, b, k, k + 1); their sum is the level's mixture."""
     k = G.shape[-1]
     out = G @ sums.swapaxes(1, 2)
     out[..., :k] = (out[..., :k] @ G.swapaxes(-1, -2)
                     + w.sum(axis=1)[:, None, None] * C)
-    return out.sum(axis=1)
+    return out
 
 
 def _weights(prob: np.ndarray, renorm: bool) -> tuple[float, np.ndarray]:
@@ -228,13 +218,7 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
     (F, s) under the shared branch weights ``D`` (r, s).
     ``detected_path`` gives the switching filter each leaf's gain from
     its own Riccati step along its detected trajectory instead of ``K``,
-    which it does not read."""
-    if keep is not None and mass is not None:
-        raise ValueError("give either keep or mass, not both")
-    if keep is not None and keep < 1:
-        raise ValueError(f"keep must be >= 1, got {keep}")
-    if mass is not None and not 0.0 < mass <= 1.0:
-        raise ValueError(f"mass target must lie in (0, 1], got {mass}")
+    which it does not read.  ``enumerate_filters`` checks the budget."""
     pruning = keep is not None or mass is not None
     if not pruning and D.size ** n_steps > cap:     # before any leaf grows
         raise EnumerationCapError(
@@ -300,19 +284,24 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
                           else slice(None))
             kept, w[kept_pairs] = _weights(prob[kept_pairs], renormalize)
             w = w.reshape(b, -1)
-            steps.append((kept, _fold(_mixture(w, phi), w, G, C)))
+            steps.append((kept, _fold(_mixture(w, phi), w, G,
+                                      C).sum(axis=1)))
             break
         last = np.repeat(np.arange(r), prob.size // r)
         if n == n_steps - 1 and not (detected_path or pruning):
-            # so are this level's: streamed into its own mixture and the
-            # last level's per-branch sums, which fold into that level
-            kept, w = _weights(prob, renormalize)
-            kept_last, w_last = _weights(children(prob, last).reshape(b, -1),
-                                         renormalize)
-            sums = _advance(phi, G, C, np.vstack([w, w_last]))
-            steps += [(kept, sums[:, :, 0]),
-                      (kept_last, _fold(sums[:, :, 1:], w_last,
-                                        G_all[n], C_all[n]))]
+            # so are this level's: its leaves of branch a sum to U_a, the
+            # fold of their parents, and the last level's branch beta
+            # folds sum_a mix[beta, a] U_a, where mix[beta, a] = Z[i_a,
+            # i_beta] D[i_beta, d_beta] weighs a's children under beta
+            w = prob.reshape(b, -1)
+            U = _fold(_mixture(w, phi), w, G, C)
+            mix = children(np.ones(b), last[::w.shape[1]]).reshape(b, b)
+            w_last = mix * w.sum(axis=1)
+            V = _fold((mix @ U.reshape(F, b, -1)).reshape(U.shape)
+                      .swapaxes(1, 2), w_last, G_all[n], C_all[n])
+            for level_w, level in ((w, U), (w_last, V)):
+                kept, total = float(level_w.sum()), level.sum(axis=1)
+                steps.append((kept, total / kept if renormalize else total))
             break
         phi = _advance(phi, G, C)
         if pruning:
@@ -352,8 +341,15 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     its kept mass, and ``renormalize`` rescales the kept weights to sum
     to one.  ``gains="detected-path"`` runs the switching filter's
     Riccati recursion along each detected trajectory in place of the
-    detected mode's schedule, and builds or reads no filter bank.
+    detected mode's schedule, and builds or reads no filter bank.  A bad
+    budget raises ``ValueError`` before any work.
     """
+    if keep is not None and mass is not None:
+        raise ValueError("give either keep or mass, not both")
+    if keep is not None and keep < 1:
+        raise ValueError(f"keep must be >= 1, got {keep}")
+    if mass is not None and not 0.0 < mass <= 1.0:
+        raise ValueError(f"mass target must lie in (0, 1], got {mass}")
     if gains not in (GAIN_SCHEDULE, GAIN_DETECTED_PATH):
         raise ValueError(f"unknown gain policy {gains!r}")
     detected_path = gains == GAIN_DETECTED_PATH

@@ -153,12 +153,33 @@ def dumps_scenario(scenario: Scenario) -> str:
     return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; a repeated key raises, since the
+    last value would silently win."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioFormatError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_scenario(path) -> Scenario:
+    """The scenario of a UTF-8 JSON file; a file that does not decode or
+    parse, nests too deeply or repeats a key raises
+    :class:`ScenarioFormatError` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ScenarioFormatError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ScenarioFormatError(f"{path}: arrays or objects nested too "
+                                      f"deeply") from exc
+        except ScenarioFormatError as exc:
+            raise ScenarioFormatError(f"{path}: {exc}") from exc
     return scenario_from_dict(data)
 
 

@@ -475,6 +475,24 @@ class TestFailureModes:
         assert main(["analyze", "--scenario", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, reason", [
+        (lambda demo: b"\xff" + demo, "not UTF-8 text ('utf-8' codec "
+         "can't decode byte 0xff in position 0: invalid start byte)"),
+        (lambda demo: b"[" * 100_000 + b"]" * 100_000,
+         "arrays or objects nested too deeply"),
+        (lambda demo: demo.rstrip()[:-1].rstrip() + b',\n  "horizon": 3\n}\n',
+         "duplicate key 'horizon'"),
+    ], ids=["not-utf8", "deep-arrays", "duplicate-key"])
+    def test_unreadable_file_is_named(self, tmp_path, capsys, content,
+                                      reason):
+        # the demo file made undecodable, or given a second "horizon"
+        path = tmp_path / "bad.json"
+        path.write_bytes(content(Path(DEMO).read_bytes()))
+        assert main(["analyze", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {path}: {reason}"]
+
     def test_unsupported_schema_version(self, scenario_file, capsys):
         assert main(["analyze", "--scenario",
                      scenario_file(schema_version=2)]) == 2
@@ -688,6 +706,8 @@ class TestInputRejection:
          "scenario: unsupported schema_version True"),
         ({"schema_version": 1.0},
          "scenario: unsupported schema_version 1.0"),
+        ({"schema_version": DROP},
+         "scenario: missing required key 'schema_version'"),
         ({"horizon": 6.0}, "scenario: horizon must be an integer, got 6.0"),
         ({"seed": False}, "scenario: seed must be an integer, got False"),
         ({"horizon": DROP}, "scenario: missing required key 'horizon'"),
@@ -704,6 +724,9 @@ class TestInputRejection:
         ({"modes": [{"A": [[True]], "Q": [[0.01]]}] * 2},
          "scenario.modes[0]: A must be a rectangular array of real numbers, "
          "got entry True"),
+        ({"modes": [{"A": [[[0.9]]], "Q": [[0.01]]},
+                    {"A": [[0.46]], "Q": [[0.01]]}]},
+         "scenario.modes[0]: A must be square, got shape (1, 1, 1)"),
         ({"chain": {"Z": [[0.5, 0.5], [0.5, 0.5]], "prior": [0.5, None]}},
          "scenario.chain: prior must be a rectangular array of real "
          "numbers, got entry None"),
@@ -733,10 +756,10 @@ class TestInputRejection:
         (PLANAR, "[Q-symmetric] modes[1].Q"),
     ], ids=["p_d-string", "p_d-null", "sym_tol-string", "mode-string",
             "mode-float", "mode-bool", "label-int", "schema_version-bool",
-            "schema_version-float", "horizon-float", "seed-bool",
-            "missing-horizon", "missing-R",
+            "schema_version-float", "no-schema_version", "horizon-float",
+            "seed-bool", "missing-horizon", "missing-R",
             "chain-list", "modes-entry-string", "no-modes", "no-filters",
-            "ragged-A", "A-bool-entry", "prior-null-entry", "cov-3d",
+            "ragged-A", "A-bool-entry", "A-3d", "prior-null-entry", "cov-3d",
             "Q-shape", "prior-length", "R-shape", "unknown-kind",
             "single-mode-no-mode", "average-mode", "skf-mode",
             "mode-dimension", "Z-range",

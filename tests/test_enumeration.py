@@ -377,6 +377,23 @@ class TestPruning:
             with pytest.raises(ValueError):
                 enumerate_filters(bench, DET, [SKF], 3, mass=bad)
 
+    @pytest.mark.parametrize("budget, message", [
+        ({"keep": 0}, "keep must be >= 1, got 0"),
+        ({"mass": 0.0}, "mass target must lie in (0, 1], got 0.0"),
+        ({"mass": 1.5}, "mass target must lie in (0, 1], got 1.5"),
+        ({"keep": 2, "mass": 0.9}, "give either keep or mass, not both"),
+    ], ids=["keep-0", "mass-0", "mass-above-1", "both"])
+    def test_bad_budget_rejected_before_any_work(self, bench, budget,
+                                                 message):
+        # checked before the Riccati pass, naming no filter group
+        with mock.patch.object(kalman, "_riccati",
+                               wraps=kalman._riccati) as riccati, \
+                pytest.raises(ValueError) as excinfo:
+            enumerate_filters(bench, DET, [FilterSpec("average"), SKF], 3,
+                              **budget)
+        assert str(excinfo.value) == message
+        assert riccati.call_count == 0
+
 
 class TestCaps:
     def test_upfront_cap_for_pairs(self, bench):
@@ -635,8 +652,9 @@ def leaf_by_leaf(model, n_steps, A_f, K, rows, D, keep=None, mass=None,
 
 class TestFoldedLevels:
     """The last level of a schedule-gain tree is folded from its parents'
-    per-branch weighted sums, and in an unpruned run the level before it
-    is streamed: both must equal a leaf-by-leaf sum of the same pairs."""
+    per-branch weighted sums; in an unpruned run so is the level before
+    it, and the last level from their grandparents: both must equal a
+    leaf-by-leaf sum of the same pairs."""
 
     @staticmethod
     def assert_matches_leaf_by_leaf(model, n_steps, spec=SKF, **budget):
@@ -668,8 +686,8 @@ class TestFoldedLevels:
 
     @pytest.mark.parametrize("budget", [
         {"mass": 0.8, "renormalize": True}, {"mass": 0.8},
-        {"keep": 5, "renormalize": True}], ids=["mass-renorm", "mass",
-                                                 "keep-renorm"])
+        {"keep": 5, "renormalize": True}, {"renormalize": True}],
+        ids=["mass-renorm", "mass", "keep-renorm", "exact-renorm"])
     def test_mass_and_renormalize(self, rng, budget):
         model = random_model(rng, 2, 2, uniform_rows=False,
                              uniform_prior=False)
@@ -677,13 +695,22 @@ class TestFoldedLevels:
         self.assert_matches_leaf_by_leaf(
             model, 4, FilterSpec("single-mode", mode=2), **budget)
 
+    def test_three_modes_non_uniform_chain(self, rng):
+        # r = 3: the mix weighs 9 SKF branches by rows of a non-uniform Z
+        # and of the detection matrix, 3 fixed-gain branches by Z alone
+        model = random_model(rng, 3, 2, uniform_rows=False,
+                             uniform_prior=False)
+        self.assert_matches_leaf_by_leaf(model, 4)
+        self.assert_matches_leaf_by_leaf(
+            model, 4, FilterSpec("single-mode", mode=3))
+
     @pytest.mark.parametrize("n_steps", [1, 2])
     @pytest.mark.parametrize("budget", [{}, {"keep": 3}],
                              ids=["exact", "keep"])
     def test_short_horizons_start_from_the_initial_leaf(self, rng, n_steps,
                                                         budget):
         # horizon 1 folds straight from the initial leaf; at horizon 2 an
-        # unpruned run streams level 1 from it
+        # unpruned run folds both levels from it and advances no leaf
         model = random_model(rng, 2, 2, uniform_rows=False,
                              uniform_prior=False)
         with mock.patch.object(enumeration, "_advance",
@@ -691,14 +718,12 @@ class TestFoldedLevels:
             self.assert_matches_leaf_by_leaf(model, n_steps, **budget)
             self.assert_matches_leaf_by_leaf(
                 model, n_steps, FilterSpec("single-mode", mode=1), **budget)
-        streamed = [call.args[3] for call in advance.call_args_list
-                    if len(call.args) > 3]
-        assert advance.call_count == 2 * (n_steps - 1)
-        assert len(streamed) == (2 if n_steps == 2 and not budget else 0)
+        assert advance.call_count == 2 * (n_steps - 1 if budget else 0)
 
-    def test_block_edges_inside_the_streamed_level(self, rng):
-        # blocks three parents wide cut the streamed level's 64 parents
-        # (and the folds' sums) with a short last block
+    def test_block_edges_inside_the_folded_sums(self, rng):
+        # blocks of three parents in the stored levels and of 15 in the
+        # folds' weighted sums cut level 3's 64 parents with a short last
+        # block
         model = random_model(rng, 2, 2, uniform_rows=False,
                              uniform_prior=False)
         k = 2 * model.z
@@ -710,21 +735,23 @@ class TestFoldedLevels:
     def test_unpruned_run_never_stores_the_last_two_levels(self, bench):
         # SKF, r = 2: 4 branches per leaf, 4^n leaves at level n
         n_steps = 6
-        stored, streamed = [], []
+        stored = []
         advance = enumeration._advance
 
-        def spy(phi, G, C, weights=None):
-            out = advance(phi, G, C, weights)
-            if weights is None:
-                stored.append(out.shape[2])
-            else:
-                streamed.append(weights.shape)
+        def spy(phi, G, C):
+            out = advance(phi, G, C)
+            stored.append(out.shape[2])
             return out
 
-        with mock.patch.object(enumeration, "_advance", side_effect=spy):
+        with mock.patch.object(enumeration, "_advance", side_effect=spy), \
+                mock.patch.object(enumeration, "_fold",
+                                  wraps=enumeration._fold) as fold:
             skf_slds_moments(bench, DET, n_steps)
         assert stored == [4 ** n for n in range(1, n_steps - 1)]
-        assert streamed == [(1 + 4, 4 ** (n_steps - 1))]
+        # level N - 1 weighs its 4^(N-2) parents per branch, level N the
+        # 4 sums of level N - 1: no weight per leaf of level N
+        assert [call.args[1].shape for call in fold.call_args_list] == \
+            [(4, 4 ** (n_steps - 2)), (4, 4)]
 
     def test_peak_memory_below_the_penultimate_leaves(self, bench):
         # r = 2, z = 4, N = 8: the 4^7 leaves of level N - 1 alone take
@@ -742,8 +769,8 @@ class TestFoldedLevels:
     @pytest.mark.parametrize("budget", [{}, {"keep": 6}],
                              ids=["exact", "keep"])
     def test_detected_path_stores_and_sums_every_level(self, bench, budget):
-        # per-leaf maps keep the leaf-by-leaf path: nothing is folded or
-        # streamed, and each level is summed with one weight per leaf
+        # per-leaf maps keep the leaf-by-leaf path: nothing is folded, and
+        # each level is summed with one weight per leaf
         with mock.patch.object(enumeration, "_advance",
                                wraps=enumeration._advance) as advance, \
                 mock.patch.object(enumeration, "_fold") as fold, \
