@@ -302,6 +302,9 @@ def cmd_compare(args) -> int:
                                             f">= 0, got {args.rtol}")
     method = _resolve_method(args)
     scenario = _load(args)
+    if scenario.horizon < 2:
+        raise CommandError(EXIT_VALIDATION, f"compare checks steps 2..N, so "
+                           f"it needs a horizon >= 2, got {scenario.horizon}")
     bank = _filter_bank(scenario)        # one Riccati pass for both sides
     results = _analytic_series(scenario, args, method, bank)
     runs = run_monte_carlo(scenario.model, scenario.filters,

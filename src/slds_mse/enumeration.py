@@ -335,12 +335,13 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     One tree runs per group of ``filter_groups``: first the switching
     filter on (true, detected) pairs, whose r^2 branches per leaf outgrow
     the other tree's r, so no tree grows while another is over its cap;
-    then every fixed-gain filter.  A tree's error names its
-    filters.  ``keep`` retains that many trajectories per step, ``mass``
-    the smallest prefix reaching that probability; each series carries
-    its kept mass, and ``renormalize`` rescales the kept weights to sum
-    to one.  ``gains="detected-path"`` runs the switching filter's
-    Riccati recursion along each detected trajectory in place of the
+    then every fixed-gain filter, each distinct filter once: specs that
+    name one filter share its run.  A tree's error names its filters.
+    ``keep`` retains that many trajectories per step, ``mass`` the
+    smallest prefix reaching that probability; each series carries its
+    kept mass, and ``renormalize`` rescales the kept weights to sum to
+    one.  ``gains="detected-path"`` runs the switching filter's Riccati
+    recursion along each detected trajectory in place of the
     detected mode's schedule, and builds or reads no filter bank.  A bad
     budget raises ``ValueError`` before any work.
     """
@@ -355,23 +356,24 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     detected_path = gains == GAIN_DETECTED_PATH
     if detected_path and any(spec.kind != "skf" for spec in filters):
         raise ValueError("detected-path gains apply to the switching filter only")
-    groups = filter_groups(model.r, det, filters)
+    groups, index = filter_groups(model.r, det, filters)
     # detected paths read no rows
     A_f, K = (None, None) if detected_path else _bank(model, n_steps, bank)
-    runs = {}
-    for members, rows, D in groups:
-        label = ", ".join(dict.fromkeys(filters[f].display for f in members))
+    runs = []
+    for rows, D in groups:
+        ours = range(len(runs), len(runs) + len(rows))
+        label = ", ".join(dict.fromkeys(spec.display for spec, u in
+                                        zip(filters, index) if u in ours))
         t0 = time.perf_counter()
         try:
-            runs.update(zip(members, _run_enumeration(
+            runs += _run_enumeration(
                 model, n_steps, A_f, K, rows, D, keep=keep, mass=mass,
-                renormalize=renormalize, cap=cap,
-                detected_path=detected_path)))
+                renormalize=renormalize, cap=cap, detected_path=detected_path)
         except (EnumerationCapError, ValueError) as exc:
             raise type(exc)(f"{label}: {exc}") from exc
-        log.info("%s: %s method, %.1f ms", label, runs[members[0]][0].method,
+        log.info("%s: %s method, %.1f ms", label, runs[-1][0].method,
                  1e3 * (time.perf_counter() - t0))
-    return [runs[f] for f in range(len(filters))]
+    return [runs[u] for u in index]
 
 
 def single_mode_slds_moments(model: SldsModel, filt: ModeModel, n_steps: int,

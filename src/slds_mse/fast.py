@@ -12,11 +12,11 @@ kernel carries no means, and its moments are 2z-square.
 One kernel, :func:`_bank_moments`, advances a whole filter bank in one
 pass on a stack of ``SldsModel`` systems that share a chain, measurement
 model and initial belief.  A bank is R filter rows (per-step dynamics
-and gains), and a group of ``kalman.filter_groups`` runs rows (F, s)
-under shared branch weights D (r, s): under true mode j its filter runs
-slot d's row with probability D[j, d].  The switching filter puts the
-detection weights over the mode rows; a fixed filter has ones on its
-own row; merging two filters sums two columns of D.  Each filter carries
+and gains), and a group of ``kalman.filter_groups`` runs distinct
+filters on rows (U, s) under shared branch weights D (r, s): under true
+mode j a filter runs slot d's row with probability D[j, d].  The SKF
+puts detection weights over the mode rows, a fixed filter ones on its
+row; merging two filters sums two columns of D.  Each filter carries
 Phi_j = E[w w.T 1{s_n = j}] per true mode j, mixes the predecessors,
 Psi_j = sum_i Z[i, j] Phi_i (prior[j] Phi_0 at step 1), and branches:
 Phi_j' = sum_d D[j, d] (G Psi_j G.T + p_j C), p_j = P(s_n = j), with
@@ -137,26 +137,27 @@ def _initial_moment(init: GaussianBelief) -> np.ndarray:
 
 
 def _bank_moments(systems: Sequence[SldsModel], A_f: np.ndarray,
-                  K: np.ndarray, groups: Sequence[tuple],
+                  K: np.ndarray, groups: Sequence[tuple], index: np.ndarray,
                   ) -> Iterator[np.ndarray]:
-    """E[w w.T] of w = [x; e] for steps 0..N of the filters of ``groups``
-    (``kalman.filter_groups``) by spec position, summed over modes, not
-    symmetrized: (1, b, F, k, k), then (steps, b, F, k, k) per block,
-    k = 2z.  Each of the b ``systems`` runs its own modes' (A, Q) on its
-    rows ``A_f``, ``K`` (b, R, N, z, z|m); they must share the chain,
-    measurement model and initial belief, which are read from the first.
-    A block holds as many steps as keep its maps G, b r R (2z)^2 doubles
-    a step, within ``_BLOCK_BYTES``: at least one step, at most the
-    horizon.  Blocks only bound the working set: each step's products
-    are the same in any block."""
+    """E[w w.T] of w = [x; e] for steps 0..N by spec, summed over modes,
+    not symmetrized: (1, b, F, k, k), then (steps, b, F, k, k) per block,
+    k = 2z.  Each distinct filter of ``groups`` runs once, and spec f
+    reads filter ``index[f]`` (``kalman.filter_groups``).  Each of the b
+    ``systems`` runs its own modes' (A, Q) on its rows ``A_f``, ``K`` (b,
+    R, N, z, z|m); they must share the chain, measurement model and
+    initial belief, which are read from the first.  A block holds as many
+    steps as keep its maps G, b r R (2z)^2 doubles a step, within
+    ``_BLOCK_BYTES``: at least one step, at most the horizon.  Blocks only
+    bound the working set: each step's products are the same in any
+    block."""
     base = systems[0]
     A, Q = (np.stack([[getattr(mode, X) for mode in system.modes]
                       for system in systems]) for X in "AQ")
     b, n_steps, k = K.shape[0], K.shape[2], 2 * A.shape[-1]
-    F = sum(len(members) for members, _, _ in groups)
     phi0 = _initial_moment(base.init)
-    yield np.broadcast_to(phi0, (1, b, F, k, k))
-    stacks = [_Stack(*group, b, phi0) for group in groups]
+    yield np.broadcast_to(phi0, (1, b, len(index), k, k))
+    stacks = [_Stack(rows, D, b, phi0) for rows, D in groups]
+    ends = list(itertools.accumulate(len(rows) for rows, _ in groups))
     margs = mode_marginal_series(base.chain, max(n_steps, 1))
     step_bytes = b * A.shape[1] * K.shape[1] * k * k * 8
     block = max(1, min(n_steps, _BLOCK_BYTES // step_bytes))
@@ -168,41 +169,40 @@ def _bank_moments(systems: Sequence[SldsModel], A_f: np.ndarray,
                               K[:, :, steps].transpose(2, 0, 1, 3, 4),
                               base.meas.H, base.meas.R)
         p = margs[steps, None, None, :, None, None]
-        pQ, out = p * Q[None, :, None], np.empty((len(p), b, F, k, k))
-        for stack in stacks:
-            out[:, :, stack.filters] = stack.advance(grid, p, pQ, base.chain,
-                                                     start == 0)
-        yield out
+        pQ, out = p * Q[None, :, None], np.empty((len(p), b, ends[-1], k, k))
+        for stack, lo, hi in zip(stacks, [0, *ends], ends):
+            stack.advance(grid, p, pQ, base.chain, not start, out[:, :, lo:hi])
+        yield out[:, :, index]
 
 
 class _Stack:
-    """One group of a bank's filters, advanced as one through products
-    and sums of each filter's own shape, so that a filter's moments do
-    not depend, bit for bit, on the rest of the bank: positions
-    ``filters`` (F,), ``rows`` (F, s), shared branch weights ``D`` (r, s)
-    and moments ``phi`` (system, filter, mode, k k).  sqrt(D) on both
-    sides applies each weight once, so with L_j = [G_j1 | G_j2 | ...] the
-    branch sum is one stacked product, L_j (I (x) Psi_j) L_j.T."""
+    """One group of a bank's distinct filters, advanced as one through
+    products and sums of each filter's own shape, so that a filter's
+    moments do not depend, bit for bit, on the rest of the bank: rows
+    ``rows`` (U, s), shared branch weights ``D`` (r, s) and moments
+    ``phi`` (system, filter, mode, k k).  sqrt(D) on both sides applies
+    each weight once, so with L_j = [G_j1 | G_j2 | ...] the branch sum is
+    one stacked product, L_j (I (x) Psi_j) L_j.T."""
 
-    def __init__(self, filters: list, rows: np.ndarray, D: np.ndarray,
-                 b: int, phi0: np.ndarray):
-        self.filters, self.rows, self.D = filters, rows, D
-        # A bank listed in row order gives one ascending run of rows: a
-        # slice keeps the maps a view, where an index array copies them
-        # in a slow layout; weights of one need no scaled copy at all.
+    def __init__(self, rows: np.ndarray, D: np.ndarray, b: int,
+                 phi0: np.ndarray):
+        self.rows, self.D = rows, D
+        # Rows in ascending order with no gap give one run: a slice
+        # keeps the maps a view, where an index array copies them in a
+        # slow layout; weights of one need no scaled copy at all.
         flat = rows.ravel()
         self.pick = slice(flat[0], flat[-1] + 1) \
             if (np.diff(flat) == 1).all() else flat
         self.scale = None if (D == 1.0).all() else np.sqrt(D)[..., None, None]
-        (F, s), r, k = rows.shape, len(D), len(phi0)
-        self.phi = np.broadcast_to(phi0.ravel(), (b, F, 1, k * k))
-        self.psi = np.empty((b, F, r, 1, k, k))       # scratch of each step
-        self.branches = np.empty((b, F, r, s, k, k))
+        (U, s), r, k = rows.shape, len(D), len(phi0)
+        self.phi = np.broadcast_to(phi0.ravel(), (b, U, 1, k * k))
+        self.psi = np.empty((b, U, r, 1, k, k))       # scratch of each step
+        self.branches = np.empty((b, U, r, s, k, k))
 
     def advance(self, grid: tuple, p: np.ndarray, pQ: np.ndarray,
-                chain: MarkovChain, first: bool) -> np.ndarray:
-        """Advance through one block of ``grid``; returns the moments
-        summed over modes (steps, b, F, k, k)."""
+                chain: MarkovChain, first: bool, out: np.ndarray) -> None:
+        """Advance through one block of ``grid``, writing the moments
+        summed over modes to ``out`` (steps, b, U, k, k)."""
         Gt, lower = (X[..., self.pick, :, :].reshape(
             X.shape[:3] + self.rows.shape + X.shape[-2:]).swapaxes(2, 3)
             for X in grid)       # (step, system, filter, mode, row) blocks
@@ -225,7 +225,7 @@ class _Stack:
             phi += lift_h[n] @ stacked
             phi = phi.reshape(psi_flat.shape)
         self.phi = phi.copy()                 # the copy lets the noise go
-        return noise.sum(axis=3)
+        noise.sum(axis=3, out=out)
 
 
 def bank_series(model: SldsModel, det: Optional[DetectionModel],
@@ -239,7 +239,7 @@ def bank_series(model: SldsModel, det: Optional[DetectionModel],
     list holds."""
     A_f, K = _bank(model, n_steps, bank)
     blocks = _bank_moments([model], A_f[None], K[None],
-                           filter_groups(model.r, det, filters))
+                           *filter_groups(model.r, det, filters))
     mse = np.concatenate([_error_trace(m[:, 0], model.z) for m in blocks])
     return [MseSeries(mse=m, method="aggregate") for m in mse.T]
 
@@ -314,7 +314,7 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
     blocks = _bank_moments(
         [pair_model(model, i, j) for i, j in members + 1],
         np.broadcast_to(A[:, :, None], A.shape[:2] + (n_steps,) + A.shape[2:]),
-        gains[members], groups)
+        gains[members], *groups)
     mse = np.concatenate([_error_trace(m, model.z) for m in blocks]).T
     pairs = []
     for (i, j), (skf_mse, *own) in zip(members + 1, mse.swapaxes(0, 1)):

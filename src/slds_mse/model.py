@@ -21,6 +21,7 @@ every problem at once.
 from __future__ import annotations
 
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,6 +31,7 @@ DEFAULT_SYM_TOL = 1e-9
 DEFAULT_PSD_TOL = 1e-9
 
 _KINDS = ("single-mode", "average", "skf")
+_shown = reprlib.repr       # a rejected value's repr, cut short to one line
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -63,7 +65,7 @@ def _array(obj, name: str, ndmin: int) -> np.ndarray:
                and (isinstance(x, bool) or not isinstance(x, numbers.Real))]
         if bad:
             raise TypeError(f"{name} must be a rectangular array of real "
-                            f"numbers, got entry {bad[0]!r}")
+                            f"numbers, got entry {_shown(bad[0])}")
     out = np.array(value, dtype=float, ndmin=ndmin)
     out.flags.writeable = False
     return out
@@ -77,7 +79,7 @@ def _scalar(obj, name: str, kind: type) -> None:
     abc, what = ((numbers.Integral, "an integer") if kind is int
                  else (numbers.Real, "a real number"))
     if isinstance(value, bool) or not isinstance(value, abc):
-        raise TypeError(f"{name} must be {what}, got {value!r}")
+        raise TypeError(f"{name} must be {what}, got {_shown(value)}")
     _set(obj, name, kind(value))
 
 
@@ -234,7 +236,7 @@ class FilterSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
+            raise ValueError(f"unknown filter kind {_shown(self.kind)}")
         if self.mode is not None:
             _scalar(self, "mode", int)
             if self.kind != "single-mode":
@@ -243,7 +245,8 @@ class FilterSpec:
         elif self.kind == "single-mode":
             raise ValueError("single-mode filter spec requires a mode index")
         if not isinstance(self.label, str):
-            raise TypeError(f"label must be a string, got {self.label!r}")
+            raise TypeError(f"label must be a string, got "
+                            f"{_shown(self.label)}")
 
     @property
     def display(self) -> str:
@@ -287,7 +290,7 @@ class Scenario:
         for name, value, kind in checks:
             if not isinstance(value, kind):
                 raise TypeError(f"{name} must be of type {kind.__name__}, "
-                                f"got {value!r}")
+                                f"got {_shown(value)}")
         for name in ("horizon", "mc_samples", "seed"):
             _scalar(self, name, int)
 

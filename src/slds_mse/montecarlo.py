@@ -104,34 +104,23 @@ def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
     return np.where(hit, truth, wrong)
 
 
-def _replay_inputs(bank: tuple, groups: list, H: np.ndarray):
-    """Closed-loop maps ``M = (I - K H) A`` (B, N, z, z) and gains ``K``
-    (B, N, z, m) of the bank rows of ``filter_groups``' ``groups``, in
-    group order: one per fixed-gain filter, one per mode of the switching
-    filter."""
-    rows = np.concatenate([rows.ravel() for _, rows, _ in groups])
-    A, K = (X[rows] for X in bank)
-    return A - K @ (H @ A), K
-
-
 class _Replay:
-    """Filters advanced together on closed-loop maps, ``x̂_n = M_n x̂_{n-1}
-    + K_n y_n`` from ``x̂_0 = x0``.  Estimates ``(R, z, count)`` hold the
-    switching filter's r mode rows, which all keep each run's detected
-    row, then one row per fixed-gain filter; the rows from ``lead`` on
-    hold every distinct filter once, and spec f is row group[f] of them."""
+    """The distinct filters of ``kalman.filter_groups`` advanced together
+    on closed-loop maps, ``x̂_n = M_n x̂_{n-1} + K_n y_n`` from ``x̂_0 =
+    x0``.  Estimates ``(R, z, count)`` hold the switching filter's r mode
+    rows, which all keep each run's detected row, then one row per
+    fixed-gain filter; the rows from ``lead`` on hold the G filters, and
+    spec f is row group[f] of them."""
 
     def __init__(self, bank: tuple, specs: Sequence[FilterSpec],
                  model: SldsModel, det: Optional[DetectionModel]):
         self.det, self.r = det, model.r
-        skf = [spec for spec in specs if spec.kind == "skf"][:1]
-        fixed = list(dict.fromkeys(spec for spec in specs if spec.kind != "skf"))
-        self.skf, self.G = bool(skf), len(fixed) + bool(skf)
-        self.lead = model.r - 1 if skf else 0     # the SKF's last mode row
-        self.group = [0 if spec.kind == "skf" else self.skf + fixed.index(spec)
-                      for spec in specs]
-        self.M, self.K = _replay_inputs(
-            bank, filter_groups(model.r, det, skf + fixed), model.meas.H)
+        groups, self.group = filter_groups(model.r, det, specs)
+        rows = np.concatenate([rows.ravel() for rows, _ in groups])
+        A, self.K = (X[rows] for X in bank)
+        self.M = A - self.K @ (model.meas.H @ A)
+        self.G = sum(len(rows) for rows, _ in groups)
+        self.lead = len(rows) - self.G        # the SKF's first r - 1 rows
         self.x0 = np.broadcast_to(model.init.mean[:, None],
                                   (len(self.M), model.z, 1))
 
@@ -139,7 +128,7 @@ class _Replay:
         """Estimates at step n >= 1 from those at n - 1, measurements
         ``y`` (m, count), true modes and a detection rng."""
         out = self.M[:, n - 1] @ xhat + self.K[:, n - 1] @ y
-        if self.skf:
+        if self.lead:
             detected = _detect(rng, truth, self.det, self.r)
             out[:self.r] = _pick(out[:self.r], detected)
         return out
@@ -259,7 +248,7 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
     def work(chunk: int, count: int) -> np.ndarray:
         """The chunk's per-step sums ``(N+1, G, z+2, z+2)``, streamed."""
         sim_rng = _rng(seed, chunk, _PURPOSE_SIM)
-        det_rng = _rng(seed, chunk, _PURPOSE_DETECT) if replay.skf else None
+        det_rng = _rng(seed, chunk, _PURPOSE_DETECT) if replay.lead else None
         V = np.ones((replay.G, model.z + 2, count))
         gram = np.empty((n_steps + 1, replay.G, model.z + 2, model.z + 2))
         x, mode, xhat = system.start(sim_rng, count), None, replay.x0

@@ -44,6 +44,7 @@ from .model import (
     Scenario,
     SldsModel,
     Tolerances,
+    _shown,
 )
 
 SCHEMA_VERSION = 1
@@ -73,7 +74,7 @@ def _check_keys(data, allowed, where: str) -> None:
         raise ScenarioFormatError(f"{where}: expected an object")
     unknown = sorted(set(data) - set(allowed))
     if unknown:
-        raise ScenarioFormatError(f"{where}: unknown keys {unknown}")
+        raise ScenarioFormatError(f"{where}: unknown keys {_shown(unknown)}")
 
 
 def _build(cls, data, where: str):
@@ -116,7 +117,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     version = data["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioFormatError(
-            f"scenario: unsupported schema_version {version!r}, "
+            f"scenario: unsupported schema_version {_shown(version)}, "
             f"this reader handles {SCHEMA_VERSION}")
     parts = {key: _section(key, value, f"scenario.{key}")
              if key in _SECTIONS else value
@@ -159,7 +160,7 @@ def _unique_keys(pairs: list) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ScenarioFormatError(f"duplicate key {key!r}")
+            raise ScenarioFormatError(f"duplicate key {_shown(key)}")
         data[key] = value
     return data
 

@@ -8,7 +8,7 @@ the enumeration oracles weigh paths by."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -138,13 +138,37 @@ def initial_moments(init: GaussianBelief) -> ErrorMoments:
                         u=np.zeros((z, z)), step=0)
 
 
-def filter_specs(r: int, max_size: int = 10):
+def filter_specs(r: int, max_size: int = 10, labels=st.just("")):
     """Hypothesis strategy for a filter list of an r-mode scenario: any
-    subset of the filters it can name, in any order, with repeats."""
+    subset of the filters it can name, in any order, with repeats, each
+    spec's label drawn from ``labels`` (so a labelled twin of a filter
+    can join it)."""
     spec = st.one_of(
         st.just(FilterSpec("skf")), st.just(FilterSpec("average")),
         st.integers(1, r).map(lambda j: FilterSpec("single-mode", mode=j)))
-    return st.lists(spec, min_size=1, max_size=max_size)
+    return st.lists(st.builds(lambda spec, label: replace(spec, label=label),
+                              spec, labels), min_size=1, max_size=max_size)
+
+
+TWINS = st.sampled_from(["", "twin"])
+
+
+def distinct_rows(r: int, specs: Sequence[FilterSpec]) -> list:
+    """The bank rows of each distinct filter of ``specs`` per filter
+    group: the switching filter's r mode rows, then every fixed-gain
+    filter's one row in ascending order (row r is the average filter)."""
+    skf = [tuple(range(r))] if any(s.kind == "skf" for s in specs) else []
+    fixed = sorted({(r if s.kind == "average" else s.mode - 1,)
+                    for s in specs if s.kind != "skf"})
+    return [group for group in (skf, fixed) if group]
+
+
+def raw_moments(m: ErrorMoments) -> np.ndarray:
+    """E[w w.T] of w = [x; e] from one step's ``ErrorMoments``: each
+    covariance plus its mean outer product, Cov(e, x) = C(x) - u."""
+    ex = m.x_cov - m.u + np.outer(m.e_mean, m.x_mean)
+    return np.block([[m.x_cov + np.outer(m.x_mean, m.x_mean), ex.T],
+                     [ex, m.e_cov + np.outer(m.e_mean, m.e_mean)]])
 
 
 def detection(p_d: float = 0.9) -> DetectionModel:

@@ -7,6 +7,7 @@ without spawning subprocesses.
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -299,6 +300,24 @@ class TestCompare:
         named = {(line.split()[0], int(line.split()[2].rstrip(":")))
                  for line in err.splitlines() if line.endswith("(non-finite)")}
         assert named == cells
+
+    @pytest.mark.parametrize("flags, file_horizon", [
+        (["--horizon", "1"], 6), ([], 1)], ids=["flag", "file"])
+    def test_horizon_below_two_rejected_before_any_work(
+            self, scenario_file, tmp_path, capsys, flags, file_horizon):
+        # the verdict covers steps 2..N: at N = 1 it would check nothing
+        out = tmp_path / "out.csv"
+        with mock.patch.object(kalman, "_riccati",
+                               wraps=kalman._riccati) as riccati:
+            assert main(["compare", "--scenario",
+                         scenario_file(horizon=file_horizon), *flags,
+                         "--threads", "1", "--out", str(out)]) == 2
+        assert riccati.call_count == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: compare checks steps 2..N, so it needs a horizon >= 2, "
+            "got 1"]
 
 
 class TestNonFiniteOutput:
@@ -677,6 +696,7 @@ class TestFailureModes:
 
 
 DROP = object()
+DEEP = functools.reduce(lambda entry, _: [entry], range(900), 0.5)
 PLANAR = {"modes": [{"A": [[0.9, 0.0], [0.0, 0.9]],
                      "Q": [[0.01, 0.005], [0.0, 0.01]]}] * 2,
           "meas": {"H": [[1.0, 0.0]], "R": [[0.01]]},
@@ -754,6 +774,16 @@ class TestInputRejection:
         ({"chain": {"Z": [[1.5, -0.5], [0.5, 0.5]], "prior": [0.5, 0.5]}},
          "[probability-range] chain.Z"),
         (PLANAR, "[Q-symmetric] modes[1].Q"),
+        # a long rejected value is cut short, to keep the line short
+        ({"modes": [{"A": DEEP, "Q": [[0.01]]},
+                    {"A": [[0.46]], "Q": [[0.01]]}]},
+         "scenario.modes[0]: A must be a rectangular array of real numbers, "
+         "got entry [[[[[[[...]]]]]]]"),
+        ({"horizon": list(range(500))},
+         "scenario: horizon must be an integer, got [0, 1, 2, 3, 4, 5, ...]"),
+        ({"detection": {"p_d": "x" * 2000}},
+         "scenario.detection: p_d must be a real number, got "
+         "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
     ], ids=["p_d-string", "p_d-null", "sym_tol-string", "mode-string",
             "mode-float", "mode-bool", "label-int", "schema_version-bool",
             "schema_version-float", "no-schema_version", "horizon-float",
@@ -763,7 +793,7 @@ class TestInputRejection:
             "Q-shape", "prior-length", "R-shape", "unknown-kind",
             "single-mode-no-mode", "average-mode", "skf-mode",
             "mode-dimension", "Z-range",
-            "Q-asymmetric"])
+            "Q-asymmetric", "A-900-deep", "horizon-list", "p_d-long-string"])
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_rejected_with_its_reason(self, tmp_path, capsys, command,
                                       override, named):
@@ -780,6 +810,7 @@ class TestInputRejection:
         assert [line.startswith("error: scenario") for line in lines] == \
             [True] + [False] * (len(lines) - 1)
         assert named in captured.err
+        assert max(map(len, lines)) <= 200
 
 
 class TestDivergentFilterBank:
@@ -857,11 +888,10 @@ class TestOneMomentPass:
                 assert main([command, "--scenario", path, "--threads", "1",
                              "--out", str(tmp_path / "out.csv")]) == 0
             assert kernel.call_count == 1 and not kernel.call_args.kwargs
-            systems, A_f, K, groups = kernel.call_args.args
+            systems, A_f, K, groups, index = kernel.call_args.args
             assert factors.call_count == 3
-            # (positions, rows shape, D shape) of each filter group
-            shapes = [(members, rows.shape, D.shape)
-                      for members, rows, D in groups]
+            # (rows shape, D shape) of each filter group
+            shapes = [(rows.shape, D.shape) for rows, D in groups]
             if command == "recommend":
                 # each pair's own model, in pair order: its two KF rows,
                 # its SKF and both KFs
@@ -876,12 +906,12 @@ class TestOneMomentPass:
                     assert_array_equal(system.chain.Z, want.chain.Z)
                     assert_array_equal(system.chain.prior, want.chain.prior)
                 assert A_f.shape == K.shape == (len(pairs), 2, horizon, 1, 1)
-                assert shapes == [([0], (1, 2), (2, 2)),
-                                  ([1, 2], (2, 1), (2, 1))]
+                assert shapes == [((1, 2), (2, 2)), ((2, 1), (2, 1))]
+                assert_array_equal(index, [0, 1, 2])
             else:
                 # the scenario's own modes: r = 2 mode rows plus the
                 # average filter's, four filters
                 assert len(systems) == 1 and systems[0].r == 2
                 assert A_f.shape == K.shape == (1, 3, horizon, 1, 1)
-                assert shapes == [([3], (1, 2), (2, 2)),
-                                  ([0, 1, 2], (3, 1), (2, 1))]
+                assert shapes == [((1, 2), (2, 2)), ((3, 1), (2, 1))]
+                assert_array_equal(index, [1, 2, 3, 0])

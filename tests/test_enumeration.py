@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import (bimodal_model, detection_prob, filter_specs,
-                     initial_moments, kf_schedule, mismatch_step,
-                     random_model, single_mode_model, trajectory_prob)
+from helpers import (TWINS, bimodal_model, detection_prob, distinct_rows,
+                     filter_specs, initial_moments, kf_schedule,
+                     mismatch_step, random_model, raw_moments,
+                     single_mode_model, trajectory_prob)
 from slds_mse import cli, enumeration, fast, kalman
 from slds_mse import (
     DetectionModel,
@@ -463,19 +464,23 @@ FIELDS = ("x_mean", "x_cov", "u", "e_mean", "e_cov")
 
 
 def assert_same_run(got, want, label):
-    """Series, kept mass and every moment equal within 1e-12 relative to
-    each quantity's size."""
+    """Series and kept mass equal within 1e-12 relative to each one's
+    size, and every moment within 1e-12 relative to its step's moment
+    scale, the root-mean-square of the raw moments E[w w.T] of w = [x; e]:
+    a moment that is zero in exact arithmetic holds only round-off."""
     (series, moments), (ref, ref_moments) = got, want
     assert series.method == ref.method
-    pairs = [("mse", series.mse, ref.mse),
-             ("kept_mass", series.kept_mass, ref.kept_mass)]
-    pairs += [(f"{field} at step {m.step}", getattr(m, field),
-               getattr(r, field))
-              for m, r in zip(moments, ref_moments) for field in FIELDS]
+    for name in ("mse", "kept_mass"):
+        b = getattr(ref, name)
+        assert_allclose(getattr(series, name), b, rtol=1e-12,
+                        atol=1e-12 * np.abs(b).max(), err_msg=f"{label}: {name}")
     assert len(moments) == len(ref_moments)
-    for name, a, b in pairs:
-        assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
-                        err_msg=f"{label}: {name}")
+    for m, r in zip(moments, ref_moments):
+        scale = np.sqrt(np.mean(raw_moments(r) ** 2))
+        for field in FIELDS:
+            assert_allclose(getattr(m, field), getattr(r, field), rtol=1e-12,
+                            atol=1e-12 * scale,
+                            err_msg=f"{label}: {field} at step {m.step}")
 
 
 class TestFilterBankEnumeration:
@@ -513,8 +518,8 @@ class TestFilterBankEnumeration:
                              "--method", "pruned" if budget else "exact",
                              *flags, "--out", str(tmp_path / "out.csv")]) == 0
         assert run.call_count == 2           # the SKF's tree, then the KFs'
-        assert [tuple(rows) for rows, _ in runs] == \
-            [(0, 1), (1,), (1,), (2,)]
+        # the repeated KF runs once
+        assert [tuple(rows) for rows, _ in runs] == [(0, 1), (1,), (2,)]
         if budget:
             refs = [enumerate_filters(model, DET, [spec], n, **budget)[0]
                     for spec in self.SPECS]
@@ -522,8 +527,8 @@ class TestFilterBankEnumeration:
             refs = [skf_slds_moments(model, DET, n)]
             refs += [single_mode_slds_moments(model, model.modes[1], n)] * 2
             refs += enumerate_filters(model, DET, self.SPECS[3:], n)
-        for spec, (_, got), want in zip(self.SPECS, runs, refs):
-            assert_same_run(got, want, spec.display)
+        for spec, u, want in zip(self.SPECS, [0, 1, 1, 2], refs):
+            assert_same_run(runs[u][1], want, spec.display)
         if not budget:
             assert_moments_match(*runs[0][1], brute_skf(model, DET, n, rng))
             assert_moments_match(*runs[1][1],
@@ -531,19 +536,21 @@ class TestFilterBankEnumeration:
 
     def test_filter_groups_of_a_reordered_repeated_list(self):
         # one rule maps every spec to its bank rows and branch weights:
-        # the SKF's group first, then every fixed-gain filter, each spec
-        # kept at its own position
+        # the SKF's group first, then every fixed-gain filter, each
+        # distinct filter once in ascending row order, whatever the
+        # specs' order, repeats and labels; each spec indexes its filter
         specs = [FilterSpec("average"), SKF, FilterSpec("single-mode", mode=2),
-                 SKF, FilterSpec("single-mode", mode=1)]
-        (skf, skf_rows, D), (fixed, fixed_rows, ones) = \
+                 SKF, FilterSpec("single-mode", mode=1),
+                 FilterSpec("single-mode", mode=2, label="kf2-twin"),
+                 FilterSpec("skf", label="skf-twin")]
+        [(skf_rows, D), (fixed_rows, ones)], index = \
             filter_groups(3, DET, specs)
-        assert skf == [1, 3]
-        assert_array_equal(skf_rows, [[0, 1, 2]] * 2)
+        assert_array_equal(skf_rows, [[0, 1, 2]])
         assert_array_equal(D, [[detection_prob([i], [d], DET, 3)
                                 for d in range(3)] for i in range(3)])
-        assert fixed == [0, 2, 4]
-        assert_array_equal(fixed_rows, [[3], [1], [0]])
+        assert_array_equal(fixed_rows, [[0], [1], [3]])
         assert_array_equal(ones, np.ones((3, 1)))
+        assert_array_equal(index, [3, 0, 2, 0, 1, 2, 0])
         for mode in (0, 4):
             with pytest.raises(ValueError, match=r"outside 1\.\.3"):
                 filter_groups(3, DET, [FilterSpec("single-mode", mode=mode)])
@@ -566,8 +573,14 @@ class TestEnumerateFilters:
         model = random_model(np.random.default_rng(seed), r, 2,
                              uniform_rows=False, uniform_prior=False)
         det = DetectionModel(p_d)
-        specs = data.draw(filter_specs(r, max_size=5))
-        runs = enumerate_filters(model, det, specs, n_steps, **budget)
+        specs = data.draw(filter_specs(r, max_size=5, labels=TWINS))
+        with mock.patch.object(enumeration, "_run_enumeration",
+                               wraps=enumeration._run_enumeration) as run:
+            runs = enumerate_filters(model, det, specs, n_steps, **budget)
+        # repeats, reorders and labelled twins: one tree per group, each
+        # distinct filter once in it
+        assert [[tuple(row) for row in call.args[4]]
+                for call in run.call_args_list] == distinct_rows(r, specs)
         assert len(runs) == len(specs)
         for spec, (series, moments) in zip(specs, runs):
             # the other filters in the list never move this one
@@ -659,7 +672,7 @@ class TestFoldedLevels:
     @staticmethod
     def assert_matches_leaf_by_leaf(model, n_steps, spec=SKF, **budget):
         bank = filter_bank(model, n_steps)
-        [(_, (rows,), D)] = filter_groups(model.r, DET, [spec])
+        [((rows,), D)], _ = filter_groups(model.r, DET, [spec])
         got = enumerate_filters(model, DET, [spec], n_steps, bank,
                                 **budget)[0]
         kept, mixtures = zip(*leaf_by_leaf(model, n_steps, *bank, rows, D,
@@ -701,8 +714,8 @@ class TestFoldedLevels:
         model = random_model(rng, 3, 2, uniform_rows=False,
                              uniform_prior=False)
         self.assert_matches_leaf_by_leaf(model, 4)
-        self.assert_matches_leaf_by_leaf(
-            model, 4, FilterSpec("single-mode", mode=3))
+        for spec in (FilterSpec("single-mode", mode=3), FilterSpec("average")):
+            self.assert_matches_leaf_by_leaf(model, 4, spec)
 
     @pytest.mark.parametrize("n_steps", [1, 2])
     @pytest.mark.parametrize("budget", [{}, {"keep": 3}],

@@ -14,11 +14,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from helpers import (
     BLOCK,
     HORIZONS,
+    TWINS,
     bimodal_model,
     block_budget,
+    distinct_rows,
     filter_specs,
     mismatch_step,
     random_model,
+    raw_moments,
     single_mode_model,
     spd_matrix,
     stable_matrix,
@@ -56,7 +59,7 @@ def bank_moments(model, det, specs, n_steps):
     (N + 1, F, 2z, 2z), from the one moment pass ``bank_series`` runs."""
     A_f, K = filter_bank(model, n_steps)
     blocks = fast._bank_moments([model], A_f[None], K[None],
-                                filter_groups(model.r, det, specs))
+                                *filter_groups(model.r, det, specs))
     return np.concatenate(list(blocks))[:, 0]
 
 
@@ -76,14 +79,6 @@ def assert_all_kinds_match_enumeration(model, det, n_steps):
             want = raw_moments(m)
             assert_allclose(got, want, rtol=0,
                             atol=1e-12 * np.sqrt(np.mean(want ** 2)))
-
-
-def raw_moments(m):
-    """E[w w.T] of w = [x; e] from one step's ``ErrorMoments``: each
-    covariance plus its mean outer product, Cov(e, x) = C(x) - u."""
-    ex = m.x_cov - m.u + np.outer(m.e_mean, m.x_mean)
-    return np.block([[m.x_cov + np.outer(m.x_mean, m.x_mean), ex.T],
-                     [ex, m.e_cov + np.outer(m.e_mean, m.e_mean)]])
 
 
 def symmetric(moments):
@@ -469,11 +464,18 @@ class TestFilterBank:
         model = random_model(np.random.default_rng(seed), r, 2,
                              uniform_rows=False, uniform_prior=False)
         det = DetectionModel(p_d)
-        specs = data.draw(filter_specs(r))
+        specs = data.draw(filter_specs(r, labels=TWINS))
         # 25-step blocks, so that HORIZONS fall on both sides of their edges
         with mock.patch.object(fast, "_BLOCK_BYTES",
                                block_budget(BLOCK, model)):
-            series = bank_series(model, det, specs, n_steps)
+            with mock.patch.object(fast, "_Stack",
+                                   wraps=fast._Stack) as stack:
+                series = bank_series(model, det, specs, n_steps)
+            # repeats, reorders and labelled twins: each distinct filter
+            # is one row of one stack, the SKF's (1, r), the others' (U, 1)
+            assert [[tuple(row) for row in call.args[0]]
+                    for call in stack.call_args_list] == \
+                distinct_rows(r, specs)
             assert len(series) == len(specs)
             for spec, got in zip(specs, series):
                 assert got.method == "aggregate"

@@ -174,7 +174,7 @@ class TestSchedules:
     def test_mode_schedules_match_individual(self, bench):
         # The switching filter runs one row per mode; row j is mode j's KF.
         _, bank_gains = filter_bank(bench, 5)
-        [(_, (rows,), _)] = filter_groups(2, DetectionModel(0.9),
+        [((rows,), _)], _ = filter_groups(2, DetectionModel(0.9),
                                           [FilterSpec("skf")])
         K = bank_gains[rows]
         assert K.shape == (2, 5, 4, 4)

@@ -168,7 +168,7 @@ class TestRecursion:
             # the bank's average row on the one-mode system of the truth
             steps = average_filter_modes(model, n_steps)
             A_f, K = filter_bank(model, n_steps)
-            [(_, (row,), _)] = filter_groups(3, None, [FilterSpec("average")])
+            [((row,), _)], _ = filter_groups(3, None, [FilterSpec("average")])
             fixed = SldsModel([truth], model.meas, MarkovChain([[1.0]], [1.0]),
                               model.init)
             series, moments = _run_enumeration(

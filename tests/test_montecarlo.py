@@ -8,6 +8,7 @@ statistically, and verify the accumulator algebra on hand-built errors.
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
     HORIZONS,
+    TWINS,
     average_filter_modes,
     bimodal_model,
     detection,
+    distinct_rows,
     filter_specs,
     kf_predict,
     kf_schedule,
@@ -35,13 +38,10 @@ from slds_mse import (
     ModeModel,
     SimRun,
     SldsModel,
-    filter_bank,
     gain_schedule,
     run_monte_carlo,
 )
 from slds_mse import montecarlo
-from slds_mse.kalman import filter_groups
-from slds_mse.montecarlo import _replay_inputs
 
 
 def noiseless_constant_model(z=2):
@@ -163,31 +163,45 @@ class TestFilterReplay:
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_replay_stacks_equal_per_spec_schedules(self, r, n_steps, seed,
                                                     data):
-        # the replay's closed-loop maps (I - K H) A and gains K, one row per
-        # fixed-gain filter and one per mode of the switching filter, in
-        # the order of the filter groups, are each spec's own Riccati
-        # schedule
+        # the replay's closed-loop maps (I - K H) A and gains K hold each
+        # distinct filter once, repeats, reorders and labelled twins
+        # included: one row per fixed-gain filter, one per mode of the
+        # switching filter, in the order of the filter groups; each
+        # spec's rows are its own Riccati schedule, and its Gram sums
+        # those of its own one-spec run
         model = random_model(np.random.default_rng(seed), r, 2,
                              uniform_rows=False, uniform_prior=False)
-        specs = data.draw(filter_specs(r))
-        H = model.meas.H
-        groups = filter_groups(r, DetectionModel(0.9), specs)
-        M, K = _replay_inputs(filter_bank(model, n_steps), groups, H)
-        want_M, want_K = [], []
-        for spec in (specs[f] for members, _, _ in groups for f in members):
+        specs = data.draw(filter_specs(r, labels=TWINS))
+        H, det = model.meas.H, DetectionModel(0.9)
+        replays, real = [], montecarlo._Replay
+
+        def spy(*args):
+            replays.append(real(*args))
+            return replays[-1]
+
+        with mock.patch.object(montecarlo, "_Replay", side_effect=spy):
+            runs = run_monte_carlo(model, specs, det, n_steps, 64, seed)
+        [replay] = replays
+        assert replay.G == sum(map(len, distinct_rows(r, specs)))
+        assert len(replay.M) == len(replay.K) == replay.lead + replay.G
+        for spec, g, run in zip(specs, replay.group, runs):
             if spec.kind == "skf":
                 filters = [[mode] * n_steps for mode in model.modes]
             elif spec.kind == "average":
                 filters = [average_filter_modes(model, n_steps)]
             else:
                 filters = [[model.modes[spec.mode - 1]] * n_steps]
-            for steps in filters:
+            # the SKF's r mode rows lead; a fixed-gain filter g has one
+            # row, g past them
+            rows = range(r) if spec.kind == "skf" else [replay.lead + g]
+            for steps, row in zip(filters, rows):
                 gains, _ = kf_schedule(steps, model.meas, model.init)
-                want_M.append([mode.A - gain @ (H @ mode.A)
-                               for mode, gain in zip(steps, gains)])
-                want_K.append(gains)
-        assert_array_equal(M, np.array(want_M))
-        assert_array_equal(K, np.array(want_K))
+                assert_array_equal(replay.M[row],
+                                   [mode.A - gain @ (H @ mode.A)
+                                    for mode, gain in zip(steps, gains)])
+                assert_array_equal(replay.K[row], gains)
+            alone, = run_monte_carlo(model, [spec], det, n_steps, 64, seed)
+            assert_array_equal(run.gram, alone.gram)
 
     def test_average_filter_error_shape(self, bench):
         # one accumulator row per step, and every filter starts from the
