@@ -15,25 +15,26 @@ and ``_noise``, as the aggregate recursion applies them.  Every moment of
 A run takes filter-bank rows and one group of ``kalman.filter_groups``,
 rows (F, s) of filters that share branch weights D (r, s) and one tree:
 every fixed-gain filter (r branches per leaf), or the switching filter
-(r^2).  The leaves are stored as S[f, a, l, c] = [M_l | m_l][a, c] of
+(r^2).  The leaves are stored as phi[f, a, l, c] = [M_l | m_l][a, c] of
 filter f, so a step is two BLAS products per block of parents: each
 filter's branch maps stacked into one (branches * k, k) matrix times its
-block of S viewed as (k, L * (k + 1)), means included, then each
+block of phi viewed as (k, L * (k + 1)), means included, then each
 branch's part of M times its G.T, written into the next step's storage.
 Beam pruning keeps the most probable trajectories and reports the kept
 mass per step.
 
-Only the levels before the last two are stored, about 2 k^3 multiply-adds
-per new leaf.  The last level is linear in its parents, so its mixture
-is sum_b G_b (sum_l w_bl [M_l | m_l]) with G_b.T and (sum_l w_bl) C_b on
-M: k (k + 1) per leaf for the parents' per-branch weighted sums, then
-one congruence per branch (``_fold``; pruned pairs weigh zero).  In an
-unpruned run the level before it folds alike into one sum U_a per branch
-a, and the last level's branch beta folds sum_a Z[i_a, i_beta] D[i_beta,
-d_beta] U_a: both levels cost k (k + 1) per leaf of the level before
-the last, for its parents' weighted sums, 2 b congruences and one b x b
-mix.  A pruned run stores that level, to prune it.  Detected-path gains
-give every leaf its own maps, so that policy stores every level.
+Levels 1..S are stored, about 2 k^3 multiply-adds per new leaf: S = N
+under detected-path gains, which give every leaf its own maps, N - 1
+under pruning, which prunes level N - 1's leaves, and max(N - 2, 0)
+otherwise.  Levels S+1..N are only summed, and each is linear in the
+level before, so one loop folds them (``_fold``): branch c's leaves sum
+to U_c = G_c (sum_l w_cl [M_l | m_l]) with G_c.T and (sum_l w_cl) C_c
+on M, one congruence per branch of its parents' weighted sums.  The
+first fold weighs the stored leaves, k (k + 1) multiply-adds per leaf,
+pruned pairs at zero; each later one weighs the level before's branch
+sums, sum_a mix[c, a] U_a with mix[c, a] = Z[i_a, i_c] D[i_c, d_c], one
+b x b mix.  Every step records its kept mass and unnormalized mixture,
+and ``renormalize`` divides each step's mixture by its kept mass.
 """
 
 from __future__ import annotations
@@ -156,12 +157,6 @@ def _fold(sums: np.ndarray, w: np.ndarray, G: np.ndarray,
     return out
 
 
-def _weights(prob: np.ndarray, renorm: bool) -> tuple[float, np.ndarray]:
-    """Kept mass and mixture weights, rescaled to sum to one if ``renorm``."""
-    mass = float(prob.sum())
-    return mass, prob / mass if renorm and mass > 0 else prob
-
-
 def _mixture(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """sum_l w_l [M_l | m_l] of each filter's leaves ``phi`` (F, k, L,
     k + 1): (F, k, k + 1) for weights (L,), (F, k, J, k + 1) for J rows of
@@ -239,11 +234,16 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
             np.moveaxis(X[:, :, rows], 1, 2).reshape(n_steps, F, b, k, k)
             for X in (Gt.swapaxes(-1, -2), _noise(Q[:, None], lower)))
 
-    def children(prob: np.ndarray, last: Optional[np.ndarray]) -> np.ndarray:
-        """Probabilities (b L,) of the children of leaves ``prob`` (L,)
-        whose true modes are ``last``, in (branch, parent) order: branch
-        (true i, slot d) of leaf l has prob[l] Z[last[l], i] D[i, d], the
-        prior in place of Z at the root."""
+    def children(n: int, prob: np.ndarray,
+                 last: Optional[np.ndarray]) -> np.ndarray:
+        """Probabilities (b L,) of the step-n children of leaves ``prob``
+        (L,) whose true modes are ``last``, in (branch, parent) order:
+        branch (true i, slot d) of leaf l has prob[l] Z[last[l], i] D[i, d],
+        the prior in place of Z at the root.  Over ``cap`` of them raise."""
+        if prob.size * b > cap:
+            raise EnumerationCapError(
+                f"step {n} would create {prob.size * b} "
+                f"trajectories, over the cap of {cap}")
         trans = (model.chain.prior[None] if last is None
                  else model.chain.Z[last])
         return (prob * (trans.T[:, None] * D[:, :, None])).ravel()
@@ -253,13 +253,13 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
     phi = np.broadcast_to(leaf[:, None], (F, k, 1, k + 1))
     prob, last = np.ones(1), None
     filter_cov = model.init.cov[None] if detected_path else None
-    kept, w = _weights(prob, renormalize)
-    steps = [(kept, _mixture(w, phi))]
-    for n in range(1, n_steps + 1):
-        if prob.size * b > cap:
-            raise EnumerationCapError(
-                f"step {n} would create {prob.size * b} "
-                f"trajectories, over the cap of {cap}")
+    # S = stored: levels 1..S are stored and S+1..N folded; pruning needs
+    # level N - 1's leaves, and per-leaf maps (detected-path gains) fold
+    # nothing
+    stored = (n_steps if detected_path
+              else max(n_steps - (1 if pruning else 2), 0))
+    steps = [(1.0, _mixture(prob, phi))]
+    for n in range(1, stored + 1):
         if detected_path:
             # each leaf's gain from the filter's own Riccati step along its
             # detected trajectory, per detected mode d: (d, L, z, m)
@@ -274,45 +274,38 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
                     (Gt.swapaxes(-1, -2), _noise(Q[:, None], lower)))
         else:
             G, C = G_all[n - 1], C_all[n - 1]
-        prob = children(prob, last)
-        del last                     # not kept beside the next leaves
-        if n == n_steps and not detected_path:
-            # the last leaves are only summed: fold each branch's weighted
-            # sum of their parents
-            w = np.zeros(prob.size)              # pruned pairs weigh zero
-            kept_pairs = (_keep_indices(prob, keep, mass) if pruning
-                          else slice(None))
-            kept, w[kept_pairs] = _weights(prob[kept_pairs], renormalize)
-            w = w.reshape(b, -1)
-            steps.append((kept, _fold(_mixture(w, phi), w, G,
-                                      C).sum(axis=1)))
-            break
+        prob = children(n, prob, last)
         last = np.repeat(np.arange(r), prob.size // r)
-        if n == n_steps - 1 and not (detected_path or pruning):
-            # so are this level's: its leaves of branch a sum to U_a, the
-            # fold of their parents, and the last level's branch beta
-            # folds sum_a mix[beta, a] U_a, where mix[beta, a] = Z[i_a,
-            # i_beta] D[i_beta, d_beta] weighs a's children under beta
-            w = prob.reshape(b, -1)
-            U = _fold(_mixture(w, phi), w, G, C)
-            mix = children(np.ones(b), last[::w.shape[1]]).reshape(b, b)
-            w_last = mix * w.sum(axis=1)
-            V = _fold((mix @ U.reshape(F, b, -1)).reshape(U.shape)
-                      .swapaxes(1, 2), w_last, G_all[n], C_all[n])
-            for level_w, level in ((w, U), (w_last, V)):
-                kept, total = float(level_w.sum()), level.sum(axis=1)
-                steps.append((kept, total / kept if renormalize else total))
-            break
         phi = _advance(phi, G, C)
         if pruning:
             idx = _keep_indices(prob, keep, mass)
             prob, last, phi = prob[idx], last[idx], phi[:, :, idx]
             if detected_path:
                 filter_cov = filter_cov[idx]
-        kept, w = _weights(prob, renormalize)
-        steps.append((kept, _mixture(w, phi)))
+        steps.append((float(prob.sum()), _mixture(prob, phi)))
+    for n in range(stored + 1, n_steps + 1):
+        if n == stored + 1:
+            # the stored leaves' per-branch weighted sums, (F, k, b, k + 1)
+            prob = children(n, prob, last)
+            idx = _keep_indices(prob, keep, mass) if pruning else slice(None)
+            w = np.zeros(prob.size)              # pruned pairs weigh zero
+            w[idx] = prob[idx]
+            w = w.reshape(b, -1)
+            sums = _mixture(w, phi)
+        else:
+            # the level before's leaves of branch a summed to U_a, and
+            # branch c folds sum_a mix[c, a] U_a, where mix[c, a] =
+            # Z[i_a, i_c] D[i_c, d_c] weighs a's children under c
+            mix = children(n, np.ones(b), np.repeat(np.arange(r),
+                                                    D.shape[1])).reshape(b, b)
+            w = mix * w.sum(axis=1)
+            sums = (mix @ U.reshape(F, b, -1)).reshape(U.shape).swapaxes(1, 2)
+        U = _fold(sums, w, G_all[n - 1], C_all[n - 1])
+        steps.append((float(w.sum()), U.sum(axis=1)))
 
     kept_mass, mixtures = map(np.array, zip(*steps))
+    if renormalize:                 # each step's mixture / its kept mass
+        mixtures /= np.where(kept_mass > 0, kept_mass, 1)[:, None, None, None]
     # exact runs carry the mass too: it should sum to one at every step,
     # which makes the bookkeeping auditable from the outside
     method = "pruned" if pruning else "exact"
@@ -339,11 +332,13 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     name one filter share its run.  A tree's error names its filters.
     ``keep`` retains that many trajectories per step, ``mass`` the
     smallest prefix reaching that probability; each series carries its
-    kept mass, and ``renormalize`` rescales the kept weights to sum to
-    one.  ``gains="detected-path"`` runs the switching filter's Riccati
-    recursion along each detected trajectory in place of the
+    kept mass, and ``renormalize`` divides each step's mixture by its
+    kept mass.  ``gains="detected-path"`` runs the switching filter's
+    Riccati recursion along each detected trajectory in place of the
     detected mode's schedule, and builds or reads no filter bank.  A bad
-    budget raises ``ValueError`` before any work.
+    budget raises ``ValueError`` before any work.  A tree stores levels
+    1..S, S = N under detected-path gains, N - 1 under pruning and
+    max(N - 2, 0) otherwise, and one loop folds levels S+1..N.
     """
     if keep is not None and mass is not None:
         raise ValueError("give either keep or mass, not both")
@@ -400,7 +395,7 @@ def mismatch_series(truth: ModeModel, filt: ModeModel, meas: MeasurementModel,
                          f"state dimension {meas.z}")
     model = SldsModel([truth], meas, MarkovChain([[1.0]], [1.0]), init)
     series, moments = single_mode_slds_moments(model, filt, n_steps)
-    return moments, MseSeries(mse=series.mse, method="exact")
+    return moments, series
 
 
 def skf_slds_moments(model: SldsModel, det: DetectionModel, n_steps: int,

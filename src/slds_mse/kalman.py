@@ -180,26 +180,16 @@ def _branch_weights(r: int, det: Optional[DetectionModel]) -> np.ndarray:
     return np.where(np.eye(r, dtype=bool), det.p_d if r > 1 else 1.0, miss)
 
 
-def _spec_rows(r: int, spec: FilterSpec) -> tuple:
-    """The bank rows ``spec`` runs."""
-    if spec.kind == "skf":
-        return tuple(range(r))
-    if spec.kind == "average":
-        return (r,)
-    if not 1 <= spec.mode <= r:
-        raise ValueError(f"filter mode {spec.mode} is outside 1..{r}")
-    return (spec.mode - 1,)
-
-
 def filter_groups(r: int, det: Optional[DetectionModel],
                   specs: Sequence[FilterSpec]) -> tuple[list, np.ndarray]:
     """Groups of the distinct filters of ``specs`` that branch alike on
     ``filter_bank``'s rows, the switching filter's first: (bank rows
     (U, s) in ascending order, shared branch weights D (r, s)), and each
-    spec's index (F,) into the filters, whatever its label or place.
+    spec's index (F,) into the filters by ``FilterSpec.key``, whatever
+    its label or place.
     Under true mode i a filter runs its slot d's row with probability
     D[i, d]: detection weights over the r mode rows, or ones on one row."""
-    keys = [(spec.kind != "skf", _spec_rows(r, spec)) for spec in specs]
+    keys = [spec.key(r) for spec in specs]
     at = {key: u for u, key in enumerate(sorted(set(keys)))}
     groups = []
     for fixed_gain in (False, True):

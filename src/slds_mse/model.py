@@ -256,6 +256,18 @@ class FilterSpec:
             return f"kf-mode-{self.mode}"
         return {"average": "average-kf", "skf": "skf"}[self.kind]
 
+    def key(self, r: int) -> tuple:
+        """(fixed gain, rows) of this filter in a bank on r modes, whose
+        row j < r is mode j + 1's KF and row r the average filter: specs
+        with one key are one filter, whatever their labels."""
+        if self.kind == "skf":
+            return False, tuple(range(r))
+        if self.kind == "average":
+            return True, (r,)
+        if not 1 <= self.mode <= r:
+            raise ValueError(f"filter mode {self.mode} is outside 1..{r}")
+        return True, (self.mode - 1,)
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -438,8 +450,16 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         v.append(Violation("detection-rate-range", "detection.p_d",
                            f"p_d must lie in [0, 1], got {det.p_d}"))
     r = scenario.model.r
+    named = {}                  # display name -> (first entry, its key)
     for k, spec in enumerate(scenario.filters):
         if spec.kind == "single-mode" and not (1 <= spec.mode <= r):
             v.append(Violation("filter-mode-range", f"filters[{k}]",
                                f"mode {spec.mode} outside 1..{r}"))
+            continue
+        key = spec.key(r)
+        j, first = named.setdefault(spec.display, (k, key))
+        if first != key:
+            v.append(Violation("filter-label-clash", f"filters[{k}]",
+                               f"label {_shown(spec.display)} already names "
+                               f"filters[{j}], a different filter"))
     return v

@@ -530,6 +530,18 @@ class TestFailureModes:
         assert "validation failed" in err
         assert "modes[1].Q" in err
 
+    def test_label_clash_names_both_entries(self, scenario_file, capsys):
+        path = scenario_file(filters=[
+            {"kind": "skf"}, {"kind": "single-mode", "mode": 1,
+                              "label": "skf"}])
+        assert main(["analyze", "--scenario", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: scenario validation failed:",
+            "  [filter-label-clash] filters[1]: label 'skf' already names "
+            "filters[0], a different filter"]
+
     @pytest.mark.parametrize("field, override", [
         ("modes[1].Q", {"modes": [{"A": [[0.9]], "Q": [[float("nan")]]},
                                   {"A": [[0.46]], "Q": [[0.01]]}]}),

@@ -733,6 +733,24 @@ class TestFoldedLevels:
                 model, n_steps, FilterSpec("single-mode", mode=1), **budget)
         assert advance.call_count == 2 * (n_steps - 1 if budget else 0)
 
+    @pytest.mark.parametrize("n_steps", range(5))
+    @pytest.mark.parametrize("budget, unstored", [
+        ({}, 2), ({"keep": 5}, 1), ({"mass": 0.9}, 1),
+        ({"gains": "detected-path"}, 0)],
+        ids=["exact", "keep", "mass", "detected-path"])
+    def test_stored_levels_then_folded_levels(self, bench, n_steps, budget,
+                                              unstored):
+        # S = max(N - unstored, 0) levels are advanced and stored, and the
+        # other N - S folded, one _fold call a level
+        stored = max(n_steps - unstored, 0)
+        with mock.patch.object(enumeration, "_advance",
+                               wraps=enumeration._advance) as advance, \
+                mock.patch.object(enumeration, "_fold",
+                                  wraps=enumeration._fold) as fold:
+            enumerate_filters(bench, DET, [SKF], n_steps, **budget)
+        assert advance.call_count == stored
+        assert fold.call_count == n_steps - stored
+
     def test_block_edges_inside_the_folded_sums(self, rng):
         # blocks of three parents in the stored levels and of 15 in the
         # folds' weighted sums cut level 3's 64 parents with a short last

@@ -2,7 +2,7 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (
     average_filter_modes,
@@ -151,6 +151,8 @@ class TestRecursion:
         moments, series = mismatch_series(truth, filt, meas, init, 5)
         assert series.method == "exact"
         assert len(series) == 6 and len(moments) == 6
+        # the one-mode tree keeps all its mass, and the series says so
+        assert_array_equal(series.kept_mass, np.ones(6))
         assert_allclose(series.mse[0], 1.0, atol=0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)

@@ -130,6 +130,27 @@ class TestValidation:
                       filters=(FilterSpec("skf"),))
         assert validate_scenario(sc) == []
 
+    @pytest.mark.parametrize("filters, clash", [
+        ([FilterSpec("single-mode", 1, "x"), FilterSpec("skf"),
+          FilterSpec("average", label="x")], "filters[2]: label 'x'"),
+        ([FilterSpec("skf"), FilterSpec("single-mode", 1, "skf")],
+         "filters[1]: label 'skf'"),
+        ([FilterSpec("single-mode", 2), FilterSpec("skf", label="skf"),
+          FilterSpec("single-mode", 2, "kf-mode-2"),
+          FilterSpec("single-mode", 2, "twin"), FilterSpec("skf"),
+          FilterSpec("single-mode", 2, "twin")], None),
+    ], ids=["user-label-on-two-filters", "user-label-on-a-default-name",
+            "labelled-twins"])
+    def test_one_display_name_per_filter(self, bench, filters, clash):
+        # every CSV keys its rows by display name, so two different
+        # filters may not share one; twins of one filter may
+        sc = Scenario(model=bench, horizon=3, detection=detection(0.9),
+                      filters=filters)
+        want = [] if clash is None else [
+            f"[filter-label-clash] {clash} already names filters[0], a "
+            f"different filter"]
+        assert [str(v) for v in validate_scenario(sc)] == want
+
 
 def mode_marginals(chain, n):
     """The marginals at step n (1-based): row n - 1 of the series."""
