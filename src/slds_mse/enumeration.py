@@ -283,6 +283,7 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
             if detected_path:
                 filter_cov = filter_cov[idx]
         steps.append((float(prob.sum()), _mixture(prob, phi)))
+    # at most two levels fold: level N under pruning, N - 1 and N otherwise
     for n in range(stored + 1, n_steps + 1):
         if n == stored + 1:
             # the stored leaves' per-branch weighted sums, (F, k, b, k + 1)
@@ -293,11 +294,12 @@ def _run_enumeration(model: SldsModel, n_steps: int, A_f: np.ndarray,
             w = w.reshape(b, -1)
             sums = _mixture(w, phi)
         else:
-            # the level before's leaves of branch a summed to U_a, and
-            # branch c folds sum_a mix[c, a] U_a, where mix[c, a] =
-            # Z[i_a, i_c] D[i_c, d_c] weighs a's children under c
-            mix = children(n, np.ones(b), np.repeat(np.arange(r),
-                                                    D.shape[1])).reshape(b, b)
+            # the first fold's leaves of branch a summed to U_a with
+            # weights w_a, and branch c folds sum_a mix[c, a] U_a, where
+            # mix[c, a] = Z[i_a, i_c] D[i_c, d_c] weighs a's children
+            # under c
+            i = np.repeat(np.arange(r), D.shape[1])    # each branch's mode
+            mix = D.reshape(-1, 1) * model.chain.Z.T[np.ix_(i, i)]
             w = mix * w.sum(axis=1)
             sums = (mix @ U.reshape(F, b, -1)).reshape(U.shape).swapaxes(1, 2)
         U = _fold(sums, w, G_all[n - 1], C_all[n - 1])

@@ -49,7 +49,7 @@ from .model import (
     SldsModel,
     mode_marginal_series,
 )
-from .kalman import _bank, filter_bank, filter_groups
+from .kalman import _bank, _mode_dynamics, _riccati, filter_groups
 
 METRICS = ("mean", "max", "final")
 # Bytes of branch maps G per block of _bank_moments: with the block's
@@ -234,12 +234,10 @@ def bank_series(model: SldsModel, det: Optional[DetectionModel],
     """MSE series of each spec in ``filters`` from one ``filter_bank`` (or
     the caller's ``bank``; other shapes raise ``ValueError``) and one moment
     pass with ``model`` as the only system: the mode-conditioned moment
-    recursion, exact for any Markov chain under schedule gains.  A bank
-    built here has the average filter's row only if a spec runs it.  Each
+    recursion, exact for any Markov chain under schedule gains.  Each
     series equals that of a one-spec call bit for bit, whatever else the
     list holds."""
-    A_f, K = _bank(model, n_steps, bank, average=any(
-        spec.kind == "average" for spec in filters))
+    A_f, K = _bank(model, n_steps, bank)
     blocks = _bank_moments([model], A_f[None], K[None],
                            *filter_groups(model.r, det, filters))
     mse = np.concatenate([_error_trace(m[:, 0], model.z) for m in blocks])
@@ -307,7 +305,8 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
     # model's.  One bank pass runs every pair's SKF and its two KFs, on
     # rows whose A is a zero-stride view over the steps, not a copy.
     members = np.array(list(itertools.combinations(range(model.r), 2)))
-    _, gains = filter_bank(model, n_steps, average=False)
+    gains, _ = _riccati(*_mode_dynamics(model, n_steps), model.meas,
+                        model.init.cov)
     A = np.stack([mode.A for mode in model.modes])[members]
     groups = filter_groups(2, det, [FilterSpec("skf"),
                                     FilterSpec("single-mode", mode=1),

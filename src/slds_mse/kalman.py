@@ -14,14 +14,9 @@ those schedules.  ``filter_groups`` maps filter specs to bank rows.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional, Sequence
 
 import numpy as np
-# the LAPACK solve that np.linalg.solve wraps, without the wrapper's
-# per-call checks, which cost more than the solve on small systems; a
-# singular system gives NaN instead of raising
-from numpy.linalg import _umath_linalg
 
 from .model import (
     DetectionModel,
@@ -73,22 +68,15 @@ def _check_innovations(B: np.ndarray, step: Optional[int] = None) -> None:
 def _gain_step(meas: MeasurementModel, P: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Innovation covariances B and gains K of predicted covariances
-    ``P`` (..., z, z): one solve.  A singular B leaves NaN gains; the
+    ``P`` (..., z, z): one solve.  A failed solve leaves NaN gains; the
     caller's check of B names the reason."""
     HP = meas.H @ P
     B = HP @ meas.H.T + meas.R
     B = (B + B.swapaxes(-1, -2)) / 2.0
-    with np.errstate(invalid="ignore"):
-        K = _umath_linalg.solve(B, HP, signature="dd->d").swapaxes(-1, -2)
-    return B, K
-
-
-@functools.cache
-def _identity(z: int) -> np.ndarray:
-    """The read-only z x z identity, built once per size."""
-    eye = np.eye(z)
-    eye.flags.writeable = False
-    return eye
+    try:
+        return B, np.linalg.solve(B, HP).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        return B, np.full(HP.swapaxes(-1, -2).shape, np.nan)
 
 
 def _riccati_step(meas: MeasurementModel, A: np.ndarray, Q: np.ndarray,
@@ -99,7 +87,7 @@ def _riccati_step(meas: MeasurementModel, A: np.ndarray, Q: np.ndarray,
     P = A @ P @ A.swapaxes(-1, -2) + Q
     P = (P + P.swapaxes(-1, -2)) / 2.0
     B, K = _gain_step(meas, P)
-    P = (_identity(P.shape[-1]) - K @ meas.H) @ P
+    P = (np.eye(P.shape[-1]) - K @ meas.H) @ P
     return B, K, (P + P.swapaxes(-1, -2)) / 2.0
 
 
@@ -156,29 +144,23 @@ def _mode_dynamics(model: SldsModel, n_steps: int,
                   [mode.Q for mode in model.modes]))
 
 
-def filter_bank(model: SldsModel, n_steps: int, average: bool = True,
-                ) -> tuple:
+def filter_bank(model: SldsModel, n_steps: int) -> tuple:
     """Per-step dynamics A (r + 1, N, z, z) and gains (r + 1, N, z, m) of
     every filter a scenario can name, from one batched Riccati pass: row
     j is mode j + 1's KF, ``gain_schedule(model.modes[j], ...)`` bit for
-    bit, and row r the average filter, on ``_average_dynamics``.  Without
-    ``average`` the bank stops at the r mode rows, the same bits, and
-    their A are zero-stride views over the steps."""
-    A, Q = _mode_dynamics(model, n_steps)
-    if average:
-        A, Q = (np.concatenate((modes, mean[None])) for modes, mean in
-                zip((A, Q), _average_dynamics(model, n_steps)))
+    bit, and row r the average filter, on ``_average_dynamics``."""
+    A, Q = (np.concatenate((modes, average[None])) for modes, average in
+            zip(_mode_dynamics(model, n_steps),
+                _average_dynamics(model, n_steps)))
     gains, _ = _riccati(A, Q, model.meas, model.init.cov)
     return A, gains
 
 
-def _bank(model: SldsModel, n_steps: int, bank: Optional[tuple],
-          average: bool = True) -> tuple:
-    """``filter_bank(model, n_steps, average)``, or the caller's full
-    ``bank`` if its arrays have that bank's shapes; any other shapes raise
-    ``ValueError``."""
+def _bank(model: SldsModel, n_steps: int, bank: Optional[tuple]) -> tuple:
+    """``filter_bank(model, n_steps)``, or the caller's ``bank`` if its
+    arrays have that bank's shapes; any other shapes raise ``ValueError``."""
     if bank is None:
-        return filter_bank(model, n_steps, average)
+        return filter_bank(model, n_steps)
     rows = (model.r + 1, n_steps, model.z)
     want = (rows + (model.z,), rows + (model.m,))
     got = tuple(np.shape(X) for X in bank)

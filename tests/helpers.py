@@ -117,17 +117,14 @@ BLOCK = 25
 HORIZONS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
 
 
-def block_budget(steps: int, model: SldsModel, merge: bool = False,
-                 average: bool = True) -> int:
+def block_budget(steps: int, model: SldsModel, merge: bool = False) -> int:
     """The ``fast._BLOCK_BYTES`` under which the moment kernel runs in
     blocks of ``steps`` steps: on ``model``'s bank (one system of r modes
-    on r + 1 rows, or on the r mode rows without ``average``, as
-    ``bank_series`` builds it for specs with no average filter) or, with
-    ``merge``, on ``merge_recommendation``'s stack (r(r - 1)/2 pair
-    systems of two modes on two rows).  A step's maps G are that many
-    (2z)-square float64 matrices."""
+    on r + 1 rows) or, with ``merge``, on ``merge_recommendation``'s
+    stack (r(r - 1)/2 pair systems of two modes on two rows).  A step's
+    maps G are that many (2z)-square float64 matrices."""
     r = model.r
-    grid = 2 * r * (r - 1) if merge else r * (r + average)
+    grid = 2 * r * (r - 1) if merge else r * (r + 1)
     return steps * grid * (2 * model.z) ** 2 * 8
 
 

@@ -26,7 +26,7 @@ from helpers import (
     spd_matrix,
     stable_matrix,
 )
-from slds_mse import fast, kalman
+from slds_mse import fast
 from slds_mse import (
     DetectionModel,
     ErrorMoments,
@@ -244,7 +244,7 @@ class TestStackedRecursion:
         for pair in rep.pairs:
             sub = pair_model(model, pair.mode_i, pair.mode_j)
             with mock.patch.object(fast, "_BLOCK_BYTES",
-                                   block_budget(BLOCK, sub, average=False)):
+                                   block_budget(BLOCK, sub)):
                 skf, *singles = (series.mse for series in bank_series(
                     sub, det, [SKF, *default_filters(2)[:2]], n_steps))
             label, best = min(
@@ -270,14 +270,13 @@ class TestStackedRecursion:
         det = DetectionModel(p_d)
         for spec in (SKF, FilterSpec("single-mode", mode=1)):
             with mock.patch.object(fast, "_BLOCK_BYTES",
-                                   block_budget(BLOCK, model, average=False)):
+                                   block_budget(BLOCK, model)):
                 full = bank_series(model, det, [spec], HORIZONS[-1])[0].mse
                 short = bank_series(model, det, [spec], n_steps)[0].mse
             assert_allclose(full[:n_steps + 1], short, rtol=1e-12, atol=0)
             # The blocks only bound memory: one block gives the same series.
             with mock.patch.object(fast, "_BLOCK_BYTES",
-                                   block_budget(HORIZONS[-1], model,
-                                                average=False)):
+                                   block_budget(HORIZONS[-1], model)):
                 whole, = bank_series(model, det, [spec], HORIZONS[-1])
             assert_allclose(whole.mse, full, rtol=1e-12, atol=0)
 
@@ -361,7 +360,7 @@ class TestBlockRule:
                 if merge else bank_series(model, DET, [SKF], n_steps))
         (length, nbytes), lengths = blocks[0], [n for n, _ in blocks]
         step_bytes = nbytes // length
-        assert step_bytes == block_budget(1, model, merge, average=False)
+        assert step_bytes == block_budget(1, model, merge)
         assert 1 <= length <= n_steps
         # every step once, in blocks of one length but for a shorter last
         assert sum(lengths) == n_steps and set(lengths[:-1]) <= {length}
@@ -467,9 +466,8 @@ class TestFilterBank:
         det = DetectionModel(p_d)
         specs = data.draw(filter_specs(r, labels=TWINS))
         # 25-step blocks, so that HORIZONS fall on both sides of their edges
-        average = any(spec.kind == "average" for spec in specs)
         with mock.patch.object(fast, "_BLOCK_BYTES",
-                               block_budget(BLOCK, model, average=average)):
+                               block_budget(BLOCK, model)):
             with mock.patch.object(fast, "_Stack",
                                    wraps=fast._Stack) as stack:
                 series = bank_series(model, det, specs, n_steps)
@@ -484,20 +482,6 @@ class TestFilterBank:
                 # the other filters in the list never move this one
                 alone, = bank_series(model, det, [spec], n_steps)
                 assert_array_equal(alone.mse, got.mse)
-
-    def test_average_row_only_for_an_average_spec(self, bench):
-        # bank_series builds the average filter's row only when a spec runs
-        # it, and a bank without it changes no bit of the other filters
-        specs = [SKF, FilterSpec("single-mode", mode=2)]
-        given = bank_series(bench, DET, specs, 6, filter_bank(bench, 6))
-        for extra, rows in (([], bench.r), ([FilterSpec("average")],
-                                            bench.r + 1)):
-            with mock.patch.object(kalman, "_riccati",
-                                   wraps=kalman._riccati) as riccati:
-                built = bank_series(bench, DET, specs + extra, 6)
-            assert len(riccati.call_args.args[0]) == rows
-            for got, want in zip(built, given):
-                assert_array_equal(got.mse, want.mse)
 
     def test_switching_filter_needs_detection(self, bench):
         with pytest.raises(ValueError, match="detection"):

@@ -184,17 +184,12 @@ class TestSchedules:
                 assert_array_equal(K[j, k], gains[k])
 
     def test_mode_schedule_rows_are_single_schedules_bitwise(self, rng):
-        # The mode rows that merge analysis runs (a bank without the
-        # average filter), the full bank's first r rows and each mode's
-        # own schedule come from batched Riccati loops of different sizes;
-        # a row of a batch must not depend on the others.
+        # The mode rows that merge analysis runs, the bank's first r rows
+        # and each mode's own schedule come from batched Riccati loops of
+        # different sizes; a row of a batch must not depend on the others.
         model = random_model(rng, 3, 3)
         A, Q = _mode_dynamics(model, 30)
         gains, covs = _riccati(A, Q, model.meas, model.init.cov)
-        mode_A, mode_gains = filter_bank(model, 30, average=False)
-        assert_array_equal(gains, mode_gains)
-        assert_array_equal(A, mode_A)
-        assert mode_A.strides[1] == 0          # a view over the steps
         bank_A, bank_gains = filter_bank(model, 30)
         assert_array_equal(gains, bank_gains[:3])
         assert_array_equal(A, bank_A[:3])
