@@ -58,6 +58,7 @@ from .model import (
 )
 from .kalman import (
     _bank,
+    _check_horizon,
     _check_innovations,
     _mode_dynamics,
     _riccati_step,
@@ -338,9 +339,10 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     kept mass.  ``gains="detected-path"`` runs the switching filter's
     Riccati recursion along each detected trajectory in place of the
     detected mode's schedule, and builds or reads no filter bank.  A bad
-    budget raises ``ValueError`` before any work.  A tree stores levels
-    1..S, S = N under detected-path gains, N - 1 under pruning and
-    max(N - 2, 0) otherwise, and one loop folds levels S+1..N.
+    budget or a negative ``n_steps`` raises ``ValueError`` before any
+    work.  A tree stores levels 1..S, S = N under detected-path gains,
+    N - 1 under pruning and max(N - 2, 0) otherwise, and one loop folds
+    levels S+1..N.
     """
     if keep is not None and mass is not None:
         raise ValueError("give either keep or mass, not both")
@@ -354,8 +356,11 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     if detected_path and any(spec.kind != "skf" for spec in filters):
         raise ValueError("detected-path gains apply to the switching filter only")
     groups, index = filter_groups(model.r, det, filters)
-    # detected paths read no rows
-    A_f, K = (None, None) if detected_path else _bank(model, n_steps, bank)
+    if detected_path:       # reads no rows, so no bank checks the horizon
+        _check_horizon(n_steps)
+        A_f, K = None, None
+    else:
+        A_f, K = _bank(model, n_steps, bank)
     runs = []
     for rows, D in groups:
         ours = range(len(runs), len(runs) + len(rows))

@@ -157,7 +157,8 @@ def _bank_moments(systems: Sequence[SldsModel], A_f: np.ndarray,
     phi0 = _initial_moment(base.init)
     yield np.broadcast_to(phi0, (1, b, len(index), k, k))
     stacks = [_Stack(rows, D, b, phi0) for rows, D in groups]
-    ends = list(itertools.accumulate(len(rows) for rows, _ in groups))
+    ends = list(itertools.accumulate((len(rows) for rows, _ in groups),
+                                     initial=0))     # no group: no filter
     margs = mode_marginal_series(base.chain, max(n_steps, 1))
     step_bytes = b * A.shape[1] * K.shape[1] * k * k * 8
     block = max(1, min(n_steps, _BLOCK_BYTES // step_bytes))
@@ -170,7 +171,7 @@ def _bank_moments(systems: Sequence[SldsModel], A_f: np.ndarray,
                               base.meas.H, base.meas.R)
         p = margs[steps, None, None, :, None, None]
         pQ, out = p * Q[None, :, None], np.empty((len(p), b, ends[-1], k, k))
-        for stack, lo, hi in zip(stacks, [0, *ends], ends):
+        for stack, lo, hi in zip(stacks, ends, ends[1:]):
             stack.advance(grid, p, pQ, base.chain, not start, out[:, :, lo:hi])
         yield out[:, :, index]
 
@@ -236,7 +237,7 @@ def bank_series(model: SldsModel, det: Optional[DetectionModel],
     pass with ``model`` as the only system: the mode-conditioned moment
     recursion, exact for any Markov chain under schedule gains.  Each
     series equals that of a one-spec call bit for bit, whatever else the
-    list holds."""
+    list holds; an empty list gives ``[]``."""
     A_f, K = _bank(model, n_steps, bank)
     blocks = _bank_moments([model], A_f[None], K[None],
                            *filter_groups(model.r, det, filters))

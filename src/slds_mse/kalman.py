@@ -65,6 +65,12 @@ def _check_innovations(B: np.ndarray, step: Optional[int] = None) -> None:
                 float(np.linalg.cond(B[idx]))) from None
 
 
+def _check_horizon(n_steps: int) -> None:
+    """Refuse a negative horizon; ``n_steps == 0`` gives step 0 only."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+
+
 def _gain_step(meas: MeasurementModel, P: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Innovation covariances B and gains K of predicted covariances
@@ -114,6 +120,7 @@ def gain_schedule(mode: ModeModel, meas: MeasurementModel,
     """Gains (N, z, m) and posterior covariances (N, z, z) of the KF of
     ``mode`` over ``n_steps``.  Measurement values never enter the
     recursion."""
+    _check_horizon(n_steps)
     if mode.z != meas.z:
         raise ValueError(f"filter mode dimension {mode.z} does not match "
                          f"state dimension {meas.z}")
@@ -149,6 +156,7 @@ def filter_bank(model: SldsModel, n_steps: int) -> tuple:
     every filter a scenario can name, from one batched Riccati pass: row
     j is mode j + 1's KF, ``gain_schedule(model.modes[j], ...)`` bit for
     bit, and row r the average filter, on ``_average_dynamics``."""
+    _check_horizon(n_steps)
     A, Q = (np.concatenate((modes, average[None])) for modes, average in
             zip(_mode_dynamics(model, n_steps),
                 _average_dynamics(model, n_steps)))
@@ -158,9 +166,11 @@ def filter_bank(model: SldsModel, n_steps: int) -> tuple:
 
 def _bank(model: SldsModel, n_steps: int, bank: Optional[tuple]) -> tuple:
     """``filter_bank(model, n_steps)``, or the caller's ``bank`` if its
-    arrays have that bank's shapes; any other shapes raise ``ValueError``."""
+    arrays have that bank's shapes; any other shapes, or a negative
+    ``n_steps``, raise ``ValueError``."""
     if bank is None:
         return filter_bank(model, n_steps)
+    _check_horizon(n_steps)
     rows = (model.r + 1, n_steps, model.z)
     want = (rows + (model.z,), rows + (model.m,))
     got = tuple(np.shape(X) for X in bank)

@@ -20,6 +20,7 @@ joins that step's moment sums.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import DetectionModel, FilterSpec, SldsModel
+from .model import DetectionModel, FilterSpec, SldsModel, _shown
 from .kalman import _bank, filter_groups
 
 CHUNK = 1024
@@ -237,13 +238,24 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
     ``threads`` only distributes chunks; the result is bitwise identical
     for any thread count (see the module docstring).  ``bank`` reuses a
     caller's ``filter_bank(model, n_steps)`` instead of computing it; a
-    bank of other shapes raises ``ValueError``.
+    bank of other shapes raises ``ValueError``, as do a ``samples`` or
+    ``threads`` that is not a positive integer and a ``seed`` outside
+    0..2^64 - 1, before any work.  An empty ``filters`` gives ``[]``.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    for name, value, low, high, rule in (
+            ("samples", samples, 1, np.inf,
+             "an integer >= 1 (at least one sample)"),
+            ("threads", threads, 1, np.inf, "an integer >= 1"),
+            ("seed", seed, 0, 2 ** 64, "an unsigned 64-bit integer")):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or not low <= value < high):
+            raise ValueError(f"{name} must be {rule}, got {_shown(value)}")
     filters = list(filters)
+    bank = _bank(model, n_steps, bank)
+    if not filters:
+        return []
     system = _System(model)
-    replay = _Replay(_bank(model, n_steps, bank), filters, model, det)
+    replay = _Replay(bank, filters, model, det)
 
     def work(chunk: int, count: int) -> np.ndarray:
         """The chunk's per-step sums ``(N+1, G, z+2, z+2)``, streamed."""

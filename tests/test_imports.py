@@ -1,5 +1,6 @@
 """Import graph of the command line, what ``import slds_mse.cli`` loads,
-and the public names the README promises and retires."""
+what ``import slds_mse`` defers, and the public names the README
+promises and retires."""
 
 import importlib
 import json
@@ -14,6 +15,7 @@ import pytest
 import slds_mse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DEMO = README.parent / "demos" / "scenarios" / "bimodal4d.json"
 
 # Modules no command needs, each costly to import on every invocation;
 # xml.sax alone pulls in urllib.request, http.client and email.
@@ -32,6 +34,57 @@ def test_cli_imports_no_unwanted_module():
     assert not [name for name in loaded
                 if name.startswith(tuple(f"{m}." for m in UNWANTED))
                 or name in UNWANTED]
+
+
+# Modules that loading and validating a scenario never calls; the
+# package imports them on first use.
+DEFERRED = ("slds_mse.kalman", "slds_mse.fast", "slds_mse.enumeration",
+            "slds_mse.montecarlo", "slds_mse.svgchart", "slds_mse.cli",
+            "concurrent.futures")
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Standard output of ``code`` in a new interpreter on this ``src``."""
+    src = str(Path(slds_mse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_loading_a_scenario_imports_no_engine():
+    code = ("import json, sys, slds_mse; "
+            "scenario = slds_mse.load_scenario(sys.argv[1]); "
+            "assert not slds_mse.validate_scenario(scenario); "
+            "print(json.dumps(sorted(sys.modules)))")
+    loaded = set(json.loads(run_fresh(code, str(DEMO))))
+    assert {"slds_mse.model", "slds_mse.serialize"} <= loaded
+    assert sorted(loaded & set(DEFERRED)) == []
+
+
+def test_engine_module_resolves_after_a_bare_import():
+    code = ("import slds_mse; "
+            "print(slds_mse.fast.__name__, "
+            "slds_mse.fast.bank_series is slds_mse.bank_series)")
+    assert run_fresh(code).split() == ["slds_mse.fast", "True"]
+
+
+def test_every_public_name_is_its_modules_object():
+    for name in slds_mse.__all__:
+        obj = getattr(slds_mse, name)
+        assert obj.__module__.startswith("slds_mse.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_dir_lists_every_public_name():
+    assert set(slds_mse.__all__) <= set(dir(slds_mse))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        slds_mse.no_such_name
+    with pytest.raises(ImportError):
+        from slds_mse import no_such_name  # noqa: F401
 
 
 def test_readme_library_example_runs():

@@ -34,6 +34,7 @@ from slds_mse import (
     mode_marginal_series,
     run_monte_carlo,
     single_mode_slds_moments,
+    skf_slds_moments,
 )
 from slds_mse.kalman import (
     _average_dynamics,
@@ -373,6 +374,46 @@ class TestCallersBank:
             engine(bench, self.N, bank)
         for X in bank:
             assert str(X.shape) in str(err.value)
+
+
+# Every entry path of a horizon, each giving the number of steps past
+# step 0 that it reports: a schedule holds steps 1..N, a series 0..N.
+HORIZON_PATHS = {
+    "gain_schedule": lambda model, n: len(gain_schedule(
+        model.modes[0], model.meas, model.init, n)[0]),
+    "filter_bank": lambda model, n: filter_bank(model, n)[1].shape[1],
+    "bank_series": lambda model, n: len(
+        bank_series(model, DET, SPECS, n)[0].mse) - 1,
+    "bank_series_given_bank": lambda model, n: len(bank_series(
+        model, DET, SPECS, n, filter_bank(model, max(n, 0)))[0].mse) - 1,
+    "run_monte_carlo": lambda model, n: len(
+        run_monte_carlo(model, SPECS, DET, n, 8, 7)[0].gram) - 1,
+    "enumerate_filters": lambda model, n: len(
+        enumerate_filters(model, DET, SPECS, n)[0][0].mse) - 1,
+    "enumerate_filters_detected_path": lambda model, n: len(
+        enumerate_filters(model, DET, [FilterSpec("skf")], n,
+                          gains="detected-path")[0][0].mse) - 1,
+    "skf_slds_moments": lambda model, n: len(
+        skf_slds_moments(model, DET, n)[0].mse) - 1,
+    "single_mode_slds_moments": lambda model, n: len(
+        single_mode_slds_moments(model, model.modes[1], n)[0].mse) - 1,
+    "mismatch_series": lambda model, n: len(mismatch_series(
+        model.modes[0], model.modes[1], model.meas, model.init, n)[1].mse) - 1,
+}
+
+
+@pytest.mark.parametrize("path", HORIZON_PATHS.values(), ids=HORIZON_PATHS)
+def test_negative_horizon_is_refused_by_name(bench, path):
+    assert path(bench, 0) == 0 and path(bench, 2) == 2
+    with pytest.raises(ValueError, match=r"^n_steps must be >= 0, got -1$"):
+        path(bench, -1)
+
+
+def test_empty_filter_list_gives_no_result(bench):
+    assert filter_groups(bench.r, DET, [])[0] == []
+    assert bank_series(bench, DET, [], 3) == []
+    assert enumerate_filters(bench, DET, [], 3) == []
+    assert run_monte_carlo(bench, [], DET, 3, 8, 7) == []
 
 
 class TestAverageFilter:

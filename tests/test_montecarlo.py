@@ -297,6 +297,22 @@ class TestDriverDeterminism:
         with pytest.raises(ValueError, match="at least one sample"):
             run_monte_carlo(bench, self.FILTERS, detection(), 4, 0, seed=1)
 
+    @pytest.mark.parametrize("name, value, rule", [
+        ("threads", 0, "an integer >= 1"),
+        ("threads", 2.0, "an integer >= 1"),
+        ("seed", -1, "an unsigned 64-bit integer"),
+        ("seed", 2 ** 64, "an unsigned 64-bit integer"),
+        ("seed", True, "an unsigned 64-bit integer"),
+        ("samples", 10.5, r"an integer >= 1 \(at least one sample\)"),
+    ])
+    def test_bad_argument_is_named_before_any_work(self, bench, monkeypatch,
+                                                   name, value, rule):
+        monkeypatch.setattr(montecarlo, "_bank", mock.Mock(
+            side_effect=AssertionError("work began")))
+        args = dict(samples=64, seed=1, threads=1) | {name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be {rule}, got "):
+            run_monte_carlo(bench, self.FILTERS, detection(), 4, **args)
+
     def test_skf_needs_detection_model(self, bench):
         with pytest.raises(ValueError, match="detection"):
             run_monte_carlo(bench, [FilterSpec("skf")], None, 4, 64, seed=1)
