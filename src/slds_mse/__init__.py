@@ -10,7 +10,7 @@ Each engine module loads on first use of one of its names (PEP 562), so
 that loading and validating a scenario imports no engine.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -55,27 +55,21 @@ _LAZY = {
     **dict.fromkeys(("line_chart", "write_line_chart"), "svgchart"),
 }
 
-__all__ = [
-    "DetectionModel", "FilterSpec", "GaussianBelief", "MarkovChain",
-    "MeasurementModel", "ModeModel", "MseSeries", "Scenario", "SldsModel",
-    "Tolerances", "Violation", "mode_marginal_series", "validate_model",
-    "validate_scenario",
-    "ScenarioFormatError", "default_filters", "dumps_scenario",
-    "load_scenario", "save_scenario", "scenario_from_dict",
-    "scenario_to_dict",
-    *_LAZY,
-]
+# Every public name, the engine modules' names among them: those loaded
+# now, then those the table defers.  ``from slds_mse import *`` imports
+# every engine, as it did before the table.
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += [*_LAZY, *dict.fromkeys(_LAZY.values())]
 
 
 def __getattr__(name: str):
     """An engine name, or an engine module such as ``slds_mse.fast``,
     imported now and kept in the package namespace."""
     if name in _LAZY.values():
-        return importlib.import_module(f".{name}", __name__)
+        return _import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__),
-                    name)
+    value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
     globals()[name] = value
     return value
 

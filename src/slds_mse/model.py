@@ -71,16 +71,29 @@ def _array(obj, name: str, ndmin: int) -> np.ndarray:
     return out
 
 
-def _scalar(obj, name: str, kind: type) -> None:
-    """Store field ``name`` of ``obj`` as a plain ``kind`` (int or float),
-    refusing anything that is not a ``numbers`` instance of it: NumPy
-    scalars pass, booleans and strings do not."""
-    value = getattr(obj, name)
+def _check_number(name: str, value, kind: type) -> None:
+    """Refuse ``value`` as ``name`` unless it is a ``numbers`` instance of
+    ``kind`` (int or float): NumPy scalars pass, booleans and strings do
+    not."""
     abc, what = ((numbers.Integral, "an integer") if kind is int
                  else (numbers.Real, "a real number"))
     if isinstance(value, bool) or not isinstance(value, abc):
         raise TypeError(f"{name} must be {what}, got {_shown(value)}")
+
+
+def _scalar(obj, name: str, kind: type) -> None:
+    """Store field ``name`` of ``obj`` as a plain ``kind`` (int or float)
+    once ``_check_number`` accepts it."""
+    value = getattr(obj, name)
+    _check_number(name, value, kind)
     _set(obj, name, kind(value))
+
+
+def _seed_error(seed: int) -> Optional[str]:
+    """The ``[seed-range]`` rule's message if ``seed`` breaks it."""
+    if not 0 <= seed < 2 ** 64:
+        return f"seed must be an unsigned 64-bit integer, got {seed}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -441,9 +454,8 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     if scenario.mc_samples < 1:
         v.append(Violation("mc-samples-positive", "mc_samples",
                            f"mc_samples must be >= 1, got {scenario.mc_samples}"))
-    if not (0 <= scenario.seed < 2 ** 64):
-        v.append(Violation("seed-range", "seed",
-                           "seed must be an unsigned 64-bit integer"))
+    if (why := _seed_error(scenario.seed)) is not None:
+        v.append(Violation("seed-range", "seed", why))
     det = scenario.detection
     v += _finite(det.p_d, "detection.p_d")
     if np.isfinite(det.p_d) and not (0.0 <= det.p_d <= 1.0):

@@ -20,7 +20,6 @@ joins that step's moment sums.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -28,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import DetectionModel, FilterSpec, SldsModel, _shown
+from .model import (DetectionModel, FilterSpec, SldsModel,
+                    _check_number, _seed_error)
 from .kalman import _bank, filter_groups
 
 CHUNK = 1024
@@ -238,18 +238,21 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
     ``threads`` only distributes chunks; the result is bitwise identical
     for any thread count (see the module docstring).  ``bank`` reuses a
     caller's ``filter_bank(model, n_steps)`` instead of computing it; a
-    bank of other shapes raises ``ValueError``, as do a ``samples`` or
-    ``threads`` that is not a positive integer and a ``seed`` outside
-    0..2^64 - 1, before any work.  An empty ``filters`` gives ``[]``.
+    bank of other shapes raises ``ValueError``.  Before any work, a
+    ``samples``, ``threads`` or ``seed`` that is not an integer raises
+    ``TypeError``, and ``samples`` or ``threads`` below 1 or a ``seed``
+    outside 0..2^64 - 1 raises ``ValueError``, each naming the argument.
+    An empty ``filters`` gives ``[]``.
     """
-    for name, value, low, high, rule in (
-            ("samples", samples, 1, np.inf,
-             "an integer >= 1 (at least one sample)"),
-            ("threads", threads, 1, np.inf, "an integer >= 1"),
-            ("seed", seed, 0, 2 ** 64, "an unsigned 64-bit integer")):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or not low <= value < high):
-            raise ValueError(f"{name} must be {rule}, got {_shown(value)}")
+    for name, value in (("samples", samples), ("threads", threads),
+                        ("seed", seed)):
+        _check_number(name, value, int)
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if (why := _seed_error(seed)) is not None:
+        raise ValueError(why)
     filters = list(filters)
     bank = _bank(model, n_steps, bank)
     if not filters:

@@ -72,8 +72,19 @@ def test_engine_module_resolves_after_a_bare_import():
 def test_every_public_name_is_its_modules_object():
     for name in slds_mse.__all__:
         obj = getattr(slds_mse, name)
-        assert obj.__module__.startswith("slds_mse.")
-        assert getattr(sys.modules[obj.__module__], name) is obj
+        if f"slds_mse.{name}" in sys.modules:          # an engine module
+            assert obj is sys.modules[f"slds_mse.{name}"]
+        else:
+            assert obj.__module__.startswith("slds_mse.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_star_import_gives_every_public_name_and_module():
+    namespace = {}
+    exec("from slds_mse import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(slds_mse.__all__)
+    assert {"model", "serialize", "kalman", "enumeration", "fast",
+            "montecarlo", "svgchart"} <= set(namespace)
 
 
 def test_dir_lists_every_public_name():

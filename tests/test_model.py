@@ -19,6 +19,7 @@ from slds_mse import (
     SldsModel,
     Tolerances,
     mode_marginal_series,
+    run_monte_carlo,
     validate_model,
     validate_scenario,
 )
@@ -124,6 +125,17 @@ class TestValidation:
         got = codes(validate_scenario(sc))
         assert {"horizon-positive", "mc-samples-positive", "seed-range",
                 "detection-rate-range", "filter-mode-range"} <= got
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_range_words_the_monte_carlo_rule(self, bench, seed):
+        sc = Scenario(model=bench, horizon=3, detection=detection(0.9),
+                      filters=(FilterSpec("skf"),), seed=seed)
+        [violation] = validate_scenario(sc)
+        with pytest.raises(ValueError) as err:
+            run_monte_carlo(bench, [FilterSpec("skf")], detection(0.9), 3,
+                            8, seed)
+        assert violation.message == str(err.value) == (
+            f"seed must be an unsigned 64-bit integer, got {seed}")
 
     def test_valid_scenario_passes(self, bench):
         sc = Scenario(model=bench, horizon=10, detection=detection(0.9),
