@@ -12,17 +12,18 @@ draws).  Partial results are reduced in chunk order, so the output is
 bitwise identical for a given seed regardless of how many threads
 computed the chunks, and the switching filter's detection noise never
 perturbs the simulated trajectories.  Every switching-filter spec is the
-same filter on the same detection stream, so adding or removing any
-filter leaves each other filter's result bitwise unchanged.  A chunk keeps
-only the current step's states, estimates and errors; their Gram product
-joins that step's moment sums.
+same filter on the same detection stream, and each filter's sums are
+computed on their own, so adding or removing any filter leaves each other
+filter's result bitwise unchanged.  A chunk keeps only the current step's
+states, estimates and errors; their Gram product joins that step's moment
+sums.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,11 +55,20 @@ def _noise_transform(cov: np.ndarray) -> np.ndarray:
         return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
+@lru_cache(maxsize=8)
+def _offsets(z: int, count: int) -> np.ndarray:
+    """The flat offsets ``(z, count)`` of one row of a bank ``(r, z,
+    count)``, built once per chunk size and shared read-only."""
+    flat = np.arange(z * count).reshape(z, count)
+    flat.flags.writeable = False
+    return flat
+
+
 def _pick(bank: np.ndarray, choice: np.ndarray) -> np.ndarray:
     """Column ``i`` of ``bank[choice[i]]`` for each run ``i``, with one flat
     ``take``: every run keeps its own mode's row of a bank ``(r, z, count)``."""
     _, z, count = bank.shape
-    flat = np.arange(z * count).reshape(z, count) + choice * (z * count)
+    flat = choice * (z * count) + _offsets(z, count)
     return bank.reshape(-1).take(flat)
 
 
@@ -96,7 +106,8 @@ class _System:
 def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
     """One step's detected modes: the true mode with probability p_d, else
     uniform over the wrong ones.  One uniform draw, then (if r > 1) one
-    integer draw for the wrong mode."""
+    integer draw for the wrong mode; at r = 2 that draw is
+    ``integers(0, 1)``, which is always 0 and consumes no bits."""
     if r < 2:
         return truth
     hit = rng.random(truth.size) < det.p_d
@@ -108,10 +119,13 @@ def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
 class _Replay:
     """The distinct filters of ``kalman.filter_groups`` advanced together
     on closed-loop maps, ``x̂_n = M_n x̂_{n-1} + K_n y_n`` from ``x̂_0 =
-    x0``.  Estimates ``(R, z, count)`` hold the switching filter's r mode
-    rows, which all keep each run's detected row, then one row per
-    fixed-gain filter; the rows from ``lead`` on hold the G filters, and
-    spec f is row group[f] of them."""
+    x0``.  Estimates ``(G, z, count)`` hold one row per distinct filter,
+    spec f's being row group[f].  ``M`` and ``K`` keep the bank's rows:
+    the switching filter's r mode rows lead, then one row per fixed-gain
+    filter, so estimate row g >= 1 runs bank row ``lead + g``.  When
+    ``lead`` (r - 1) is not 0, the switching filter's estimate, row 0,
+    takes its r candidate updates from one stacked product on its r mode
+    rows and keeps each run's detected one."""
 
     def __init__(self, bank: tuple, specs: Sequence[FilterSpec],
                  model: SldsModel, det: Optional[DetectionModel]):
@@ -123,23 +137,41 @@ class _Replay:
         self.G = sum(len(rows) for rows, _ in groups)
         self.lead = len(rows) - self.G        # the SKF's first r - 1 rows
         self.x0 = np.broadcast_to(model.init.mean[:, None],
-                                  (len(self.M), model.z, 1))
+                                  (self.G, model.z, 1))
 
     def step(self, n: int, xhat: np.ndarray, y: np.ndarray, truth, rng):
         """Estimates at step n >= 1 from those at n - 1, measurements
         ``y`` (m, count), true modes and a detection rng."""
-        out = self.M[:, n - 1] @ xhat + self.K[:, n - 1] @ y
-        if self.lead:
-            detected = _detect(rng, truth, self.det, self.r)
-            out[:self.r] = _pick(out[:self.r], detected)
+        skf = 1 if self.lead else 0       # estimate rows picked by detection
+        r, z, count = self.r, self.M.shape[-1], y.shape[1]
+        out = np.empty((self.G, z, count))
+        rows = slice(skf + self.lead, None)
+        np.add(self.M[rows, n - 1] @ xhat[skf:], self.K[rows, n - 1] @ y,
+               out=out[skf:])
+        if skf:
+            updates = (self.M[:r, n - 1].reshape(r * z, z) @ xhat[0]
+                       + self.K[:r, n - 1].reshape(r * z, -1) @ y)
+            detected = _detect(rng, truth, self.det, r)
+            out[0] = _pick(updates.reshape(r, z, count), detected)
         return out
 
 
 def _gram(V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``V Vᵀ`` of ``V = [1; e; |e|²]`` (..., z+2, count), last row filled."""
-    e = V[..., 1:-1, :]
-    np.einsum("...ic,...ic->...c", e, e, out=V[..., -1, :])
-    return np.matmul(V, V.swapaxes(-1, -2), out=out)
+    """``V Vᵀ`` of ``V = [1; e; |e|²]`` (..., z+2, count), last row filled.
+
+    Rows 0..z come from one GEMM of ``V`` without its last row against
+    ``Vᵀ``: the operands' row counts differ, so NumPy does not take its
+    slower SYRK path, and V is not copied.  The last row mirrors the last
+    column and Σ|e|⁴ is one dot product, so the result is as symmetric as
+    the GEMM's square block, which the tests pin as exactly symmetric."""
+    e, sq = V[..., 1:-1, :], V[..., -1, :]
+    np.einsum("...ic,...ic->...c", e, e, out=sq)
+    if out is None:
+        out = np.empty(V.shape[:-1] + V.shape[-2:-1])
+    np.matmul(V[..., :-1, :], V.swapaxes(-1, -2), out=out[..., :-1, :])
+    out[..., -1, :-1] = out[..., :-1, -1]
+    np.einsum("...c,...c->...", sq, sq, out=out[..., -1, -1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,7 +303,7 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
             if n:
                 mode, x, y = system.step(sim_rng, x, mode)
                 xhat = replay.step(n, xhat, y, mode, det_rng)
-            np.subtract(x, xhat[replay.lead:], out=V[:, 1:-1])
+            np.subtract(x, xhat, out=V[:, 1:-1])
             _gram(V, out=gram[n])
         return gram
 

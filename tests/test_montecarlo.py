@@ -392,14 +392,19 @@ def plain_replay_errors(model, specs, det, n_steps, samples, seed, chunk):
 
 
 class TestOracle:
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_sums_equal_plain_replay(self, r, monkeypatch):
-        # small chunks, so three chunk keys are checked at little cost
+        # small chunks, so three chunk keys are checked at little cost; a
+        # second switching filter and a labelled twin share their filter's
+        # replayed row, and r = 4 is the r of the benchmark's long horizon,
+        # where the switching filter's four candidate updates are stacked
         monkeypatch.setattr(montecarlo, "CHUNK", 64)
         model = random_model(np.random.default_rng(40 + r), r, 2,
                              uniform_rows=False, uniform_prior=False)
         specs = ([FilterSpec("single-mode", j) for j in range(1, r + 1)]
-                 + [FilterSpec("average"), FilterSpec("skf")])
+                 + [FilterSpec("average"), FilterSpec("skf"),
+                    FilterSpec("single-mode", r, label="twin"),
+                    FilterSpec("skf")])
         det, n_steps, samples, seed = detection(0.8), 4, 150, 11
         runs = run_monte_carlo(model, specs, det, n_steps, samples, seed)
         oracle = plain_replay_errors(model, specs, det, n_steps, samples,
@@ -426,6 +431,27 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+
+class TestGram:
+    @pytest.mark.parametrize("count", [5, 1024])
+    @pytest.mark.parametrize("z", [1, 2, 3])
+    @pytest.mark.parametrize("G", [1, 2, 3])
+    def test_equals_einsum_and_is_exactly_symmetric(self, G, z, count, rng):
+        # the GEMM on all but the last row, mirrored, is V Vᵀ to round-off
+        # and exactly symmetric, as the SYRK product it replaced was
+        e = rng.standard_normal((G, z, count))
+        V = np.ones((G, z + 2, count))
+        V[:, 1:-1] = e
+        g = montecarlo._gram(V)
+        sq = np.einsum("gic,gic->gc", e, e)
+        assert_array_equal(V[:, -1], sq)
+        want = np.einsum("gic,gjc->gij", V, V)
+        assert_allclose(g, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        assert_array_equal(g, g.swapaxes(-1, -2))
+        out = np.full_like(g, np.nan)
+        assert montecarlo._gram(V, out=out) is out
+        assert_array_equal(out, g)
 
 
 class TestAccumulator:
