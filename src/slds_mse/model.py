@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numbers
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,15 +49,10 @@ def min_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(mat))[0])
 
 
-def _set(obj, name: str, value) -> None:
-    object.__setattr__(obj, name, value)
-
-
-def _array(obj, name: str, ndmin: int) -> np.ndarray:
-    """Field ``name`` of ``obj`` as a read-only float copy of at least
-    ``ndmin`` dimensions, leading ones added.  It must be a rectangular
-    array of real numbers, none of them a boolean or a string."""
-    value = getattr(obj, name)
+def _array(name: str, value, ndmin: int) -> np.ndarray:
+    """``value`` as a read-only float copy of at least ``ndmin``
+    dimensions, leading ones added.  It must be a rectangular array of
+    real numbers, none of them a boolean or a string."""
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
         value = np.array(value, dtype=object)
         # plain floats and ints skip the slower ABC check
@@ -81,12 +76,45 @@ def _check_number(name: str, value, kind: type) -> None:
         raise TypeError(f"{name} must be {what}, got {_shown(value)}")
 
 
-def _scalar(obj, name: str, kind: type) -> None:
-    """Store field ``name`` of ``obj`` as a plain ``kind`` (int or float)
-    once ``_check_number`` accepts it."""
-    value = getattr(obj, name)
-    _check_number(name, value, kind)
-    _set(obj, name, kind(value))
+def _fields(obj, **rules) -> None:
+    """Convert, check and store each named field of ``obj`` by its rule:
+    - a string, one dimension symbol per axis (``r`` modes, ``z`` states,
+      ``m`` measurements, ``n`` steps), for a read-only float array whose
+      symbols each have one size across ``obj``'s fields;
+    - ``int`` or ``float`` for a plain number of that type;
+    - a class for an instance of it, or a one-class tuple for a tuple
+      of them."""
+    sizes = {}                  # symbol -> (its size, the field that set it)
+    for name, rule in rules.items():
+        value = getattr(obj, name)
+        if isinstance(rule, str):
+            value = _array(name, value, len(rule))
+            why = None if value.ndim == len(rule) else ""
+            for symbol, size in zip(rule, value.shape):
+                have, where = sizes.setdefault(symbol, (size, name))
+                if have != size and why is None:
+                    why = f": {symbol} is {have} in {where}"
+            if why is not None:     # the message is built only when needed
+                raise ValueError(f"{name} shape {value.shape} does not fit "
+                                 + str(tuple(rule)).replace("'", "") + why)
+        elif rule in (int, float):
+            _check_number(name, value, rule)
+            value = rule(value)
+        else:
+            items = [(name, value)]
+            if isinstance(rule, tuple):
+                (rule,) = rule
+                try:
+                    value = tuple(value)
+                except TypeError:
+                    raise TypeError(f"{name} must be a sequence, got "
+                                    f"{_shown(value)}") from None
+                items = [(f"{name}[{k}]", x) for k, x in enumerate(value)]
+            for where, x in items:
+                if not isinstance(x, rule):
+                    raise TypeError(f"{where} must be of type "
+                                    f"{rule.__name__}, got {_shown(x)}")
+        object.__setattr__(obj, name, value)
 
 
 def _seed_error(seed: int) -> Optional[str]:
@@ -104,14 +132,7 @@ class ModeModel:
     Q: np.ndarray
 
     def __post_init__(self):
-        A = _array(self, "A", 2)
-        Q = _array(self, "Q", 2)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
-        if Q.shape != A.shape:
-            raise ValueError(f"Q shape {Q.shape} does not match A shape {A.shape}")
-        _set(self, "A", A)
-        _set(self, "Q", Q)
+        _fields(self, A="zz", Q="zz")
 
     @property
     def z(self) -> int:
@@ -126,15 +147,7 @@ class MeasurementModel:
     R: np.ndarray
 
     def __post_init__(self):
-        H = _array(self, "H", 2)
-        R = _array(self, "R", 2)
-        if R.ndim != 2 or R.shape[0] != R.shape[1]:
-            raise ValueError(f"R must be square, got shape {R.shape}")
-        if H.shape[0] != R.shape[0]:
-            raise ValueError(f"R dimension {R.shape[0]} does not match "
-                             f"measurement count {H.shape[0]}")
-        _set(self, "H", H)
-        _set(self, "R", R)
+        _fields(self, H="mz", R="mm")
 
     @property
     def m(self) -> int:
@@ -153,15 +166,7 @@ class GaussianBelief:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _array(self, "mean", 1)
-        cov = _array(self, "cov", 2)
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match "
-                             f"mean length {mean.size}")
-        _set(self, "mean", mean)
-        _set(self, "cov", cov)
+        _fields(self, mean="z", cov="zz")
 
     @property
     def z(self) -> int:
@@ -180,15 +185,7 @@ class MarkovChain:
     prior: np.ndarray
 
     def __post_init__(self):
-        Z = _array(self, "Z", 2)
-        prior = _array(self, "prior", 1)
-        if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-            raise ValueError(f"Z must be square, got shape {Z.shape}")
-        if prior.shape != (Z.shape[0],):
-            raise ValueError(f"prior length {prior.size} does not match "
-                             f"Z dimension {Z.shape[0]}")
-        _set(self, "Z", Z)
-        _set(self, "prior", prior)
+        _fields(self, Z="rr", prior="r")
 
     @property
     def r(self) -> int:
@@ -205,8 +202,9 @@ class SldsModel:
     init: GaussianBelief
 
     def __post_init__(self):
-        _set(self, "modes", tuple(self.modes))
-        if len(self.modes) < 1:
+        _fields(self, modes=(ModeModel,), meas=MeasurementModel,
+                chain=MarkovChain, init=GaussianBelief)
+        if not self.modes:
             raise ValueError("at least one mode is required")
 
     @property
@@ -231,7 +229,7 @@ class DetectionModel:
     p_d: float
 
     def __post_init__(self):
-        _scalar(self, "p_d", float)
+        _fields(self, p_d=float)
 
 
 @dataclass(frozen=True)
@@ -251,7 +249,7 @@ class FilterSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown filter kind {_shown(self.kind)}")
         if self.mode is not None:
-            _scalar(self, "mode", int)
+            _fields(self, mode=int)
             if self.kind != "single-mode":
                 raise ValueError(f"{self.kind} filter spec takes no mode "
                                  f"index, got {self.mode}")
@@ -288,8 +286,7 @@ class Tolerances:
     psd_tol: float = DEFAULT_PSD_TOL
 
     def __post_init__(self):
-        _scalar(self, "sym_tol", float)
-        _scalar(self, "psd_tol", float)
+        _fields(self, sym_tol=float, psd_tol=float)
 
 
 @dataclass(frozen=True)
@@ -307,17 +304,9 @@ class Scenario:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        _set(self, "filters", tuple(self.filters))
-        checks = [("model", self.model, SldsModel),
-                  ("detection", self.detection, DetectionModel)]
-        checks += [(f"filters[{k}]", spec, FilterSpec)
-                   for k, spec in enumerate(self.filters)]
-        for name, value, kind in checks:
-            if not isinstance(value, kind):
-                raise TypeError(f"{name} must be of type {kind.__name__}, "
-                                f"got {_shown(value)}")
-        for name in ("horizon", "mc_samples", "seed"):
-            _scalar(self, name, int)
+        _fields(self, model=SldsModel, horizon=int, detection=DetectionModel,
+                filters=(FilterSpec,), mc_samples=int, seed=int,
+                tolerances=Tolerances)
 
 
 @dataclass(frozen=True)
@@ -347,9 +336,8 @@ class MseSeries:
     kept_mass: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _set(self, "mse", _array(self, "mse", 1))
-        if self.kept_mass is not None:
-            _set(self, "kept_mass", _array(self, "kept_mass", 1))
+        _fields(self, mse="n", **({} if self.kept_mass is None
+                                  else {"kept_mass": "n"}))
 
     def __len__(self) -> int:
         return self.mse.size
@@ -445,9 +433,18 @@ def validate_model(model: SldsModel,
 
 
 def validate_scenario(scenario: Scenario) -> list[Violation]:
-    """Return every invariant violation; an empty list means valid."""
+    """Return every invariant violation; an empty list means valid.  A
+    tolerance that is not finite and >= 0 is one, and the matrix checks
+    use its default instead, so it neither hides nor invents another."""
+    bad = {name: value for name, value in vars(scenario.tolerances).items()
+           if not 0 <= value < np.inf}
+    v = [Violation("tolerance-range", f"tolerances.{name}",
+                   f"{name} must be finite and >= 0, got {value}")
+         for name, value in bad.items()]
     tol = scenario.tolerances
-    v = validate_model(scenario.model, tol)
+    if bad:
+        tol = replace(tol, **{name: getattr(Tolerances, name) for name in bad})
+    v += validate_model(scenario.model, tol)
     if scenario.horizon < 1:
         v.append(Violation("horizon-positive", "horizon",
                            f"horizon must be >= 1, got {scenario.horizon}"))

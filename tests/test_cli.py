@@ -758,19 +758,21 @@ class TestInputRejection:
          "got entry True"),
         ({"modes": [{"A": [[[0.9]]], "Q": [[0.01]]},
                     {"A": [[0.46]], "Q": [[0.01]]}]},
-         "scenario.modes[0]: A must be square, got shape (1, 1, 1)"),
+         "scenario.modes[0]: A shape (1, 1, 1) does not fit (z, z)"),
         ({"chain": {"Z": [[0.5, 0.5], [0.5, 0.5]], "prior": [0.5, None]}},
          "scenario.chain: prior must be a rectangular array of real "
          "numbers, got entry None"),
         ({"init": {"mean": [1.0], "cov": [[[1.0]]]}},
-         "scenario.init: cov shape (1, 1, 1) does not match mean length 1"),
+         "scenario.init: cov shape (1, 1, 1) does not fit (z, z)"),
         ({"modes": [{"A": [[0.9]], "Q": [[0.01]]},
                     {"A": [[0.46]], "Q": [[0.01, 0.0]]}]},
-         "scenario.modes[1]: Q shape (1, 2) does not match A shape (1, 1)"),
+         "scenario.modes[1]: Q shape (1, 2) does not fit (z, z): z is 1 in A"),
         ({"chain": {"Z": [[0.5, 0.5], [0.5, 0.5]], "prior": [1.0]}},
-         "scenario.chain: prior length 1 does not match Z dimension 2"),
+         "scenario.chain: prior shape (1,) does not fit (r,): r is 2 in Z"),
         ({"meas": {"H": [[1.0], [1.0]], "R": [[0.01]]}},
-         "scenario.meas: R dimension 1 does not match measurement count 2"),
+         "scenario.meas: R shape (1, 1) does not fit (m, m): m is 2 in H"),
+        ({"meas": {"H": [[[1.0]]], "R": [[0.01]]}},
+         "scenario.meas: H shape (1, 1, 1) does not fit (m, z)"),
         ({"filters": [{"kind": "ukf"}]},
          "scenario.filters[0]: unknown filter kind 'ukf'"),
         ({"filters": [{"kind": "single-mode"}]},
@@ -786,6 +788,12 @@ class TestInputRejection:
         ({"chain": {"Z": [[1.5, -0.5], [0.5, 0.5]], "prior": [0.5, 0.5]}},
          "[probability-range] chain.Z"),
         (PLANAR, "[Q-symmetric] modes[1].Q"),
+        ({"tolerances": {"psd_tol": float("nan")}},
+         "[tolerance-range] tolerances.psd_tol: psd_tol must be finite and "
+         ">= 0, got nan"),
+        ({"tolerances": {"sym_tol": -1.0}},
+         "[tolerance-range] tolerances.sym_tol: sym_tol must be finite and "
+         ">= 0, got -1.0"),
         # a long rejected value is cut short, to keep the line short
         ({"modes": [{"A": DEEP, "Q": [[0.01]]},
                     {"A": [[0.46]], "Q": [[0.01]]}]},
@@ -802,10 +810,11 @@ class TestInputRejection:
             "seed-bool", "missing-horizon", "missing-R",
             "chain-list", "modes-entry-string", "no-modes", "no-filters",
             "ragged-A", "A-bool-entry", "A-3d", "prior-null-entry", "cov-3d",
-            "Q-shape", "prior-length", "R-shape", "unknown-kind",
+            "Q-shape", "prior-length", "R-shape", "H-3d", "unknown-kind",
             "single-mode-no-mode", "average-mode", "skf-mode",
-            "mode-dimension", "Z-range",
-            "Q-asymmetric", "A-900-deep", "horizon-list", "p_d-long-string"])
+            "mode-dimension", "Z-range", "Q-asymmetric", "psd_tol-nan",
+            "sym_tol-negative", "A-900-deep", "horizon-list",
+            "p_d-long-string"])
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_rejected_with_its_reason(self, tmp_path, capsys, command,
                                       override, named):

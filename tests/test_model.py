@@ -69,6 +69,13 @@ class TestValidation:
                           GaussianBelief(np.ones(3), np.eye(3)))
         assert "state-dim-mismatch" in codes(validate_model(bad))
 
+    def test_measurement_columns_mismatch(self, bench):
+        meas = MeasurementModel(np.ones((4, 3)), bench.meas.R)
+        bad = type(bench)(bench.modes, meas, bench.chain, bench.init)
+        assert [str(v) for v in validate_model(bad)] == [
+            "[state-dim-mismatch] meas.H: H has 3 columns, state dimension "
+            "is 4"]
+
     def test_mode_count_mismatch(self, bench):
         chain = random_chain(np.random.default_rng(0), 3)
         bad = type(bench)(bench.modes, bench.meas, chain, bench.init)
@@ -136,6 +143,35 @@ class TestValidation:
                             8, seed)
         assert violation.message == str(err.value) == (
             f"seed must be an unsigned 64-bit integer, got {seed}")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("name", ["sym_tol", "psd_tol"])
+    def test_tolerances_are_finite_and_not_negative(self, bench, name,
+                                                    value):
+        # a bad tolerance is reported, and the matrix checks run at its
+        # default: Q's eigenvalue -1 is still found, and the healthy
+        # modes pass
+        q = np.diag([0.01, 0.01, 0.01, -1.0])
+        modes = (bench.modes[0], ModeModel(bench.modes[1].A, q))
+        model = SldsModel(modes, bench.meas, bench.chain, bench.init)
+        sc = Scenario(model, 3, detection(0.9), [FilterSpec("skf")],
+                      tolerances=Tolerances(**{name: value}))
+        violations = validate_scenario(sc)
+        assert [(v.code, v.where) for v in violations] == [
+            ("tolerance-range", f"tolerances.{name}"), ("Q-psd", "modes[2].Q")]
+        assert violations[0].message == (
+            f"{name} must be finite and >= 0, got {value}")
+
+    def test_a_good_tolerance_stays_beside_a_bad_one(self, bench):
+        # sym_tol = 1e-3 forgives Q's 1e-6 asymmetry though psd_tol is NaN
+        q = bench.modes[0].Q + np.triu(np.full((4, 4), 1e-6), 1)
+        modes = (ModeModel(bench.modes[0].A, q), bench.modes[1])
+        model = SldsModel(modes, bench.meas, bench.chain, bench.init)
+        sc = Scenario(model, 3, detection(0.9), [FilterSpec("skf")],
+                      tolerances=Tolerances(1e-3, np.nan))
+        assert [str(v) for v in validate_scenario(sc)] == [
+            "[tolerance-range] tolerances.psd_tol: psd_tol must be finite "
+            "and >= 0, got nan"]
 
     def test_valid_scenario_passes(self, bench):
         sc = Scenario(model=bench, horizon=10, detection=detection(0.9),
@@ -207,6 +243,18 @@ class TestMarginals:
             mode_marginal_series(chain, 0)
 
 
+SIZES = {"r": 2, "z": 3, "m": 4}
+ARRAY_FIELDS = {ModeModel: {"A": "zz", "Q": "zz"},
+                MeasurementModel: {"H": "mz", "R": "mm"},
+                GaussianBelief: {"mean": "z", "cov": "zz"},
+                MarkovChain: {"Z": "rr", "prior": "r"}}
+
+
+def model_parts():
+    """The benchmark model's modes, meas, chain and init."""
+    return list(vars(bimodal_model()).values())
+
+
 class TestTypes:
     def test_filter_spec_display(self):
         assert FilterSpec("single-mode", 2).display == "kf-mode-2"
@@ -252,10 +300,60 @@ class TestTypes:
         (lambda: Scenario(bimodal_model(), 5, DetectionModel(0.9),
                           [FilterSpec("skf"), "skf"]),
          r"filters\[1\] must be of type FilterSpec, got 'skf'"),
+        (lambda: Scenario(bimodal_model(), 5, DetectionModel(0.9), None),
+         "filters must be a sequence, got None"),
+        (lambda: Scenario(bimodal_model(), 5, DetectionModel(0.9),
+                          [FilterSpec("skf")], tolerances=None),
+         "tolerances must be of type Tolerances, got None"),
+        (lambda: SldsModel(({"A": 1},), "H", None, 3),
+         r"modes\[0\] must be of type ModeModel, got {'A': 1}"),
+        (lambda: SldsModel(model_parts()[0] + ("mode",), *model_parts()[1:]),
+         r"modes\[2\] must be of type ModeModel, got 'mode'"),
+        (lambda: SldsModel(None, *model_parts()[1:]),
+         "modes must be a sequence, got None"),
+        (lambda: SldsModel(*model_parts()[:1], "H", *model_parts()[2:]),
+         "meas must be of type MeasurementModel, got 'H'"),
+        (lambda: SldsModel(*model_parts()[:2], None, model_parts()[3]),
+         "chain must be of type MarkovChain, got None"),
+        (lambda: SldsModel(*model_parts()[:3], 3),
+         "init must be of type GaussianBelief, got 3"),
     ])
     def test_types_are_checked(self, make, message):
         with pytest.raises(TypeError, match=message):
             make()
+
+    @pytest.mark.parametrize("cls, name", [
+        (cls, name) for cls, fields in ARRAY_FIELDS.items()
+        for name in fields], ids=lambda x: getattr(x, "__name__", x))
+    @pytest.mark.parametrize("broken", ["one-dimension-more", "size"])
+    def test_array_fields_are_shape_checked(self, cls, name, broken):
+        # the field with one axis too many, or with the size changed of a
+        # symbol that another axis of the object also has; a clash is
+        # reported on the later field of the two, naming the earlier
+        fields = ARRAY_FIELDS[cls]
+        rule = fields[name]
+        values = {field: np.ones([SIZES[symbol] for symbol in field_rule])
+                  for field, field_rule in fields.items()}
+        if broken == "one-dimension-more":
+            values[name] = values[name][None]
+            want = (f"{name} shape {values[name].shape} does not fit "
+                    f"({', '.join(rule)}")
+        else:
+            symbols = "".join(fields.values())
+            axis = next(k for k, symbol in enumerate(rule)
+                        if symbols.count(symbol) > 1)
+            shape = list(values[name].shape)
+            shape[axis] += 1
+            values[name] = np.ones(shape)
+            want = f": {rule[axis]} is "
+        with pytest.raises(ValueError) as err:
+            cls(**values)
+        assert want in str(err.value) and name in str(err.value)
+
+    def test_at_least_one_mode(self):
+        with pytest.raises(ValueError, match="^at least one mode is "
+                                             "required$"):
+            SldsModel((), *model_parts()[1:])
 
     @pytest.mark.parametrize("kind", ["average", "skf"])
     def test_only_single_mode_filters_take_a_mode(self, kind):
