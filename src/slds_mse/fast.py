@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -102,7 +103,9 @@ def _joint_factors(A: np.ndarray, Q: np.ndarray, A_f: np.ndarray,
     # Per row, tall (r z, z) stacks over the modes: J.T = (A - A_f).T B.T,
     # (B Q).T = Q.T B.T and B Q B.T, read as (row, mode) blocks.
     tall, blocks = lead + (rows, r * z, z), lead + (rows, r, z, z)
-    Jt = (A[..., None, :, :, :] - A_f[..., :, None, :, :]).swapaxes(-1, -2)
+    # built transposed in C order, so the tall reshape copies nothing
+    Jt = np.subtract(A.swapaxes(-1, -2)[..., None, :, :, :],
+                     A_f.swapaxes(-1, -2)[..., :, None, :, :], order="C")
     Jt = (Jt.reshape(tall) @ Bt).reshape(blocks)
     BQ = (Q.swapaxes(-1, -2).reshape(Q.shape[:-3] + (1, r * z, z)) @ Bt
           ).reshape(blocks).swapaxes(-1, -2)
@@ -211,10 +214,10 @@ class _Stack:
         lift_t = Gt if self.scale is None else np.multiply(
             Gt, self.scale, order="C")
         lift_h = lift_t.reshape(lift_t.shape[:4] + (-1, k)).swapaxes(-1, -2)
-        noise = _noise(pQ, p * sum(     # in row order; weights of one skipped
-            lower[..., i, :, :] if self.scale is None
-            else D[:, i, None, None] * lower[..., i, :, :]
-            for i in range(D.shape[-1])))
+        noise = _noise(pQ, p * reduce(  # in row order; weights of one skipped
+            np.add, (lower[..., i, :, :] if self.scale is None
+                     else D[:, i, None, None] * lower[..., i, :, :]
+                     for i in range(D.shape[-1]))))
         psi_flat = self.psi.reshape(self.psi.shape[:3] + (-1,))
         stacked = self.branches.reshape(self.psi.shape[:3] + (-1, k))
         phi = self.phi

@@ -387,8 +387,17 @@ def _check_cov_matrix(mat: np.ndarray, where: str, what: str, tol: Tolerances,
 
 def validate_model(model: SldsModel,
                    tol: Tolerances = Tolerances()) -> list[Violation]:
-    """Structural and numeric checks for a bare model (no scenario)."""
-    v: list[Violation] = []
+    """Structural and numeric checks for a bare model (no scenario).  A
+    tolerance that is not finite and >= 0 is a violation, and the matrix
+    checks use its default instead, so it neither hides nor invents
+    another."""
+    bad = {name: value for name, value in vars(tol).items()
+           if not 0 <= value < np.inf}
+    v = [Violation("tolerance-range", f"tolerances.{name}",
+                   f"{name} must be finite and >= 0, got {value}")
+         for name, value in bad.items()]
+    if bad:
+        tol = replace(tol, **{name: getattr(Tolerances, name) for name in bad})
     z = model.z
     for i, mode in enumerate(model.modes, start=1):
         where = f"modes[{i}]"
@@ -433,18 +442,9 @@ def validate_model(model: SldsModel,
 
 
 def validate_scenario(scenario: Scenario) -> list[Violation]:
-    """Return every invariant violation; an empty list means valid.  A
-    tolerance that is not finite and >= 0 is one, and the matrix checks
-    use its default instead, so it neither hides nor invents another."""
-    bad = {name: value for name, value in vars(scenario.tolerances).items()
-           if not 0 <= value < np.inf}
-    v = [Violation("tolerance-range", f"tolerances.{name}",
-                   f"{name} must be finite and >= 0, got {value}")
-         for name, value in bad.items()]
-    tol = scenario.tolerances
-    if bad:
-        tol = replace(tol, **{name: getattr(Tolerances, name) for name in bad})
-    v += validate_model(scenario.model, tol)
+    """Return every invariant violation; an empty list means valid.  The
+    model's checks, tolerances included, are ``validate_model``'s."""
+    v = validate_model(scenario.model, scenario.tolerances)
     if scenario.horizon < 1:
         v.append(Violation("horizon-positive", "horizon",
                            f"horizon must be >= 1, got {scenario.horizon}"))

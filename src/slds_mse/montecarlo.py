@@ -64,12 +64,15 @@ def _offsets(z: int, count: int) -> np.ndarray:
     return flat
 
 
-def _pick(bank: np.ndarray, choice: np.ndarray) -> np.ndarray:
+def _pick(bank: np.ndarray, choice: np.ndarray,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
     """Column ``i`` of ``bank[choice[i]]`` for each run ``i``, with one flat
-    ``take``: every run keeps its own mode's row of a bank ``(r, z, count)``."""
+    ``take``: every run keeps its own mode's row of a bank ``(r, z, count)``.
+    The offsets are in range by construction, so ``take`` runs unchecked,
+    which also spares a buffered copy of ``out``."""
     _, z, count = bank.shape
     flat = choice * (z * count) + _offsets(z, count)
-    return bank.reshape(-1).take(flat)
+    return bank.reshape(-1).take(flat, out=out, mode="clip")
 
 
 class _System:
@@ -83,8 +86,11 @@ class _System:
         self.AL = np.array([np.hstack([mode.A, _noise_transform(mode.Q)])
                             for mode in model.modes])
         self.HL = np.hstack([model.meas.H, _noise_transform(model.meas.R)])
-        self.cum_prior = np.cumsum(model.chain.prior)[:, None]
-        self.cum_cols = np.cumsum(model.chain.Z, axis=1).T
+        # Cumulative sums of non-negative rows never decrease, so counting
+        # the first r - 1 at or below u gives min(count of all r, r - 1)
+        last = model.r - 1
+        self.cum_prior = np.cumsum(model.chain.prior)[:last, None]
+        self.cum_cols = np.cumsum(model.chain.Z, axis=1).T[:last]
 
     def start(self, rng: np.random.Generator, count: int) -> np.ndarray:
         noise = rng.standard_normal((count, self.model.z))
@@ -96,7 +102,7 @@ class _System:
         model, count = self.model, x.shape[1]
         u = rng.random(count)
         cum = self.cum_prior if mode is None else self.cum_cols.take(mode, axis=1)
-        mode = np.minimum((cum <= u).sum(axis=0), model.r - 1)
+        mode = (cum <= u).sum(axis=0)
         noise = rng.standard_normal((count, model.z))
         x = _pick(self.AL @ np.concatenate([x, noise.T]), mode)
         noise = rng.standard_normal((count, model.m))
@@ -105,12 +111,15 @@ class _System:
 
 def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
     """One step's detected modes: the true mode with probability p_d, else
-    uniform over the wrong ones.  One uniform draw, then (if r > 1) one
-    integer draw for the wrong mode; at r = 2 that draw is
-    ``integers(0, 1)``, which is always 0 and consumes no bits."""
+    uniform over the wrong ones.  One uniform draw, then (if r > 2) one
+    integer draw for the wrong mode.  At r = 2 the wrong mode is the other
+    one, and the draw skipped there, ``integers(0, 1)``, is always 0 and
+    consumes no bits, so the stream is the same."""
     if r < 2:
         return truth
     hit = rng.random(truth.size) < det.p_d
+    if r == 2:
+        return np.where(hit, truth, 1 - truth)
     wrong = rng.integers(0, r - 1, size=truth.size)
     wrong = wrong + (wrong >= truth)      # skip over the true index
     return np.where(hit, truth, wrong)
@@ -118,41 +127,52 @@ def _detect(rng, truth: np.ndarray, det: DetectionModel, r: int) -> np.ndarray:
 
 class _Replay:
     """The distinct filters of ``kalman.filter_groups`` advanced together
-    on closed-loop maps, ``x̂_n = M_n x̂_{n-1} + K_n y_n`` from ``x̂_0 =
-    x0``.  Estimates ``(G, z, count)`` hold one row per distinct filter,
-    spec f's being row group[f].  ``M`` and ``K`` keep the bank's rows:
-    the switching filter's r mode rows lead, then one row per fixed-gain
-    filter, so estimate row g >= 1 runs bank row ``lead + g``.  When
-    ``lead`` (r - 1) is not 0, the switching filter's estimate, row 0,
-    takes its r candidate updates from one stacked product on its r mode
-    rows and keeps each run's detected one."""
+    on closed-loop maps, ``x̂_n = M_n x̂_{n-1} + K_n y_n = [M_n | K_n]
+    [x̂_{n-1}; y_n]`` from ``x̂_0 = x0``.  Estimates ``(G, z, count)`` hold
+    one row per distinct filter, spec f's being row group[f].  ``MK`` holds
+    ``[M | K]`` (rows, N, z, z+m), and ``M`` and ``K`` are its views; they
+    keep the bank's rows: the switching filter's r mode rows lead, then
+    one row per fixed-gain filter, so estimate row g >= 1 runs bank row
+    ``lead + g``.  When ``lead`` (r - 1) is not 0, the switching filter's
+    estimate, row 0, takes its r candidate updates from one stacked
+    product on its r mode rows and keeps each run's detected one."""
 
     def __init__(self, bank: tuple, specs: Sequence[FilterSpec],
                  model: SldsModel, det: Optional[DetectionModel]):
-        self.det, self.r = det, model.r
+        self.det, self.r, z = det, model.r, model.z
         groups, self.group = filter_groups(model.r, det, specs)
         rows = np.concatenate([rows.ravel() for rows, _ in groups])
-        A, self.K = (X[rows] for X in bank)
-        self.M = A - self.K @ (model.meas.H @ A)
+        A, K = (X[rows] for X in bank)
+        self.MK = np.concatenate([A - K @ (model.meas.H @ A), K], axis=-1)
+        self.M, self.K = self.MK[..., :z], self.MK[..., z:]
         self.G = sum(len(rows) for rows, _ in groups)
         self.lead = len(rows) - self.G        # the SKF's first r - 1 rows
-        self.x0 = np.broadcast_to(model.init.mean[:, None],
-                                  (self.G, model.z, 1))
+        self.x0 = model.init.mean[:, None]
 
-    def step(self, n: int, xhat: np.ndarray, y: np.ndarray, truth, rng):
-        """Estimates at step n >= 1 from those at n - 1, measurements
-        ``y`` (m, count), true modes and a detection rng."""
+    def start(self, count: int) -> tuple:
+        """A chunk's buffers: the operand ``[x̂; y]`` (G, z+m, count), its
+        estimates at x0, and the switching filter's candidates (r z,
+        count), None without one."""
+        z = self.M.shape[-1]
+        op = np.empty((self.G, self.MK.shape[-1], count))
+        op[:, :z] = self.x0
+        return op, np.empty((self.r * z, count)) if self.lead else None
+
+    def step(self, n: int, buffers: tuple, y: np.ndarray, truth, rng,
+             out: np.ndarray) -> np.ndarray:
+        """Estimates at step n >= 1 into ``out`` (G, z, count), from the
+        chunk's ``buffers`` (see ``start``), which hold those at n - 1,
+        measurements ``y`` (m, count), true modes and a detection rng."""
+        op, cand = buffers
         skf = 1 if self.lead else 0       # estimate rows picked by detection
         r, z, count = self.r, self.M.shape[-1], y.shape[1]
-        out = np.empty((self.G, z, count))
-        rows = slice(skf + self.lead, None)
-        np.add(self.M[rows, n - 1] @ xhat[skf:], self.K[rows, n - 1] @ y,
-               out=out[skf:])
+        op[:, z:] = y
+        np.matmul(self.MK[skf + self.lead:, n - 1], op[skf:], out=out[skf:])
         if skf:
-            updates = (self.M[:r, n - 1].reshape(r * z, z) @ xhat[0]
-                       + self.K[:r, n - 1].reshape(r * z, -1) @ y)
-            detected = _detect(rng, truth, self.det, r)
-            out[0] = _pick(updates.reshape(r, z, count), detected)
+            np.matmul(self.MK[:r, n - 1].reshape(r * z, -1), op[0], out=cand)
+            _pick(cand.reshape(r, z, count), _detect(rng, truth, self.det, r),
+                  out=out[0])
+        op[:, :z] = out
         return out
 
 
@@ -297,13 +317,14 @@ def run_monte_carlo(model: SldsModel, filters: Sequence[FilterSpec],
         sim_rng = _rng(seed, chunk, _PURPOSE_SIM)
         det_rng = _rng(seed, chunk, _PURPOSE_DETECT) if replay.lead else None
         V = np.ones((replay.G, model.z + 2, count))
+        errors, buffers = V[:, 1:-1], replay.start(count)
         gram = np.empty((n_steps + 1, replay.G, model.z + 2, model.z + 2))
         x, mode, xhat = system.start(sim_rng, count), None, replay.x0
         for n in range(n_steps + 1):
             if n:
                 mode, x, y = system.step(sim_rng, x, mode)
-                xhat = replay.step(n, xhat, y, mode, det_rng)
-            np.subtract(x, xhat, out=V[:, 1:-1])
+                xhat = replay.step(n, buffers, y, mode, det_rng, out=errors)
+            np.subtract(x, xhat, out=errors)      # estimates to errors
             _gram(V, out=gram[n])
         return gram
 

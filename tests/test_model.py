@@ -162,6 +162,16 @@ class TestValidation:
         assert violations[0].message == (
             f"{name} must be finite and >= 0, got {value}")
 
+    def test_model_check_vets_its_own_tolerances(self, bench):
+        # called directly, validate_model applies the same rule: a NaN
+        # psd_tol neither passes unreported nor switches the Q check off
+        q = np.diag([0.01, 0.01, 0.01, -1.0])
+        modes = (bench.modes[0], ModeModel(bench.modes[1].A, q))
+        model = SldsModel(modes, bench.meas, bench.chain, bench.init)
+        violations = validate_model(model, Tolerances(psd_tol=np.nan))
+        assert [(v.code, v.where) for v in violations] == [
+            ("tolerance-range", "tolerances.psd_tol"), ("Q-psd", "modes[2].Q")]
+
     def test_a_good_tolerance_stays_beside_a_bad_one(self, bench):
         # sym_tol = 1e-3 forgives Q's 1e-6 asymmetry though psd_tol is NaN
         q = bench.modes[0].Q + np.triu(np.full((4, 4), 1e-6), 1)

@@ -38,6 +38,7 @@ from slds_mse import (
     ModeModel,
     SimRun,
     SldsModel,
+    filter_bank,
     gain_schedule,
     run_monte_carlo,
 )
@@ -109,6 +110,30 @@ class TestSimulator:
         freq = modes[1].mean()
         assert abs(freq - 0.1) < 4.0 * np.sqrt(0.1 * 0.9 / 4000)
 
+    def test_mode_is_the_clamped_count_of_cumulative_sums(self):
+        # every row's cumulative sum ends 1 ulp below 1, and u reaches it:
+        # all r sums are <= u there, and the mode is still r - 1, the
+        # count over all r sums clamped, as the r - 1 sums kept give it
+        top = np.nextafter(1.0, 0.0)
+        rows = [[0.25, 0.25, 0.5 - 2 ** -53], [0.5 - 2 ** -53, 0.5, 0.0],
+                [0.0, 0.0, top]]
+        model = bimodal_model(z=2, a_values=(0.9, 0.5, 0.7), rows=rows,
+                              prior=rows[0])
+        system = montecarlo._System(model)
+        u = np.array([0.0, 0.25, 0.3, 0.5, 0.75, top, top])
+        last = np.array([0, 1, 2, 0, 1, 2, 1])
+
+        class Draws:
+            random = staticmethod(lambda count: u)
+            standard_normal = staticmethod(np.zeros)
+
+        for cum, before in [(np.cumsum(rows[0]), None),
+                            (np.cumsum(rows, axis=1)[last].T, last)]:
+            count = (cum.reshape(3, -1) <= u).sum(axis=0)
+            assert count[-2:].tolist() == [3, 3]       # all r sums <= u
+            mode, _, _ = system.step(Draws(), np.zeros((2, u.size)), before)
+            assert_array_equal(mode, np.minimum(count, 2))
+
 
 def detect_steps(truth, det, r, rng):
     """Detected modes of true modes ``(count, N)``, one step at a time."""
@@ -143,6 +168,23 @@ class TestDetections:
                        == (truth[wrong_mask] + 1) % 3).mean()
         n_wrong = int(wrong_mask.sum())
         assert abs(first_wrong - 0.5) < 4.0 * np.sqrt(0.25 / n_wrong)
+
+
+    def test_two_modes_skip_the_empty_integer_draw(self, rng):
+        # at r = 2 the wrong mode is the other one: the detections and the
+        # Philox state afterwards equal those of the two-draw form, whose
+        # integers(0, 1) draws no bits
+        det = DetectionModel(0.7)
+        fast, full = (montecarlo._rng(5, 2, montecarlo._PURPOSE_DETECT)
+                      for _ in range(2))
+        for _ in range(50):
+            truth = rng.integers(0, 2, size=37)
+            hit = full.random(truth.size) < det.p_d
+            wrong = full.integers(0, 1, size=truth.size)
+            want = np.where(hit, truth, wrong + (wrong >= truth))
+            assert_array_equal(montecarlo._detect(fast, truth, det, 2), want)
+        # Philox's state holds arrays: compare it by its full text
+        assert repr(fast.bit_generator.state) == repr(full.bit_generator.state)
 
 
 class TestFilterReplay:
@@ -202,6 +244,28 @@ class TestFilterReplay:
                 assert_array_equal(replay.K[row], gains)
             alone, = run_monte_carlo(model, [spec], det, n_steps, 64, seed)
             assert_array_equal(run.gram, alone.gram)
+
+    def test_a_diverging_filter_leaves_the_others_untouched(self, bench):
+        # each distinct filter is its own matrix in the replay's batched
+        # product: an average row whose A is scaled by 1e200 overflows to
+        # inf and NaN in its own sums only, and every other filter's
+        # equal those of its own one-spec run on the same bank
+        A, gains = filter_bank(bench, 6)
+        A = A.copy()
+        A[bench.r] *= 1e200
+        bank, det = (A, gains), detection()
+        specs = [FilterSpec("single-mode", 1), FilterSpec("single-mode", 2),
+                 FilterSpec("average"), FilterSpec("skf")]
+        with np.errstate(all="ignore"):
+            runs = run_monte_carlo(bench, specs, det, 6, 1500, seed=7,
+                                   bank=bank)
+            assert not np.isfinite(runs[2].gram).all()
+            for spec, run in zip(specs, runs):
+                if spec.kind != "average":
+                    alone, = run_monte_carlo(bench, [spec], det, 6, 1500,
+                                             seed=7, bank=bank)
+                    assert np.isfinite(run.gram).all()
+                    assert_array_equal(run.gram, alone.gram)
 
     def test_average_filter_error_shape(self, bench):
         # one accumulator row per step, and every filter starts from the
