@@ -55,6 +55,7 @@ from .model import (
     ModeModel,
     MseSeries,
     SldsModel,
+    _check_number,
 )
 from .kalman import (
     _bank,
@@ -338,12 +339,16 @@ def enumerate_filters(model: SldsModel, det: Optional[DetectionModel],
     kept mass, and ``renormalize`` divides each step's mixture by its
     kept mass.  ``gains="detected-path"`` runs the switching filter's
     Riccati recursion along each detected trajectory in place of the
-    detected mode's schedule, and builds or reads no filter bank.  A bad
-    budget or a negative ``n_steps`` raises ``ValueError`` before any
+    detected mode's schedule, and builds or reads no filter bank.  A
+    budget or ``n_steps`` of the wrong type raises ``TypeError``, and a
+    bad budget or a negative ``n_steps`` ``ValueError``, before any
     work.  A tree stores levels 1..S, S = N under detected-path gains,
     N - 1 under pruning and max(N - 2, 0) otherwise, and one loop folds
     levels S+1..N.
     """
+    for name, value, kind in (("keep", keep, int), ("mass", mass, float)):
+        if value is not None:
+            _check_number(name, value, kind)
     if keep is not None and mass is not None:
         raise ValueError("give either keep or mass, not both")
     if keep is not None and keep < 1:
@@ -397,9 +402,6 @@ def mismatch_series(truth: ModeModel, filt: ModeModel, meas: MeasurementModel,
     """Error moments for steps 0..n_steps of the KF of mode ``filt`` on the
     fixed truth ``truth``: the one-mode system, whose tree has one leaf
     per step."""
-    if truth.z != meas.z:
-        raise ValueError(f"truth mode dimension {truth.z} does not match "
-                         f"state dimension {meas.z}")
     model = SldsModel([truth], meas, MarkovChain([[1.0]], [1.0]), init)
     series, moments = single_mode_slds_moments(model, filt, n_steps)
     return moments, series

@@ -48,6 +48,7 @@ from .model import (
     ModeModel,
     MseSeries,
     SldsModel,
+    _check_number,
     mode_marginal_series,
 )
 from .kalman import _bank, _mode_dynamics, _riccati, filter_groups
@@ -297,12 +298,19 @@ def merge_recommendation(model: SldsModel, det: DetectionModel, n_steps: int,
     1..n_steps; the merge rule asks whether mode detection buys anything
     over committing to one mode's filter.  ``improvement`` summarizes the
     per-step relative MSE reduction by the chosen ``metric``; a pair
-    merges when the improvement falls below ``threshold``.
+    merges when the improvement falls below ``threshold``.  An
+    ``n_steps`` that is not an integer or a ``threshold`` that is not a
+    real number raises ``TypeError``, and an ``n_steps`` below 1 or a
+    non-finite ``threshold`` raises ``ValueError``.
     """
     if model.r < 2:
         raise ValueError("merge analysis needs at least two modes")
+    _check_number("n_steps", n_steps, int)
     if n_steps < 1:
         raise ValueError(f"merge analysis needs n_steps >= 1, got {n_steps}")
+    _check_number("threshold", threshold, float)
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     # Pairs share H, R and P0, so mode j's schedule is row j of the full

@@ -25,6 +25,7 @@ from .model import (
     MeasurementModel,
     ModeModel,
     SldsModel,
+    _check_number,
     mode_marginal_series,
 )
 
@@ -66,7 +67,9 @@ def _check_innovations(B: np.ndarray, step: Optional[int] = None) -> None:
 
 
 def _check_horizon(n_steps: int) -> None:
-    """Refuse a negative horizon; ``n_steps == 0`` gives step 0 only."""
+    """Refuse a horizon that is not an integer or is negative;
+    ``n_steps == 0`` gives step 0 only."""
+    _check_number("n_steps", n_steps, int)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
 
@@ -183,9 +186,12 @@ def _bank(model: SldsModel, n_steps: int, bank: Optional[tuple]) -> tuple:
 
 def _branch_weights(r: int, det: Optional[DetectionModel]) -> np.ndarray:
     """The switching filter's branch weights D[i, j] = P(detected mode j |
-    true mode i); a lone mode is always detected, whatever p_d says."""
+    true mode i); a lone mode is always detected.  A p_d outside [0, 1],
+    NaN included, raises ``ValueError`` at any r."""
     if det is None:
         raise ValueError("switching-filter analysis needs a detection model")
+    if not 0.0 <= det.p_d <= 1.0:
+        raise ValueError(f"p_d must lie in [0, 1], got {det.p_d}")
     miss = (1.0 - det.p_d) / max(r - 1, 1)
     return np.where(np.eye(r, dtype=bool), det.p_d if r > 1 else 1.0, miss)
 

@@ -11,8 +11,9 @@ vector over the mode at step 1.  All noise is white and mutually
 independent, and ``x_0 ~ N(mean, cov)`` of the initial belief.
 
 Model objects are frozen dataclasses wrapping read-only numpy arrays, so
-they are safe to share between threads.  Constructors only enforce types
-and shape coherence; tolerance-based properties (symmetry, positive
+they are safe to share between threads.  Constructors own types and every
+shape, within and across parts.  Validation owns numbers: finiteness,
+ranges and tolerance-based properties (symmetry, positive
 semidefiniteness, stochastic rows) are reported as data by
 :func:`validate_scenario` rather than raised, so a single call surfaces
 every problem at once.
@@ -76,6 +77,19 @@ def _check_number(name: str, value, kind: type) -> None:
         raise TypeError(f"{name} must be {what}, got {_shown(value)}")
 
 
+def _fit(sizes: dict, name: str, shape: tuple, rule: str) -> None:
+    """Refuse ``shape`` as field ``name`` unless it has one axis per symbol
+    of ``rule``, each of the size ``sizes`` holds for it or new to it."""
+    why = None if len(shape) == len(rule) else ""
+    for symbol, size in zip(rule, shape):
+        have, where = sizes.setdefault(symbol, (size, name))
+        if have != size and why is None:
+            why = f": {symbol} is {have} in {where}"
+    if why is not None:         # the message is built only when needed
+        raise ValueError(f"{name} shape {shape} does not fit "
+                         + str(tuple(rule)).replace("'", "") + why)
+
+
 def _fields(obj, **rules) -> None:
     """Convert, check and store each named field of ``obj`` by its rule:
     - a string, one dimension symbol per axis (``r`` modes, ``z`` states,
@@ -89,14 +103,7 @@ def _fields(obj, **rules) -> None:
         value = getattr(obj, name)
         if isinstance(rule, str):
             value = _array(name, value, len(rule))
-            why = None if value.ndim == len(rule) else ""
-            for symbol, size in zip(rule, value.shape):
-                have, where = sizes.setdefault(symbol, (size, name))
-                if have != size and why is None:
-                    why = f": {symbol} is {have} in {where}"
-            if why is not None:     # the message is built only when needed
-                raise ValueError(f"{name} shape {value.shape} does not fit "
-                                 + str(tuple(rule)).replace("'", "") + why)
+            _fit(sizes, name, value.shape, rule)
         elif rule in (int, float):
             _check_number(name, value, rule)
             value = rule(value)
@@ -206,6 +213,12 @@ class SldsModel:
                 chain=MarkovChain, init=GaussianBelief)
         if not self.modes:
             raise ValueError("at least one mode is required")
+        sizes = {"r": (len(self.modes), "modes")}
+        for k, mode in enumerate(self.modes):
+            _fit(sizes, f"modes[{k}].A", mode.A.shape, "zz")
+        _fit(sizes, "meas.H", self.meas.H.shape, "mz")
+        _fit(sizes, "chain.Z", self.chain.Z.shape, "rr")
+        _fit(sizes, "init.mean", self.init.mean.shape, "z")
 
     @property
     def r(self) -> int:
@@ -307,6 +320,11 @@ class Scenario:
         _fields(self, model=SldsModel, horizon=int, detection=DetectionModel,
                 filters=(FilterSpec,), mc_samples=int, seed=int,
                 tolerances=Tolerances)
+        for k, spec in enumerate(self.filters):
+            try:
+                spec.key(self.model.r)
+            except ValueError as exc:
+                raise ValueError(f"filters[{k}]: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -387,10 +405,10 @@ def _check_cov_matrix(mat: np.ndarray, where: str, what: str, tol: Tolerances,
 
 def validate_model(model: SldsModel,
                    tol: Tolerances = Tolerances()) -> list[Violation]:
-    """Structural and numeric checks for a bare model (no scenario).  A
-    tolerance that is not finite and >= 0 is a violation, and the matrix
-    checks use its default instead, so it neither hides nor invents
-    another."""
+    """Numeric checks for a bare model (no scenario); its shapes are the
+    constructor's.  A tolerance that is not finite and >= 0 is a
+    violation, and the matrix checks use its default instead, so it
+    neither hides nor invents another."""
     bad = {name: value for name, value in vars(tol).items()
            if not 0 <= value < np.inf}
     v = [Violation("tolerance-range", f"tolerances.{name}",
@@ -398,25 +416,13 @@ def validate_model(model: SldsModel,
          for name, value in bad.items()]
     if bad:
         tol = replace(tol, **{name: getattr(Tolerances, name) for name in bad})
-    z = model.z
     for i, mode in enumerate(model.modes, start=1):
-        where = f"modes[{i}]"
-        v += _finite(mode.A, f"{where}.A")
-        if mode.z != z:
-            v.append(Violation("state-dim-mismatch", where,
-                               f"state dimension {mode.z} != {z}"))
-            continue
-        v += _check_cov_matrix(mode.Q, f"{where}.Q", "Q", tol)
+        v += _finite(mode.A, f"modes[{i}].A")
+        v += _check_cov_matrix(mode.Q, f"modes[{i}].Q", "Q", tol)
     v += _finite(model.meas.H, "meas.H")
-    if model.meas.z != z:
-        v.append(Violation("state-dim-mismatch", "meas.H",
-                           f"H has {model.meas.z} columns, state dimension is {z}"))
     v += _check_cov_matrix(model.meas.R, "meas.R", "R", tol,
                            positive_definite=True)
     chain = model.chain
-    if chain.r != model.r:
-        v.append(Violation("mode-count-mismatch", "chain",
-                           f"chain has {chain.r} modes, model has {model.r}"))
     v += _finite(chain.Z, "chain.Z") + _finite(chain.prior, "chain.prior")
     if np.any(chain.Z < 0) or np.any(chain.Z > 1):
         v.append(Violation("probability-range", "chain.Z",
@@ -433,11 +439,7 @@ def validate_model(model: SldsModel,
         v.append(Violation("prior-normalized", "chain.prior",
                            f"prior sums to {chain.prior.sum()!r}, expected 1"))
     v += _finite(model.init.mean, "init.mean")
-    if model.init.z != z:
-        v.append(Violation("state-dim-mismatch", "init",
-                           f"initial belief dimension {model.init.z} != {z}"))
-    else:
-        v += _check_cov_matrix(model.init.cov, "init.cov", "P0", tol)
+    v += _check_cov_matrix(model.init.cov, "init.cov", "P0", tol)
     return v
 
 
@@ -461,10 +463,6 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     r = scenario.model.r
     named = {}                  # display name -> (first entry, its key)
     for k, spec in enumerate(scenario.filters):
-        if spec.kind == "single-mode" and not (1 <= spec.mode <= r):
-            v.append(Violation("filter-mode-range", f"filters[{k}]",
-                               f"mode {spec.mode} outside 1..{r}"))
-            continue
         key = spec.key(r)
         j, first = named.setdefault(spec.display, (k, key))
         if first != key:

@@ -68,8 +68,9 @@ def _pick(bank: np.ndarray, choice: np.ndarray,
           out: Optional[np.ndarray] = None) -> np.ndarray:
     """Column ``i`` of ``bank[choice[i]]`` for each run ``i``, with one flat
     ``take``: every run keeps its own mode's row of a bank ``(r, z, count)``.
-    The offsets are in range by construction, so ``take`` runs unchecked,
-    which also spares a buffered copy of ``out``."""
+    The offsets are in range by construction, as ``SldsModel`` holds the
+    chain's r to its modes', so ``take`` runs unchecked, which also spares
+    a buffered copy of ``out``."""
     _, z, count = bank.shape
     flat = choice * (z * count) + _offsets(z, count)
     return bank.reshape(-1).take(flat, out=out, mode="clip")

@@ -1,5 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# hypothesis imports this module to report a failing @given test; its
+# libcst import chain raises a DeprecationWarning from mypy_extensions,
+# which under filterwarnings = error aborts the run.  Importing it once
+# here, with that warning ignored, lets the failure be reported.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from helpers import bimodal_model, single_mode_model
 

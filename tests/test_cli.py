@@ -784,7 +784,8 @@ class TestInputRejection:
                       {"kind": "skf", "mode": 7}]},
          "scenario.filters[1]: skf filter spec takes no mode index, got 7"),
         ({"modes": [{"A": [[0.9]], "Q": [[0.01]]}, PLANAR["modes"][0]]},
-         "[state-dim-mismatch] modes[2]: state dimension 2 != 1"),
+         "scenario: modes[1].A shape (2, 2) does not fit (z, z): z is 1 in "
+         "modes[0].A"),
         ({"chain": {"Z": [[1.5, -0.5], [0.5, 0.5]], "prior": [0.5, 0.5]}},
          "[probability-range] chain.Z"),
         (PLANAR, "[Q-symmetric] modes[1].Q"),

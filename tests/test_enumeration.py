@@ -395,6 +395,25 @@ class TestPruning:
         assert str(excinfo.value) == message
         assert riccati.call_count == 0
 
+    @pytest.mark.parametrize("budget, message", [
+        ({"keep": 2.5}, "keep must be an integer, got 2.5"),
+        ({"keep": True}, "keep must be an integer, got True"),
+        ({"mass": "0.9"}, "mass must be a real number, got '0.9'"),
+        ({"mass": True}, "mass must be a real number, got True"),
+    ], ids=["keep-float", "keep-bool", "mass-string", "mass-bool"])
+    def test_budget_of_another_type_rejected_by_name(self, bench, budget,
+                                                     message):
+        with pytest.raises(TypeError) as err:
+            enumerate_filters(bench, DET, [SKF], 3, **budget)
+        assert str(err.value) == message
+
+    def test_numpy_budget_is_a_number(self, bench):
+        kept = [enumerate_filters(bench, DET, [SKF], 3, **budget)[0][0].mse
+                for budget in ({"keep": 4}, {"keep": np.int64(4)},
+                               {"mass": 0.9}, {"mass": np.float64(0.9)})]
+        assert_array_equal(kept[0], kept[1])
+        assert_array_equal(kept[2], kept[3])
+
 
 class TestCaps:
     def test_upfront_cap_for_pairs(self, bench):

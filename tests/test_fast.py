@@ -506,6 +506,19 @@ class TestMergeRecommendation:
         assert pair.best_single_label in ("kf-mode-1", "kf-mode-2")
         assert merge_clusters(rep) == [[1], [2]]
 
+    @pytest.mark.parametrize("threshold, error, message", [
+        (np.nan, ValueError, "threshold must be finite, got nan"),
+        (np.inf, ValueError, "threshold must be finite, got inf"),
+        ("x", TypeError, "threshold must be a real number, got 'x'"),
+        (None, TypeError, "threshold must be a real number, got None"),
+    ], ids=["nan", "inf", "string", "none"])
+    def test_threshold_refused_by_name(self, bench, threshold, error,
+                                       message):
+        # a NaN threshold once marked every pair "keep"
+        with pytest.raises(error) as err:
+            merge_recommendation(bench, DET, 5, threshold)
+        assert str(err.value) == message
+
     def test_zero_threshold_never_merges(self):
         model = bimodal_model(a_values=(0.9, 0.9))
         rep = merge_recommendation(model, DET, 10, threshold=0.0)

@@ -256,7 +256,8 @@ class TestSchedules:
                      OTHER_DIMENSION, id="3-d-mismatch"),
         pytest.param(lambda model: mismatch_series(
             THREE_D, model.modes[0], model.meas, model.init, 3),
-                     OTHER_DIMENSION, id="3-d-truth")])
+                     r"^meas\.H shape \(4, 4\) does not fit \(m, z\): z is 3 "
+                     r"in modes\[0\]\.A$", id="3-d-truth")])
     def test_filter_bank_rejects_an_unknown_mode(self, bench, reject, reason):
         with pytest.raises(ValueError, match=reason):
             reject(bench)
@@ -407,6 +408,61 @@ def test_negative_horizon_is_refused_by_name(bench, path):
     assert path(bench, 0) == 0 and path(bench, 2) == 2
     with pytest.raises(ValueError, match=r"^n_steps must be >= 0, got -1$"):
         path(bench, -1)
+
+
+# The five entries that take a horizon straight from a caller
+NOT_AN_INTEGER_PATHS = {
+    "filter_bank": lambda model, n: filter_bank(model, n),
+    "bank_series": lambda model, n: bank_series(model, DET, SPECS, n),
+    "enumerate_filters": lambda model, n: enumerate_filters(
+        model, DET, SPECS, n),
+    "run_monte_carlo": lambda model, n: run_monte_carlo(
+        model, SPECS, DET, n, 8, 7),
+    "merge_recommendation": lambda model, n: merge_recommendation(
+        model, DET, n, 0.1),
+}
+
+
+@pytest.mark.parametrize("path", NOT_AN_INTEGER_PATHS.values(),
+                         ids=NOT_AN_INTEGER_PATHS)
+def test_non_integer_horizon_is_refused_by_name(bench, path):
+    path(bench, np.int64(2))          # a NumPy integer is an integer
+    for bad, shown in ((2.5, "2.5"), (True, "True"), ("3", "'3'")):
+        with pytest.raises(TypeError) as err:
+            path(bench, bad)
+        assert str(err.value) == f"n_steps must be an integer, got {shown}"
+
+
+# Every engine of the switching filter, run on a detection model
+DETECTION_PATHS = {
+    "bank_series": lambda model, det: bank_series(
+        model, det, [FilterSpec("skf")], 5),
+    "enumerate_filters": lambda model, det: enumerate_filters(
+        model, det, [FilterSpec("skf")], 5),
+    "run_monte_carlo": lambda model, det: run_monte_carlo(
+        model, [FilterSpec("skf")], det, 5, 100, 0),
+    "merge_recommendation": lambda model, det: merge_recommendation(
+        model, det, 5, 0.1),
+}
+
+
+@pytest.mark.parametrize("p_d", [-0.2, 1.5, np.nan])
+@pytest.mark.parametrize("path", DETECTION_PATHS.values(),
+                         ids=DETECTION_PATHS)
+def test_detection_rate_outside_the_unit_interval_is_refused(bench, path,
+                                                             p_d):
+    # the engines once disagreed here: NaN from one, numbers from another
+    with pytest.raises(ValueError,
+                       match=rf"^p_d must lie in \[0, 1\], got {p_d}$"):
+        path(bench, DetectionModel(p_d))
+
+
+@pytest.mark.parametrize("p_d", [-0.2, 1.5, np.nan])
+def test_detection_rate_is_checked_on_one_mode_too(lgss, p_d):
+    for name, path in DETECTION_PATHS.items():
+        if name != "merge_recommendation":        # which needs two modes
+            with pytest.raises(ValueError, match="^p_d must lie in"):
+                path(lgss, DetectionModel(p_d))
 
 
 def test_empty_filter_list_gives_no_result(bench):

@@ -29,6 +29,44 @@ def codes(violations):
     return {v.code for v in violations}
 
 
+class TestShapeRule:
+    """Constructors own every shape, across parts too: a model whose parts
+    disagree on r or z, or a scenario naming a mode outside 1..r, cannot
+    be built.  The message names the field, its shape and the symbol it
+    clashes on."""
+
+    @pytest.mark.parametrize("part, message", [
+        ("mode", "modes[1].A shape (3, 3) does not fit (z, z): z is 4 in "
+                 "modes[0].A"),
+        ("H", "meas.H shape (4, 3) does not fit (m, z): z is 4 in "
+              "modes[0].A"),
+        ("init", "init.mean shape (2,) does not fit (z,): z is 4 in "
+                 "modes[0].A"),
+        ("chain", "chain.Z shape (1, 1) does not fit (r, r): r is 2 in "
+                  "modes"),
+        ("filter-3", "filters[1]: filter mode 3 is outside 1..2"),
+        ("filter-0", "filters[1]: filter mode 0 is outside 1..2"),
+    ])
+    def test_parts_that_disagree_are_refused(self, bench, part, message):
+        modes, meas, chain, init = (bench.modes, bench.meas, bench.chain,
+                                    bench.init)
+        filters = [FilterSpec("skf"), FilterSpec("single-mode", 2)]
+        if part == "mode":
+            modes = (modes[0], ModeModel(np.eye(3), np.eye(3)))
+        elif part == "H":
+            meas = MeasurementModel(np.ones((4, 3)), meas.R)
+        elif part == "init":
+            init = GaussianBelief(np.zeros(2), np.eye(2))
+        elif part == "chain":
+            chain = MarkovChain([[1.0]], [1.0])
+        else:
+            filters[1] = FilterSpec("single-mode", int(part[-1]))
+        with pytest.raises(ValueError) as err:
+            Scenario(SldsModel(modes, meas, chain, init), 5, detection(0.9),
+                     filters)
+        assert str(err.value) == message
+
+
 class TestValidation:
     def test_benchmark_model_is_valid(self, bench):
         assert validate_model(bench) == []
@@ -64,22 +102,25 @@ class TestValidation:
         assert "R-positive-definite" in codes(validate_model(bad))
 
     def test_state_dim_mismatch(self, bench):
-        from slds_mse import GaussianBelief
-        bad = type(bench)(bench.modes, bench.meas, bench.chain,
-                          GaussianBelief(np.ones(3), np.eye(3)))
-        assert "state-dim-mismatch" in codes(validate_model(bad))
+        with pytest.raises(ValueError) as err:
+            type(bench)(bench.modes, bench.meas, bench.chain,
+                        GaussianBelief(np.ones(3), np.eye(3)))
+        assert str(err.value) == ("init.mean shape (3,) does not fit (z,): "
+                                  "z is 4 in modes[0].A")
 
     def test_measurement_columns_mismatch(self, bench):
         meas = MeasurementModel(np.ones((4, 3)), bench.meas.R)
-        bad = type(bench)(bench.modes, meas, bench.chain, bench.init)
-        assert [str(v) for v in validate_model(bad)] == [
-            "[state-dim-mismatch] meas.H: H has 3 columns, state dimension "
-            "is 4"]
+        with pytest.raises(ValueError) as err:
+            type(bench)(bench.modes, meas, bench.chain, bench.init)
+        assert str(err.value) == ("meas.H shape (4, 3) does not fit (m, z): "
+                                  "z is 4 in modes[0].A")
 
     def test_mode_count_mismatch(self, bench):
         chain = random_chain(np.random.default_rng(0), 3)
-        bad = type(bench)(bench.modes, bench.meas, chain, bench.init)
-        assert "mode-count-mismatch" in codes(validate_model(bad))
+        with pytest.raises(ValueError) as err:
+            type(bench)(bench.modes, bench.meas, chain, bench.init)
+        assert str(err.value) == ("chain.Z shape (3, 3) does not fit (r, r): "
+                                  "r is 2 in modes")
 
     def test_non_finite_entries_named_before_other_checks(self, bench):
         nan_q = bench.modes[0].Q.copy()
@@ -126,12 +167,17 @@ class TestValidation:
             ("finite", "detection.p_d")]
 
     def test_scenario_violations(self, bench):
+        # a filter mode outside 1..r is the constructor's to refuse
+        with pytest.raises(ValueError) as err:
+            Scenario(model=bench, horizon=5, detection=DetectionModel(0.9),
+                     filters=(FilterSpec("single-mode", 3),))
+        assert str(err.value) == "filters[0]: filter mode 3 is outside 1..2"
         sc = Scenario(model=bench, horizon=0, detection=DetectionModel(1.5),
-                      filters=(FilterSpec("single-mode", 3),), mc_samples=0,
+                      filters=(FilterSpec("single-mode", 2),), mc_samples=0,
                       seed=-1)
         got = codes(validate_scenario(sc))
         assert {"horizon-positive", "mc-samples-positive", "seed-range",
-                "detection-rate-range", "filter-mode-range"} <= got
+                "detection-rate-range"} <= got
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_range_words_the_monte_carlo_rule(self, bench, seed):

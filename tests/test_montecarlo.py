@@ -6,8 +6,10 @@ chunked, thread-invariant), validate the simulator and detection draws
 statistically, and verify the accumulator algebra on hand-built errors.
 """
 
+import json
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,6 +45,10 @@ from slds_mse import (
     run_monte_carlo,
 )
 from slds_mse import montecarlo
+from slds_mse.serialize import ScenarioFormatError, scenario_from_dict
+
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / \
+    "bimodal4d.json"
 
 
 def noiseless_constant_model(z=2):
@@ -277,6 +283,21 @@ class TestFilterReplay:
         assert average.sum_e.shape == (6, 4)
         assert_array_equal(average.gram[0], single.gram[0])
         assert not np.array_equal(average.gram[1], single.gram[1])
+
+
+def test_chain_of_another_mode_count_never_reaches_the_driver(bench):
+    # a 3-mode chain on the 2-mode demo once ran: the simulator's mode 3
+    # read mode 2's row of the bank, and the MSEs looked plausible
+    Z, prior = np.full((3, 3), 1 / 3), np.full(3, 1 / 3)
+    message = "chain.Z shape (3, 3) does not fit (r, r): r is 2 in modes"
+    with pytest.raises(ValueError) as err:
+        SldsModel(bench.modes, bench.meas, MarkovChain(Z, prior), bench.init)
+    assert str(err.value) == message
+    data = json.loads(DEMO.read_text())
+    data["chain"] = {"Z": Z.tolist(), "prior": prior.tolist()}
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(data)
+    assert str(err.value) == f"scenario: {message}"
 
 
 class TestDriverDeterminism:
