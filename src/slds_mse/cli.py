@@ -8,6 +8,8 @@ output path, 3 capacity or method failure, 4 comparison verdict FAIL,
 5 a NaN or infinite cell in an ``analyze`` or ``simulate`` CSV, or in a
 ``recommend`` pair's improvement or MSE series; the CSV is still
 written).
+A command imports only the engines it runs: ``kalman`` and ``fast`` with
+this module, Monte Carlo, enumeration and the SVG chart on first use.
 Set SLDS_MSE_LOG to a level name (DEBUG, INFO, ...) for progress logging
 on stderr.
 """
@@ -30,11 +32,8 @@ import numpy as np
 from . import __version__
 from .model import MseSeries, Scenario, validate_scenario
 from .kalman import InnovationSolveError, filter_bank
-from .enumeration import EnumerationCapError, enumerate_filters
 from .fast import bank_series, merge_clusters, merge_recommendation
-from .montecarlo import run_monte_carlo
 from .serialize import ScenarioFormatError, load_scenario
-from .svgchart import write_line_chart
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,6 +42,15 @@ EXIT_COMPARE_FAIL = 4
 EXIT_NON_FINITE = 5
 
 log = logging.getLogger("slds_mse.cli")
+
+
+def run_monte_carlo(*args, **kwargs) -> list:
+    """``montecarlo.run_monte_carlo``, its module imported on first call.
+    It stays a name of this module that the commands call through, so a
+    wrapper set here (a test's patch, ``bench/spans.py``) sees each
+    run."""
+    from .montecarlo import run_monte_carlo as run
+    return run(*args, **kwargs)
 
 
 class CommandError(Exception):
@@ -195,6 +203,7 @@ def _analytic_series(scenario: Scenario, args, method: str,
         log.info("%d filters: aggregate method, one filter bank, %.1f ms",
                  len(series), 1e3 * (time.perf_counter() - t0))
         return list(zip(specs, series))
+    from .enumeration import EnumerationCapError, enumerate_filters
     try:
         runs = enumerate_filters(model, det, specs, n, bank, keep=args.keep,
                                  mass=args.mass)
@@ -240,6 +249,7 @@ def _maybe_svg(path: Optional[str], series_list: list, title: str,
                dashed=()) -> None:
     if path is None:
         return
+    from .svgchart import write_line_chart
     chart = [(label, np.arange(len(values)), values)
              for label, values in series_list]
     try:

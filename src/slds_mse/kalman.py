@@ -127,6 +127,9 @@ def gain_schedule(mode: ModeModel, meas: MeasurementModel,
     if mode.z != meas.z:
         raise ValueError(f"filter mode dimension {mode.z} does not match "
                          f"state dimension {meas.z}")
+    if init.z != mode.z:
+        raise ValueError(f"initial belief dimension {init.z} does not match "
+                         f"state dimension {mode.z}")
     A, Q = (np.tile(X, (1, n_steps, 1, 1)) for X in (mode.A, mode.Q))
     gains, covs = _riccati(A, Q, meas, init.cov)
     return gains[0], covs[0]

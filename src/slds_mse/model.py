@@ -416,7 +416,7 @@ def validate_model(model: SldsModel,
          for name, value in bad.items()]
     if bad:
         tol = replace(tol, **{name: getattr(Tolerances, name) for name in bad})
-    for i, mode in enumerate(model.modes, start=1):
+    for i, mode in enumerate(model.modes):
         v += _finite(mode.A, f"modes[{i}].A")
         v += _check_cov_matrix(mode.Q, f"modes[{i}].Q", "Q", tol)
     v += _finite(model.meas.H, "meas.H")
@@ -428,7 +428,7 @@ def validate_model(model: SldsModel,
         v.append(Violation("probability-range", "chain.Z",
                            "entries must lie in [0, 1]"))
     rows = chain.Z.sum(axis=1)
-    for i, s in enumerate(rows, start=1):
+    for i, s in enumerate(rows):
         if abs(s - 1.0) > 1e-12:
             v.append(Violation("row-stochastic", f"chain.Z.row[{i}]",
                                f"row sums to {s!r}, expected 1"))

@@ -528,7 +528,7 @@ class TestFailureModes:
         assert main(["analyze", "--scenario", path]) == 2
         err = capsys.readouterr().err
         assert "validation failed" in err
-        assert "modes[1].Q" in err
+        assert "modes[0].Q" in err
 
     def test_label_clash_names_both_entries(self, scenario_file, capsys):
         path = scenario_file(filters=[
@@ -543,7 +543,7 @@ class TestFailureModes:
             "filters[0], a different filter"]
 
     @pytest.mark.parametrize("field, override", [
-        ("modes[1].Q", {"modes": [{"A": [[0.9]], "Q": [[float("nan")]]},
+        ("modes[0].Q", {"modes": [{"A": [[0.9]], "Q": [[float("nan")]]},
                                   {"A": [[0.46]], "Q": [[0.01]]}]}),
         ("meas.H", {"meas": {"H": [[float("inf")]], "R": [[0.01]]}}),
     ])
@@ -788,7 +788,7 @@ class TestInputRejection:
          "modes[0].A"),
         ({"chain": {"Z": [[1.5, -0.5], [0.5, 0.5]], "prior": [0.5, 0.5]}},
          "[probability-range] chain.Z"),
-        (PLANAR, "[Q-symmetric] modes[1].Q"),
+        (PLANAR, "[Q-symmetric] modes[0].Q"),
         ({"tolerances": {"psd_tol": float("nan")}},
          "[tolerance-range] tolerances.psd_tol: psd_tol must be finite and "
          ">= 0, got nan"),
@@ -937,3 +937,22 @@ class TestOneMomentPass:
                 assert A_f.shape == K.shape == (1, 3, horizon, 1, 1)
                 assert shapes == [((1, 2), (2, 2)), ((3, 1), (2, 1))]
                 assert_array_equal(index, [1, 2, 3, 0])
+
+
+class TestCalledThroughCli:
+    """The names ``bench/spans.py`` wraps on ``slds_mse.cli`` stay module
+    attributes that the commands look up at each call, so a wrapper set
+    there sees every call, the lazily imported Monte Carlo included."""
+
+    def test_wrapped_names_are_module_attributes(self):
+        assert {"load_scenario", "validate_scenario", "merge_recommendation",
+                "run_monte_carlo"} <= set(vars(cli))
+
+    @pytest.mark.parametrize("command, name", [
+        ("compare", "run_monte_carlo"), ("recommend", "merge_recommendation")])
+    def test_command_calls_through_the_module(self, scenario_file, tmp_path,
+                                              command, name):
+        with mock.patch.object(cli, name, wraps=getattr(cli, name)) as spy:
+            assert main([command, "--scenario", scenario_file(), "--threads",
+                         "1", "--out", str(tmp_path / "out.csv")]) == 0
+        assert spy.call_count == 1

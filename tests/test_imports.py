@@ -62,6 +62,56 @@ def test_loading_a_scenario_imports_no_engine():
     assert sorted(loaded & set(DEFERRED)) == []
 
 
+# Engines a command imports only when it runs them.
+LAZY_ENGINES = ("slds_mse.montecarlo", "slds_mse.enumeration",
+                "slds_mse.svgchart", "concurrent.futures")
+
+
+def command_imports(*argv: str) -> tuple:
+    """Exit code of ``slds-mse ARGV`` run in a new interpreter, and the
+    ``LAZY_ENGINES`` it left in ``sys.modules``."""
+    code = ("import contextlib, io, json, sys\n"
+            "from slds_mse.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        rc = main(sys.argv[1:])\n"
+            "    except SystemExit as exc:\n"
+            "        rc = exc.code\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))")
+    rc, loaded = json.loads(run_fresh(code, *argv))
+    return rc, sorted(set(loaded) & set(LAZY_ENGINES))
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["analyze"], []),
+    (["recommend"], []),
+    (["compare", "--threads", "1", "--horizon", "4"],
+     ["concurrent.futures", "slds_mse.montecarlo"]),
+    (["simulate", "--threads", "1", "--horizon", "4"],
+     ["concurrent.futures", "slds_mse.montecarlo"]),
+    (["analyze", "--method", "exact", "--horizon", "3"],
+     ["slds_mse.enumeration"]),
+    (["analyze", "--svg", "{tmp}/chart.svg"], ["slds_mse.svgchart"]),
+], ids=["analyze", "recommend", "compare", "simulate", "exact", "svg"])
+def test_command_loads_only_the_engines_it_runs(tmp_path, argv, loaded):
+    command, *flags = argv
+    rc, got = command_imports(command, "--scenario", str(DEMO), "--out",
+                              str(tmp_path / "out.csv"),
+                              *(flag.format(tmp=tmp_path) for flag in flags))
+    assert (rc, got) == (0, loaded)
+
+
+def test_help_and_a_rejected_scenario_load_no_lazy_engine(tmp_path):
+    scenario = json.loads(DEMO.read_text())
+    rejected = tmp_path / "rejected.json"
+    rejected.write_text(json.dumps({**scenario,
+                                    "tolerances": {"psd_tol": -1.0}}))
+    assert command_imports("--help") == (0, [])
+    assert command_imports("compare", "--scenario", str(rejected),
+                           "--threads", "1") == (2, [])
+
+
 def test_engine_module_resolves_after_a_bare_import():
     code = ("import slds_mse; "
             "print(slds_mse.fast.__name__, "

@@ -45,6 +45,7 @@ from slds_mse.kalman import (
 
 
 THREE_D = ModeModel(0.5 * np.eye(3), 0.1 * np.eye(3))
+THREE_D_BELIEF = GaussianBelief(np.zeros(3), np.eye(3))
 
 
 def scalar_mode(a, q):
@@ -254,6 +255,9 @@ class TestSchedules:
         pytest.param(lambda model: mismatch_series(
             model.modes[0], THREE_D, model.meas, model.init, 3),
                      OTHER_DIMENSION, id="3-d-mismatch"),
+        pytest.param(lambda model: gain_schedule(
+            model.modes[0], model.meas, THREE_D_BELIEF, 3),
+                     "^initial belief " + OTHER_DIMENSION, id="3-d-init"),
         pytest.param(lambda model: mismatch_series(
             THREE_D, model.modes[0], model.meas, model.init, 3),
                      r"^meas\.H shape \(4, 4\) does not fit \(m, z\): z is 3 "

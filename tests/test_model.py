@@ -93,7 +93,7 @@ class TestValidation:
         modes = (ModeModel(bench.modes[0].A, q), bench.modes[1])
         bad = type(bench)(modes, bench.meas, bench.chain, bench.init)
         found = [v for v in validate_model(bad) if v.code == "Q-psd"]
-        assert found and "modes[1]" in found[0].where
+        assert found and "modes[0]" in found[0].where
 
     def test_r_positive_definite_violation(self, bench):
         from slds_mse import MeasurementModel
@@ -133,16 +133,16 @@ class TestValidation:
                           bench.chain, bench.init)
         violations = validate_model(model)
         assert [(v.code, v.where) for v in violations] == [
-            ("finite", "modes[1].Q"), ("finite", "meas.H")]
+            ("finite", "modes[0].Q"), ("finite", "meas.H")]
 
-    @pytest.mark.parametrize("field", ["modes[2].A", "init.mean", "init.cov",
+    @pytest.mark.parametrize("field", ["modes[1].A", "init.mean", "init.cov",
                                        "meas.R", "chain.Z", "chain.prior"])
     def test_every_field_is_checked_for_finiteness(self, bench, field):
         eye = np.eye(bench.z)
         modes = list(bench.modes)
         meas, chain, init = bench.meas, bench.chain, bench.init
         bad = np.nan
-        if field == "modes[2].A":
+        if field == "modes[1].A":
             modes[1] = ModeModel(np.where(eye > 0, bad, modes[1].A),
                                  modes[1].Q)
         elif field == "init.mean":
@@ -204,7 +204,7 @@ class TestValidation:
                       tolerances=Tolerances(**{name: value}))
         violations = validate_scenario(sc)
         assert [(v.code, v.where) for v in violations] == [
-            ("tolerance-range", f"tolerances.{name}"), ("Q-psd", "modes[2].Q")]
+            ("tolerance-range", f"tolerances.{name}"), ("Q-psd", "modes[1].Q")]
         assert violations[0].message == (
             f"{name} must be finite and >= 0, got {value}")
 
@@ -216,7 +216,7 @@ class TestValidation:
         model = SldsModel(modes, bench.meas, bench.chain, bench.init)
         violations = validate_model(model, Tolerances(psd_tol=np.nan))
         assert [(v.code, v.where) for v in violations] == [
-            ("tolerance-range", "tolerances.psd_tol"), ("Q-psd", "modes[2].Q")]
+            ("tolerance-range", "tolerances.psd_tol"), ("Q-psd", "modes[1].Q")]
 
     def test_a_good_tolerance_stays_beside_a_bad_one(self, bench):
         # sym_tol = 1e-3 forgives Q's 1e-6 asymmetry though psd_tol is NaN
